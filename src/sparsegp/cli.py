@@ -181,10 +181,17 @@ def _fit_config(config: dict) -> FitConfig:
     freeze = node.get("freeze", []) if isinstance(node, dict) else []
     if isinstance(freeze, str):
         freeze = [freeze]
+    batch_size = int(config.get("batch_size", 0))
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if batch_size > 0 and kind in ("gpr", "svgp_uncertain"):
+        raise ConfigError(
+            f"kind = {kind} trains on the full dataset; batch_size must be 0 "
+            "or absent"
+        )
     return FitConfig(
         steps=int(config.get("steps", 500)),
         learning_rate=float(config.get("learning_rate", 1e-2)),
-        batch_size=int(config.get("batch_size", 0)),
+        batch_size=batch_size,
         seed=int(config.get("seed", 0)),
         whiten=bool(node.get("whiten", True)) if isinstance(node, dict) else True,
         freeze=tuple(freeze),
@@ -216,6 +223,14 @@ def _check_input_dim(model, x):
     if x.shape[1] != want:
         raise DataError(
             f"dataset has {x.shape[1]} input columns, model expects {want}"
+        )
+
+
+def _check_output_indices(dataset: Dataset, num_outputs: int):
+    if dataset.num_outputs > num_outputs:
+        raise DataError(
+            f"output_index {dataset.num_outputs - 1} is out of range for a "
+            f"model with P = {num_outputs} outputs"
         )
 
 
@@ -256,6 +271,7 @@ def cmd_train(args) -> int:
     if dataset.heterotopic:
         if not isinstance(model, SVGPModel):
             raise ConfigError("heterotopic data requires an svgp model")
+        _check_output_indices(dataset, model.num_outputs)
         data = (dataset.x, dataset.outputs, dataset.y[:, 0])
     else:
         if dataset.y is None:
@@ -395,22 +411,18 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
         if isinstance(model, (DGPModel,)):
             raise ConfigError("heterotopic evaluation supports shallow models")
         mean, var = _marginal_moments(model, dataset.x)
-        rows = np.arange(dataset.x.shape[0])
-        logdens = np.empty(len(rows))
-        ymu = np.empty(len(rows))
-        for i in rows:
-            p = int(dataset.outputs[i])
-            lik_i = marginalize_outputs(lik, (p,))
-            mu_i = mean[i : i + 1, p : p + 1]
-            var_i = var[i : i + 1, p : p + 1]
-            logdens[i] = predictive_log_density(
-                lik_i, mu_i, var_i, dataset.y[i : i + 1]
-            )[0]
-            ymu[i] = predict_observation_moments(lik_i, mu_i, var_i)[0][0, 0]
-        errors = dataset.y[:, 0] - ymu
+        _check_output_indices(dataset, mean.shape[1])
+        y = dataset.y
+        logdens = np.empty(y.shape[0])
+        errors = np.empty(y.shape[0])
         per_output = []
-        for p in sorted(set(dataset.outputs.tolist())):
+        for p in np.flatnonzero(np.bincount(dataset.outputs)):
             mask = dataset.outputs == p
+            lik_p = marginalize_outputs(lik, (p,))
+            mu_p, var_p = mean[mask, p : p + 1], var[mask, p : p + 1]
+            logdens[mask] = predictive_log_density(lik_p, mu_p, var_p, y[mask])
+            ymu_p, _ = predict_observation_moments(lik_p, mu_p, var_p)
+            errors[mask] = y[mask, 0] - ymu_p[:, 0]
             per_output.append(
                 {
                     "output": int(p),

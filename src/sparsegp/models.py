@@ -204,26 +204,32 @@ class SVGPModel:
     def elbo_heterotopic(self, x, outputs, y, scale: float | None = None) -> float:
         """ELBO for rows observing one output index each.
 
-        ``outputs`` holds the observed output index per row; marginalizing
-        the likelihood to a single output only needs the matching row of
-        the posterior marginals.
+        ``outputs`` holds the observed output index per row.  Rows are
+        grouped by that index: each group needs only its column of the
+        posterior marginals and the likelihood marginalized to that output,
+        so every group costs one vectorized expectation.
         """
         x = np.asarray(x, dtype=float)
         outputs = np.asarray(outputs, dtype=int)
         y = np.asarray(y, dtype=float).reshape(-1)
         if not (x.shape[0] == outputs.shape[0] == y.shape[0]):
             raise ShapeMismatch("heterotopic rows must align")
-        moments = self.predict_f(x, full_cov=False, full_output_cov=False)
-        rows = np.arange(x.shape[0])
-        mu = moments.mean[rows, outputs]
-        var = moments.cov[rows, outputs]
-        total = 0.0
-        for n in range(x.shape[0]):
-            lik_n = marginalize_outputs(self.likelihood, (outputs[n],))
-            ve = variational_expectations(
-                lik_n, mu[n : n + 1], var[n : n + 1], y[n : n + 1]
+        bad = outputs[(outputs < 0) | (outputs >= self.num_outputs)]
+        if bad.size:
+            raise ShapeMismatch(
+                f"output index {bad[0]} is outside [0, {self.num_outputs})"
             )
-            total += float(ve[0])
+        moments = self.predict_f(x, full_cov=False, full_output_cov=False)
+        total = 0.0
+        for p in np.flatnonzero(np.bincount(outputs)):  # outputs present
+            rows = np.flatnonzero(outputs == p)
+            ve = variational_expectations(
+                marginalize_outputs(self.likelihood, (p,)),
+                moments.mean[rows, p],
+                moments.cov[rows, p],
+                y[rows],
+            )
+            total += float(np.sum(ve))
         return self._scale(x.shape[0], scale) * total - self.prior_kl()
 
 

@@ -709,7 +709,10 @@ def fit(model, data, config: FitConfig) -> FitResult:
     ``data`` is (X, Y), or (X, output_indices, y) for heterotopic rows.
     The trace carries the per-step objective as an ELBO estimate (the
     optimizer minimizes its negation).  A warning is recorded when the
-    estimate drops by more than ten trailing standard deviations.
+    estimate drops by more than ten trailing standard deviations.  A step
+    that makes the objective non-finite is rejected: the parameters and the
+    Adam state are restored, the learning rate is halved for the rest of
+    the run, and the trace records the restored value with a warning.
     """
     if len(data) == 3:
         x, outputs, y = data
@@ -732,16 +735,25 @@ def fit(model, data, config: FitConfig) -> FitResult:
     state = AdamState.zeros(store.free_vector().shape[0])
     trace: list[TraceRecord] = []
     recent: list[float] = []
+    lr = config.learning_rate
 
     for step in range(config.steps):
         started = time.perf_counter()
         objective, strategy = make_step(step)
         grad = gradient(objective, store, strategy)
-        state = adam_step(store, grad, state, config.learning_rate)
+        free, previous = store.free_vector(), state
+        state = adam_step(store, grad, state, lr)
         elbo_estimate = -objective(store)
+        if np.isfinite(elbo_estimate):
+            warning = divergence_warning(recent, elbo_estimate)
+        else:
+            store.set_free_vector(free)
+            state = previous
+            lr *= 0.5
+            elbo_estimate = -objective(store)
+            warning = f"non-finite step rejected; learning rate halved to {lr:g}"
         wall_ms = (time.perf_counter() - started) * 1000.0
 
-        warning = divergence_warning(recent, elbo_estimate)
         recent.append(elbo_estimate)
         if len(recent) > 20:
             recent.pop(0)

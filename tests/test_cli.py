@@ -43,6 +43,18 @@ model {
 }
 """
 
+FULL_BATCH_CONF = """
+seed = 0
+steps = 1
+batch_size = {batch_size}
+model {{
+  kind = {kind}
+  kernel = sqexp {{ variance = 1.0, lengthscales = [0.8] }}
+  likelihood = gaussian {{ variance = 0.05 }}
+  inducing = points {{ from_data = 4 }}
+}}
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -196,6 +208,37 @@ class TestExitCodes:
         out = str(tmp_path / "p.csv")
         assert main(["predict", "--model", bad, "--data", DESK, "--out", out]) == 4
         assert "NotPositiveDefinite" in capsys.readouterr().err
+
+    def test_out_of_range_output_index_in_train_is_3(self, tmp_path, capsys):
+        x, y = desk_regression(n=10)
+        rows = str(tmp_path / "rows.csv")
+        write_dataset(rows, x, y[:, 0], np.array([0, 0, 1] + [0] * 7))
+        conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", rows, "--out", out]) == 3
+        assert "output_index 1" in capsys.readouterr().err
+
+    def test_out_of_range_output_index_in_eval_is_3(
+        self, tmp_path, trained_svgp, capsys
+    ):
+        x, y = desk_regression(n=4)
+        rows = str(tmp_path / "rows.csv")
+        write_dataset(rows, x, y[:, 0], np.array([0, 2, 0, 0]))
+        assert main(["eval", "--model", trained_svgp, "--data", rows]) == 3
+        assert "output_index 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["gpr", "svgp_uncertain"])
+    def test_batch_size_for_full_batch_kind_is_2(self, tmp_path, kind, capsys):
+        out = str(tmp_path / "m.json")
+
+        def train(batch_size):
+            text = FULL_BATCH_CONF.format(kind=kind, batch_size=batch_size)
+            conf = _write(tmp_path, f"b{batch_size}.conf", text)
+            return main(["train", "--config", conf, "--data", DESK, "--out", out])
+
+        assert train(0) == 0
+        assert train(8) == 2
+        assert "batch_size" in capsys.readouterr().err
 
     def test_duplicate_output_flag_is_2(self, tmp_path, trained_svgp):
         out = str(tmp_path / "p.csv")
@@ -486,6 +529,78 @@ class TestHeterotopicIngestion:
             ds_hetero.x, ds_hetero.outputs, ds_hetero.y[:, 0], scale=1.0
         )
         assert b == pytest.approx(a, abs=1e-9)
+
+
+class TestHeterotopicEval:
+    def test_metrics_match_per_row_reference(self, tmp_path, rng):
+        from sparsegp import (
+            marginalize_outputs,
+            predict_observation_moments,
+            predictive_log_density,
+            standard_normal,
+        )
+
+        def rows(n, r):
+            x = standard_normal(r, (n, 1))
+            outputs = r.derive(1).generator.integers(0, 2, size=n)  # no output 2
+            y = standard_normal(r.derive(2), n)
+            path = str(tmp_path / f"rows{n}.csv")
+            write_dataset(path, x, y, outputs)
+            return path
+
+        conf = _write(
+            tmp_path,
+            "lmc.conf",
+            """
+            seed = 0
+            steps = 2
+            learning_rate = 0.05
+            model {
+              kind = svgp
+              whiten = false
+              kernel = lmc {
+                w = [[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]]
+                latents = [sqexp { lengthscales = [0.8] }, matern32 {}]
+              }
+              likelihood = correlated_gaussian {
+                cov = [[0.2, 0.05, 0.0], [0.05, 0.3, 0.1], [0.0, 0.1, 0.25]]
+              }
+              inducing = shared { base = points { from_data = 4 } }
+            }
+            """,
+        )
+        out = str(tmp_path / "lmc.json")
+        train = rows(24, rng)
+        assert main(["train", "--config", conf, "--data", train, "--out", out]) == 0
+        test = rows(15, rng.derive(7))
+        metrics_path = str(tmp_path / "metrics.json")
+        assert main(["eval", "--model", out, "--data", test, "--out", metrics_path]) == 0
+        metrics = json.load(open(metrics_path))
+
+        model, _ = load_model(out)
+        ds = read_dataset(test)
+        pm = model.predict_f(ds.x)
+        logdens, errors = [], []
+        for i, p in enumerate(ds.outputs):
+            lik = marginalize_outputs(model.likelihood, (p,))
+            mu, var = pm.mean[i : i + 1, p : p + 1], pm.cov[i : i + 1, p : p + 1]
+            logdens.append(predictive_log_density(lik, mu, var, ds.y[i : i + 1])[0])
+            ymu, _ = predict_observation_moments(lik, mu, var)
+            errors.append(ds.y[i, 0] - ymu[0, 0])
+        logdens, errors = np.array(logdens), np.array(errors)
+
+        assert metrics["mlpd"] == pytest.approx(logdens.mean(), rel=1e-12)
+        assert metrics["rmse"] == pytest.approx(
+            np.sqrt(np.mean(errors**2)), rel=1e-12
+        )
+        assert [e["output"] for e in metrics["per_output"]] == [0, 1]
+        for entry in metrics["per_output"]:
+            mask = ds.outputs == entry["output"]
+            assert entry["count"] == int(mask.sum())
+            assert entry["mlpd"] == pytest.approx(logdens[mask].mean(), rel=1e-12)
+            assert entry["rmse"] == pytest.approx(
+                np.sqrt(np.mean(errors[mask] ** 2)), rel=1e-12
+            )
 
 
 class TestDgpCli:

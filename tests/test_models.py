@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsegp import (
+    Bernoulli,
     Constant,
     CorrelatedGaussian,
     DGPModel,
     Gaussian,
+    GaussHermite,
     GPLayer,
     GPRModel,
     InducingPoints,
     Linear,
+    LinearCoregionalization,
+    Matern32,
     RngState,
+    SeparateIndependent,
+    SharedIndependentInducingVariables,
     SquaredExponential,
     SVGPModel,
     UncertainSVGP,
@@ -18,10 +26,12 @@ from sparsegp import (
     White,
     conditional,
     k_full,
+    marginalize_outputs,
     optimal_q,
     standard_normal,
+    variational_expectations,
 )
-from sparsegp.errors import UnsupportedCombination
+from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 
 from conftest import desk_regression, make_spd, random_lower
 
@@ -233,34 +243,39 @@ class TestSvgpElbo:
         np.testing.assert_array_equal(pm.mean, ref.mean)
         np.testing.assert_array_equal(pm.cov, ref.cov)
 
-    def test_heterotopic_explosion_matches_homotopic(self):
-        # All-outputs-observed data rewritten as scalar rows must give the
-        # same objective under an independent Gaussian noise model.
-        rng = RngState(8)
-        n, m, p = 6, 4, 2
+    @settings(deadline=None, max_examples=25)
+    @given(
+        n=st.integers(1, 7),
+        p=st.integers(1, 3),
+        m=st.integers(1, 5),
+        whiten=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_heterotopic_explosion_matches_homotopic(self, n, p, m, whiten, seed):
+        # All-outputs-observed data rewritten as scalar rows, in any order,
+        # must give the same objective under an independent Gaussian noise
+        # model (README "File formats").
+        rng = RngState(seed)
         x = standard_normal(rng, (n, 1))
         y = standard_normal(rng.derive(1), (n, p))
-        z = standard_normal(rng.derive(2), (m, 1))
-        from sparsegp import (
-            SeparateIndependent,
-            SharedIndependentInducingVariables,
-        )
-
         kernel = SeparateIndependent(
-            [SquaredExponential(1.0, 0.7), SquaredExponential(0.8, 1.2)]
+            [SquaredExponential(1.0, 0.6 + 0.3 * i) for i in range(p)]
         )
-        iv = SharedIndependentInducingVariables(InducingPoints(z))
+        iv = SharedIndependentInducingVariables(
+            InducingPoints(np.linspace(-2.0, 2.0, m)[:, None])
+        )
         q = VariationalGaussian(
-            standard_normal(rng.derive(3), m * p),
-            tuple(random_lower(rng.derive(4 + i), m) for i in range(p)),
-            whiten=True,
+            standard_normal(rng.derive(2), m * p),
+            tuple(random_lower(rng.derive(3 + i), m) for i in range(p)),
+            whiten=whiten,
         )
-        model = SVGPModel(kernel, Gaussian(0.2), iv, q, num_data=n)
+        model = SVGPModel(kernel, Gaussian(0.25), iv, q, jitter=1e-8)
         homotopic = model.elbo((x, y), scale=1.0)
 
-        rows_x = np.repeat(x, p, axis=0)
-        rows_p = np.tile(np.arange(p), n)
-        rows_y = y.reshape(-1)
+        order = rng.derive(20).generator.permutation(n * p)
+        rows_x = np.repeat(x, p, axis=0)[order]
+        rows_p = np.tile(np.arange(p), n)[order]
+        rows_y = y.reshape(-1)[order]
         heterotopic = model.elbo_heterotopic(rows_x, rows_p, rows_y, scale=1.0)
         assert heterotopic == pytest.approx(homotopic, abs=1e-9)
 
@@ -295,6 +310,79 @@ class TestSvgpElbo:
             s = noise[pidx, pidx]
             expected += norm.logpdf(rows_y[i], mu, np.sqrt(s)) - var / (2 * s)
         assert got == pytest.approx(expected, abs=1e-9)
+
+
+def elbo_heterotopic_per_row(model, x, outputs, y, scale):
+    """Reference: one marginalized likelihood and one expectation per row."""
+    pm = model.predict_f(x)
+    rows = np.arange(x.shape[0])
+    mu = pm.mean[rows, outputs]
+    var = pm.cov[rows, outputs]
+    total = 0.0
+    for n in rows:
+        lik_n = marginalize_outputs(model.likelihood, (outputs[n],))
+        ve = variational_expectations(
+            lik_n, mu[n : n + 1], var[n : n + 1], y[n : n + 1]
+        )
+        total += float(ve[0])
+    return scale * total - model.prior_kl()
+
+
+def lmc_svgp(rng, likelihood, whiten, m=4, p=3):
+    """Three-output LMC over two latents with shared inducing inputs."""
+    z = np.linspace(-1.5, 1.5, m)[:, None]
+    kernel = LinearCoregionalization(
+        [SquaredExponential(1.0, 0.9), Matern32(0.8, 1.3)],
+        standard_normal(rng, (p, 2)),
+    )
+    q = VariationalGaussian(
+        standard_normal(rng.derive(1), 2 * m),
+        tuple(random_lower(rng.derive(2 + i), m) for i in range(2)),
+        whiten=whiten,
+    )
+    iv = SharedIndependentInducingVariables(InducingPoints(z))
+    return SVGPModel(kernel, likelihood, iv, q, num_data=50, jitter=1e-8)
+
+
+class TestHeterotopicGroups:
+    """The grouped heterotopic ELBO against its per-row twin."""
+
+    LIKELIHOODS = {
+        "gaussian": lambda rng: Gaussian(0.3),
+        "correlated": lambda rng: CorrelatedGaussian(make_spd(rng, 3, scale=0.1)),
+        "bernoulli": lambda rng: Bernoulli(GaussHermite()),
+    }
+
+    @pytest.mark.parametrize("whiten", [True, False])
+    @pytest.mark.parametrize("name", sorted(LIKELIHOODS))
+    @pytest.mark.parametrize("missing", [None, 1])
+    def test_matches_per_row_reference(self, name, whiten, missing):
+        rng = RngState(21)
+        model = lmc_svgp(rng, self.LIKELIHOODS[name](rng.derive(9)), whiten)
+        n = 17
+        x = standard_normal(rng.derive(10), (n, 1))
+        outputs = rng.derive(11).generator.permutation(np.arange(n) % 3)
+        if missing is not None:
+            outputs[outputs == missing] = (missing + 1) % 3
+        y = standard_normal(rng.derive(12), n)
+        if name == "bernoulli":
+            y = (y > 0).astype(float)
+        scale = 50 / n
+        expected = elbo_heterotopic_per_row(model, x, outputs, y, scale)
+        assert model.elbo_heterotopic(x, outputs, y, scale) == pytest.approx(
+            expected, rel=1e-12, abs=1e-9
+        )
+        # Row order only changes the summation order.
+        order = rng.derive(13).generator.permutation(n)
+        shuffled = model.elbo_heterotopic(x[order], outputs[order], y[order], scale)
+        assert shuffled == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_output_index_is_typed(self, bad):
+        model = lmc_svgp(RngState(22), Gaussian(0.3), whiten=True)
+        x = np.zeros((3, 1))
+        with pytest.raises(ShapeMismatch, match=str(bad)):
+            model.elbo_heterotopic(x, np.array([0, bad, 1]), np.zeros(3))
 
 
 class TestConvolutionalModel:

@@ -253,6 +253,55 @@ class TestFit:
         result = fit(model, (x, y), FitConfig(steps=150, learning_rate=0.05, seed=0))
         assert result.model.log_marginal() > before
 
+    def test_non_finite_step_is_rejected(self, monkeypatch):
+        import sparsegp.training as training
+
+        model, x, y = _svgp_for_gradients(2, whiten=True)
+        real_factory, real_adam = training._objective_factory, training.adam_step
+        rates = []
+        pending_nan = [False]
+
+        def adam_spy(store, grad, state, lr):
+            rates.append(lr)
+            # Poison the first evaluation after the third update only.
+            pending_nan[0] = len(rates) == 3
+            return real_adam(store, grad, state, lr)
+
+        def factory(*args):
+            make = real_factory(*args)
+
+            def make_step(step):
+                objective, strategy = make(step)
+
+                def poisoned(store):
+                    if pending_nan[0]:
+                        pending_nan[0] = False
+                        return np.nan
+                    return objective(store)
+
+                return poisoned, strategy
+
+            return make_step
+
+        monkeypatch.setattr(training, "_objective_factory", factory)
+        monkeypatch.setattr(training, "adam_step", adam_spy)
+        config = FitConfig(steps=5, learning_rate=1e-2, seed=0)
+        result = fit(model, (x, y), config)
+
+        assert len(result.trace) == 5
+        assert all(np.isfinite(r.elbo) for r in result.trace)
+        assert rates == [1e-2, 1e-2, 1e-2, 5e-3, 5e-3]
+        assert [r.warning for r in result.trace] == [
+            None,
+            None,
+            "non-finite step rejected; learning rate halved to 0.005",
+            None,
+            None,
+        ]
+        # The rejected step leaves the parameters where step 1 put them.
+        assert result.trace[2].elbo == pytest.approx(result.trace[1].elbo, rel=1e-12)
+        assert result.trace[3].elbo != pytest.approx(result.trace[2].elbo, rel=1e-12)
+
     def test_divergence_heuristic(self):
         from sparsegp.training import divergence_warning
 
