@@ -14,32 +14,32 @@ import sys
 import numpy as np
 from scipy.special import logsumexp
 
+from .conditionals import VariationalGaussian
 from .config import load_config
-from .inducing import InducingPoints
-from .kernels import Convolutional, IndependentLatent
 from .errors import ConfigError, DataError, SparseGPError
+from .inducing import InducingPoints, InducingVariable, input_width
+from .inducing import num_inducing as count_inducing
+from .kernels import IndependentLatent, Kernel
 from .likelihoods import (
     CorrelatedGaussian,
     Gaussian,
+    Likelihood,
     marginalize_outputs,
     predict_observation_moments,
     predictive_log_density,
 )
-from .modelio import (
-    Dataset,
-    load_model,
-    read_dataset,
-    save_model,
-    spec_to_inducing,
-    spec_to_kernel,
-    spec_to_likelihood,
-    spec_to_mean,
+from .modelio import Dataset, load_model, read_dataset, save_model
+from .models import (
+    DGPModel,
+    GPLayer,
+    GPRModel,
+    MeanFunction,
+    SVGPModel,
+    UncertainSVGP,
 )
-from .models import DGPModel, GPLayer, GPRModel, SVGPModel, UncertainSVGP
 from .numerics import RngState
+from .schema import from_spec
 from .training import FitConfig, TraceRecord, fit
-from .conditionals import VariationalGaussian
-from .inducing import num_inducing as count_inducing
 
 
 # ---------------------------------------------------------------------------
@@ -65,48 +65,16 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
 
 
-def _build_inducing(spec, x, kernel):
-    if not isinstance(spec, dict) or "tag" not in spec:
-        raise ConfigError(f"malformed inducing spec: {spec!r}")
-    spec = dict(spec)
-    tag = spec["tag"]
-    if tag in ("points", "multiscale", "patches") and "from_data" in spec:
-        m = int(spec.pop("from_data"))
-        if m < 1:
-            raise ConfigError(f"from_data = {m} must be positive")
-        if tag == "patches":
-            if not isinstance(kernel, Convolutional):
-                raise ConfigError("inducing patches need a convolutional kernel")
-            pool = kernel.patches(x).reshape(-1, kernel.patch_len)
-            if m > pool.shape[0]:
-                raise ConfigError(f"from_data = {m} exceeds available patches")
-            spec["z"] = pool[:m].tolist()
-        else:
-            if m > x.shape[0]:
-                raise ConfigError(f"from_data = {m} exceeds the dataset size")
-            spec["z"] = x[:m].tolist()
-            if tag == "multiscale" and "scales" not in spec:
-                spec["scales"] = np.full((m, x.shape[1]), 0.5).tolist()
-    if tag == "shared":
-        spec["base"] = _built_spec(spec.get("base"), x, kernel)
-    if tag == "separate":
-        spec["members"] = [
-            _built_spec(member, x, kernel) for member in spec.get("members", [])
-        ]
-    return spec_to_inducing(spec)
-
-
-def _built_spec(spec, x, kernel):
-    # Resolve nested from_data entries, then hand back a plain spec.
-    from .modelio import inducing_to_spec
-
-    return inducing_to_spec(_build_inducing(spec, x, kernel))
+def _components(node, x, context):
+    """Kernel and inducing variable of a model or layer block."""
+    kernel = from_spec(_require(node, "kernel", context), Kernel)
+    iv = from_spec(_require(node, "inducing", context), InducingVariable, (x, kernel))
+    return kernel, iv
 
 
 def _build_svgp(node, dataset: Dataset) -> SVGPModel:
-    kernel = spec_to_kernel(_require(node, "kernel", "model"))
-    likelihood = spec_to_likelihood(_require(node, "likelihood", "model"))
-    iv = _build_inducing(_require(node, "inducing", "model"), dataset.x, kernel)
+    kernel, iv = _components(node, dataset.x, "model")
+    likelihood = from_spec(_require(node, "likelihood", "model"), Likelihood)
     whiten = bool(node.get("whiten", True))
     q = _initial_q(iv, kernel, whiten)
     jitter = node.get("jitter")
@@ -115,7 +83,7 @@ def _build_svgp(node, dataset: Dataset) -> SVGPModel:
         likelihood,
         iv,
         q,
-        spec_to_mean(node.get("mean")),
+        from_spec(node.get("mean", "zero"), MeanFunction),
         num_data=dataset.x.shape[0],
         jitter=float(jitter) if jitter is not None else None,
     )
@@ -128,8 +96,8 @@ def build_model(config: dict, dataset: Dataset):
     kind = _require(node, "kind", "model")
 
     if kind == "gpr":
-        kernel = spec_to_kernel(_require(node, "kernel", "model"))
-        likelihood = spec_to_likelihood(node.get("likelihood", "gaussian"))
+        kernel = from_spec(_require(node, "kernel", "model"), Kernel)
+        likelihood = from_spec(node.get("likelihood", "gaussian"), Likelihood)
         if not isinstance(likelihood, Gaussian):
             raise ConfigError("gpr supports a Gaussian likelihood only")
         if dataset.y is None or dataset.y.shape[1] != 1:
@@ -146,16 +114,13 @@ def build_model(config: dict, dataset: Dataset):
         whiten = bool(node.get("whiten", True))
         layers = []
         for spec in layer_specs:
-            kernel = spec_to_kernel(_require(spec, "kernel", "layer"))
-            iv = _build_inducing(_require(spec, "inducing", "layer"), dataset.x, kernel)
-            layers.append(
-                GPLayer(kernel, iv, _initial_q(iv, kernel, whiten),
-                        spec_to_mean(spec.get("mean")))
-            )
+            kernel, iv = _components(spec, dataset.x, "layer")
+            mean = from_spec(spec.get("mean", "zero"), MeanFunction)
+            layers.append(GPLayer(kernel, iv, _initial_q(iv, kernel, whiten), mean))
         jitter = node.get("jitter")
         return DGPModel(
             layers,
-            spec_to_likelihood(_require(node, "likelihood", "model")),
+            from_spec(_require(node, "likelihood", "model"), Likelihood),
             num_data=dataset.x.shape[0],
             num_samples=int(node.get("num_samples", 1)),
             jitter=float(jitter) if jitter is not None else None,
@@ -193,7 +158,6 @@ def _fit_config(config: dict) -> FitConfig:
         learning_rate=float(config.get("learning_rate", 1e-2)),
         batch_size=batch_size,
         seed=int(config.get("seed", 0)),
-        whiten=bool(node.get("whiten", True)) if isinstance(node, dict) else True,
         freeze=tuple(freeze),
     )
 
@@ -202,25 +166,18 @@ def _fit_config(config: dict) -> FitConfig:
 # Shared prediction helpers
 
 
-def _model_input_dim(model) -> int:
+def _model_input_dim(model) -> int | None:
     if isinstance(model, GPRModel):
         return model.x.shape[1]
     if isinstance(model, UncertainSVGP):
         return model.input_mean.shape[1]
-    if isinstance(model, DGPModel):
-        iv = model.layers[0].inducing
-    else:
-        iv = model.inducing
-    while not isinstance(iv, InducingPoints):
-        iv = iv.base if hasattr(iv, "base") else iv.members[0]
-    if isinstance(model, SVGPModel) and isinstance(model.kernel, Convolutional):
-        return model.kernel.image_shape[0] * model.kernel.image_shape[1]
-    return iv.z.shape[1]
+    first = model.layers[0] if isinstance(model, DGPModel) else model
+    return input_width(first.inducing, first.kernel)
 
 
 def _check_input_dim(model, x):
     want = _model_input_dim(model)
-    if x.shape[1] != want:
+    if want is not None and x.shape[1] != want:
         raise DataError(
             f"dataset has {x.shape[1]} input columns, model expects {want}"
         )

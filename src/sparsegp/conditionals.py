@@ -54,6 +54,7 @@ from .numerics import (
     standard_normal,
     tri_solve,
 )
+from .schema import Param, Schema, Static
 
 # Mixed-flag fully-correlated conditionals build the full correction tensor
 # and marginalize it when N*P is at most this; larger problems stream the
@@ -81,6 +82,14 @@ class VariationalGaussian:
     q_mu: np.ndarray
     q_sqrt: np.ndarray | tuple[np.ndarray, ...] | None = None
     whiten: bool = True
+
+    # Untagged: the fields sit in the model document itself.
+    schema = Schema(
+        None,
+        Param("q_mu"),
+        Param("q_sqrt", "tril", blocks=True),
+        Static("whiten", "whiten"),
+    )
 
     def __post_init__(self):
         self.q_mu = np.asarray(self.q_mu, dtype=float).reshape(-1)

@@ -4,12 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ShapeMismatch
+from .errors import ConfigError, DimensionMismatch, ShapeMismatch
 from .kernels import (
     Convolutional,
     IndependentLatent,
     MultioutputKernel,
 )
+from .schema import Child, Param, Schema
+
+Z = Param("z", from_data=lambda x, kernel: x)  # from_data: the first M inputs
+
+
+def _half(spec):  # default window widths
+    return np.full(np.shape(spec["z"]), 0.5)
+
+
+def _patches_from_data(x, kernel):
+    if not isinstance(kernel, Convolutional):
+        raise ConfigError("inducing patches need a convolutional kernel")
+    return kernel.patches(x).reshape(-1, kernel.patch_len)
 
 
 class InducingVariable:
@@ -22,6 +35,8 @@ class InducingVariable:
 
 class InducingPoints(InducingVariable):
     """Plain function evaluations u = f(Z)."""
+
+    schema = Schema("points", Z)
 
     def __init__(self, z):
         z = np.asarray(z, dtype=float)
@@ -38,6 +53,8 @@ class InducingPoints(InducingVariable):
 
 class Multiscale(InducingPoints):
     """Gaussian-window integral transforms of f, one width per dimension."""
+
+    schema = Schema("multiscale", Z, Param("scales", "positive", default=_half))
 
     def __init__(self, z, scales):
         super().__init__(z)
@@ -56,6 +73,8 @@ class Multiscale(InducingPoints):
 class InducingPatches(InducingPoints):
     """Patch evaluations of the patch-response process of a convolutional GP."""
 
+    schema = Schema("patches", Param("z", from_data=_patches_from_data))
+
 
 class LatentInducingVariables(InducingVariable):
     """Inducing variables placed in the latent processes of a multioutput GP."""
@@ -66,6 +85,8 @@ class LatentInducingVariables(InducingVariable):
 
 class SharedIndependentInducingVariables(LatentInducingVariables):
     """One inducing set shared by every latent process."""
+
+    schema = Schema("shared", Child("base", "base"))
 
     def __init__(self, base: InducingVariable):
         self.base = base
@@ -80,6 +101,8 @@ class SharedIndependentInducingVariables(LatentInducingVariables):
 
 class SeparateIndependentInducingVariables(LatentInducingVariables):
     """One inducing set per latent process."""
+
+    schema = Schema("separate", Child("members", "members", many=True))
 
     def __init__(self, members):
         members = tuple(members)
@@ -113,3 +136,13 @@ def num_inducing(iv: InducingVariable, kernel) -> int:
     if isinstance(kernel, MultioutputKernel):
         return iv.num_rows * kernel.num_outputs
     return iv.num_rows
+
+
+def input_width(iv: InducingVariable, kernel) -> int | None:
+    """Input columns the pair expects: image pixels, else the first z found."""
+    if isinstance(kernel, Convolutional):
+        return kernel.image_shape[0] * kernel.image_shape[1]
+    while isinstance(iv, LatentInducingVariables):
+        shared = isinstance(iv, SharedIndependentInducingVariables)
+        iv = iv.base if shared else iv.members[0]
+    return iv.z.shape[1] if isinstance(iv, InducingPoints) else None

@@ -12,6 +12,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, PatchLargerThanImage, UnsupportedMode
 from .numerics import record_allocation
+from .schema import Child, Param, Schema, Static
+
+VARIANCE = Param("variance", "positive", scalar=True, default=1.0)
 
 
 def _as_2d(x) -> np.ndarray:
@@ -36,14 +39,19 @@ class SingleOutputKernel(Kernel):
 
 
 class Stationary(SingleOutputKernel):
-    """Isotropic-after-scaling kernel with per-dimension lengthscales."""
+    """Isotropic-after-scaling kernel with per-dimension lengthscales.
+
+    A subclass declares itself as ``schema = Schema(<tag>, *Stationary.fields)``.
+    """
+
+    fields = (VARIANCE, Param("lengthscales", "positive", default=1.0))
 
     def __init__(self, variance: float = 1.0, lengthscales=1.0):
         variance = float(variance)
         lengthscales = np.asarray(lengthscales, dtype=float).reshape(-1)
         if variance <= 0:
             raise ValueError("variance must be positive")
-        if np.any(lengthscales <= 0):
+        if (lengthscales <= 0).any():
             raise ValueError("lengthscales must be positive")
         self.variance = variance
         self.lengthscales = lengthscales
@@ -84,28 +92,38 @@ class Stationary(SingleOutputKernel):
 
 
 class SquaredExponential(Stationary):
+    schema = Schema("sqexp", *Stationary.fields)
+
     def _from_r2(self, r2):
         return self.variance * np.exp(-0.5 * r2)
 
 
 class Matern12(Stationary):
+    schema = Schema("matern12", *Stationary.fields)
+
     def _from_r2(self, r2):
         return self.variance * np.exp(-np.sqrt(r2))
 
 
 class Matern32(Stationary):
+    schema = Schema("matern32", *Stationary.fields)
+
     def _from_r2(self, r2):
         r = np.sqrt(3.0 * r2)
         return self.variance * (1.0 + r) * np.exp(-r)
 
 
 class Matern52(Stationary):
+    schema = Schema("matern52", *Stationary.fields)
+
     def _from_r2(self, r2):
         r = np.sqrt(5.0 * r2)
         return self.variance * (1.0 + r + r * r / 3.0) * np.exp(-r)
 
 
 class Linear(SingleOutputKernel):
+    schema = Schema("linear", VARIANCE)
+
     def __init__(self, variance: float = 1.0):
         variance = float(variance)
         if variance <= 0:
@@ -128,6 +146,8 @@ class Linear(SingleOutputKernel):
 
 class White(SingleOutputKernel):
     """Unit-impulse kernel: cross-covariance between distinct point sets is 0."""
+
+    schema = Schema("white", VARIANCE)
 
     def __init__(self, variance: float = 1.0):
         variance = float(variance)
@@ -208,6 +228,10 @@ class IndependentOutputs(IndependentLatent):
 class SharedIndependent(IndependentOutputs):
     """One kernel shared by P independent outputs."""
 
+    schema = Schema(
+        "shared_independent", Child("base", "kernel"), Static("outputs", "output_dim")
+    )
+
     def __init__(self, kernel: SingleOutputKernel, output_dim: int):
         if output_dim < 1:
             raise ValueError("output_dim must be at least 1")
@@ -248,6 +272,8 @@ class SharedIndependent(IndependentOutputs):
 class SeparateIndependent(IndependentOutputs):
     """One kernel per independent output."""
 
+    schema = Schema("separate_independent", Child("latents", "kernels", many=True))
+
     def __init__(self, kernels):
         kernels = tuple(kernels)
         if not kernels:
@@ -265,6 +291,8 @@ class SeparateIndependent(IndependentOutputs):
 
 class LinearCoregionalization(IndependentLatent):
     """P outputs as a fixed linear mixing W of L independent latent GPs."""
+
+    schema = Schema("lmc", Param("w"), Child("latents", "kernels", many=True))
 
     def __init__(self, kernels, w):
         kernels = tuple(kernels)
@@ -315,6 +343,8 @@ class LinearCoregionalization(IndependentLatent):
 class IntrinsicCoregionalization(LinearCoregionalization):
     """Coregionalization with a single kernel shared by all L latents."""
 
+    schema = Schema("imc", Param("w"), Child("base", "kernel"))
+
     def __init__(self, kernel, w):
         w = np.asarray(w, dtype=float)
         if w.ndim != 2:
@@ -331,6 +361,13 @@ class Convolutional(MultioutputKernel):
     (summed-patch) response is a single-output kernel exposed through
     :meth:`K_sum` / :meth:`K_sum_diag`.
     """
+
+    schema = Schema(
+        "conv",
+        Child("base", "kernel"),
+        Static("image", "image_shape"),
+        Static("patch", "patch_shape"),
+    )
 
     def __init__(self, kernel: SingleOutputKernel, image_shape, patch_shape):
         self.kernel = kernel

@@ -21,27 +21,42 @@ from .numerics import (
     standard_normal,
     tri_solve,
 )
+from .schema import Param, Schema, Static
 
 DEFAULT_QUADRATURE_NODES = 20
 
 
-class ClosedForm:
+class Strategy:
+    """Strategies of one type with the same settings are equal."""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({vars(self)})"
+
+
+class ClosedForm(Strategy):
     """Use the analytic expectation; errors if the likelihood has none."""
 
 
-class GaussHermite:
+class GaussHermite(Strategy):
     """One-dimensional quadrature per output dimension."""
 
     def __init__(self, num_nodes: int = DEFAULT_QUADRATURE_NODES):
         self.num_nodes = int(num_nodes)
 
 
-class MonteCarlo:
+class MonteCarlo(Strategy):
     """Unbiased sampling estimate with a derived, reproducible stream."""
 
     def __init__(self, num_samples: int, rng: RngState):
         self.num_samples = int(num_samples)
         self.rng = rng
+
+
+# Training keeps a likelihood's strategy; files hold only the default one.
+STRATEGY = Static(None, "strategy")
 
 
 class Likelihood:
@@ -72,6 +87,10 @@ def _as_rows(a, name) -> np.ndarray:
 
 
 class Gaussian(Likelihood):
+    schema = Schema(
+        "gaussian", Param("variance", "positive", scalar=True, default=1.0), STRATEGY
+    )
+
     def __init__(self, variance: float = 1.0, strategy=None):
         variance = float(variance)
         if variance <= 0:
@@ -105,6 +124,9 @@ class CorrelatedGaussian(Likelihood):
     """Gaussian observation noise correlated across the P outputs."""
 
     requires_full_output_cov = True
+    schema = Schema(
+        "correlated_gaussian", Param("cov", "tril", factored=True), STRATEGY
+    )
 
     def __init__(self, cov, strategy=None):
         cov = np.asarray(cov, dtype=float)
@@ -162,6 +184,8 @@ class CorrelatedGaussian(Likelihood):
 class Bernoulli(Likelihood):
     """Binary observations in {0, 1} through a probit link."""
 
+    schema = Schema("bernoulli", STRATEGY)
+
     def default_strategy(self):
         return GaussHermite()
 
@@ -180,6 +204,8 @@ class Bernoulli(Likelihood):
 
 class Poisson(Likelihood):
     """Count observations with an exponential link, rate = exp(f)."""
+
+    schema = Schema("poisson", STRATEGY)
 
     def log_density(self, f, y):
         f = np.asarray(f, dtype=float)

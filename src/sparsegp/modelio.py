@@ -20,256 +20,44 @@ import numpy as np
 
 from .conditionals import VariationalGaussian
 from .errors import ConfigError, DataError
-from .inducing import (
-    InducingPatches,
-    InducingPoints,
-    Multiscale,
-    SeparateIndependentInducingVariables,
-    SharedIndependentInducingVariables,
-)
-from .kernels import (
-    Convolutional,
-    IntrinsicCoregionalization,
-    Linear,
-    LinearCoregionalization,
-    Matern12,
-    Matern32,
-    Matern52,
-    SeparateIndependent,
-    SharedIndependent,
-    SquaredExponential,
-    White,
-)
-from .likelihoods import Bernoulli, CorrelatedGaussian, Gaussian, Poisson
+from .inducing import InducingVariable
+from .kernels import Kernel
+from .likelihoods import Likelihood
 from .models import (
-    Constant,
     DGPModel,
     GPLayer,
     GPRModel,
+    MeanFunction,
     SVGPModel,
     UncertainSVGP,
-    Zero,
 )
+from .schema import as_list, construct, from_spec, to_spec
 
 SCHEMA_VERSION = 1
-
-_KERNEL_TAGS = {
-    "sqexp": SquaredExponential,
-    "matern12": Matern12,
-    "matern32": Matern32,
-    "matern52": Matern52,
-}
-
-
-def _listed(a):
-    return np.asarray(a, dtype=float).tolist()
-
-
-# ---------------------------------------------------------------------------
-# Kernel specs
-
-
-def kernel_to_spec(kernel) -> dict:
-    for tag, cls in _KERNEL_TAGS.items():
-        if type(kernel) is cls:
-            return {
-                "tag": tag,
-                "variance": float(kernel.variance),
-                "lengthscales": _listed(kernel.lengthscales),
-            }
-    if type(kernel) is Linear:
-        return {"tag": "linear", "variance": float(kernel.variance)}
-    if type(kernel) is White:
-        return {"tag": "white", "variance": float(kernel.variance)}
-    if type(kernel) is SharedIndependent:
-        return {
-            "tag": "shared_independent",
-            "base": kernel_to_spec(kernel.kernel),
-            "outputs": kernel.output_dim,
-        }
-    if type(kernel) is SeparateIndependent:
-        return {
-            "tag": "separate_independent",
-            "latents": [kernel_to_spec(k) for k in kernel.kernels],
-        }
-    if type(kernel) is IntrinsicCoregionalization:
-        return {
-            "tag": "imc",
-            "base": kernel_to_spec(kernel.kernel),
-            "w": _listed(kernel.w),
-        }
-    if type(kernel) is LinearCoregionalization:
-        return {
-            "tag": "lmc",
-            "latents": [kernel_to_spec(k) for k in kernel.kernels],
-            "w": _listed(kernel.w),
-        }
-    if type(kernel) is Convolutional:
-        return {
-            "tag": "conv",
-            "base": kernel_to_spec(kernel.kernel),
-            "image": list(kernel.image_shape),
-            "patch": list(kernel.patch_shape),
-        }
-    raise ConfigError(f"kernel {type(kernel).__name__} has no file representation")
-
-
-def spec_to_kernel(spec):
-    if isinstance(spec, str):
-        spec = {"tag": spec}
-    if not isinstance(spec, dict) or "tag" not in spec:
-        raise ConfigError(f"malformed kernel spec: {spec!r}")
-    tag = spec["tag"]
-    if tag in _KERNEL_TAGS:
-        return _KERNEL_TAGS[tag](
-            variance=spec.get("variance", 1.0),
-            lengthscales=spec.get("lengthscales", 1.0),
-        )
-    if tag == "linear":
-        return Linear(spec.get("variance", 1.0))
-    if tag == "white":
-        return White(spec.get("variance", 1.0))
-    if tag == "shared_independent":
-        return SharedIndependent(
-            spec_to_kernel(spec["base"]), int(spec["outputs"])
-        )
-    if tag == "separate_independent":
-        return SeparateIndependent([spec_to_kernel(s) for s in spec["latents"]])
-    if tag == "lmc":
-        return LinearCoregionalization(
-            [spec_to_kernel(s) for s in spec["latents"]], np.asarray(spec["w"], float)
-        )
-    if tag == "imc":
-        return IntrinsicCoregionalization(
-            spec_to_kernel(spec["base"]), np.asarray(spec["w"], float)
-        )
-    if tag == "conv":
-        return Convolutional(
-            spec_to_kernel(spec["base"]), spec["image"], spec["patch"]
-        )
-    raise ConfigError(f"unknown kernel tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# Inducing specs
-
-
-def inducing_to_spec(iv) -> dict:
-    if type(iv) is Multiscale:
-        return {"tag": "multiscale", "z": _listed(iv.z), "scales": _listed(iv.scales)}
-    if type(iv) is InducingPatches:
-        return {"tag": "patches", "z": _listed(iv.z)}
-    if type(iv) is InducingPoints:
-        return {"tag": "points", "z": _listed(iv.z)}
-    if type(iv) is SharedIndependentInducingVariables:
-        return {"tag": "shared", "base": inducing_to_spec(iv.base)}
-    if type(iv) is SeparateIndependentInducingVariables:
-        return {
-            "tag": "separate",
-            "members": [inducing_to_spec(m) for m in iv.members],
-        }
-    raise ConfigError(
-        f"inducing variable {type(iv).__name__} has no file representation"
-    )
-
-
-def spec_to_inducing(spec):
-    if not isinstance(spec, dict) or "tag" not in spec:
-        raise ConfigError(f"malformed inducing spec: {spec!r}")
-    tag = spec["tag"]
-    if tag == "points":
-        return InducingPoints(np.asarray(spec["z"], float))
-    if tag == "multiscale":
-        return Multiscale(
-            np.asarray(spec["z"], float), np.asarray(spec["scales"], float)
-        )
-    if tag == "patches":
-        return InducingPatches(np.asarray(spec["z"], float))
-    if tag == "shared":
-        return SharedIndependentInducingVariables(spec_to_inducing(spec["base"]))
-    if tag == "separate":
-        return SeparateIndependentInducingVariables(
-            [spec_to_inducing(s) for s in spec["members"]]
-        )
-    raise ConfigError(f"unknown inducing tag {tag!r}")
-
-
-# ---------------------------------------------------------------------------
-# Likelihood and mean specs
-
-
-def likelihood_to_spec(lik) -> dict:
-    if type(lik) is Gaussian:
-        return {"tag": "gaussian", "variance": float(lik.variance)}
-    if type(lik) is CorrelatedGaussian:
-        return {"tag": "correlated_gaussian", "cov": _listed(lik.cov)}
-    if type(lik) is Bernoulli:
-        return {"tag": "bernoulli"}
-    if type(lik) is Poisson:
-        return {"tag": "poisson"}
-    raise ConfigError(f"likelihood {type(lik).__name__} has no file representation")
-
-
-def spec_to_likelihood(spec):
-    if isinstance(spec, str):
-        spec = {"tag": spec}
-    if not isinstance(spec, dict) or "tag" not in spec:
-        raise ConfigError(f"malformed likelihood spec: {spec!r}")
-    tag = spec["tag"]
-    if tag == "gaussian":
-        return Gaussian(spec.get("variance", 1.0))
-    if tag == "correlated_gaussian":
-        return CorrelatedGaussian(np.asarray(spec["cov"], float))
-    if tag == "bernoulli":
-        return Bernoulli()
-    if tag == "poisson":
-        return Poisson()
-    raise ConfigError(f"unknown likelihood tag {tag!r}")
-
-
-def mean_to_spec(mean) -> dict:
-    if type(mean) is Zero:
-        return {"tag": "zero"}
-    if type(mean) is Constant:
-        return {"tag": "constant", "value": float(mean.value)}
-    raise ConfigError(f"mean function {type(mean).__name__} has no file representation")
-
-
-def spec_to_mean(spec):
-    if spec in (None, "zero"):
-        return Zero()
-    if isinstance(spec, dict):
-        if spec.get("tag") == "zero":
-            return Zero()
-        if spec.get("tag") == "constant":
-            return Constant(spec.get("value", 0.0))
-    raise ConfigError(f"unknown mean function spec {spec!r}")
-
-
-def _q_to_spec(q: VariationalGaussian) -> dict:
-    if q.q_sqrt is None:
-        raise ConfigError("model files need an explicit q_sqrt factor")
-    sqrt = (
-        {"blocks": [_listed(b) for b in q.q_sqrt]}
-        if q.is_block
-        else _listed(q.q_sqrt)
-    )
-    return {"q_mu": _listed(q.q_mu), "q_sqrt": sqrt, "whiten": q.whiten}
-
-
-def _spec_to_q(spec) -> VariationalGaussian:
-    sqrt = spec["q_sqrt"]
-    if isinstance(sqrt, dict):
-        sqrt = tuple(np.asarray(b, float) for b in sqrt["blocks"])
-    else:
-        sqrt = np.asarray(sqrt, float)
-    return VariationalGaussian(
-        np.asarray(spec["q_mu"], float), sqrt, whiten=bool(spec["whiten"])
-    )
 
 
 # ---------------------------------------------------------------------------
 # Model files
+
+
+def _gp_spec(gp) -> dict:
+    """The parts an SVGP shares with a deep-GP layer."""
+    return {
+        "kernel": to_spec(gp.kernel),
+        "inducing": to_spec(gp.inducing),
+        "mean_function": to_spec(gp.mean_function),
+        **to_spec(gp.q),
+    }
+
+
+def _gp_parts(doc):
+    """(kernel, inducing, q, mean function) from an SVGP or layer document."""
+    return (
+        from_spec(doc["kernel"], Kernel),
+        from_spec(doc["inducing"], InducingVariable),
+        construct(VariationalGaussian, doc),
+        from_spec(doc.get("mean_function", "zero"), MeanFunction),
+    )
 
 
 def model_to_document(model, metadata: dict | None = None) -> dict:
@@ -277,37 +65,26 @@ def model_to_document(model, metadata: dict | None = None) -> dict:
     if isinstance(model, GPRModel):
         doc.update(
             kind="gpr",
-            kernel=kernel_to_spec(model.kernel),
+            kernel=to_spec(model.kernel),
             noise_variance=float(model.noise_variance),
-            x=_listed(model.x),
-            y=_listed(model.y),
+            x=as_list(model.x),
+            y=as_list(model.y),
         )
         return doc
     if isinstance(model, SVGPModel):
         doc.update(
             kind="svgp",
-            kernel=kernel_to_spec(model.kernel),
-            inducing=inducing_to_spec(model.inducing),
-            likelihood=likelihood_to_spec(model.likelihood),
-            mean_function=mean_to_spec(model.mean_function),
+            likelihood=to_spec(model.likelihood),
             num_data=model.num_data,
             jitter=model.jitter,
-            **_q_to_spec(model.q),
+            **_gp_spec(model),
         )
         return doc
     if isinstance(model, DGPModel):
         doc.update(
             kind="dgp",
-            layers=[
-                {
-                    "kernel": kernel_to_spec(layer.kernel),
-                    "inducing": inducing_to_spec(layer.inducing),
-                    "mean_function": mean_to_spec(layer.mean_function),
-                    **_q_to_spec(layer.q),
-                }
-                for layer in model.layers
-            ],
-            likelihood=likelihood_to_spec(model.likelihood),
+            layers=[_gp_spec(layer) for layer in model.layers],
+            likelihood=to_spec(model.likelihood),
             num_data=model.num_data,
             num_samples=model.num_samples,
             jitter=model.jitter,
@@ -317,9 +94,9 @@ def model_to_document(model, metadata: dict | None = None) -> dict:
         doc.update(
             kind="svgp_uncertain",
             svgp=model_to_document(model.svgp),
-            input_mean=_listed(model.input_mean),
-            input_var=_listed(model.input_var),
-            y=_listed(model.y),
+            input_mean=as_list(model.input_mean),
+            input_var=as_list(model.input_var),
+            y=as_list(model.y),
         )
         return doc
     raise ConfigError(f"model {type(model).__name__} has no file representation")
@@ -333,34 +110,21 @@ def document_to_model(doc: dict):
     kind = doc.get("kind")
     if kind == "gpr":
         return GPRModel(
-            spec_to_kernel(doc["kernel"]),
+            from_spec(doc["kernel"], Kernel),
             float(doc["noise_variance"]),
             np.asarray(doc["x"], float),
             np.asarray(doc["y"], float),
         )
     if kind == "svgp":
+        kernel, inducing, q, mean = _gp_parts(doc)
+        likelihood = from_spec(doc["likelihood"], Likelihood)
         return SVGPModel(
-            spec_to_kernel(doc["kernel"]),
-            spec_to_likelihood(doc["likelihood"]),
-            spec_to_inducing(doc["inducing"]),
-            _spec_to_q(doc),
-            spec_to_mean(doc.get("mean_function")),
-            doc.get("num_data"),
-            doc.get("jitter"),
+            kernel, likelihood, inducing, q, mean, doc.get("num_data"), doc.get("jitter")
         )
     if kind == "dgp":
-        layers = [
-            GPLayer(
-                spec_to_kernel(layer["kernel"]),
-                spec_to_inducing(layer["inducing"]),
-                _spec_to_q(layer),
-                spec_to_mean(layer.get("mean_function")),
-            )
-            for layer in doc["layers"]
-        ]
         return DGPModel(
-            layers,
-            spec_to_likelihood(doc["likelihood"]),
+            [GPLayer(*_gp_parts(layer)) for layer in doc["layers"]],
+            from_spec(doc["likelihood"], Likelihood),
             doc.get("num_data"),
             doc.get("num_samples", 1),
             doc.get("jitter"),

@@ -22,8 +22,8 @@ from .divergences import prior_kl
 from .errors import ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
-    InducingPoints,
     InducingVariable,
+    input_width,
     num_inducing,
 )
 from .kernels import (
@@ -46,6 +46,7 @@ from .numerics import (
     standard_normal,
     tri_solve,
 )
+from .schema import Param, Schema
 
 
 class MeanFunction:
@@ -54,11 +55,15 @@ class MeanFunction:
 
 
 class Zero(MeanFunction):
+    schema = Schema("zero")
+
     def __call__(self, x):
         return 0.0
 
 
 class Constant(MeanFunction):
+    schema = Schema("constant", Param("value", scalar=True, default=0.0))
+
     def __init__(self, value: float = 0.0):
         self.value = float(value)
 
@@ -316,21 +321,6 @@ class GPLayer:
         return prior_kl(self.inducing, self.kernel, self.q, jitter)
 
 
-def _layer_input_width(layer: "GPLayer") -> int | None:
-    """Input dimension a layer expects, where its inducing inputs reveal it."""
-    iv = layer.inducing
-    while not isinstance(iv, InducingPoints):
-        if hasattr(iv, "base"):
-            iv = iv.base
-        elif hasattr(iv, "members"):
-            iv = iv.members[0]
-        else:
-            return None
-    if isinstance(iv, InducingPatches):
-        return None  # patch length, not the image length
-    return iv.z.shape[1]
-
-
 class DGPModel:
     """Deep GP: layers chained by sampling, final layer handled analytically.
 
@@ -352,7 +342,7 @@ class DGPModel:
         if not layers:
             raise ShapeMismatch("a deep GP needs at least one layer")
         for below, above in zip(layers, layers[1:]):
-            needed = _layer_input_width(above)
+            needed = input_width(above.inducing, above.kernel)
             if needed is not None and needed != below.output_width:
                 raise ShapeMismatch(
                     f"layer producing {below.output_width} columns feeds a "

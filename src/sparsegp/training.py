@@ -19,35 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditionals import VariationalGaussian
 from .covariances import kuf, kuu
-from .errors import NonFiniteObjective, ShapeMismatch, UnsupportedCombination
-from .inducing import (
-    InducingPoints,
-    Multiscale,
-    SeparateIndependentInducingVariables,
-    SharedIndependentInducingVariables,
+from .errors import (
+    ConfigError,
+    NonFiniteObjective,
+    ShapeMismatch,
+    UnsupportedCombination,
 )
-from .kernels import (
-    Convolutional,
-    IntrinsicCoregionalization,
-    Linear,
-    LinearCoregionalization,
-    SeparateIndependent,
-    SharedIndependent,
-    Stationary,
-    White,
-)
-from .likelihoods import CorrelatedGaussian, Gaussian
-from .models import (
-    Constant,
-    DGPModel,
-    GPLayer,
-    GPRModel,
-    SVGPModel,
-    UncertainSVGP,
-)
+from .likelihoods import Gaussian
+from .models import DGPModel, GPLayer, GPRModel, SVGPModel, UncertainSVGP
 from .numerics import RngState, cholesky, densify, tri_solve
+from .schema import compile_slots
 
 FD_STEP = 1e-5
 
@@ -126,6 +108,10 @@ class TriangularPositiveDiag:
 
 IDENTITY = Identity()
 POSITIVE = Positive()
+# Component declarations name their transforms (see the schema module).
+TRANSFORMS = {
+    "identity": IDENTITY, "positive": POSITIVE, "tril": TriangularPositiveDiag()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +132,11 @@ class ParameterStore:
         self._slots: dict[str, Slot] = {}
 
     def add(self, name, value, transform=IDENTITY, trainable=True):
+        """Add a slot; ``transform`` is a transform or its name."""
         if name in self._slots:
             raise KeyError(f"slot {name!r} already exists")
         value = np.asarray(value, dtype=float)
-        self._slots[name] = Slot(value, transform, trainable)
+        self._slots[name] = Slot(value, TRANSFORMS.get(transform, transform), trainable)
 
     def __contains__(self, name):
         return name in self._slots
@@ -303,195 +290,34 @@ def adam_step(
 # e.g. kernel.latents.0.variance or q_sqrt.1.
 
 
-def _add_kernel_slots(store, prefix, kernel):
-    if isinstance(kernel, Stationary):
-        store.add(f"{prefix}.variance", kernel.variance, POSITIVE)
-        store.add(f"{prefix}.lengthscales", kernel.lengthscales, POSITIVE)
-    elif isinstance(kernel, (Linear, White)):
-        store.add(f"{prefix}.variance", kernel.variance, POSITIVE)
-    elif isinstance(kernel, SharedIndependent):
-        _add_kernel_slots(store, f"{prefix}.base", kernel.kernel)
-    elif isinstance(kernel, IntrinsicCoregionalization):
-        store.add(f"{prefix}.w", kernel.w, IDENTITY)
-        _add_kernel_slots(store, f"{prefix}.base", kernel.kernel)
-    elif isinstance(kernel, LinearCoregionalization):
-        store.add(f"{prefix}.w", kernel.w, IDENTITY)
-        for i, k in enumerate(kernel.kernels):
-            _add_kernel_slots(store, f"{prefix}.latents.{i}", k)
-    elif isinstance(kernel, SeparateIndependent):
-        for i, k in enumerate(kernel.kernels):
-            _add_kernel_slots(store, f"{prefix}.latents.{i}", k)
-    elif isinstance(kernel, Convolutional):
-        _add_kernel_slots(store, f"{prefix}.base", kernel.kernel)
-    else:
-        raise UnsupportedCombination(
-            f"no parameterization for kernel {type(kernel).__name__}"
-        )
-
-
-def _rebuild_kernel(store, prefix, kernel):
-    if isinstance(kernel, Stationary):
-        return type(kernel)(
-            variance=float(store.get(f"{prefix}.variance")),
-            lengthscales=store.get(f"{prefix}.lengthscales"),
-        )
-    if isinstance(kernel, (Linear, White)):
-        return type(kernel)(variance=float(store.get(f"{prefix}.variance")))
-    if isinstance(kernel, SharedIndependent):
-        return SharedIndependent(
-            _rebuild_kernel(store, f"{prefix}.base", kernel.kernel),
-            kernel.output_dim,
-        )
-    if isinstance(kernel, IntrinsicCoregionalization):
-        return IntrinsicCoregionalization(
-            _rebuild_kernel(store, f"{prefix}.base", kernel.kernel),
-            store.get(f"{prefix}.w"),
-        )
-    if isinstance(kernel, LinearCoregionalization):
-        latents = [
-            _rebuild_kernel(store, f"{prefix}.latents.{i}", k)
-            for i, k in enumerate(kernel.kernels)
-        ]
-        return LinearCoregionalization(latents, store.get(f"{prefix}.w"))
-    if isinstance(kernel, SeparateIndependent):
-        return SeparateIndependent(
-            [
-                _rebuild_kernel(store, f"{prefix}.latents.{i}", k)
-                for i, k in enumerate(kernel.kernels)
-            ]
-        )
-    if isinstance(kernel, Convolutional):
-        return Convolutional(
-            _rebuild_kernel(store, f"{prefix}.base", kernel.kernel),
-            kernel.image_shape,
-            kernel.patch_shape,
-        )
-    raise UnsupportedCombination(
-        f"no parameterization for kernel {type(kernel).__name__}"
-    )
-
-
-def _add_inducing_slots(store, prefix, iv):
-    if isinstance(iv, Multiscale):
-        store.add(f"{prefix}.z", iv.z, IDENTITY)
-        store.add(f"{prefix}.scales", iv.scales, POSITIVE)
-    elif isinstance(iv, InducingPoints):  # covers InducingPatches
-        store.add(f"{prefix}.z", iv.z, IDENTITY)
-    elif isinstance(iv, SharedIndependentInducingVariables):
-        _add_inducing_slots(store, f"{prefix}.base", iv.base)
-    elif isinstance(iv, SeparateIndependentInducingVariables):
-        for i, member in enumerate(iv.members):
-            _add_inducing_slots(store, f"{prefix}.members.{i}", member)
-    else:
-        raise UnsupportedCombination(
-            f"no parameterization for inducing variable {type(iv).__name__}"
-        )
-
-
-def _rebuild_inducing(store, prefix, iv):
-    if isinstance(iv, Multiscale):
-        return Multiscale(store.get(f"{prefix}.z"), store.get(f"{prefix}.scales"))
-    if isinstance(iv, InducingPoints):
-        return type(iv)(store.get(f"{prefix}.z"))
-    if isinstance(iv, SharedIndependentInducingVariables):
-        return SharedIndependentInducingVariables(
-            _rebuild_inducing(store, f"{prefix}.base", iv.base)
-        )
-    if isinstance(iv, SeparateIndependentInducingVariables):
-        return SeparateIndependentInducingVariables(
-            [
-                _rebuild_inducing(store, f"{prefix}.members.{i}", member)
-                for i, member in enumerate(iv.members)
-            ]
-        )
-    raise UnsupportedCombination(
-        f"no parameterization for inducing variable {type(iv).__name__}"
-    )
-
-
-def _add_likelihood_slots(store, prefix, lik):
-    if isinstance(lik, Gaussian):
-        store.add(f"{prefix}.variance", lik.variance, POSITIVE)
-    elif isinstance(lik, CorrelatedGaussian):
-        store.add(
-            f"{prefix}.cov_sqrt", cholesky(lik.cov, jitter=0.0), TriangularPositiveDiag()
-        )
-    # Bernoulli and Poisson carry no parameters.
-
-
-def _rebuild_likelihood(store, prefix, lik):
-    if isinstance(lik, Gaussian):
-        return Gaussian(float(store.get(f"{prefix}.variance")), lik.strategy)
-    if isinstance(lik, CorrelatedGaussian):
-        sqrt = store.get(f"{prefix}.cov_sqrt")
-        return CorrelatedGaussian(sqrt @ sqrt.T, lik.strategy)
-    return lik
-
-
-def _add_q_slots(store, prefix, q):
-    store.add(f"{prefix}_mu", q.q_mu, IDENTITY)
-    if q.q_sqrt is None:
-        raise UnsupportedCombination("training needs an explicit q_sqrt factor")
-    if q.is_block:
-        for i, block in enumerate(q.q_sqrt):
-            store.add(f"{prefix}_sqrt.{i}", block, TriangularPositiveDiag())
-    else:
-        store.add(f"{prefix}_sqrt", q.q_sqrt, TriangularPositiveDiag())
-
-
-def _rebuild_q(store, prefix, q):
-    mu = store.get(f"{prefix}_mu")
-    if q.is_block:
-        sqrt = tuple(
-            store.get(f"{prefix}_sqrt.{i}") for i in range(len(q.q_sqrt))
-        )
-    else:
-        sqrt = store.get(f"{prefix}_sqrt")
-    return VariationalGaussian(mu, sqrt, whiten=q.whiten)
-
-
-def _add_mean_slots(store, prefix, mean):
-    if isinstance(mean, Constant):
-        store.add(f"{prefix}.value", mean.value, IDENTITY)
-
-
-def _rebuild_mean(store, prefix, mean):
-    if isinstance(mean, Constant):
-        return Constant(float(store.get(f"{prefix}.value")))
-    return mean
-
-
 def parameterize(model):
     """Slots and a rebuild closure for a model; see the module docstring."""
     store = ParameterStore()
     if isinstance(model, GPRModel):
-        _add_kernel_slots(store, "kernel", model.kernel)
+        kernel = compile_slots(model.kernel, "kernel.", store)
         store.add("likelihood.variance", model.noise_variance, POSITIVE)
 
         def build(s):
             return GPRModel(
-                _rebuild_kernel(s, "kernel", model.kernel),
-                float(s.get("likelihood.variance")),
-                model.x,
-                model.y,
+                kernel(s), float(s.get("likelihood.variance")), model.x, model.y
             )
 
         return store, build
 
     if isinstance(model, SVGPModel):
-        _add_kernel_slots(store, "kernel", model.kernel)
-        _add_inducing_slots(store, "inducing", model.inducing)
-        _add_q_slots(store, "q", model.q)
-        _add_likelihood_slots(store, "likelihood", model.likelihood)
-        _add_mean_slots(store, "mean", model.mean_function)
+        kernel = compile_slots(model.kernel, "kernel.", store)
+        inducing = compile_slots(model.inducing, "inducing.", store)
+        q = compile_slots(model.q, "", store)
+        likelihood = compile_slots(model.likelihood, "likelihood.", store)
+        mean = compile_slots(model.mean_function, "mean.", store)
 
         def build(s):
             return SVGPModel(
-                _rebuild_kernel(s, "kernel", model.kernel),
-                _rebuild_likelihood(s, "likelihood", model.likelihood),
-                _rebuild_inducing(s, "inducing", model.inducing),
-                _rebuild_q(s, "q", model.q),
-                _rebuild_mean(s, "mean", model.mean_function),
+                kernel(s),
+                likelihood(s),
+                inducing(s),
+                q(s),
+                mean(s),
                 model.num_data,
                 model.jitter,
             )
@@ -499,26 +325,21 @@ def parameterize(model):
         return store, build
 
     if isinstance(model, DGPModel):
+        layers = []
         for i, layer in enumerate(model.layers):
-            _add_kernel_slots(store, f"layers.{i}.kernel", layer.kernel)
-            _add_inducing_slots(store, f"layers.{i}.inducing", layer.inducing)
-            _add_q_slots(store, f"layers.{i}.q", layer.q)
-            _add_mean_slots(store, f"layers.{i}.mean", layer.mean_function)
-        _add_likelihood_slots(store, "likelihood", model.likelihood)
+            prefix = f"layers.{i}."
+            layers.append([
+                compile_slots(layer.kernel, prefix + "kernel.", store),
+                compile_slots(layer.inducing, prefix + "inducing.", store),
+                compile_slots(layer.q, prefix, store),
+                compile_slots(layer.mean_function, prefix + "mean.", store),
+            ])
+        likelihood = compile_slots(model.likelihood, "likelihood.", store)
 
         def build(s):
-            layers = [
-                GPLayer(
-                    _rebuild_kernel(s, f"layers.{i}.kernel", layer.kernel),
-                    _rebuild_inducing(s, f"layers.{i}.inducing", layer.inducing),
-                    _rebuild_q(s, f"layers.{i}.q", layer.q),
-                    _rebuild_mean(s, f"layers.{i}.mean", layer.mean_function),
-                )
-                for i, layer in enumerate(model.layers)
-            ]
             return DGPModel(
-                layers,
-                _rebuild_likelihood(s, "likelihood", model.likelihood),
+                [GPLayer(*[part(s) for part in parts]) for parts in layers],
+                likelihood(s),
                 model.num_data,
                 model.num_samples,
                 model.jitter,
@@ -614,7 +435,6 @@ class FitConfig:
     learning_rate: float = 1e-2
     batch_size: int = 0  # 0 means full batch
     seed: int = 0
-    whiten: bool = True
     freeze: tuple[str, ...] = ()
     use_analytic: bool = True
 
@@ -728,6 +548,11 @@ def fit(model, data, config: FitConfig) -> FitResult:
         y = y[:, None]
 
     store, build = parameterize(model)
+    unknown = [name for name in config.freeze if name not in store]
+    if unknown:
+        raise ConfigError(
+            f"freeze names no slot {unknown[0]!r}; slots: " + ", ".join(store.names())
+        )
     for name in config.freeze:
         store.set_trainable(name, False)
 

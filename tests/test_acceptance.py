@@ -414,7 +414,7 @@ def test_11_end_to_end_training():
 
     store, _ = parameterize(model)
     frozen = tuple(name for name in store.names() if not name.startswith("q"))
-    config = FitConfig(steps=2000, learning_rate=1e-2, seed=0, whiten=True, freeze=frozen)
+    config = FitConfig(steps=2000, learning_rate=1e-2, seed=0, freeze=frozen)
     result = fit(model, (x, y), config)
     final = result.model.elbo((x, y))
     elapsed = time.perf_counter() - started

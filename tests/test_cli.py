@@ -251,6 +251,31 @@ class TestExitCodes:
             )
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "right, wrong, key",
+        [
+            ("{ variance = 0.05 }", "{ varaince = 0.05 }", "varaince"),
+            ("lengthscales = [0.8]", "lengthscale = [0.8]", "lengthscale"),
+        ],
+    )
+    def test_unknown_component_key_is_2(self, tmp_path, capsys, right, wrong, key):
+        text = SVGP_CONF.format(steps=1).replace(right, wrong)
+        conf = _write(tmp_path, "typo.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "allowed keys:" in err
+
+    def test_unknown_freeze_slot_is_2(self, tmp_path, capsys):
+        text = SVGP_CONF.format(steps=1).replace(
+            "kind = svgp", "kind = svgp\n  freeze = [kernel.lengthscale]"
+        )
+        conf = _write(tmp_path, "freeze.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "'kernel.lengthscale'" in err and "kernel.lengthscales" in err
+
 
 class TestTrain:
     def test_smoke_produces_loadable_model(self, trained_svgp):
