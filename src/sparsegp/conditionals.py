@@ -87,7 +87,7 @@ class VariationalGaussian:
     schema = Schema(
         None,
         Param("q_mu"),
-        Param("q_sqrt", "tril", blocks=True),
+        Param("q_sqrt", "tril"),
         Static("whiten", "whiten"),
     )
 

@@ -51,7 +51,7 @@ class Stationary(SingleOutputKernel):
         lengthscales = np.asarray(lengthscales, dtype=float).reshape(-1)
         if variance <= 0:
             raise ValueError("variance must be positive")
-        if (lengthscales <= 0).any():
+        if np.any(lengthscales <= 0):
             raise ValueError("lengthscales must be positive")
         self.variance = variance
         self.lengthscales = lengthscales

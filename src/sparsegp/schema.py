@@ -29,7 +29,6 @@ class Param:
     scalar: bool = False  # a float rather than an array
     default: object = REQUIRED  # a value, or a function of the spec
     factored: bool = False  # a covariance whose Cholesky factor <key>_sqrt trains
-    blocks: bool = False  # may be a tuple: slots <key>.<i>, file {"blocks": [...]}
     from_data: object = None  # (x, kernel) -> rows; from_data = M takes M of them
 
     @property
@@ -107,7 +106,7 @@ def compile_slots(obj, prefix, store):
 def _slot_reader(f, value, name, store):
     if value is None:
         raise UnsupportedCombination(f"training needs an explicit {f.key}")
-    if f.blocks and isinstance(value, tuple):
+    if isinstance(value, tuple):  # blocks: slots <key>.<i>, file {"blocks": [...]}
         names = [f"{name}.{i}" for i in range(len(value))]
         for n, block in zip(names, value):
             store.add(n, block, f.transform)

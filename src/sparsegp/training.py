@@ -136,7 +136,9 @@ class ParameterStore:
         if name in self._slots:
             raise KeyError(f"slot {name!r} already exists")
         value = np.asarray(value, dtype=float)
-        self._slots[name] = Slot(value, TRANSFORMS.get(transform, transform), trainable)
+        if isinstance(transform, str):
+            transform = TRANSFORMS[transform]
+        self._slots[name] = Slot(value, transform, trainable)
 
     def __contains__(self, name):
         return name in self._slots

@@ -84,6 +84,12 @@ class TestStore:
         with pytest.raises(KeyError):
             store.add("a", np.zeros(1))
 
+    def test_unknown_transform_name_rejected_at_add(self):
+        store = ParameterStore()
+        with pytest.raises(KeyError, match="postive"):
+            store.add("a", np.ones(1), "postive")
+        assert "a" not in store
+
 
 class TestGradient:
     def test_exact_on_quadratic(self):
