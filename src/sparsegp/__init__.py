@@ -5,7 +5,6 @@ inducing variables, dispatched to the most efficient code path per
 from .conditionals import (
     PosteriorMoments,
     VariationalGaussian,
-    base_conditional,
     conditional,
     fully_correlated_conditional,
     sample_conditional,
@@ -68,7 +67,6 @@ from .models import (
 from .numerics import (
     BlockDiagonal,
     Dense,
-    DiagPlusLowRank,
     RngState,
     StructuredPSD,
     allocation_probe,
@@ -77,8 +75,6 @@ from .numerics import (
     densify,
     gauss_hermite_nodes,
     standard_normal,
-    structured_logdet,
-    structured_solve,
     tri_solve,
 )
 from .training import (

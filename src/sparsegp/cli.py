@@ -65,6 +65,27 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
 
 
+CONFIG_KEYS = {"model", "steps", "learning_rate", "batch_size", "seed"}
+_GPR_KEYS = {"kind", "freeze", "kernel", "likelihood"}
+_SVGP_KEYS = _GPR_KEYS | {"inducing", "mean", "whiten", "jitter"}
+MODEL_KEYS = {
+    "gpr": _GPR_KEYS,
+    "svgp": _SVGP_KEYS,
+    "svgp_uncertain": _SVGP_KEYS | {"input_variance"},
+    "dgp": {"kind", "freeze", "likelihood", "layers", "whiten", "jitter", "num_samples"},
+}
+LAYER_KEYS = {"kernel", "inducing", "mean"}
+
+
+def _check_keys(node, allowed, context):
+    unknown = sorted(set(node) - allowed - {"tag"})  # "tag": the block's name
+    if unknown:
+        raise ConfigError(
+            f"{context} has no key {unknown[0]!r}; allowed keys: "
+            + ", ".join(sorted(allowed))
+        )
+
+
 def _components(node, x, context):
     """Kernel and inducing variable of a model or layer block."""
     kernel = from_spec(_require(node, "kernel", context), Kernel)
@@ -90,10 +111,14 @@ def _build_svgp(node, dataset: Dataset) -> SVGPModel:
 
 
 def build_model(config: dict, dataset: Dataset):
+    _check_keys(config, CONFIG_KEYS, "config")
     node = _require(config, "model", "config")
     if not isinstance(node, dict):
         raise ConfigError("model must be a block")
     kind = _require(node, "kind", "model")
+    if not isinstance(kind, str) or kind not in MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    _check_keys(node, MODEL_KEYS[kind], f"model kind = {kind}")
 
     if kind == "gpr":
         kernel = from_spec(_require(node, "kernel", "model"), Kernel)
@@ -114,6 +139,9 @@ def build_model(config: dict, dataset: Dataset):
         whiten = bool(node.get("whiten", True))
         layers = []
         for spec in layer_specs:
+            if not isinstance(spec, dict):
+                raise ConfigError(f"dgp layer {spec!r} must be a block")
+            _check_keys(spec, LAYER_KEYS, "layer")
             kernel, iv = _components(spec, dataset.x, "layer")
             mean = from_spec(spec.get("mean", "zero"), MeanFunction)
             layers.append(GPLayer(kernel, iv, _initial_q(iv, kernel, whiten), mean))
@@ -126,19 +154,16 @@ def build_model(config: dict, dataset: Dataset):
             jitter=float(jitter) if jitter is not None else None,
         )
 
-    if kind == "svgp_uncertain":
-        svgp = _build_svgp(node, dataset)
-        if dataset.y is None:
-            raise DataError("uncertain-input training needs output columns")
-        input_var = float(node.get("input_variance", 0.01))
-        return UncertainSVGP(
-            svgp,
-            dataset.x,
-            np.full(dataset.x.shape, input_var),
-            dataset.y,
-        )
-
-    raise ConfigError(f"unknown model kind {kind!r}")
+    svgp = _build_svgp(node, dataset)  # svgp_uncertain
+    if dataset.y is None:
+        raise DataError("uncertain-input training needs output columns")
+    input_var = float(node.get("input_variance", 0.01))
+    return UncertainSVGP(
+        svgp,
+        dataset.x,
+        np.full(dataset.x.shape, input_var),
+        dataset.y,
+    )
 
 
 def _fit_config(config: dict) -> FitConfig:
@@ -254,23 +279,18 @@ def _trace_line(record: TraceRecord) -> str:
 
 
 def _apply_observation_noise(model, cov, full_cov, full_output_cov):
+    """Noise on a non-marginal predictive covariance (one flag at least set)."""
     lik = _model_likelihood(model)
     if isinstance(lik, Gaussian):
         noise = lik.variance
-        if not full_cov and not full_output_cov:
-            return cov + noise
-        if not full_cov:  # [N, P, P]
-            return cov + noise * np.eye(cov.shape[-1])
-        if not full_output_cov:  # [P, N, N]
-            return cov + noise * np.eye(cov.shape[-1])
-        n, p = cov.shape[0], cov.shape[1]
-        flat = cov.reshape(n * p, n * p) + noise * np.eye(n * p)
-        return flat.reshape(n, p, n, p)
+        if full_cov and full_output_cov:
+            n, p = cov.shape[0], cov.shape[1]
+            flat = cov.reshape(n * p, n * p) + noise * np.eye(n * p)
+            return flat.reshape(n, p, n, p)
+        return cov + noise * np.eye(cov.shape[-1])  # [N, P, P] or [P, N, N]
     if isinstance(lik, CorrelatedGaussian):
-        if not full_cov and full_output_cov:
+        if not full_cov:  # [N, P, P]
             return cov + lik.cov[None, :, :]
-        if not full_cov and not full_output_cov:
-            return cov + np.diag(lik.cov)[None, :]
         raise ConfigError(
             "correlated observation noise is defined for the per-point modes"
         )

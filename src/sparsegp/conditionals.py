@@ -56,11 +56,6 @@ from .numerics import (
 )
 from .schema import Param, Schema, Static
 
-# Mixed-flag fully-correlated conditionals build the full correction tensor
-# and marginalize it when N*P is at most this; larger problems stream the
-# requested slices directly.
-FULL_TENSOR_CUTOFF = 512
-
 # Marginal variances at or below this are treated as exactly zero when
 # sampling, so deterministic posteriors reproduce their mean.
 SAMPLE_VARIANCE_FLOOR = 1e-12
@@ -168,66 +163,71 @@ class PosteriorMoments:
 
 
 # ---------------------------------------------------------------------------
-# Core single-latent computation
+# Core computation
 
 
-def _base_moments(lm, kmn, knn, mu, sqrt, whiten, full_cov):
-    """Raw moments for one latent process.
-
-    lm: Cholesky factor of Kmm.  kmn: [M, N].  knn: [N, N] or [N].
-    Returns mean [N] and covariance [N, N] or variance [N].
-    """
-    a = tri_solve(lm, kmn)  # [M, N]
+def _cov_shape(n, p, full_cov, full_output_cov):
+    """Covariance shape of a mode; see the module docstring."""
     if full_cov:
-        fvar = knn - a.T @ a
-    else:
-        fvar = knn - np.sum(a * a, axis=0)
-    proj = a if whiten else tri_solve(lm, a, transpose=True)
-    mean = proj.T @ mu
-    if sqrt is not None and sqrt.size:
-        d = sqrt.T @ proj  # [R, N]
-        record_allocation(d)
-        if full_cov:
-            fvar = fvar + d.T @ d
-        else:
-            fvar = fvar + np.sum(d * d, axis=0)
-    record_allocation(fvar)
-    return mean, fvar
+        return (n, p, n, p) if full_output_cov else (p, n, n)
+    return (n, p, p) if full_output_cov else (n, p)
 
 
-def _expand_single_output(mean, fvar, full_cov, full_output_cov) -> PosteriorMoments:
-    """Package single-latent moments into the P = 1 mode shapes."""
-    mean = mean[:, None]  # [N, 1]
-    n = mean.shape[0]
-    if full_cov and full_output_cov:
-        cov = fvar.reshape(n, 1, n, 1)
-    elif full_cov:
-        cov = fvar[None, :, :]
-    elif full_output_cov:
-        cov = fvar.reshape(n, 1, 1)
-    else:
-        cov = fvar[:, None]
-    return PosteriorMoments(mean, cov, full_cov, full_output_cov)
+def _moments(lm, kmn, knn, mu, sqrt, whiten, full_cov, full_output_cov):
+    """Mean [N, P] and covariance in the mode shape for Kmm = lm lmᵀ.
 
-
-def base_conditional(kmn, kmm, knn, q: VariationalGaussian, full_cov: bool = False):
-    """Single-latent conditional from precomputed covariance blocks.
-
+    kmn: [M, N, P].  knn: the prior covariance, already in the mode shape.
     Unwhitened: mean = Kmnᵀ Kmm⁻¹ m and
     cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
     Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
     """
+    mt, n, p = kmn.shape
+    a = tri_solve(lm, kmn.reshape(mt, n * p))  # [M, NP]
+    proj = a if whiten else tri_solve(lm, a, transpose=True)
+    mean = (proj.T @ mu).reshape(n, p)
+
+    def gram(x):  # the requested slices of xᵀx, x: [R, NP]
+        if full_cov and full_output_cov:
+            return x.T @ x
+        if not (full_cov or full_output_cov):
+            return np.sum(x * x, axis=0)
+        x3 = x.reshape(-1, n, p)
+        if full_cov:
+            return np.matmul(x3.transpose(2, 1, 0), x3.transpose(2, 0, 1))
+        return np.einsum("inp,inq->npq", x3, x3)
+
+    shape = _cov_shape(n, p, full_cov, full_output_cov)
+    cov = knn - gram(a).reshape(shape)
+    if sqrt is not None and sqrt.size:
+        d = sqrt.T @ proj  # [R, NP]
+        record_allocation(d)
+        cov = cov + gram(d).reshape(shape)
+    record_allocation(cov)
+    return mean, cov
+
+
+def fully_correlated_conditional(
+    kmn, kmm, knn, q: VariationalGaussian, *, full_cov, full_output_cov
+) -> PosteriorMoments:
+    """Conditional from precomputed blocks with a dense M~ x M~ Kmm.
+
+    kmn: [M~, N, P].  knn: the prior covariance in the shape of the
+    requested mode ([N, P, N, P], [P, N, N], [N, P, P] or [N, P]).
+    """
     kmn = np.asarray(kmn, dtype=float)
+    knn = np.asarray(knn, dtype=float)
+    mt, n, p = kmn.shape
     lm = cholesky(densify(as_structured(kmm)), jitter=0.0)
-    if kmn.shape[0] != lm.shape[0]:
-        raise ShapeMismatch(
-            f"Kmn has {kmn.shape[0]} rows for Kmm of dim {lm.shape[0]}"
-        )
-    mean, fvar = _base_moments(
-        lm, kmn, np.asarray(knn, dtype=float), q.mean_vector, q.dense_sqrt(),
-        q.whiten, full_cov,
+    if mt != lm.shape[0]:
+        raise ShapeMismatch(f"Kmn has {mt} rows for Kmm of dim {lm.shape[0]}")
+    shape = _cov_shape(n, p, full_cov, full_output_cov)
+    if knn.shape != shape:
+        raise ShapeMismatch(f"Knn has shape {knn.shape}, the mode needs {shape}")
+    mean, cov = _moments(
+        lm, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten,
+        full_cov, full_output_cov,
     )
-    return _expand_single_output(mean, fvar, full_cov, False)
+    return PosteriorMoments(mean, cov, full_cov, full_output_cov)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +264,21 @@ def conditional(
     )
 
 
+# Summed-patch response is a scalar process; the single-output path applies
+# once Kuu/Kuf are the patch covariances.
+@CONDITIONAL.register(InducingPatches, Convolutional)
 @CONDITIONAL.register(InducingVariable, Kernel)
 def _single_output_conditional(
     xnew, iv, kernel, q, *, full_cov, full_output_cov, jitter
 ):
     kmm = kuu(iv, kernel, jitter)
-    kmn = kuf(iv, kernel, xnew)
+    kmn = kuf(iv, kernel, xnew)[:, :, None]  # [M, N, 1]
     knn = k_full(kernel, xnew) if full_cov else k_diag(kernel, xnew)
-    lm = cholesky(densify(kmm), jitter=0.0)
-    mean, fvar = _base_moments(
-        lm, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten, full_cov
+    shape = _cov_shape(kmn.shape[1], 1, full_cov, full_output_cov)
+    return fully_correlated_conditional(
+        kmn, kmm, knn.reshape(shape), q,
+        full_cov=full_cov, full_output_cov=full_output_cov,
     )
-    return _expand_single_output(mean, fvar, full_cov, full_output_cov)
-
-
-@CONDITIONAL.register(InducingPatches, Convolutional)
-def _conv_patch_conditional(xnew, iv, kernel, q, **kwargs):
-    # Summed-patch response is a scalar process; the single-output path
-    # applies once Kuu/Kuf are the patch covariances.
-    return _single_output_conditional(xnew, iv, kernel, q, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -296,30 +292,14 @@ def _inducing_point_conditional(
     kmm = kuu(iv, kernel, jitter)  # Dense [MP, MP]
     kmn4 = kuf(iv, kernel, xnew)  # [M, P, N, P]
     m, p, n, p2 = kmn4.shape
-    mt = m * p
-
-    if full_cov == full_output_cov:
-        kmn = kmn4.reshape(mt, n * p2)
-        if full_cov:
-            knn = mo_k(kernel, xnew, full_output_cov=True).reshape(n * p2, n * p2)
-            record_allocation(knn)
-        else:
-            knn = mo_k_diag(kernel, xnew, full_output_cov=False).reshape(-1)
-        lm = cholesky(densify(kmm), jitter=0.0)
-        mean, fvar = _base_moments(
-            lm, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten, full_cov
-        )
-        mean = mean.reshape(n, p2)
-        cov = fvar.reshape(n, p2, n, p2) if full_cov else fvar.reshape(n, p2)
-        return PosteriorMoments(mean, cov, full_cov, full_output_cov)
-
     if full_cov:
-        full = mo_k(kernel, xnew, full_output_cov=True)  # [N, P, N, P]
-        knn = np.einsum("npmp->pnm", full)
+        knn = mo_k(kernel, xnew, full_output_cov=True)  # [N, P, N, P]
+        if not full_output_cov:
+            knn = np.einsum("npmp->pnm", knn)
     else:
-        knn = mo_k_diag(kernel, xnew, full_output_cov=True)  # [N, P, P]
+        knn = mo_k_diag(kernel, xnew, full_output_cov=full_output_cov)
     return fully_correlated_conditional(
-        kmn4.reshape(mt, n, p2),
+        kmn4.reshape(m * p, n, p2),
         kmm,
         knn,
         q,
@@ -328,74 +308,8 @@ def _inducing_point_conditional(
     )
 
 
-def fully_correlated_conditional(
-    kmn, kmm, knn, q: VariationalGaussian, *, full_cov, full_output_cov
-) -> PosteriorMoments:
-    """Mixed-mode conditional for a dense M~ x M~ inducing covariance.
-
-    kmn: [M~, N, P].  knn: [P, N, N] when full_cov else [N, P, P].  The
-    equal-flag modes are a plain reshape of the single-latent computation and
-    are handled by the caller.
-    """
-    if full_cov == full_output_cov:
-        raise ValueError("equal modes route through base_conditional via reshape")
-    kmn = np.asarray(kmn, dtype=float)
-    mt, n, p = kmn.shape
-    lm = cholesky(densify(as_structured(kmm)), jitter=0.0)
-
-    a = tri_solve(lm, kmn.reshape(mt, n * p))  # [M~, NP]
-    proj = a if q.whiten else tri_solve(lm, a, transpose=True)
-    mean = (proj.T @ q.mean_vector).reshape(n, p)
-    sqrt = q.dense_sqrt()
-    d = sqrt.T @ proj if sqrt is not None and sqrt.size else None
-
-    if n * p <= FULL_TENSOR_CUTOFF:
-        corr = -a.T @ a
-        if d is not None:
-            corr = corr + d.T @ d
-        record_allocation(corr)
-        corr = corr.reshape(n, p, n, p)
-        if full_cov:
-            cov = knn + np.einsum("npmp->pnm", corr)
-        else:
-            cov = knn + np.einsum("npnq->npq", corr)
-    else:
-        a3 = a.reshape(mt, n, p)
-        d3 = d.reshape(-1, n, p) if d is not None else None
-        if full_cov:
-            cov = knn - np.einsum("inp,imp->pnm", a3, a3)
-            if d3 is not None:
-                cov = cov + np.einsum("inp,imp->pnm", d3, d3)
-        else:
-            cov = knn - np.einsum("inp,inq->npq", a3, a3)
-            if d3 is not None:
-                cov = cov + np.einsum("inp,inq->npq", d3, d3)
-    record_allocation(cov)
-    return PosteriorMoments(mean, cov, full_cov, full_output_cov)
-
-
 # ---------------------------------------------------------------------------
 # Latent-process inducing variables
-
-
-def _latent_prior_full(kernel, x):
-    seen: dict[int, np.ndarray] = {}
-    grams = []
-    for k in kernel.latent_kernels:
-        if id(k) not in seen:
-            seen[id(k)] = k.K(x)
-        grams.append(seen[id(k)])
-    return grams  # list of [N, N]
-
-
-def _latent_prior_diag(kernel, x):
-    seen: dict[int, np.ndarray] = {}
-    diags = []
-    for k in kernel.latent_kernels:
-        if id(k) not in seen:
-            seen[id(k)] = k.K_diag(x)
-        diags.append(seen[id(k)])
-    return diags  # list of [N]
 
 
 def _latent_moments(xnew, iv, kernel, q, full_cov, jitter):
@@ -411,26 +325,20 @@ def _latent_moments(xnew, iv, kernel, q, full_cov, jitter):
     sizes = [f.shape[0] for f in factors]
     mus = q.mu_blocks(sizes)
     sqrts = q.sqrt_blocks(sizes)
-    priors = (
-        _latent_prior_full(kernel, xnew)
-        if full_cov
-        else _latent_prior_diag(kernel, xnew)
-    )
-
-    n = xnew.shape[0]
-    l = len(factors)
-    gmean = np.empty((n, l))
-    gvar = np.empty((l, n, n)) if full_cov else np.empty((n, l))
-    for i in range(l):
-        mean_i, var_i = _base_moments(
-            factors[i], kmn[i], priors[i], mus[i], sqrts[i], q.whiten, full_cov
+    shape = _cov_shape(kmn.shape[2], 1, full_cov, False)
+    priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
+    means, covs = [], []
+    for i, k in enumerate(kernel.latent_kernels):
+        if id(k) not in priors:
+            priors[id(k)] = (k.K(xnew) if full_cov else k.K_diag(xnew)).reshape(shape)
+        mean, cov = _moments(
+            factors[i], kmn[i][:, :, None], priors[id(k)], mus[i], sqrts[i],
+            q.whiten, full_cov, False,
         )
-        gmean[:, i] = mean_i
-        if full_cov:
-            gvar[i] = var_i
-        else:
-            gvar[:, i] = var_i
-    return gmean, gvar
+        means.append(mean)
+        covs.append(cov)
+    gvar = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
+    return np.concatenate(means, axis=1), gvar
 
 
 @CONDITIONAL.register(LatentInducingVariables, IndependentOutputs)

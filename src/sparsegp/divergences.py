@@ -20,7 +20,6 @@ from .covariances import kuu
 from .errors import ShapeMismatch
 from .numerics import (
     BlockDiagonal,
-    Dense,
     StructuredPSD,
     as_structured,
     block_cholesky_factors,
@@ -96,8 +95,7 @@ def gauss_kl(q, kuu_matrix: StructuredPSD | None = None) -> float:
             offset += m
         return total
 
-    dense = kuu_matrix.matrix if isinstance(kuu_matrix, Dense) else densify(kuu_matrix)
-    luu = cholesky(dense, jitter=0.0)
+    luu = cholesky(densify(kuu_matrix), jitter=0.0)
     return _unwhitened_block_kl(mu, q.q_sqrt, luu)
 
 

@@ -130,7 +130,7 @@ def tri_solve(l: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarr
 
 
 class StructuredPSD:
-    """Tagged PSD matrix supporting structure-aware solves and log-dets."""
+    """Tagged PSD matrix: a dense matrix or shared diagonal blocks."""
 
     @property
     def dim(self) -> int:
@@ -177,10 +177,6 @@ class BlockDiagonal(StructuredPSD):
         object.__setattr__(self, "repeats", tuple(int(r) for r in repeats))
 
     @property
-    def num_blocks(self) -> int:
-        return sum(self.repeats)
-
-    @property
     def dim(self) -> int:
         return sum(b.shape[0] * r for b, r in zip(self.blocks, self.repeats))
 
@@ -189,32 +185,6 @@ class BlockDiagonal(StructuredPSD):
         for block, repeat in zip(self.blocks, self.repeats):
             for _ in range(repeat):
                 yield block
-
-
-@dataclass(frozen=True, eq=False)
-class DiagPlusLowRank(StructuredPSD):
-    """diag(d) + F Fᵀ with strictly positive d."""
-
-    diag: np.ndarray
-    factor: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float).reshape(-1)
-        f = np.asarray(self.factor, dtype=float)
-        if f.ndim != 2:
-            raise DimensionMismatch("low-rank factor must be a matrix")
-        if f.shape[0] != d.shape[0]:
-            raise DimensionMismatch(
-                f"diag length {d.shape[0]} does not match factor rows {f.shape[0]}"
-            )
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be strictly positive")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "factor", f)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[0]
 
 
 def as_structured(k) -> StructuredPSD:
@@ -236,10 +206,6 @@ def densify(k: StructuredPSD) -> np.ndarray:
             offset += n
         record_allocation(out)
         return out
-    if isinstance(k, DiagPlusLowRank):
-        out = np.diag(k.diag) + k.factor @ k.factor.T
-        record_allocation(out)
-        return out
     raise TypeError(f"unknown structured matrix {type(k).__name__}")
 
 
@@ -250,64 +216,6 @@ def block_cholesky_factors(k: BlockDiagonal) -> list[np.ndarray]:
         l = cholesky(block, jitter=0.0)
         out.extend([l] * repeat)
     return out
-
-
-def structured_solve(k: StructuredPSD, b: np.ndarray) -> np.ndarray:
-    """Solve K X = B exploiting the structure tag of K."""
-    b = np.asarray(b, dtype=float)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.shape[0] != k.dim:
-        raise DimensionMismatch(f"rhs rows {b.shape[0]} do not match dim {k.dim}")
-    if isinstance(k, Dense):
-        l = cholesky(k.matrix, jitter=0.0)
-        x = tri_solve(l, tri_solve(l, b), transpose=True)
-    elif isinstance(k, BlockDiagonal):
-        x = np.empty_like(b)
-        offset = 0
-        for l in block_cholesky_factors(k):
-            n = l.shape[0]
-            sl = slice(offset, offset + n)
-            x[sl] = tri_solve(l, tri_solve(l, b[sl]), transpose=True)
-            offset += n
-    elif isinstance(k, DiagPlusLowRank):
-        x = _woodbury_solve(k.diag, k.factor, b)
-    else:
-        raise TypeError(f"unknown structured matrix {type(k).__name__}")
-    record_allocation(x)
-    return x[:, 0] if squeeze else x
-
-
-def _woodbury_solve(diag: np.ndarray, factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (diag(d) + F Fᵀ)⁻¹ B = d⁻¹B − d⁻¹F (I + Fᵀ d⁻¹ F)⁻¹ Fᵀ d⁻¹ B
-    dinv_b = b / diag[:, None]
-    if factor.shape[1] == 0:
-        return dinv_b
-    dinv_f = factor / diag[:, None]
-    core = np.eye(factor.shape[1]) + factor.T @ dinv_f
-    l = cholesky(core, jitter=0.0)
-    inner = tri_solve(l, tri_solve(l, factor.T @ dinv_b), transpose=True)
-    return dinv_b - dinv_f @ inner
-
-
-def structured_logdet(k: StructuredPSD) -> float:
-    """log |K| via Cholesky diagonals, or the determinant lemma for low rank."""
-    if isinstance(k, Dense):
-        l = cholesky(k.matrix, jitter=0.0)
-        return float(2.0 * np.sum(np.log(np.diag(l))))
-    if isinstance(k, BlockDiagonal):
-        total = 0.0
-        for block, repeat in zip(k.blocks, k.repeats):
-            l = cholesky(block, jitter=0.0)
-            total += repeat * float(2.0 * np.sum(np.log(np.diag(l))))
-        return total
-    if isinstance(k, DiagPlusLowRank):
-        # |diag(d) + F Fᵀ| = |I + Fᵀ d⁻¹ F| · Π d
-        core = np.eye(k.factor.shape[1]) + k.factor.T @ (k.factor / k.diag[:, None])
-        l = cholesky(core, jitter=0.0)
-        return float(2.0 * np.sum(np.log(np.diag(l))) + np.sum(np.log(k.diag)))
-    raise TypeError(f"unknown structured matrix {type(k).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -223,4 +223,7 @@ def construct(cls, spec, family=None, data=None):
         elif isinstance(f, Param) and not f.scalar:
             value = np.asarray(value, float)
         kwargs[f.attr] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as err:  # a constructor's range check on a filed value
+        raise ConfigError(f"{cls.schema.tag or cls.__name__}: {err}") from err

@@ -153,10 +153,6 @@ class ParameterStore:
     def get(self, name) -> np.ndarray:
         return self._slots[name].value
 
-    def set_value(self, name, value):
-        slot = self._slots[name]
-        slot.value = np.asarray(value, dtype=float).reshape(slot.value.shape)
-
     def set_trainable(self, name, flag: bool):
         self._slots[name].trainable = bool(flag)
 
@@ -438,7 +434,6 @@ class FitConfig:
     batch_size: int = 0  # 0 means full batch
     seed: int = 0
     freeze: tuple[str, ...] = ()
-    use_analytic: bool = True
 
 
 @dataclass
@@ -466,10 +461,9 @@ def divergence_warning(recent, value) -> str | None:
     return None
 
 
-def _analytic_applicable(model, config) -> bool:
+def _analytic_applicable(model) -> bool:
     return (
-        config.use_analytic
-        and isinstance(model, SVGPModel)
+        isinstance(model, SVGPModel)
         and isinstance(model.likelihood, Gaussian)
         and not model.q.is_block
         and model.num_outputs == 1
@@ -481,7 +475,7 @@ def _objective_factory(model, build, x, y, outputs, config):
     n = x.shape[0]
     batch_size = config.batch_size if config.batch_size > 0 else n
     batch_rng = RngState(config.seed).derive(0)
-    analytic = _analytic_applicable(model, config) and outputs is None
+    analytic = _analytic_applicable(model) and outputs is None
 
     def batches():
         while True:

@@ -51,9 +51,18 @@ model {{
   kind = {kind}
   kernel = sqexp {{ variance = 1.0, lengthscales = [0.8] }}
   likelihood = gaussian {{ variance = 0.05 }}
-  inducing = points {{ from_data = 4 }}
+  {inducing}
 }}
 """
+DGP_LAYER_TYPO = """
+steps = 1
+model {
+  kind = dgp
+  likelihood = gaussian { variance = 0.1 }
+  layers = [layer { kernel = sqexp, inducing = points { from_data = 3 }, whiten = true }]
+}
+"""
+FULL_BATCH_INDUCING = {"gpr": "", "svgp_uncertain": "inducing = points { from_data = 4 }"}
 
 
 def _write(tmp_path, name, text):
@@ -232,7 +241,9 @@ class TestExitCodes:
         out = str(tmp_path / "m.json")
 
         def train(batch_size):
-            text = FULL_BATCH_CONF.format(kind=kind, batch_size=batch_size)
+            text = FULL_BATCH_CONF.format(
+                kind=kind, batch_size=batch_size, inducing=FULL_BATCH_INDUCING[kind]
+            )
             conf = _write(tmp_path, f"b{batch_size}.conf", text)
             return main(["train", "--config", conf, "--data", DESK, "--out", out])
 
@@ -275,6 +286,44 @@ class TestExitCodes:
         assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "'kernel.lengthscale'" in err and "kernel.lengthscales" in err
+
+    def test_out_of_range_component_value_is_2(self, tmp_path, capsys):
+        text = SVGP_CONF.format(steps=1).replace("variance = 1.0", "variance = -1.0")
+        conf = _write(tmp_path, "negative.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert "sqexp: variance must be positive" in capsys.readouterr().err
+
+    def test_out_of_range_model_file_value_is_config_error(self, tmp_path, trained_svgp):
+        doc = json.load(open(trained_svgp))
+        doc["kernel"]["variance"] = -1.0
+        bad = _write(tmp_path, "bad.json", json.dumps(doc))
+        with pytest.raises(ConfigError, match="sqexp"):
+            load_model(bad)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (SVGP_CONF.format(steps=1).replace("steps", "stesp = 4\nsteps"), "stesp"),
+            (SVGP_CONF.format(steps=1).replace("whiten", "whitn"), "whitn"),
+            (SVGP_CONF.format(steps=1).replace("kind = svgp", "kind = gpr"), "inducing"),
+            (DGP_LAYER_TYPO, "whiten"),
+        ],
+        ids=["top_level", "model_block", "key_of_another_kind", "dgp_layer"],
+    )
+    def test_undeclared_config_key_is_2(self, tmp_path, capsys, text, key):
+        conf = _write(tmp_path, "typo.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and "allowed keys:" in err
+
+    def test_dgp_layer_that_is_not_a_block_is_2(self, tmp_path, capsys):
+        text = "model { kind = dgp, likelihood = bernoulli, layers = [sqexp] }"
+        conf = _write(tmp_path, "layer.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert "'sqexp' must be a block" in capsys.readouterr().err
 
 
 class TestTrain:

@@ -1,7 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
 
-import sparsegp.conditionals as conditionals_mod
 from sparsegp import (
     Convolutional,
     InducingPatches,
@@ -18,7 +19,6 @@ from sparsegp import (
     SquaredExponential,
     VariationalGaussian,
     allocation_probe,
-    base_conditional,
     conditional,
     densify,
     fully_correlated_conditional,
@@ -56,11 +56,15 @@ def lmc_coupling_matrix(w, m):
 
 
 class TestBaseConditional:
+    """The single-latent (P = 1) conditional from precomputed blocks."""
+
     def test_zero_cross_covariance_returns_prior(self, rng):
         kmm = make_spd(rng, 3)
         knn = make_spd(rng, 4)
         q = VariationalGaussian(standard_normal(rng, 3), random_lower(rng, 3), whiten=False)
-        pm = base_conditional(np.zeros((3, 4)), kmm, knn, q, full_cov=True)
+        pm = fully_correlated_conditional(
+            np.zeros((3, 4, 1)), kmm, knn[None], q, full_cov=True, full_output_cov=False
+        )
         np.testing.assert_allclose(pm.mean, 0.0)
         np.testing.assert_allclose(pm.cov[0], knn)
 
@@ -92,8 +96,10 @@ class TestBaseConditional:
             mu_u, s_u = mu, sqrt @ sqrt.T
         want_mean, want_cov = dense_posterior_oracle(kmn, kmm, knn_full, mu_u, s_u)
 
-        knn = knn_full if full_cov else np.diag(knn_full).copy()
-        pm = base_conditional(kmn, kmm, knn, q, full_cov=full_cov)
+        knn = knn_full[None] if full_cov else np.diag(knn_full)[:, None]
+        pm = fully_correlated_conditional(
+            kmn[:, :, None], kmm, knn, q, full_cov=full_cov, full_output_cov=False
+        )
         np.testing.assert_allclose(pm.mean[:, 0], want_mean, atol=1e-10)
         got_cov = pm.cov[0] if full_cov else np.diag(pm.cov[:, 0])
         want = want_cov if full_cov else np.diag(np.diag(want_cov))
@@ -102,7 +108,10 @@ class TestBaseConditional:
     def test_rejects_mismatched_rows(self, rng):
         q = VariationalGaussian(np.zeros(3), np.eye(3))
         with pytest.raises(ShapeMismatch):
-            base_conditional(np.zeros((4, 2)), np.eye(3), np.zeros(2), q)
+            fully_correlated_conditional(
+                np.zeros((4, 2, 1)), np.eye(3), np.zeros((2, 1)), q,
+                full_cov=False, full_output_cov=False,
+            )
 
 
 def _paths(rng):
@@ -471,62 +480,57 @@ class TestFullyCorrelated:
         return kmm, kmn, knn_full, VariationalGaussian(mu, sqrt, whiten=False)
 
     def test_p_equal_one_reduces_to_base_conditional(self, rng):
+        # With one output every mode holds the same numbers as the
+        # single-latent [N, N] covariance.
         kmm, kmn, knn_full, q = self._random_inputs(rng, p=1)
-        knn = np.einsum("npmp->pnm", knn_full)
-        pm = fully_correlated_conditional(
-            kmn, kmm, knn, q, full_cov=True, full_output_cov=False
+        n = kmn.shape[1]
+        base = fully_correlated_conditional(
+            kmn, kmm, knn_full, q, full_cov=True, full_output_cov=True
         )
-        base = base_conditional(kmn[:, :, 0], kmm, knn[0], q, full_cov=True)
-        np.testing.assert_allclose(pm.mean, base.mean, atol=1e-12)
-        np.testing.assert_allclose(pm.cov, base.cov, atol=1e-12)
+        cov = base.cov.reshape(n, n)
+        knns = {
+            (True, False): knn_full.reshape(1, n, n),
+            (False, True): np.diag(knn_full.reshape(n, n)).reshape(n, 1, 1),
+            (False, False): np.diag(knn_full.reshape(n, n)).reshape(n, 1),
+        }
+        for (fc, foc), knn in knns.items():
+            pm = fully_correlated_conditional(
+                kmn, kmm, knn, q, full_cov=fc, full_output_cov=foc
+            )
+            want = cov if fc else np.diag(cov)
+            np.testing.assert_allclose(pm.mean, base.mean, atol=1e-12)
+            np.testing.assert_allclose(pm.cov.reshape(want.shape), want, atol=1e-12)
 
     @pytest.mark.parametrize("full_cov", [True, False])
     def test_matches_dense_oracle_slices(self, rng, full_cov):
-        kmm, kmn, knn_full, q = self._random_inputs(rng)
-        mt, n, p = kmn.shape
-        s = q.q_sqrt @ q.q_sqrt.T
-        want_mean, want_cov = dense_posterior_oracle(
-            kmn.reshape(mt, n * p), kmm, knn_full.reshape(n * p, n * p),
-            q.q_mu, s,
-        )
-        want_cov = want_cov.reshape(n, p, n, p)
-        knn = (
-            np.einsum("npmp->pnm", knn_full)
-            if full_cov
-            else np.einsum("npnq->npq", knn_full)
-        )
-        pm = fully_correlated_conditional(
-            kmn, kmm, knn, q, full_cov=full_cov, full_output_cov=not full_cov
-        )
-        np.testing.assert_allclose(pm.mean, want_mean.reshape(n, p), atol=1e-10)
-        want = (
-            np.einsum("npmp->pnm", want_cov)
-            if full_cov
-            else np.einsum("npnq->npq", want_cov)
-        )
-        np.testing.assert_allclose(pm.cov, want, atol=1e-10)
-
-    def test_streaming_branch_matches_full_tensor_branch(self, rng, monkeypatch):
-        kmm, kmn, knn_full, q = self._random_inputs(rng)
-        knn = np.einsum("npnq->npq", knn_full)
-        full_route = fully_correlated_conditional(
-            kmn, kmm, knn, q, full_cov=False, full_output_cov=True
-        )
-        monkeypatch.setattr(conditionals_mod, "FULL_TENSOR_CUTOFF", 0)
-        streamed = fully_correlated_conditional(
-            kmn, kmm, knn, q, full_cov=False, full_output_cov=True
-        )
-        np.testing.assert_allclose(full_route.cov, streamed.cov, atol=1e-12)
-        np.testing.assert_allclose(full_route.mean, streamed.mean, atol=1e-12)
-
-    def test_cutoff_is_pinned(self):
-        assert conditionals_mod.FULL_TENSOR_CUTOFF == 512
-
-    def test_equal_flags_rejected(self, rng):
-        kmm, kmn, knn_full, q = self._random_inputs(rng)
-        with pytest.raises(ValueError):
-            fully_correlated_conditional(
-                kmn, kmm, np.zeros(1), q, full_cov=True, full_output_cov=True
+        slices = {
+            (True, True): lambda c: c,
+            (True, False): lambda c: np.einsum("npmp->pnm", c),
+            (False, True): lambda c: np.einsum("npnq->npq", c),
+            (False, False): lambda c: np.einsum("npnp->np", c),
+        }
+        for full_output_cov, outputs, whiten in itertools.product(
+            (True, False), (1, 2), (False, True)
+        ):
+            kmm, kmn, knn_full, q = self._random_inputs(rng, p=outputs)
+            mt, n, p = kmn.shape
+            if whiten:
+                l = np.linalg.cholesky(kmm)
+                mu, s = l @ q.q_mu, l @ q.q_sqrt @ q.q_sqrt.T @ l.T
+                q = VariationalGaussian(q.q_mu, q.q_sqrt, whiten=True)
+            else:
+                mu, s = q.q_mu, q.q_sqrt @ q.q_sqrt.T
+            want_mean, want_cov = dense_posterior_oracle(
+                kmn.reshape(mt, n * p), kmm, knn_full.reshape(n * p, n * p), mu, s
+            )
+            mode = slices[full_cov, full_output_cov]
+            pm = fully_correlated_conditional(
+                kmn, kmm, mode(knn_full), q,
+                full_cov=full_cov, full_output_cov=full_output_cov,
+            )
+            np.testing.assert_allclose(pm.mean, want_mean.reshape(n, p), atol=1e-10)
+            np.testing.assert_allclose(
+                pm.cov, mode(want_cov.reshape(n, p, n, p)), atol=1e-10
             )
 
     def test_output_blockdiagonal_s_equals_independent_computation(self):
@@ -562,7 +566,10 @@ class TestFullyCorrelated:
             q_p = VariationalGaussian(
                 per_output_mu[pi], per_output_sqrt[pi], whiten=False
             )
-            ref = base_conditional(base.K(z, x), kmm, base.K_diag(x), q_p)
+            ref = fully_correlated_conditional(
+                base.K(z, x)[:, :, None], kmm, base.K_diag(x)[:, None], q_p,
+                full_cov=False, full_output_cov=False,
+            )
             np.testing.assert_allclose(pm.mean[:, pi], ref.mean[:, 0], atol=1e-7)
             np.testing.assert_allclose(
                 pm.cov[:, pi, pi], ref.cov[:, 0], atol=1e-7

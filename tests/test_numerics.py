@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 
 from sparsegp import (
     BlockDiagonal,
-    Dense,
-    DiagPlusLowRank,
     RngState,
     allocation_probe,
     cholesky,
     densify,
     gauss_hermite_nodes,
     standard_normal,
-    structured_logdet,
-    structured_solve,
     tri_solve,
 )
 from sparsegp.errors import (
@@ -24,7 +20,7 @@ from sparsegp.errors import (
     NotPositiveDefinite,
     ZeroDiagonal,
 )
-from sparsegp.numerics import default_jitter
+from sparsegp.numerics import block_cholesky_factors, default_jitter
 
 from conftest import make_spd, random_lower
 
@@ -106,71 +102,14 @@ class TestTriSolve:
             tri_solve(np.eye(2), np.ones((3, 1)))
 
 
-def _random_structured(rng, variant, dim=8):
-    if variant == "dense":
-        return Dense(make_spd(rng, dim))
-    if variant == "block":
-        return BlockDiagonal((make_spd(rng, 3), make_spd(rng, 5)))
-    return DiagPlusLowRank(
-        rng.generator.uniform(0.5, 2.0, dim), standard_normal(rng, (dim, 2))
-    )
-
-
-class TestStructuredSolve:
-    def test_block_diagonal_of_identical_blocks(self):
+class TestBlockDiagonal:
+    def test_repeated_block_densifies_and_factorizes_once(self):
         block = np.array([[2.0, 0.5], [0.5, 1.0]])
         k = BlockDiagonal((block,), repeats=(2,))
-        x = structured_solve(k, np.eye(4))
-        expected = np.kron(np.eye(2), np.linalg.inv(block))
-        np.testing.assert_allclose(x, expected, atol=1e-12)
-
-    def test_zero_rank_low_rank_is_elementwise_inverse(self, rng):
-        d = rng.generator.uniform(0.5, 2.0, 4)
-        k = DiagPlusLowRank(d, np.zeros((4, 0)))
-        b = standard_normal(rng, (4, 2))
-        np.testing.assert_allclose(structured_solve(k, b), b / d[:, None])
-
-    @pytest.mark.parametrize("variant", ["dense", "block", "lowrank"])
-    def test_matches_densified_solve(self, rng, variant):
-        k = _random_structured(rng, variant)
-        b = standard_normal(rng, (k.dim, 3))
-        expected = np.linalg.solve(densify(k), b)
-        np.testing.assert_allclose(structured_solve(k, b), expected, atol=1e-10)
-
-    def test_vector_rhs_keeps_shape(self, rng):
-        k = Dense(make_spd(rng, 4))
-        b = standard_normal(rng, 4)
-        assert structured_solve(k, b).shape == (4,)
-
-    def test_rhs_dim_checked(self, rng):
-        with pytest.raises(DimensionMismatch):
-            structured_solve(Dense(np.eye(3)), np.ones((4, 1)))
-
-
-class TestStructuredLogdet:
-    def test_identity_is_zero(self):
-        assert structured_logdet(Dense(np.eye(4))) == pytest.approx(0.0)
-
-    def test_diagonal_two_by_two(self):
-        assert structured_logdet(Dense(np.diag([2.0, 2.0]))) == pytest.approx(
-            2.0 * np.log(2.0)
-        )
-
-    @pytest.mark.parametrize("variant", ["dense", "block", "lowrank"])
-    def test_matches_densified_logdet(self, rng, variant):
-        k = _random_structured(rng, variant)
-        _, expected = np.linalg.slogdet(densify(k))
-        assert structured_logdet(k) == pytest.approx(expected, abs=1e-10)
-
-    def test_shared_block_counts_every_repeat(self, rng):
-        block = make_spd(rng, 3)
-        shared = BlockDiagonal((block,), repeats=(4,))
-        _, expected = np.linalg.slogdet(densify(shared))
-        assert structured_logdet(shared) == pytest.approx(expected, abs=1e-10)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPositiveDefinite):
-            structured_logdet(Dense(np.diag([1.0, -1e5])))
+        np.testing.assert_array_equal(densify(k), np.kron(np.eye(2), block))
+        factors = block_cholesky_factors(k)
+        assert len(factors) == 2 and factors[0] is factors[1]
+        np.testing.assert_allclose(factors[0] @ factors[0].T, block, atol=1e-12)
 
 
 class TestGaussHermite:
