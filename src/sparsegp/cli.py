@@ -12,38 +12,34 @@ import json
 import sys
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .conditionals import VariationalGaussian
 from .config import load_config
 from .errors import ConfigError, DataError, SparseGPError
-from .inducing import InducingPoints, InducingVariable, input_width
-from .inducing import num_inducing as count_inducing
-from .kernels import IndependentLatent, Kernel
 from .likelihoods import (
     CorrelatedGaussian,
     Gaussian,
-    Likelihood,
     marginalize_outputs,
     predict_observation_moments,
     predictive_log_density,
 )
 from .modelio import Dataset, load_model, read_dataset, save_model
-from .models import (
-    DGPModel,
-    GPLayer,
-    GPRModel,
-    MeanFunction,
-    SVGPModel,
-    UncertainSVGP,
-)
-from .numerics import RngState
-from .schema import from_spec
+from .models import Model
+from .schema import Setting, check_keys, read_settings, tags
 from .training import FitConfig, TraceRecord, fit
 
 
 # ---------------------------------------------------------------------------
 # Model construction from a parsed config tree
+
+# Top-level config keys besides ``model``; every model block may also name
+# ``kind`` and ``freeze``.
+TRAINING = (
+    Setting("steps", int, 500, ">= 0"),
+    Setting("learning_rate", float, 1e-2, "> 0"),
+    Setting("batch_size", int, 0, ">= 0"),
+    Setting("seed", int, 0, ">= 0"),
+)
+FREEZE = Setting("freeze", list, ())
 
 
 def _require(node, key, context):
@@ -52,156 +48,37 @@ def _require(node, key, context):
     return node[key]
 
 
-def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
-    total = count_inducing(iv, kernel)
-    if isinstance(kernel, IndependentLatent) and not (
-        isinstance(iv, InducingPoints)
-    ):
-        l = kernel.num_latent
-        size = total // l
-        return VariationalGaussian(
-            np.zeros(total), tuple(np.eye(size) for _ in range(l)), whiten=whiten
-        )
-    return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
-
-
-CONFIG_KEYS = {"model", "steps", "learning_rate", "batch_size", "seed"}
-_GPR_KEYS = {"kind", "freeze", "kernel", "likelihood"}
-_SVGP_KEYS = _GPR_KEYS | {"inducing", "mean", "whiten", "jitter"}
-MODEL_KEYS = {
-    "gpr": _GPR_KEYS,
-    "svgp": _SVGP_KEYS,
-    "svgp_uncertain": _SVGP_KEYS | {"input_variance"},
-    "dgp": {"kind", "freeze", "likelihood", "layers", "whiten", "jitter", "num_samples"},
-}
-LAYER_KEYS = {"kernel", "inducing", "mean"}
-
-
-def _check_keys(node, allowed, context):
-    unknown = sorted(set(node) - allowed - {"tag"})  # "tag": the block's name
-    if unknown:
-        raise ConfigError(
-            f"{context} has no key {unknown[0]!r}; allowed keys: "
-            + ", ".join(sorted(allowed))
-        )
-
-
-def _components(node, x, context):
-    """Kernel and inducing variable of a model or layer block."""
-    kernel = from_spec(_require(node, "kernel", context), Kernel)
-    iv = from_spec(_require(node, "inducing", context), InducingVariable, (x, kernel))
-    return kernel, iv
-
-
-def _build_svgp(node, dataset: Dataset) -> SVGPModel:
-    kernel, iv = _components(node, dataset.x, "model")
-    likelihood = from_spec(_require(node, "likelihood", "model"), Likelihood)
-    whiten = bool(node.get("whiten", True))
-    q = _initial_q(iv, kernel, whiten)
-    jitter = node.get("jitter")
-    return SVGPModel(
-        kernel,
-        likelihood,
-        iv,
-        q,
-        from_spec(node.get("mean", "zero"), MeanFunction),
-        num_data=dataset.x.shape[0],
-        jitter=float(jitter) if jitter is not None else None,
-    )
-
-
 def build_model(config: dict, dataset: Dataset):
-    _check_keys(config, CONFIG_KEYS, "config")
+    check_keys(config, ["model", *(s.key for s in TRAINING)], "config")
     node = _require(config, "model", "config")
     if not isinstance(node, dict):
         raise ConfigError("model must be a block")
     kind = _require(node, "kind", "model")
-    if not isinstance(kind, str) or kind not in MODEL_KEYS:
+    cls = tags(Model).get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"unknown model kind {kind!r}")
-    _check_keys(node, MODEL_KEYS[kind], f"model kind = {kind}")
-
-    if kind == "gpr":
-        kernel = from_spec(_require(node, "kernel", "model"), Kernel)
-        likelihood = from_spec(node.get("likelihood", "gaussian"), Likelihood)
-        if not isinstance(likelihood, Gaussian):
-            raise ConfigError("gpr supports a Gaussian likelihood only")
-        if dataset.y is None or dataset.y.shape[1] != 1:
-            raise DataError("gpr needs a single y0 output column")
-        return GPRModel(kernel, likelihood.variance, dataset.x, dataset.y)
-
-    if kind == "svgp":
-        return _build_svgp(node, dataset)
-
-    if kind == "dgp":
-        layer_specs = _require(node, "layers", "model")
-        if not isinstance(layer_specs, list) or not layer_specs:
-            raise ConfigError("dgp needs a non-empty layers list")
-        whiten = bool(node.get("whiten", True))
-        layers = []
-        for spec in layer_specs:
-            if not isinstance(spec, dict):
-                raise ConfigError(f"dgp layer {spec!r} must be a block")
-            _check_keys(spec, LAYER_KEYS, "layer")
-            kernel, iv = _components(spec, dataset.x, "layer")
-            mean = from_spec(spec.get("mean", "zero"), MeanFunction)
-            layers.append(GPLayer(kernel, iv, _initial_q(iv, kernel, whiten), mean))
-        jitter = node.get("jitter")
-        return DGPModel(
-            layers,
-            from_spec(_require(node, "likelihood", "model"), Likelihood),
-            num_data=dataset.x.shape[0],
-            num_samples=int(node.get("num_samples", 1)),
-            jitter=float(jitter) if jitter is not None else None,
-        )
-
-    svgp = _build_svgp(node, dataset)  # svgp_uncertain
-    if dataset.y is None:
-        raise DataError("uncertain-input training needs output columns")
-    input_var = float(node.get("input_variance", 0.01))
-    return UncertainSVGP(
-        svgp,
-        dataset.x,
-        np.full(dataset.x.shape, input_var),
-        dataset.y,
-    )
+    keys = ["kind", FREEZE.key, *(s.key for s in cls.settings)]
+    check_keys(node, keys, f"model kind = {kind}")
+    return cls.from_config(read_settings(node, cls.settings, "model"), dataset)
 
 
-def _fit_config(config: dict) -> FitConfig:
-    node = config.get("model", {})
-    freeze = node.get("freeze", []) if isinstance(node, dict) else []
-    if isinstance(freeze, str):
-        freeze = [freeze]
-    batch_size = int(config.get("batch_size", 0))
-    kind = node.get("kind") if isinstance(node, dict) else None
-    if batch_size > 0 and kind in ("gpr", "svgp_uncertain"):
+def _fit_config(config: dict, model) -> FitConfig:
+    settings = read_settings(config, TRAINING, "config")
+    if settings["batch_size"] > 0 and model.full_batch:
         raise ConfigError(
-            f"kind = {kind} trains on the full dataset; batch_size must be 0 "
-            "or absent"
+            f"kind = {model.schema.tag} trains on the full dataset; batch_size "
+            "must be 0 or absent"
         )
-    return FitConfig(
-        steps=int(config.get("steps", 500)),
-        learning_rate=float(config.get("learning_rate", 1e-2)),
-        batch_size=batch_size,
-        seed=int(config.get("seed", 0)),
-        freeze=tuple(freeze),
-    )
+    freeze = read_settings(config["model"], (FREEZE,), "model")["freeze"]
+    return FitConfig(freeze=freeze, **settings)
 
 
 # ---------------------------------------------------------------------------
 # Shared prediction helpers
 
 
-def _model_input_dim(model) -> int | None:
-    if isinstance(model, GPRModel):
-        return model.x.shape[1]
-    if isinstance(model, UncertainSVGP):
-        return model.input_mean.shape[1]
-    first = model.layers[0] if isinstance(model, DGPModel) else model
-    return input_width(first.inducing, first.kernel)
-
-
 def _check_input_dim(model, x):
-    want = _model_input_dim(model)
+    want = model.input_dim
     if want is not None and x.shape[1] != want:
         raise DataError(
             f"dataset has {x.shape[1]} input columns, model expects {want}"
@@ -216,30 +93,6 @@ def _check_output_indices(dataset: Dataset, num_outputs: int):
         )
 
 
-def _marginal_moments(model, x, rng_seed=0):
-    """Posterior marginals [N, P] for any model kind."""
-    if isinstance(model, GPRModel):
-        pm = model.predict(x)
-        return pm.mean, pm.cov
-    if isinstance(model, UncertainSVGP):
-        model = model.svgp
-    if isinstance(model, SVGPModel):
-        pm = model.predict_f(x)
-        return pm.mean, pm.cov
-    if isinstance(model, DGPModel):
-        samples = max(model.num_samples, 100)  # evaluation default
-        return model.predict_f(x, RngState(rng_seed), samples)
-    raise ConfigError(f"cannot predict with {type(model).__name__}")
-
-
-def _model_likelihood(model):
-    if isinstance(model, GPRModel):
-        return Gaussian(max(model.noise_variance, 1e-300))
-    if isinstance(model, UncertainSVGP):
-        return model.svgp.likelihood
-    return model.likelihood
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -248,10 +101,10 @@ def cmd_train(args) -> int:
     config = load_config(args.config)
     dataset = read_dataset(args.data)
     model = build_model(config, dataset)
-    fit_config = _fit_config(config)
+    fit_config = _fit_config(config, model)
 
     if dataset.heterotopic:
-        if not isinstance(model, SVGPModel):
+        if not model.heterotopic:
             raise ConfigError("heterotopic data requires an svgp model")
         _check_output_indices(dataset, model.num_outputs)
         data = (dataset.x, dataset.outputs, dataset.y[:, 0])
@@ -278,9 +131,8 @@ def _trace_line(record: TraceRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _apply_observation_noise(model, cov, full_cov, full_output_cov):
+def _apply_observation_noise(lik, cov, full_cov, full_output_cov):
     """Noise on a non-marginal predictive covariance (one flag at least set)."""
-    lik = _model_likelihood(model)
     if isinstance(lik, Gaussian):
         noise = lik.variance
         if full_cov and full_output_cov:
@@ -315,32 +167,17 @@ def cmd_predict(args) -> int:
     full_cov = bool(args.full_cov)
     full_output_cov = bool(args.full_output_cov)
 
-    if isinstance(model, DGPModel) and (full_cov or full_output_cov):
-        raise ConfigError("deep models emit marginal predictions only")
-
-    if full_cov or full_output_cov:
-        inner = model.svgp if isinstance(model, UncertainSVGP) else model
-        if isinstance(inner, GPRModel):
-            if full_output_cov or not full_cov:
-                raise ConfigError("gpr supports --full-cov without output modes")
-            pm = inner.predict(dataset.x, full_cov=True)
-        else:
-            pm = inner.predict_f(
-                dataset.x, full_cov=full_cov, full_output_cov=full_output_cov
-            )
-        mean, cov = pm.mean, pm.cov
-    else:
-        mean, cov = _marginal_moments(model, dataset.x)
+    mean, cov = model.predict_moments(dataset.x, full_cov, full_output_cov)
 
     if args.observation_noise:
-        lik = _model_likelihood(model)
+        lik = model.likelihood
         if not full_cov and not full_output_cov:
             if isinstance(lik, CorrelatedGaussian):
                 cov = cov + np.diag(lik.cov)[None, :]
             else:
                 mean, cov = predict_observation_moments(lik, mean, cov)
         else:
-            cov = _apply_observation_noise(model, cov, full_cov, full_output_cov)
+            cov = _apply_observation_noise(lik, cov, full_cov, full_output_cov)
 
     n, p = mean.shape
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -367,27 +204,12 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _dgp_log_densities(model, x, y, seed=0):
-    # Mixture predictive density over propagated samples.
-    samples = max(model.num_samples, 100)
-    rng = RngState(seed)
-    log_parts = []
-    for _ in range(samples):
-        h = model.propagate(x, rng)
-        pm = model._final_moments(h)
-        cov = pm.cov
-        if cov.ndim == 3:
-            cov = np.einsum("npp->np", cov)
-        log_parts.append(predictive_log_density(model.likelihood, pm.mean, cov, y))
-    return logsumexp(np.stack(log_parts), axis=0) - np.log(samples)
-
-
 def _eval_metrics(model, dataset: Dataset) -> dict:
-    lik = _model_likelihood(model)
+    lik = model.likelihood
     if dataset.heterotopic:
-        if isinstance(model, (DGPModel,)):
+        if model.mixture:
             raise ConfigError("heterotopic evaluation supports shallow models")
-        mean, var = _marginal_moments(model, dataset.x)
+        mean, var = model.predict_moments(dataset.x)
         _check_output_indices(dataset, mean.shape[1])
         y = dataset.y
         logdens = np.empty(y.shape[0])
@@ -417,17 +239,8 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
     if dataset.y is None:
         raise DataError("evaluation data needs output columns")
     y = dataset.y
-    if isinstance(model, DGPModel):
-        mean, var = _marginal_moments(model, dataset.x)
-        logdens = _dgp_log_densities(model, dataset.x, y)
-    else:
-        mean, var = _marginal_moments(model, dataset.x)
-        if getattr(lik, "requires_full_output_cov", False):
-            inner = model.svgp if isinstance(model, UncertainSVGP) else model
-            pm = inner.predict_f(dataset.x, full_output_cov=True)
-            logdens = predictive_log_density(lik, pm.mean, pm.cov, y)
-        else:
-            logdens = predictive_log_density(lik, mean, var, y)
+    mean, var = model.predict_moments(dataset.x)
+    logdens = model.log_density(dataset.x, y, mean, var)
     ymu, _ = predict_observation_moments(lik, mean, var)
     if y.shape != ymu.shape:
         raise DataError(
@@ -438,9 +251,7 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
     def output_mlpd(p):
         if y.shape[1] == 1:
             return float(np.mean(logdens))
-        if isinstance(model, DGPModel) or getattr(
-            lik, "requires_full_output_cov", False
-        ):
+        if model.mixture or lik.requires_full_output_cov:
             return None  # joint density does not factorize per output
         column = predictive_log_density(
             lik, mean[:, p : p + 1], var[:, p : p + 1], y[:, p : p + 1]
@@ -502,9 +313,9 @@ def cmd_plotdata(args) -> int:
         x = np.column_stack([a.reshape(-1), b.reshape(-1)])
     _check_input_dim(model, x)
 
-    mean, var = _marginal_moments(model, x)
+    mean, var = model.predict_moments(x)
     if args.observation_noise:
-        mean, var = predict_observation_moments(_model_likelihood(model), mean, var)
+        mean, var = predict_observation_moments(model.likelihood, mean, var)
     band = 2.0 * np.sqrt(np.clip(var, 0.0, None))
 
     p = mean.shape[1]

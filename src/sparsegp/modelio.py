@@ -1,9 +1,10 @@
 """Model file and dataset file input/output.
 
-The model file is JSON with a fixed schema version.  Save -> load -> save is
-byte-identical: documents are emitted with sorted keys and arrays as nested
-lists, and loading validates every constituent invariant by rebuilding the
-real objects.
+The model file is JSON with a fixed schema version; its document follows
+from the model kind's declaration (see the ``schema`` module).  Save ->
+load -> save is byte-identical: documents are emitted with sorted keys and
+arrays as nested lists, and loading validates every constituent invariant
+by rebuilding the real objects.
 
 Datasets are delimited text with a header row: input columns ``x0..x{D-1}``
 followed by outputs ``y0..y{P-1}``, or a single ``output_index`` column plus
@@ -18,129 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditionals import VariationalGaussian
 from .errors import ConfigError, DataError
-from .inducing import InducingVariable
-from .kernels import Kernel
-from .likelihoods import Likelihood
-from .models import (
-    DGPModel,
-    GPLayer,
-    GPRModel,
-    MeanFunction,
-    SVGPModel,
-    UncertainSVGP,
-)
-from .schema import as_list, construct, from_spec, to_spec
-
-SCHEMA_VERSION = 1
+from .models import Model
+from .schema import from_document, to_document
 
 
 # ---------------------------------------------------------------------------
 # Model files
 
 
-def _gp_spec(gp) -> dict:
-    """The parts an SVGP shares with a deep-GP layer."""
-    return {
-        "kernel": to_spec(gp.kernel),
-        "inducing": to_spec(gp.inducing),
-        "mean_function": to_spec(gp.mean_function),
-        **to_spec(gp.q),
-    }
-
-
-def _gp_parts(doc):
-    """(kernel, inducing, q, mean function) from an SVGP or layer document."""
-    return (
-        from_spec(doc["kernel"], Kernel),
-        from_spec(doc["inducing"], InducingVariable),
-        construct(VariationalGaussian, doc),
-        from_spec(doc.get("mean_function", "zero"), MeanFunction),
-    )
-
-
-def model_to_document(model, metadata: dict | None = None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "metadata": metadata or {}}
-    if isinstance(model, GPRModel):
-        doc.update(
-            kind="gpr",
-            kernel=to_spec(model.kernel),
-            noise_variance=float(model.noise_variance),
-            x=as_list(model.x),
-            y=as_list(model.y),
-        )
-        return doc
-    if isinstance(model, SVGPModel):
-        doc.update(
-            kind="svgp",
-            likelihood=to_spec(model.likelihood),
-            num_data=model.num_data,
-            jitter=model.jitter,
-            **_gp_spec(model),
-        )
-        return doc
-    if isinstance(model, DGPModel):
-        doc.update(
-            kind="dgp",
-            layers=[_gp_spec(layer) for layer in model.layers],
-            likelihood=to_spec(model.likelihood),
-            num_data=model.num_data,
-            num_samples=model.num_samples,
-            jitter=model.jitter,
-        )
-        return doc
-    if isinstance(model, UncertainSVGP):
-        doc.update(
-            kind="svgp_uncertain",
-            svgp=model_to_document(model.svgp),
-            input_mean=as_list(model.input_mean),
-            input_var=as_list(model.input_var),
-            y=as_list(model.y),
-        )
-        return doc
-    raise ConfigError(f"model {type(model).__name__} has no file representation")
-
-
-def document_to_model(doc: dict):
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported model file schema: {doc.get('schema_version')!r}"
-        )
-    kind = doc.get("kind")
-    if kind == "gpr":
-        return GPRModel(
-            from_spec(doc["kernel"], Kernel),
-            float(doc["noise_variance"]),
-            np.asarray(doc["x"], float),
-            np.asarray(doc["y"], float),
-        )
-    if kind == "svgp":
-        kernel, inducing, q, mean = _gp_parts(doc)
-        likelihood = from_spec(doc["likelihood"], Likelihood)
-        return SVGPModel(
-            kernel, likelihood, inducing, q, mean, doc.get("num_data"), doc.get("jitter")
-        )
-    if kind == "dgp":
-        return DGPModel(
-            [GPLayer(*_gp_parts(layer)) for layer in doc["layers"]],
-            from_spec(doc["likelihood"], Likelihood),
-            doc.get("num_data"),
-            doc.get("num_samples", 1),
-            doc.get("jitter"),
-        )
-    if kind == "svgp_uncertain":
-        return UncertainSVGP(
-            document_to_model(doc["svgp"]),
-            np.asarray(doc["input_mean"], float),
-            np.asarray(doc["input_var"], float),
-            np.asarray(doc["y"], float),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
 def save_model(model, path, metadata: dict | None = None) -> None:
-    doc = model_to_document(model, metadata)
+    doc = to_document(model, metadata)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
@@ -152,7 +41,7 @@ def load_model(path):
             doc = json.load(handle)
         except json.JSONDecodeError as err:
             raise ConfigError(f"model file is not valid JSON: {err}") from err
-    model = document_to_model(doc)
+    model = from_document(doc, Model)
     return model, doc.get("metadata", {})
 
 

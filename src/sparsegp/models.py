@@ -10,6 +10,7 @@ mutating them.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .conditionals import (
     PosteriorMoments,
@@ -19,15 +20,17 @@ from .conditionals import (
 )
 from .covariances import kuf, kuu
 from .divergences import prior_kl
-from .errors import ShapeMismatch, UnsupportedCombination
+from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
+    InducingPoints,
     InducingVariable,
     input_width,
     num_inducing,
 )
 from .kernels import (
     Convolutional,
+    IndependentLatent,
     Kernel,
     MultioutputKernel,
     k_diag,
@@ -37,6 +40,7 @@ from .likelihoods import (
     Gaussian,
     Likelihood,
     marginalize_outputs,
+    predictive_log_density,
     variational_expectations,
 )
 from .numerics import (
@@ -46,7 +50,18 @@ from .numerics import (
     standard_normal,
     tri_solve,
 )
-from .schema import Param, Schema
+from .schema import (
+    Child,
+    Param,
+    Schema,
+    Setting,
+    Static,
+    check_keys,
+    from_spec,
+    read_settings,
+)
+
+PREDICT_SAMPLES = 100  # least propagated samples a deep GP predicts with
 
 
 class MeanFunction:
@@ -71,19 +86,103 @@ class Constant(MeanFunction):
         return self.value
 
 
-def _as_column_targets(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    return y
+def _as_columns(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
+class Model:
+    """A model kind.  Each one declares
+
+    - ``schema``: the model file (its tag is the file's ``kind``) and the
+      parameter slots;
+    - ``settings``: the keys of its config block, and ``from_config(node,
+      dataset)``, the model that a block describes (``node`` maps each key
+      to its value) initialized on a dataset;
+    - ``objective(batch, rng, scale)``: the training objective on (x, y), or
+      on (x, outputs, y) for heterotopic rows.  ``rng()`` returns the step's
+      random stream afresh, so every evaluation in a step sees the same
+      draws; ``scale`` weights the data term of a minibatch;
+    - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
+      posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
+    - ``likelihood``, and ``input_dim``: input columns, None when free;
+    - ``full_batch``: training takes every row at each step; ``heterotopic``:
+      it trains on rows observing one output each; ``mixture``: predictions
+      mix over sampled propagations, so they are marginal only and their
+      density does not split by output.
+    """
+
+    settings: tuple = ()
+    full_batch = False
+    heterotopic = False
+    mixture = False
+
+    def log_density(self, x, y, mean, var) -> np.ndarray:
+        """Log predictive density of each row of ``y``; ``mean`` and ``var``
+        are the marginals ``predict_moments`` gave at ``x``."""
+        lik = self.likelihood
+        if lik.requires_full_output_cov:
+            mean, cov = self.predict_moments(x, full_output_cov=True)
+            return predictive_log_density(lik, mean, cov, y)
+        return predictive_log_density(lik, mean, var, y)
+
+
+# Fields an SVGP shares with a deep-GP layer.  q's entries sit in the model
+# document and at the model's slot prefix; the mean function is filed as
+# ``mean_function`` but its slots sit under ``mean.``.
+KERNEL = Child("kernel", "kernel", family=Kernel)
+INDUCING = Child("inducing", "inducing", family=InducingVariable)
+Q = Child("", "q", family=VariationalGaussian)
+MEAN = Child(
+    "mean_function", "mean_function", family=MeanFunction, slot="mean", default="zero"
+)
+LIKELIHOOD = Child("likelihood", "likelihood", family=Likelihood)
+NUM_DATA = Static("num_data", "num_data", default=None)
+JITTER = Static("jitter", "jitter", default=None)
+
+# Config keys
+KERNEL_KEY = Setting("kernel", Kernel)
+LIKELIHOOD_KEY = Setting("likelihood", Likelihood)
+LAYER_KEYS = (
+    KERNEL_KEY, Setting("inducing", InducingVariable), Setting("mean", MeanFunction, "zero")
+)
+Q_KEYS = (Setting("whiten", bool, True), Setting("jitter", float, None, ">= 0"))
+
+
+def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
+    """q(u) at the prior: zero mean, identity factor (per latent if needed)."""
+    total = num_inducing(iv, kernel)
+    if isinstance(kernel, IndependentLatent) and not isinstance(iv, InducingPoints):
+        size = total // kernel.num_latent
+        blocks = tuple(np.eye(size) for _ in range(kernel.num_latent))
+        return VariationalGaussian(np.zeros(total), blocks, whiten=whiten)
+    return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
+
+
+def _layer_parts(node, x, whiten):
+    """(kernel, inducing, q, mean function) of a config block."""
+    kernel = from_spec(node["kernel"], Kernel)
+    iv = from_spec(node["inducing"], InducingVariable, (x, kernel))
+    mean = from_spec(node["mean"], MeanFunction)
+    return kernel, iv, _initial_q(iv, kernel, whiten), mean
 
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian process regression
 
 
-class GPRModel:
+class GPRModel(Model):
     """Exact GP regression with a Gaussian likelihood; the reference model."""
+
+    schema = Schema(
+        "gpr",
+        KERNEL,
+        Param("noise_variance", "positive", scalar=True, slot="likelihood.variance"),
+        Static("x", "x"),
+        Static("y", "y"),
+    )
+    settings = (KERNEL_KEY, Setting("likelihood", Likelihood, "gaussian"))
+    full_batch = True
 
     def __init__(self, kernel: Kernel, noise_variance: float, x, y):
         noise_variance = float(noise_variance)
@@ -91,10 +190,8 @@ class GPRModel:
             raise ValueError("noise variance must be non-negative")
         self.kernel = kernel
         self.noise_variance = noise_variance
-        self.x = np.asarray(x, dtype=float)
-        if self.x.ndim == 1:
-            self.x = self.x[:, None]
-        self.y = _as_column_targets(y)
+        self.x = _as_columns(x)
+        self.y = _as_columns(y)
         if self.y.shape != (self.x.shape[0], 1):
             raise ShapeMismatch(
                 f"targets must be [N, 1], got {self.y.shape} for N={self.x.shape[0]}"
@@ -118,9 +215,7 @@ class GPRModel:
         )
 
     def predict(self, xnew, full_cov: bool = False) -> PosteriorMoments:
-        xnew = np.asarray(xnew, dtype=float)
-        if xnew.ndim == 1:
-            xnew = xnew[:, None]
+        xnew = _as_columns(xnew)
         l = self._noisy_chol()
         kmn = k_full(self.kernel, self.x, xnew)
         a = tri_solve(l, kmn)
@@ -131,13 +226,44 @@ class GPRModel:
         var = k_diag(self.kernel, xnew) - np.sum(a * a, axis=0)
         return PosteriorMoments(mean[:, None], var[:, None], False, False)
 
+    @classmethod
+    def from_config(cls, node, dataset):
+        kernel = from_spec(node["kernel"], Kernel)
+        likelihood = from_spec(node["likelihood"], Likelihood)
+        if not isinstance(likelihood, Gaussian):
+            raise ConfigError("gpr supports a Gaussian likelihood only")
+        if dataset.y is None or dataset.y.shape[1] != 1:
+            raise DataError("gpr needs a single y0 output column")
+        return cls(kernel, likelihood.variance, dataset.x, dataset.y)
+
+    @property
+    def likelihood(self):
+        return Gaussian(max(self.noise_variance, 1e-300))
+
+    @property
+    def input_dim(self):
+        return self.x.shape[1]
+
+    def objective(self, batch, rng, scale):
+        return self.log_marginal()
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        if full_output_cov:
+            raise ConfigError("gpr supports --full-cov without output modes")
+        pm = self.predict(x, full_cov)
+        return pm.mean, pm.cov
+
 
 # ---------------------------------------------------------------------------
 # Sparse variational GP
 
 
-class SVGPModel:
+class SVGPModel(Model):
     """Sparse variational GP defined by (kernel, likelihood, inducing, q)."""
+
+    schema = Schema("svgp", KERNEL, INDUCING, Q, LIKELIHOOD, MEAN, NUM_DATA, JITTER)
+    settings = (*LAYER_KEYS, LIKELIHOOD_KEY, *Q_KEYS)
+    heterotopic = True
 
     def __init__(
         self,
@@ -172,6 +298,25 @@ class SVGPModel:
             return self.kernel.num_outputs
         return 1
 
+    @classmethod
+    def from_config(cls, node, dataset):
+        kernel, iv, q, mean = _layer_parts(node, dataset.x, node["whiten"])
+        likelihood = from_spec(node["likelihood"], Likelihood)
+        return cls(kernel, likelihood, iv, q, mean, dataset.x.shape[0], node["jitter"])
+
+    @property
+    def input_dim(self):
+        return input_width(self.inducing, self.kernel)
+
+    def objective(self, batch, rng, scale):
+        if len(batch) == 3:
+            return self.elbo_heterotopic(*batch, scale)
+        return self.elbo(batch, scale)
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        pm = self.predict_f(x, full_cov, full_output_cov)
+        return pm.mean, pm.cov
+
     def prior_kl(self) -> float:
         return prior_kl(self.inducing, self.kernel, self.q, self.jitter)
 
@@ -200,7 +345,7 @@ class SVGPModel:
         """Scaled expected log-likelihood minus the KL to the prior."""
         x, y = batch
         x = np.asarray(x, dtype=float)
-        y = _as_column_targets(y)
+        y = _as_columns(y)
         foc = self.likelihood.requires_full_output_cov
         moments = self.predict_f(x, full_cov=False, full_output_cov=foc)
         ve = variational_expectations(self.likelihood, moments.mean, moments.cov, y)
@@ -251,7 +396,7 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
             "closed-form optimum is implemented for dense posteriors"
         )
     x = np.asarray(x, dtype=float)
-    y = _as_column_targets(y)
+    y = _as_columns(y)
 
     kmm = kuu(model.inducing, model.kernel, model.jitter)
     kmn = kuf(model.inducing, model.kernel, x)
@@ -294,6 +439,8 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
 class GPLayer:
     """One SVGP-style layer of a deep GP."""
 
+    schema = Schema(None, KERNEL, INDUCING, Q, MEAN)
+
     def __init__(
         self,
         kernel: Kernel,
@@ -321,7 +468,7 @@ class GPLayer:
         return prior_kl(self.inducing, self.kernel, self.q, jitter)
 
 
-class DGPModel:
+class DGPModel(Model):
     """Deep GP: layers chained by sampling, final layer handled analytically.
 
     The inter-layer transitions are noiseless; each hidden state is a
@@ -329,6 +476,22 @@ class DGPModel:
     expected log-likelihood is evaluated in closed form (or by quadrature)
     on the final layer's moments.
     """
+
+    schema = Schema(
+        "dgp",
+        Child("layers", "layers", many=True, family=GPLayer),
+        LIKELIHOOD,
+        NUM_DATA,
+        Static("num_samples", "num_samples", default=1),
+        JITTER,
+    )
+    settings = (
+        LIKELIHOOD_KEY,
+        Setting("layers", GPLayer),
+        *Q_KEYS,
+        Setting("num_samples", int, 1, ">= 1"),
+    )
+    mixture = True
 
     def __init__(
         self,
@@ -353,6 +516,44 @@ class DGPModel:
         self.num_data = num_data
         self.num_samples = int(num_samples)
         self.jitter = jitter
+
+    @classmethod
+    def from_config(cls, node, dataset):
+        specs = node["layers"]
+        if not isinstance(specs, list) or not specs:
+            raise ConfigError("dgp needs a non-empty layers list")
+        layers = []
+        for spec in specs:
+            if not isinstance(spec, dict):
+                raise ConfigError(f"dgp layer {spec!r} must be a block")
+            check_keys(spec, [s.key for s in LAYER_KEYS], "layer")
+            spec = read_settings(spec, LAYER_KEYS, "layer")
+            layers.append(GPLayer(*_layer_parts(spec, dataset.x, node["whiten"])))
+        likelihood = from_spec(node["likelihood"], Likelihood)
+        return cls(
+            layers, likelihood, dataset.x.shape[0], node["num_samples"], node["jitter"]
+        )
+
+    @property
+    def input_dim(self):
+        first = self.layers[0]
+        return input_width(first.inducing, first.kernel)
+
+    def objective(self, batch, rng, scale):
+        return self.elbo(batch, rng(), scale)
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        if full_cov or full_output_cov:
+            raise ConfigError("deep models emit marginal predictions only")
+        samples = max(self.num_samples, PREDICT_SAMPLES)
+        return self.predict_f(x, RngState(0), samples)
+
+    def log_density(self, x, y, mean, var):
+        """Log density of the mixture over propagated samples."""
+        samples = max(self.num_samples, PREDICT_SAMPLES)
+        draws = self._sampled_marginals(x, RngState(0), samples)
+        parts = [predictive_log_density(self.likelihood, m, v, y) for m, v in draws]
+        return logsumexp(np.stack(parts), axis=0) - np.log(samples)
 
     def propagate(self, x, rng: RngState):
         """Sample hidden states through all but the last layer."""
@@ -382,7 +583,7 @@ class DGPModel:
     def elbo(self, batch, rng: RngState, scale: float | None = None) -> float:
         x, y = batch
         x = np.asarray(x, dtype=float)
-        y = _as_column_targets(y)
+        y = _as_columns(y)
         if scale is None:
             total = self.num_data if self.num_data is not None else x.shape[0]
             scale = total / x.shape[0]
@@ -401,28 +602,25 @@ class DGPModel:
 
     def predict_f(self, xnew, rng: RngState, num_samples: int = 100):
         """Posterior marginals by mixing over propagated samples."""
-        means = []
-        variances = []
+        draws = self._sampled_marginals(xnew, rng, num_samples)
+        means, variances = (np.stack(a) for a in zip(*draws))
+        return means.mean(axis=0), variances.mean(axis=0) + means.var(axis=0)
+
+    def _sampled_marginals(self, x, rng, num_samples):
+        """Final-layer (mean, var) at each of ``num_samples`` propagations."""
         for _ in range(num_samples):
-            h = self.propagate(xnew, rng)
-            moments = self._final_moments(h)
-            means.append(moments.mean)
+            moments = self._final_moments(self.propagate(x, rng))
             var = moments.cov
             if var.ndim == 3:  # [N, P, P] -> per-output marginals
                 var = np.einsum("npp->np", var)
-            variances.append(var)
-        means = np.stack(means)
-        variances = np.stack(variances)
-        mean = means.mean(axis=0)
-        var = variances.mean(axis=0) + means.var(axis=0)
-        return mean, var
+            yield moments.mean, var
 
 
 # ---------------------------------------------------------------------------
 # Uncertain inputs
 
 
-class UncertainSVGP:
+class UncertainSVGP(Model):
     """SVGP whose training inputs carry per-point Gaussian posteriors.
 
     Each input has q_n(x_n) = N(mu_n, diag(s_n)) against a standard-normal
@@ -430,19 +628,52 @@ class UncertainSVGP:
     while both KL terms stay in closed form.
     """
 
+    # The inner SVGP is a whole model document in the file, while its slots
+    # keep their unprefixed names.
+    schema = Schema(
+        "svgp_uncertain",
+        Child("svgp", "svgp", family=SVGPModel, slot="", document=True),
+        Param("input_mean", slot="inputs.mu"),
+        Param("input_var", "positive", slot="inputs.s"),
+        Static("y", "y"),
+    )
+    settings = (
+        *SVGPModel.settings,
+        Setting("input_variance", float, 0.01, "> 0"),
+    )
+    full_batch = True
+
     def __init__(self, svgp: SVGPModel, input_mean, input_var, y):
         self.svgp = svgp
-        self.input_mean = np.asarray(input_mean, dtype=float)
-        self.input_var = np.asarray(input_var, dtype=float)
-        self.y = _as_column_targets(y)
-        if self.input_mean.ndim == 1:
-            self.input_mean = self.input_mean[:, None]
-        if self.input_var.ndim == 1:
-            self.input_var = self.input_var[:, None]
+        self.input_mean = _as_columns(input_mean)
+        self.input_var = _as_columns(input_var)
+        self.y = _as_columns(y)
         if self.input_var.shape != self.input_mean.shape:
             raise ShapeMismatch("input means and variances must align")
         if np.any(self.input_var <= 0):
             raise ValueError("input variances must be strictly positive")
+
+    @classmethod
+    def from_config(cls, node, dataset):
+        svgp = SVGPModel.from_config(node, dataset)
+        if dataset.y is None:
+            raise DataError("uncertain-input training needs output columns")
+        input_var = np.full(dataset.x.shape, node["input_variance"])
+        return cls(svgp, dataset.x, input_var, dataset.y)
+
+    @property
+    def likelihood(self):
+        return self.svgp.likelihood
+
+    @property
+    def input_dim(self):
+        return self.input_mean.shape[1]
+
+    def objective(self, batch, rng, scale):
+        return self.elbo(rng())
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        return self.svgp.predict_moments(x, full_cov, full_output_cov)
 
     def input_kl(self) -> float:
         """Sum of per-point KL(N(mu, diag(s)) || N(0, I)) in closed form."""

@@ -1,15 +1,19 @@
-"""Component declarations and the one walker over them.
+"""Declarations and the one walker over them.
 
-Each concrete kernel, inducing variable, likelihood, mean function and the
-variational posterior declares its fields once, in a ``schema`` class
-attribute; its constructor takes one keyword per field, named after the
-field's attribute.  From the declarations come parameter-store slots and a
-rebuild closure (:func:`compile_slots`), model-file specs (:func:`to_spec`)
-and components from file or config specs (:func:`from_spec`).
+Each concrete kernel, inducing variable, likelihood, mean function, the
+variational posterior and each model kind declares its fields once, in a
+``schema`` class attribute; its constructor takes one keyword per field,
+named after the field's attribute.  From the declarations come
+parameter-store slots and a rebuild closure (:func:`compile_slots`), file
+specs (:func:`to_spec`; a whole model file is :func:`to_document`) and
+objects from file or config specs (:func:`from_spec`,
+:func:`from_document`).  The keys of a config block are declared as
+:class:`Setting` entries and read by :func:`read_settings`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +22,13 @@ from .errors import ConfigError, DuplicateRegistration, UnsupportedCombination
 from .numerics import cholesky
 
 REQUIRED = object()
+SCHEMA_VERSION = 1  # of model files
 
 
 @dataclass(frozen=True)
 class Param:
-    """A trained field, named ``key`` in slots, files and the object."""
+    """A trained field, named ``key`` in files and the object and ``slot``
+    (default: ``key``) in the parameter store."""
 
     key: str
     transform: str = "identity"  # identity | positive | tril
@@ -30,6 +36,7 @@ class Param:
     default: object = REQUIRED  # a value, or a function of the spec
     factored: bool = False  # a covariance whose Cholesky factor <key>_sqrt trains
     from_data: object = None  # (x, kernel) -> rows; from_data = M takes M of them
+    slot: str | None = None
 
     @property
     def attr(self):
@@ -38,11 +45,25 @@ class Param:
 
 @dataclass(frozen=True)
 class Child:
-    """A component of the same family (``many``: a list of them)."""
+    """A nested component (``many``: a list of them).
+
+    ``family`` holds the classes its spec may name (default: the parent's
+    family).  ``key`` is its file key and ``slot`` its slot prefix (default:
+    ``key``); an empty one puts the child's entries in the parent's document
+    or prefix.  A ``document`` child is filed as a whole model document.
+    """
 
     key: str
     attr: str
     many: bool = False
+    family: type | None = None
+    slot: str | None = None
+    default: object = REQUIRED
+    document: bool = False
+
+    def prefix(self, prefix: str) -> str:
+        name = self.key if self.slot is None else self.slot
+        return f"{prefix}{name}." if name else prefix
 
 
 @dataclass(frozen=True)
@@ -52,6 +73,7 @@ class Static:
 
     key: str | None
     attr: str
+    default: object = REQUIRED
 
 
 class Schema:
@@ -81,15 +103,16 @@ def compile_slots(obj, prefix, store):
         if isinstance(f, Static):
             fixed[f.attr] = value
         elif isinstance(f, Param):
-            readers.append((f.attr, _slot_reader(f, value, prefix + f.key, store)))
+            name = prefix + (f.slot or f.key)
+            readers.append((f.attr, _slot_reader(f, value, name, store)))
         elif f.many:
             parts = [
-                compile_slots(c, f"{prefix}{f.key}.{i}.", store)
+                compile_slots(c, f"{f.prefix(prefix)}{i}.", store)
                 for i, c in enumerate(value)
             ]
             readers.append((f.attr, lambda s, parts=parts: [b(s) for b in parts]))
         else:
-            readers.append((f.attr, compile_slots(value, f"{prefix}{f.key}.", store)))
+            readers.append((f.attr, compile_slots(value, f.prefix(prefix), store)))
     if not readers:
         return lambda s: obj
     cls = type(obj)
@@ -123,7 +146,7 @@ def _slot_reader(f, value, name, store):
 
 
 def to_spec(obj) -> dict:
-    """The file representation of a component that declares itself."""
+    """The file representation of an object that declares itself."""
     schema = type(obj).__dict__.get("schema")
     if schema is None:
         raise ConfigError(f"{type(obj).__name__} has no file representation")
@@ -138,8 +161,16 @@ def to_spec(obj) -> dict:
             else:
                 spec[f.key] = float(value) if f.scalar else as_list(value)
         elif isinstance(f, Child):
-            spec[f.key] = [to_spec(c) for c in value] if f.many else to_spec(value)
+            filed = to_document if f.document else to_spec
+            if f.many:
+                spec[f.key] = [filed(c) for c in value]
+            elif f.key:
+                spec[f.key] = filed(value)
+            else:
+                spec.update(filed(value))
         elif f.key is not None:
+            if isinstance(value, np.ndarray):
+                value = as_list(value)
             spec[f.key] = list(value) if isinstance(value, tuple) else value
     unfiled = [f.attr for f in schema.fields if f.key is None]
     restored = construct(type(obj), spec) if unfiled else None
@@ -153,7 +184,16 @@ def to_spec(obj) -> dict:
     return spec
 
 
-def _tags(family) -> dict:
+def to_document(model, metadata: dict | None = None) -> dict:
+    """A model's file document: its spec with the tag as ``kind``, the file
+    schema version and ``metadata``."""
+    doc = to_spec(model)
+    doc["kind"] = doc.pop("tag")
+    doc.update(schema_version=SCHEMA_VERSION, metadata=metadata or {})
+    return doc
+
+
+def tags(family) -> dict:
     """Tag -> class for every subclass of ``family`` that declares itself."""
     found, pending = {}, [family]
     while pending:
@@ -166,14 +206,18 @@ def _tags(family) -> dict:
 
 
 def from_spec(spec, family, data=None):
-    """A component of ``family`` from a tag or a dict with a tag.
+    """An object of ``family`` from a tag or a dict with a tag.
 
     Keys that the class does not declare are an error.  ``data`` is
     (inputs, kernel) for config specs, which alone may carry ``from_data``.
+    A family with an untagged declaration reads its fields from ``spec``.
     """
+    own = family.__dict__.get("schema")
+    if own is not None and own.tag is None:
+        return construct(family, spec, family, data)
     if isinstance(spec, str):
         spec = {"tag": spec}
-    known = _tags(family)
+    known = tags(family)
     if not isinstance(spec, dict) or spec.get("tag") not in known:
         raise ConfigError(
             f"{family.__name__} spec {spec!r} has none of the tags "
@@ -192,7 +236,7 @@ def from_spec(spec, family, data=None):
         )
     if "from_data" in spec:
         spec = dict(spec)
-        m = int(spec.pop("from_data"))
+        m = Setting("from_data", int).coerce(spec.pop("from_data"), spec["tag"])
         for f in pools:
             rows = f.from_data(*data)
             if not 1 <= m <= rows.shape[0]:
@@ -201,29 +245,133 @@ def from_spec(spec, family, data=None):
     return construct(cls, spec, family, data)
 
 
+def from_document(doc, family):
+    """The model a file document describes; ``family`` holds its kinds."""
+    version = doc.get("schema_version") if isinstance(doc, dict) else doc
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported model file schema: {version!r}")
+    kind = doc.get("kind")
+    cls = tags(family).get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return construct(cls, doc, family)
+
+
 def construct(cls, spec, family=None, data=None):
     """``cls`` from the declared keys of ``spec``, defaults filling the rest."""
+    tag = cls.schema.tag or cls.__name__
     kwargs = {}
     for f in cls.schema.fields:
         if f.key is None:
             continue
-        value = spec.get(f.key, getattr(f, "default", REQUIRED))
+        value = spec.get(f.key, f.default) if f.key else spec
         if value is REQUIRED:
-            raise ConfigError(f"{cls.schema.tag or cls.__name__} needs {f.key!r}")
-        if isinstance(f, Child) and f.many:
-            if not isinstance(value, list):
+            raise ConfigError(f"{tag} needs {f.key!r}")
+        if isinstance(f, Child):
+            kind = f.family or family
+            if f.document:
+                value = from_document(value, kind)
+            elif not f.many:
+                value = from_spec(value, kind, data)
+            elif isinstance(value, list):
+                value = [from_spec(v, kind, data) for v in value]
+            else:
                 raise ConfigError(f"{f.key} must be a list, got {value!r}")
-            value = [from_spec(v, family, data) for v in value]
-        elif isinstance(f, Child):
-            value = from_spec(value, family, data)
         elif f.key not in spec:  # a declared default
             value = value(spec) if callable(value) else value
-        elif isinstance(f, Param) and isinstance(value, dict):
-            value = tuple(np.asarray(b, float) for b in value["blocks"])
-        elif isinstance(f, Param) and not f.scalar:
-            value = np.asarray(value, float)
+        elif isinstance(f, Param):
+            value = _param_value(f, value, tag)
         kwargs[f.attr] = value
     try:
         return cls(**kwargs)
-    except ValueError as err:  # a constructor's range check on a filed value
-        raise ConfigError(f"{cls.schema.tag or cls.__name__}: {err}") from err
+    except (TypeError, ValueError) as err:  # a constructor's check on a value
+        raise ConfigError(f"{tag}: {err}") from err
+
+
+def _param_value(f, value, tag):
+    """A filed or configured Param value as the number or arrays it holds."""
+    try:
+        if f.scalar:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError
+            return value
+        if isinstance(value, dict):
+            return tuple(np.asarray(b, float) for b in value["blocks"])
+        return np.asarray(value, float)
+    except (KeyError, TypeError, ValueError):
+        expected = "a number" if f.scalar else "numeric"
+        raise ConfigError(f"{tag}: {f.key} must be {expected}, got {value!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Config settings
+
+_TYPE_TEXT = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    list: "a name or a list of names",
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """A config key: its type, default and range (such as ``"> 0"``).
+
+    ``type`` is bool, int, float, list (a name or a list of names, read as
+    a tuple) or the family of a component spec, which is passed on as
+    written for ``from_spec`` to read.
+    """
+
+    key: str
+    type: type
+    default: object = REQUIRED
+    range: str = ""
+
+    def coerce(self, value, context=None):
+        """``value`` as the declared type, or a ``ConfigError`` naming the key."""
+        t = self.type
+        if t not in _TYPE_TEXT:
+            return value
+        names = [value] if isinstance(value, str) else value
+        if t is list and isinstance(names, list) and all(isinstance(v, str) for v in names):
+            return tuple(names)
+        if t is bool and isinstance(value, bool):
+            return value
+        op, bound = (self.range or ">= -inf").split()
+        if (
+            t in (int, float)
+            and isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (t is float or float(value).is_integer())
+            and (value > float(bound) if op == ">" else value >= float(bound))
+        ):
+            return t(value)
+        where = f"{context}: " if context else ""
+        expected = f"{_TYPE_TEXT[t]} {self.range}".rstrip()
+        raise ConfigError(f"{where}{self.key} must be {expected}, got {value!r}")
+
+
+def check_keys(node, keys, context):
+    """Reject a key of a config block that is not among ``keys``."""
+    unknown = sorted(set(node) - set(keys) - {"tag"})  # "tag": the block's name
+    if unknown:
+        raise ConfigError(
+            f"{context} has no key {unknown[0]!r}; allowed keys: "
+            + ", ".join(sorted(keys))
+        )
+
+
+def read_settings(node, settings, context) -> dict:
+    """Key -> value for each declared setting of a config block, each value
+    coerced to its type and absent ones set to their defaults."""
+    values = {}
+    for s in settings:
+        if s.key in node:
+            values[s.key] = s.coerce(node[s.key])
+        elif s.default is REQUIRED:
+            raise ConfigError(f"{context} is missing the {s.key!r} entry")
+        else:
+            values[s.key] = s.default
+    return values

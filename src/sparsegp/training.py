@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .likelihoods import Gaussian
-from .models import DGPModel, GPLayer, GPRModel, SVGPModel, UncertainSVGP
+from .models import SVGPModel
 from .numerics import RngState, cholesky, densify, tri_solve
 from .schema import compile_slots
 
@@ -291,74 +291,7 @@ def adam_step(
 def parameterize(model):
     """Slots and a rebuild closure for a model; see the module docstring."""
     store = ParameterStore()
-    if isinstance(model, GPRModel):
-        kernel = compile_slots(model.kernel, "kernel.", store)
-        store.add("likelihood.variance", model.noise_variance, POSITIVE)
-
-        def build(s):
-            return GPRModel(
-                kernel(s), float(s.get("likelihood.variance")), model.x, model.y
-            )
-
-        return store, build
-
-    if isinstance(model, SVGPModel):
-        kernel = compile_slots(model.kernel, "kernel.", store)
-        inducing = compile_slots(model.inducing, "inducing.", store)
-        q = compile_slots(model.q, "", store)
-        likelihood = compile_slots(model.likelihood, "likelihood.", store)
-        mean = compile_slots(model.mean_function, "mean.", store)
-
-        def build(s):
-            return SVGPModel(
-                kernel(s),
-                likelihood(s),
-                inducing(s),
-                q(s),
-                mean(s),
-                model.num_data,
-                model.jitter,
-            )
-
-        return store, build
-
-    if isinstance(model, DGPModel):
-        layers = []
-        for i, layer in enumerate(model.layers):
-            prefix = f"layers.{i}."
-            layers.append([
-                compile_slots(layer.kernel, prefix + "kernel.", store),
-                compile_slots(layer.inducing, prefix + "inducing.", store),
-                compile_slots(layer.q, prefix, store),
-                compile_slots(layer.mean_function, prefix + "mean.", store),
-            ])
-        likelihood = compile_slots(model.likelihood, "likelihood.", store)
-
-        def build(s):
-            return DGPModel(
-                [GPLayer(*[part(s) for part in parts]) for parts in layers],
-                likelihood(s),
-                model.num_data,
-                model.num_samples,
-                model.jitter,
-            )
-
-        return store, build
-
-    if isinstance(model, UncertainSVGP):
-        inner_store, inner_build = parameterize(model.svgp)
-        store = inner_store
-        store.add("inputs.mu", model.input_mean, IDENTITY)
-        store.add("inputs.s", model.input_var, POSITIVE)
-
-        def build(s):
-            return UncertainSVGP(
-                inner_build(s), s.get("inputs.mu"), s.get("inputs.s"), model.y
-            )
-
-        return store, build
-
-    raise UnsupportedCombination(f"cannot parameterize {type(model).__name__}")
+    return store, compile_slots(model, "", store)
 
 
 # ---------------------------------------------------------------------------
@@ -487,33 +420,16 @@ def _objective_factory(model, build, x, y, outputs, config):
 
     def make(step):
         idx = next(batch_iter)
-        xb, yb = x[idx], y[idx]
-        scale = n / xb.shape[0]
-        strategy = FiniteDifference()
-        if isinstance(model, GPRModel):
-            objective = lambda s: -build(s).log_marginal()  # noqa: E731
-        elif isinstance(model, SVGPModel):
-            if outputs is None:
-                objective = lambda s: -build(s).elbo((xb, yb), scale)  # noqa: E731
-                if analytic:
-                    strategy = Analytic(
-                        analytic_q_entries(model, build, xb, yb, scale)
-                    )
-            else:
-                pb = outputs[idx]
-                objective = lambda s: -build(s).elbo_heterotopic(  # noqa: E731
-                    xb, pb, yb[:, 0], scale
-                )
-        elif isinstance(model, DGPModel):
-            objective = lambda s: -build(s).elbo(  # noqa: E731
-                (xb, yb), RngState(config.seed).derive(1, step), scale
-            )
-        elif isinstance(model, UncertainSVGP):
-            objective = lambda s: -build(s).elbo(  # noqa: E731
-                RngState(config.seed).derive(1, step)
-            )
+        if outputs is None:
+            batch = (x[idx], y[idx])
         else:
-            raise UnsupportedCombination(f"cannot train {type(model).__name__}")
+            batch = (x[idx], outputs[idx], y[idx, 0])
+        scale = n / idx.shape[0]
+        rng = lambda: RngState(config.seed).derive(1, step)  # noqa: E731
+        objective = lambda s: -build(s).objective(batch, rng, scale)  # noqa: E731
+        strategy = FiniteDifference()
+        if analytic:
+            strategy = Analytic(analytic_q_entries(model, build, *batch, scale))
         return objective, strategy
 
     return make
