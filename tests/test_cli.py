@@ -287,12 +287,96 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "'kernel.lengthscale'" in err and "kernel.lengthscales" in err
 
-    def test_out_of_range_component_value_is_2(self, tmp_path, capsys):
-        text = SVGP_CONF.format(steps=1).replace("variance = 1.0", "variance = -1.0")
+    @pytest.mark.parametrize(
+        "right, wrong, message",
+        [
+            ("variance = 1.0", "variance = -1.0", "sqexp: variance must be positive"),
+            (
+                "variance = 1.0",
+                "variance = [1.0, 2.0]",
+                "sqexp: variance must be a number, got [1.0, 2.0]",
+            ),
+            (
+                "lengthscales = [0.8]",
+                "lengthscales = [abc]",
+                "sqexp: lengthscales must be numeric, got ['abc']",
+            ),
+            (
+                "from_data = 8",
+                "from_data = abc",
+                "points: from_data must be an integer, got 'abc'",
+            ),
+        ],
+        ids=["negative", "list_for_a_number", "non_numeric_array", "from_data_word"],
+    )
+    def test_out_of_range_component_value_is_2(
+        self, tmp_path, capsys, right, wrong, message
+    ):
+        text = SVGP_CONF.format(steps=1).replace(right, wrong)
         conf = _write(tmp_path, "negative.conf", text)
         out = str(tmp_path / "m.json")
         assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
-        assert "sqexp: variance must be positive" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (SVGP_CONF.format(steps="abc"), "steps must be an integer >= 0, got 'abc'"),
+            (SVGP_CONF.format(steps=2.7), "steps must be an integer >= 0, got 2.7"),
+            (SVGP_CONF.format(steps=-3), "steps must be an integer >= 0, got -3"),
+            (
+                SVGP_CONF.format(steps=1).replace("seed = 0", "seed = [1]"),
+                "seed must be an integer >= 0, got [1]",
+            ),
+            (
+                SVGP_CONF.format(steps=1).replace("0.02", "fast"),
+                "learning_rate must be a number > 0, got 'fast'",
+            ),
+            (
+                SVGP_CONF.format(steps=1).replace("whiten = true", "whiten = maybe"),
+                "whiten must be true or false, got 'maybe'",
+            ),
+            (
+                SVGP_CONF.format(steps=1).replace("whiten = true", "jitter = abc"),
+                "jitter must be a number >= 0, got 'abc'",
+            ),
+            (
+                SVGP_CONF.format(steps=1).replace("whiten = true", "freeze = 5"),
+                "freeze must be a name or a list of names, got 5",
+            ),
+            (
+                DGP_LAYER_TYPO.replace(", whiten = true", "").replace(
+                    "kind = dgp", "kind = dgp\n  num_samples = 0"
+                ),
+                "num_samples must be an integer >= 1, got 0",
+            ),
+            (
+                FULL_BATCH_CONF.format(
+                    kind="svgp_uncertain",
+                    batch_size=0,
+                    inducing="inducing = points { from_data = 4 }\ninput_variance = -1",
+                ),
+                "input_variance must be a number > 0, got -1",
+            ),
+        ],
+        ids=[
+            "steps_word",
+            "steps_fraction",
+            "steps_negative",
+            "seed_list",
+            "learning_rate_word",
+            "whiten_word",
+            "jitter_word",
+            "freeze_number",
+            "num_samples_zero",
+            "input_variance_negative",
+        ],
+    )
+    def test_mistyped_config_value_is_2(self, tmp_path, capsys, text, message):
+        conf = _write(tmp_path, "typed.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert message in capsys.readouterr().err
 
     def test_out_of_range_model_file_value_is_config_error(self, tmp_path, trained_svgp):
         doc = json.load(open(trained_svgp))

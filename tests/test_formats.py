@@ -22,6 +22,8 @@ import pytest
 from sparsegp.cli import build_model
 from sparsegp.config import parse_config
 from sparsegp.modelio import Dataset, load_model, save_model
+from sparsegp.models import Model
+from sparsegp.schema import tags
 from sparsegp.training import parameterize
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -214,6 +216,13 @@ def test_slot_names_are_pinned(name, golden_names):
 
 def test_every_case_has_a_fixture(golden_names):
     assert sorted(golden_names) == sorted(CASES)
+    pinned = {parse_config(block)["kind"] for _, block in CASES.values()}
+    shipped = {
+        kind
+        for kind, cls in tags(Model).items()
+        if cls.__module__.startswith("sparsegp.")
+    }
+    assert shipped <= pinned, f"model kinds with no golden case: {shipped - pinned}"
 
 
 def write_fixtures():

@@ -1,5 +1,5 @@
-"""Component declarations: coverage, strategies, and a kernel added from
-its declaration alone."""
+"""Component and model declarations: coverage, strategies, and a kernel and
+a model kind added from their declarations alone."""
 
 from __future__ import annotations
 
@@ -20,17 +20,19 @@ from sparsegp import (
     fit,
     parameterize,
 )
+from sparsegp.cli import build_model, main
+from sparsegp.config import parse_config
 from sparsegp.errors import ConfigError
 from sparsegp.inducing import InducingVariable
 from sparsegp.kernels import Kernel, MultioutputKernel, Stationary
 from sparsegp.likelihoods import Likelihood
-from sparsegp.modelio import load_model, save_model
-from sparsegp.models import MeanFunction
-from sparsegp.schema import Schema
+from sparsegp.modelio import Dataset, load_model, save_model
+from sparsegp.models import MeanFunction, Model
+from sparsegp.schema import Param, Schema, Setting, Static
 
 from conftest import desk_regression
 
-FAMILIES = (Kernel, InducingVariable, Likelihood, MeanFunction)
+FAMILIES = (Kernel, InducingVariable, Likelihood, MeanFunction, Model)
 ABSTRACT = {Kernel, MultioutputKernel, InducingVariable}
 
 
@@ -111,3 +113,63 @@ class TestNewKernel:
         assert isinstance(loaded.kernel, Cauchy)
         save_model(loaded, second, metadata)
         assert first.read_bytes() == second.read_bytes()
+
+
+class ConstantNoise(Model):
+    """Declared here only: y ~ N(offset, noise), whatever the inputs."""
+
+    schema = Schema(
+        "test_constant",
+        Param("offset", scalar=True),
+        Param("noise", "positive", scalar=True),
+        Static("width", "input_dim"),
+    )
+    settings = (Setting("noise", float, 1.0, "> 0"),)
+
+    def __init__(self, offset, noise, input_dim):
+        self.offset, self.noise, self.input_dim = float(offset), float(noise), input_dim
+
+    @classmethod
+    def from_config(cls, node, dataset):
+        return cls(0.0, node["noise"], dataset.x.shape[1])
+
+    @property
+    def likelihood(self):
+        return Gaussian(self.noise)
+
+    def objective(self, batch, rng, scale):
+        _, y = batch
+        return scale * float(np.sum(self.likelihood.log_density(self.offset, y)))
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        return np.full((x.shape[0], 1), self.offset), np.zeros((x.shape[0], 1))
+
+
+class TestNewModelKind:
+    def test_builds_trains_and_round_trips_from_its_declaration(self, tmp_path):
+        x, y = desk_regression()
+        config = parse_config("model { kind = test_constant, noise = 0.5 }")
+        model = build_model(config, Dataset(x, y, None))
+        assert isinstance(model, ConstantNoise) and model.noise == 0.5
+        assert parameterize(model)[0].names() == ["offset", "noise"]
+
+        result = fit(model, (x, y), FitConfig(steps=30, learning_rate=0.05))
+        assert abs(result.model.offset - np.mean(y)) < abs(np.mean(y))
+        assert result.trace[-1].elbo > result.trace[0].elbo
+
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(result.model, first)
+        loaded, metadata = load_model(first)
+        assert isinstance(loaded, ConstantNoise)
+        save_model(loaded, second, metadata)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_the_commands_need_nothing_else(self, tmp_path):
+        conf = tmp_path / "c.conf"
+        conf.write_text("steps = 3\nmodel { kind = test_constant }\n")
+        model, data = str(tmp_path / "m.json"), "data/regression_30.csv"
+        assert main(["train", "--config", str(conf), "--data", data, "--out", model]) == 0
+        metrics = str(tmp_path / "metrics.json")
+        assert main(["eval", "--model", model, "--data", data, "--out", metrics]) == 0
+        preds = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", model, "--data", data, "--out", preds]) == 0
