@@ -144,7 +144,9 @@ JITTER = Static("jitter", "jitter", default=None)
 KERNEL_KEY = Setting("kernel", Kernel)
 LIKELIHOOD_KEY = Setting("likelihood", Likelihood)
 LAYER_KEYS = (
-    KERNEL_KEY, Setting("inducing", InducingVariable), Setting("mean", MeanFunction, "zero")
+    KERNEL_KEY,
+    Setting("inducing", InducingVariable),
+    Setting("mean", MeanFunction, "zero"),
 )
 Q_KEYS = (Setting("whiten", bool, True), Setting("jitter", float, None, ">= 0"))
 
@@ -157,6 +159,28 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
         blocks = tuple(np.eye(size) for _ in range(kernel.num_latent))
         return VariationalGaussian(np.zeros(total), blocks, whiten=whiten)
     return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
+
+
+def _posterior(gp, x, full_cov, full_output_cov, jitter) -> PosteriorMoments:
+    """Moments of an SVGP or a deep-GP layer at ``x``, mean function added."""
+    moments = conditional(
+        x,
+        gp.inducing,
+        gp.kernel,
+        gp.q,
+        full_cov=full_cov,
+        full_output_cov=full_output_cov,
+        jitter=jitter,
+    )
+    moments.mean = moments.mean + gp.mean_function(x)
+    return moments
+
+
+def _scale(num_data, batch_size, scale) -> float:
+    """The weight of a batch's data term: ``scale``, else N / batch size."""
+    if scale is not None:
+        return float(scale)
+    return (num_data if num_data is not None else batch_size) / batch_size
 
 
 def _layer_parts(node, x, whiten):
@@ -323,23 +347,7 @@ class SVGPModel(Model):
     def predict_f(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
     ) -> PosteriorMoments:
-        moments = conditional(
-            xnew,
-            self.inducing,
-            self.kernel,
-            self.q,
-            full_cov=full_cov,
-            full_output_cov=full_output_cov,
-            jitter=self.jitter,
-        )
-        moments.mean = moments.mean + self.mean_function(xnew)
-        return moments
-
-    def _scale(self, batch_size: int, scale) -> float:
-        if scale is not None:
-            return float(scale)
-        total = self.num_data if self.num_data is not None else batch_size
-        return total / batch_size
+        return _posterior(self, xnew, full_cov, full_output_cov, self.jitter)
 
     def elbo(self, batch, scale: float | None = None) -> float:
         """Scaled expected log-likelihood minus the KL to the prior."""
@@ -349,7 +357,8 @@ class SVGPModel(Model):
         foc = self.likelihood.requires_full_output_cov
         moments = self.predict_f(x, full_cov=False, full_output_cov=foc)
         ve = variational_expectations(self.likelihood, moments.mean, moments.cov, y)
-        return self._scale(x.shape[0], scale) * float(np.sum(ve)) - self.prior_kl()
+        scale = _scale(self.num_data, x.shape[0], scale)
+        return scale * float(np.sum(ve)) - self.prior_kl()
 
     def elbo_heterotopic(self, x, outputs, y, scale: float | None = None) -> float:
         """ELBO for rows observing one output index each.
@@ -380,7 +389,7 @@ class SVGPModel(Model):
                 y[rows],
             )
             total += float(np.sum(ve))
-        return self._scale(x.shape[0], scale) * total - self.prior_kl()
+        return _scale(self.num_data, x.shape[0], scale) * total - self.prior_kl()
 
 
 def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
@@ -566,28 +575,13 @@ class DGPModel(Model):
         return h
 
     def _final_moments(self, h):
-        last = self.layers[-1]
         foc = self.likelihood.requires_full_output_cov
-        moments = conditional(
-            h,
-            last.inducing,
-            last.kernel,
-            last.q,
-            full_cov=False,
-            full_output_cov=foc,
-            jitter=self.jitter,
-        )
-        moments.mean = moments.mean + last.mean_function(h)
-        return moments
+        return _posterior(self.layers[-1], h, False, foc, self.jitter)
 
     def elbo(self, batch, rng: RngState, scale: float | None = None) -> float:
         x, y = batch
         x = np.asarray(x, dtype=float)
         y = _as_columns(y)
-        if scale is None:
-            total = self.num_data if self.num_data is not None else x.shape[0]
-            scale = total / x.shape[0]
-
         data_terms = np.zeros(x.shape[0])
         for _ in range(self.num_samples):
             h = self.propagate(x, rng)
@@ -598,7 +592,8 @@ class DGPModel(Model):
         data_terms /= self.num_samples
 
         kl = sum(layer.prior_kl(self.jitter) for layer in self.layers)
-        return float(scale) * float(np.sum(data_terms)) - kl
+        scale = _scale(self.num_data, x.shape[0], scale)
+        return scale * float(np.sum(data_terms)) - kl
 
     def predict_f(self, xnew, rng: RngState, num_samples: int = 100):
         """Posterior marginals by mixing over propagated samples."""

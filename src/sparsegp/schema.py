@@ -247,7 +247,7 @@ def from_spec(spec, family, data=None):
 
 def from_document(doc, family):
     """The model a file document describes; ``family`` holds its kinds."""
-    version = doc.get("schema_version") if isinstance(doc, dict) else doc
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported model file schema: {version!r}")
     kind = doc.get("kind")
@@ -333,21 +333,19 @@ class Setting:
         t = self.type
         if t not in _TYPE_TEXT:
             return value
-        names = [value] if isinstance(value, str) else value
-        if t is list and isinstance(names, list) and all(isinstance(v, str) for v in names):
-            return tuple(names)
-        if t is bool and isinstance(value, bool):
-            return value
-        op, bound = (self.range or ">= -inf").split()
-        if (
-            t in (int, float)
-            and isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and math.isfinite(value)
-            and (t is float or float(value).is_integer())
-            and (value > float(bound) if op == ">" else value >= float(bound))
-        ):
-            return t(value)
+        if t is list:
+            names = [value] if isinstance(value, str) else value
+            if isinstance(names, list) and all(isinstance(v, str) for v in names):
+                return tuple(names)
+        elif t is bool:
+            if isinstance(value, bool):
+                return value
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            op, bound = (self.range or ">= -inf").split()
+            within = value > float(bound) if op == ">" else value >= float(bound)
+            whole = t is float or float(value).is_integer()
+            if math.isfinite(value) and within and whole:
+                return t(value)
         where = f"{context}: " if context else ""
         expected = f"{_TYPE_TEXT[t]} {self.range}".rstrip()
         raise ConfigError(f"{where}{self.key} must be {expected}, got {value!r}")

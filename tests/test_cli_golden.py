@@ -75,7 +75,9 @@ def run(case, command, workdir):
 
 
 def _same_number(a, b):
-    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=RTOL, abs_tol=0.0)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return math.isclose(a, b, rel_tol=RTOL, abs_tol=0.0)
 
 
 def _same_json(got, want, where="$"):
@@ -150,7 +152,8 @@ def write_fixtures(workdir):
     os.makedirs(PINNED, exist_ok=True)
     for case in sorted(CASES):
         outputs = {command: run(case, command, workdir) for command in sorted(COMMANDS)}
-        with open(os.path.join(PINNED, f"{case}.json"), "w", encoding="utf-8") as handle:
+        path = os.path.join(PINNED, f"{case}.json")
+        with open(path, "w", encoding="utf-8") as handle:
             json.dump(outputs, handle, indent=1, sort_keys=True)
             handle.write("\n")
 

@@ -168,7 +168,8 @@ class TestNewModelKind:
         conf = tmp_path / "c.conf"
         conf.write_text("steps = 3\nmodel { kind = test_constant }\n")
         model, data = str(tmp_path / "m.json"), "data/regression_30.csv"
-        assert main(["train", "--config", str(conf), "--data", data, "--out", model]) == 0
+        train = ["train", "--config", str(conf), "--data", data, "--out", model]
+        assert main(train) == 0
         metrics = str(tmp_path / "metrics.json")
         assert main(["eval", "--model", model, "--data", data, "--out", metrics]) == 0
         preds = str(tmp_path / "p.csv")
