@@ -107,9 +107,9 @@ class Model:
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
     - ``likelihood``, and ``input_dim``: input columns, None when free;
     - ``full_batch``: training takes every row at each step; ``heterotopic``:
-      it trains on rows observing one output each; ``mixture``: predictions
-      mix over sampled propagations, so they are marginal only and their
-      density does not split by output.
+      it trains on rows observing one of its ``num_outputs`` each;
+      ``mixture``: predictions mix over sampled propagations, so they are
+      marginal only and their density does not split by output.
     """
 
     settings: tuple = ()

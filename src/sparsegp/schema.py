@@ -341,10 +341,14 @@ class Setting:
             if isinstance(value, bool):
                 return value
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.nan
             op, bound = (self.range or ">= -inf").split()
-            within = value > float(bound) if op == ">" else value >= float(bound)
-            whole = t is float or float(value).is_integer()
-            if math.isfinite(value) and within and whole:
+            within = number > float(bound) if op == ">" else number >= float(bound)
+            whole = t is float or number.is_integer()
+            if math.isfinite(number) and within and whole:
                 return t(value)
         where = f"{context}: " if context else ""
         expected = f"{_TYPE_TEXT[t]} {self.range}".rstrip()
