@@ -324,7 +324,6 @@ class TestExitCodes:
             (SVGP_CONF.format(steps="abc"), "steps must be an integer >= 0, got 'abc'"),
             (SVGP_CONF.format(steps=2.7), "steps must be an integer >= 0, got 2.7"),
             (SVGP_CONF.format(steps=-3), "steps must be an integer >= 0, got -3"),
-            (SVGP_CONF.format(steps="9" * 400), "steps must be an integer >= 0"),
             (
                 SVGP_CONF.format(steps=1).replace("seed = 0", "seed = [1]"),
                 "seed must be an integer >= 0, got [1]",
@@ -364,7 +363,6 @@ class TestExitCodes:
             "steps_word",
             "steps_fraction",
             "steps_negative",
-            "steps_beyond_float",
             "seed_list",
             "learning_rate_word",
             "whiten_word",

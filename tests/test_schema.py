@@ -115,6 +115,11 @@ class TestNewKernel:
         assert first.read_bytes() == second.read_bytes()
 
 
+def test_an_integer_beyond_the_float_range_is_a_config_error():
+    with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
+        Setting("steps", int, 500, ">= 0").coerce(int("9" * 400))
+
+
 class ConstantNoise(Model):
     """Declared here only: y ~ N(offset, noise), whatever the inputs."""
 
