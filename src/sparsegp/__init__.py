@@ -46,9 +46,8 @@ from .likelihoods import (
     Bernoulli,
     CorrelatedGaussian,
     Gaussian,
-    GaussHermite,
-    MonteCarlo,
     Poisson,
+    gauss_hermite_expectations,
     marginalize_outputs,
     predict_observation_moments,
     predictive_log_density,
@@ -78,8 +77,6 @@ from .numerics import (
     tri_solve,
 )
 from .training import (
-    Analytic,
-    FiniteDifference,
     FitConfig,
     ParameterStore,
     adam_step,

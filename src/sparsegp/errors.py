@@ -50,7 +50,7 @@ class ShapeMismatch(SparseGPError):
 
 
 class UnsupportedCombination(SparseGPError):
-    """The requested likelihood/strategy combination is not defined."""
+    """The requested combination of components or operations is not defined."""
 
 
 class EmptySubset(SparseGPError):

@@ -3,9 +3,11 @@
 ``variational_expectations`` integrates log p(y | f) against the marginal
 posterior N(f; Fmu, Fvar) per data point.  Factorized likelihoods take
 per-output variances Fvar of shape [N, P]; the correlated Gaussian takes
-full per-point covariances [N, P, P].  Closed forms are used where they
-exist; otherwise evaluation falls back to one-dimensional Gauss-Hermite
-quadrature or Monte Carlo, selected by the likelihood's strategy.
+full per-point covariances [N, P, P].  Each likelihood computes the
+expectation one way, in its ``expectations``: in closed form where one
+exists, else (Bernoulli) by Gauss-Hermite quadrature.
+``gauss_hermite_expectations`` and ``variational_expectations_mc`` are the
+quadrature and sampling oracles the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -21,60 +23,22 @@ from .numerics import (
     standard_normal,
     tri_solve,
 )
-from .schema import Param, Schema, Static
+from .schema import Param, Schema
 
 DEFAULT_QUADRATURE_NODES = 20
-
-
-class Strategy:
-    """Strategies of one type with the same settings are equal."""
-
-    def __eq__(self, other):
-        return type(self) is type(other) and vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({vars(self)})"
-
-
-class ClosedForm(Strategy):
-    """Use the analytic expectation; errors if the likelihood has none."""
-
-
-class GaussHermite(Strategy):
-    """One-dimensional quadrature per output dimension."""
-
-    def __init__(self, num_nodes: int = DEFAULT_QUADRATURE_NODES):
-        self.num_nodes = int(num_nodes)
-
-
-class MonteCarlo(Strategy):
-    """Unbiased sampling estimate with a derived, reproducible stream."""
-
-    def __init__(self, num_samples: int, rng: RngState):
-        self.num_samples = int(num_samples)
-        self.rng = rng
-
-
-# Training keeps a likelihood's strategy; files hold only the default one.
-STRATEGY = Static(None, "strategy")
 
 
 class Likelihood:
     requires_full_output_cov = False
 
-    def __init__(self, strategy=None):
-        self.strategy = strategy if strategy is not None else self.default_strategy()
-
-    def default_strategy(self):
-        return ClosedForm()
-
     def log_density(self, f, y):
         """Pointwise log p(y | f), broadcasting elementwise."""
         raise NotImplementedError
 
-    def closed_form_expectations(self, fmu, fvar, y):
-        """Analytic E[log p(y|f)] summed over outputs, or None."""
-        return None
+    def expectations(self, fmu, fvar, y):
+        """E[log p(y|f)] summed over outputs, one value per point; the
+        shapes are those ``variational_expectations`` checked."""
+        raise NotImplementedError
 
 
 def _as_rows(a, name) -> np.ndarray:
@@ -87,23 +51,20 @@ def _as_rows(a, name) -> np.ndarray:
 
 
 class Gaussian(Likelihood):
-    schema = Schema(
-        "gaussian", Param("variance", "positive", scalar=True, default=1.0), STRATEGY
-    )
+    schema = Schema("gaussian", Param("variance", "positive", scalar=True, default=1.0))
 
-    def __init__(self, variance: float = 1.0, strategy=None):
+    def __init__(self, variance: float = 1.0):
         variance = float(variance)
         if variance <= 0:
             raise ValueError("noise variance must be positive")
         self.variance = variance
-        super().__init__(strategy)
 
     def log_density(self, f, y):
         return -0.5 * np.log(2.0 * np.pi * self.variance) - (y - f) ** 2 / (
             2.0 * self.variance
         )
 
-    def closed_form_expectations(self, fmu, fvar, y):
+    def expectations(self, fmu, fvar, y):
         per_output = (
             -0.5 * np.log(2.0 * np.pi * self.variance)
             - ((y - fmu) ** 2 + fvar) / (2.0 * self.variance)
@@ -124,17 +85,14 @@ class CorrelatedGaussian(Likelihood):
     """Gaussian observation noise correlated across the P outputs."""
 
     requires_full_output_cov = True
-    schema = Schema(
-        "correlated_gaussian", Param("cov", "tril", factored=True), STRATEGY
-    )
+    schema = Schema("correlated_gaussian", Param("cov", "tril", factored=True))
 
-    def __init__(self, cov, strategy=None):
+    def __init__(self, cov):
         cov = np.asarray(cov, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ShapeMismatch(f"noise covariance must be [P, P], got {cov.shape}")
         self.cov = cov
         self._chol = cholesky(cov, jitter=0.0)
-        super().__init__(strategy)
 
     @property
     def num_outputs(self) -> int:
@@ -151,7 +109,7 @@ class CorrelatedGaussian(Likelihood):
         eye = np.eye(self.cov.shape[0])
         return tri_solve(self._chol, tri_solve(self._chol, eye), transpose=True)
 
-    def closed_form_expectations(self, fmu, fvar, y):
+    def expectations(self, fmu, fvar, y):
         # -1/2 log|2 pi S| - 1/2 (y-mu)ᵀS⁻¹(y-mu) - 1/2 Tr(S⁻¹ V_n)
         diff = y - fmu
         alpha = tri_solve(self._chol, diff.T)  # [P, N]
@@ -184,14 +142,14 @@ class CorrelatedGaussian(Likelihood):
 class Bernoulli(Likelihood):
     """Binary observations in {0, 1} through a probit link."""
 
-    schema = Schema("bernoulli", STRATEGY)
-
-    def default_strategy(self):
-        return GaussHermite()
+    schema = Schema("bernoulli")
 
     def log_density(self, f, y):
         sign = 2.0 * np.asarray(y, dtype=float) - 1.0
         return log_ndtr(sign * np.asarray(f, dtype=float))
+
+    def expectations(self, fmu, fvar, y):
+        return gauss_hermite_expectations(self, fmu, fvar, y)
 
     def predict_moments(self, fmu, fvar):
         prob = ndtr(fmu / np.sqrt(1.0 + fvar))
@@ -205,14 +163,14 @@ class Bernoulli(Likelihood):
 class Poisson(Likelihood):
     """Count observations with an exponential link, rate = exp(f)."""
 
-    schema = Schema("poisson", STRATEGY)
+    schema = Schema("poisson")
 
     def log_density(self, f, y):
         f = np.asarray(f, dtype=float)
         y = np.asarray(y, dtype=float)
         return y * f - np.exp(f) - gammaln(y + 1.0)
 
-    def closed_form_expectations(self, fmu, fvar, y):
+    def expectations(self, fmu, fvar, y):
         per_output = y * fmu - np.exp(fmu + 0.5 * fvar) - gammaln(y + 1.0)
         return per_output.sum(axis=1)
 
@@ -250,7 +208,11 @@ def _validate_factorized(lik, fmu, fvar, y):
     return fmu, fvar, y
 
 
-def _quadrature_expectations(lik, fmu, fvar, y, num_nodes):
+def gauss_hermite_expectations(
+    lik: Likelihood, fmu, fvar, y, num_nodes: int = DEFAULT_QUADRATURE_NODES
+) -> np.ndarray:
+    """E[log p(y_n | f_n)] per point by ``num_nodes``-point Gauss-Hermite
+    quadrature per output, for a factorized likelihood and [N, P] arrays."""
     nodes, weights = gauss_hermite_nodes(num_nodes)
     f = fmu[..., None] + np.sqrt(fvar)[..., None] * nodes  # [N, P, Q]
     values = lik.log_density(f, y[..., None])
@@ -259,51 +221,25 @@ def _quadrature_expectations(lik, fmu, fvar, y, num_nodes):
 
 def variational_expectations(lik: Likelihood, fmu, fvar, y) -> np.ndarray:
     """E[log p(y_n | f_n)] under N(f_n; Fmu_n, Fvar_n), one value per point."""
-    if isinstance(lik, CorrelatedGaussian):
-        fmu = _as_rows(fmu, "Fmu")
-        y = _as_rows(y, "Y")
-        fvar = np.asarray(fvar, dtype=float)
-        p = lik.num_outputs
-        if fvar.shape != (fmu.shape[0], p, p):
-            raise ShapeMismatch(
-                f"correlated Gaussian needs [N, {p}, {p}] covariances, "
-                f"got {fvar.shape}"
-            )
-        if not isinstance(lik.strategy, ClosedForm):
-            raise UnsupportedCombination(
-                "correlated output covariances cannot use a factorized "
-                "quadrature or sampling strategy"
-            )
-        return lik.closed_form_expectations(fmu, fvar, y)
-
-    fmu, fvar, y = _validate_factorized(lik, fmu, fvar, y)
-    strategy = lik.strategy
-    if isinstance(strategy, ClosedForm):
-        closed = lik.closed_form_expectations(fmu, fvar, y)
-        if closed is None:
-            raise UnsupportedCombination(
-                f"{type(lik).__name__} has no closed-form expectation; "
-                "use GaussHermite or MonteCarlo"
-            )
-        return closed
-    if isinstance(strategy, GaussHermite):
-        return _quadrature_expectations(lik, fmu, fvar, y, strategy.num_nodes)
-    if isinstance(strategy, MonteCarlo):
-        values, _ = variational_expectations_mc(
-            lik, fmu, fvar, y, strategy.num_samples, strategy.rng
+    if not lik.requires_full_output_cov:
+        return lik.expectations(*_validate_factorized(lik, fmu, fvar, y))
+    fmu = _as_rows(fmu, "Fmu")
+    y = _as_rows(y, "Y")
+    fvar = np.asarray(fvar, dtype=float)
+    p = lik.num_outputs
+    if fvar.shape != (fmu.shape[0], p, p):
+        raise ShapeMismatch(
+            f"correlated Gaussian needs [N, {p}, {p}] covariances, got {fvar.shape}"
         )
-        return values
-    raise UnsupportedCombination(f"unknown strategy {type(strategy).__name__}")
+    return lik.expectations(fmu, fvar, y)
 
 
 def variational_expectations_mc(
     lik: Likelihood, fmu, fvar, y, num_samples: int, rng: RngState
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate with its standard error, per data point."""
-    if isinstance(lik, CorrelatedGaussian):
-        raise UnsupportedCombination(
-            "sampling strategy is defined for factorized likelihoods only"
-        )
+    if lik.requires_full_output_cov:
+        raise UnsupportedCombination("sampling is defined for factorized likelihoods only")
     fmu, fvar, y = _validate_factorized(lik, fmu, fvar, y)
     eps = standard_normal(rng, (num_samples,) + fmu.shape)
     f = fmu[None] + np.sqrt(fvar)[None] * eps

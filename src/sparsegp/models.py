@@ -103,6 +103,10 @@ class Model:
       on (x, outputs, y) for heterotopic rows.  ``rng()`` returns the step's
       random stream afresh, so every evaluation in a step sees the same
       draws; ``scale`` weights the data term of a minibatch;
+    - ``objective_gradients(batch, scale)``: exact gradients of that
+      objective with respect to the values of named parameter slots (slot
+      name -> array of the value's shape); training takes finite differences
+      for every other slot.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
     - ``likelihood``, and ``input_dim``: input columns, None when free;
@@ -116,6 +120,9 @@ class Model:
     full_batch = False
     heterotopic = False
     mixture = False
+
+    def objective_gradients(self, batch, scale) -> dict:
+        return {}
 
     def log_density(self, x, y, mean, var) -> np.ndarray:
         """Log predictive density of each row of ``y``; ``mean`` and ``var``
@@ -340,6 +347,42 @@ class SVGPModel(Model):
     def predict_moments(self, x, full_cov=False, full_output_cov=False):
         pm = self.predict_f(x, full_cov, full_output_cov)
         return pm.mean, pm.cov
+
+    def objective_gradients(self, batch, scale):
+        """The ELBO's q_mu and q_sqrt gradients in closed form (Hensman et
+        al. 2013, arXiv:1309.6835) for Gaussian noise, a dense q, one output
+        and homotopic rows; none otherwise."""
+        q = self.q
+        if not (
+            len(batch) == 2
+            and isinstance(self.likelihood, Gaussian)
+            and not q.is_block
+            and self.num_outputs == 1
+        ):
+            return {}
+        x, y = batch
+        x = np.asarray(x, dtype=float)
+        kmm = kuu(self.inducing, self.kernel, self.jitter)
+        kmn = kuf(self.inducing, self.kernel, x).reshape(q.num_inducing, -1)
+        luu = cholesky(densify(kmm), jitter=0.0)
+        a = tri_solve(luu, kmn)
+        proj = a if q.whiten else tri_solve(luu, a, transpose=True)
+        resid = np.asarray(y, dtype=float).reshape(-1) - (
+            proj.T @ q.mean_vector + self.mean_function(x)
+        )
+        noise = self.likelihood.variance
+        scale = _scale(self.num_data, x.shape[0], scale)
+        l_s = q.dense_sqrt()
+        inv_diag = np.diag(1.0 / np.diag(l_s))  # from d log|S| / dL
+        if q.whiten:
+            kl_mu, kl_sqrt = q.mean_vector, l_s - inv_diag
+        else:
+            kl_mu = tri_solve(luu, tri_solve(luu, q.mean_vector), transpose=True)
+            kl_sqrt = tri_solve(luu, tri_solve(luu, l_s), transpose=True) - inv_diag
+        return {
+            "q_mu": scale * (proj @ resid) / noise - kl_mu,
+            "q_sqrt": -(scale / noise) * ((proj @ proj.T) @ l_s) - kl_sqrt,
+        }
 
     def prior_kl(self) -> float:
         return prior_kl(self.inducing, self.kernel, self.q, self.jitter)

@@ -68,10 +68,9 @@ class Child:
 
 @dataclass(frozen=True)
 class Static:
-    """An untrained field.  With no key it is kept by the rebuild but never
-    filed, and saving a value that the file would not restore is an error."""
+    """An untrained field."""
 
-    key: str | None
+    key: str
     attr: str
     default: object = REQUIRED
 
@@ -168,19 +167,10 @@ def to_spec(obj) -> dict:
                 spec[f.key] = filed(value)
             else:
                 spec.update(filed(value))
-        elif f.key is not None:
+        else:
             if isinstance(value, np.ndarray):
                 value = as_list(value)
             spec[f.key] = list(value) if isinstance(value, tuple) else value
-    unfiled = [f.attr for f in schema.fields if f.key is None]
-    restored = construct(type(obj), spec) if unfiled else None
-    for attr in unfiled:
-        kept, loads = getattr(obj, attr), getattr(restored, attr)
-        if kept != loads:
-            raise ConfigError(
-                f"{type(obj).__name__}.{attr} = {kept!r} cannot be saved; "
-                f"the file would load {loads!r}"
-            )
     return spec
 
 
@@ -224,7 +214,7 @@ def from_spec(spec, family, data=None):
             + ", ".join(sorted(known))
         )
     cls = known[spec["tag"]]
-    allowed = {"tag"} | {f.key for f in cls.schema.fields} - {None}
+    allowed = {"tag"} | {f.key for f in cls.schema.fields}
     pools = [f for f in cls.schema.fields if getattr(f, "from_data", None)]
     if data is not None and pools:
         allowed.add("from_data")
@@ -262,8 +252,6 @@ def construct(cls, spec, family=None, data=None):
     tag = cls.schema.tag or cls.__name__
     kwargs = {}
     for f in cls.schema.fields:
-        if f.key is None:
-            continue
         value = spec.get(f.key, f.default) if f.key else spec
         if value is REQUIRED:
             raise ConfigError(f"{tag} needs {f.key!r}")

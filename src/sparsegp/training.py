@@ -6,29 +6,20 @@ constrained value (softplus for positive scalars and vectors, softplus on
 the diagonal of lower-triangular factors).  Optimization happens entirely in
 free space; models are rebuilt from the store at each objective evaluation.
 
-Gradients come from central finite differences by default.  Analytic
-gradients exist for the variational parameters of a single-output SVGP with
-Gaussian noise and are cross-checked against finite differences in the test
-suite; they are an optimization, never a requirement.
+Gradients come from central finite differences, except for the slots
+whose exact gradients the model supplies (``Model.objective_gradients``);
+the test suite checks those against finite differences.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covariances import kuf, kuu
-from .errors import (
-    ConfigError,
-    NonFiniteObjective,
-    ShapeMismatch,
-    UnsupportedCombination,
-)
-from .likelihoods import Gaussian
-from .models import SVGPModel
-from .numerics import RngState, cholesky, densify, tri_solve
+from .errors import ConfigError, NonFiniteObjective, ShapeMismatch
+from .numerics import RngState
 from .schema import compile_slots
 
 FD_STEP = 1e-5
@@ -61,6 +52,10 @@ class Identity:
     def to_value(self, free, like):
         return free.reshape(np.shape(like)).copy()
 
+    def free_gradient(self, grad, value):
+        """The free-space gradient, given the gradient at the value."""
+        return np.asarray(grad, dtype=float).reshape(-1)
+
 
 class Positive:
     name = "positive"
@@ -73,6 +68,9 @@ class Positive:
 
     def to_value(self, free, like):
         return softplus(free).reshape(np.shape(like))
+
+    def free_gradient(self, grad, value):
+        return (grad * -np.expm1(-value)).reshape(-1)  # softplus' = 1 - e^-value
 
 
 class TriangularPositiveDiag:
@@ -104,6 +102,12 @@ class TriangularPositiveDiag:
         entries[diag_positions] = softplus(entries[diag_positions])
         out[rows, cols] = entries
         return out
+
+    def free_gradient(self, grad, value):
+        rows, cols = np.tril_indices(value.shape[0])
+        packed = grad[rows, cols]
+        packed[rows == cols] *= -np.expm1(-np.diag(value))  # softplus chain rule
+        return packed
 
 
 IDENTITY = Identity()
@@ -178,28 +182,23 @@ class ParameterStore:
             slot = self._slots[name]
             slot.value = slot.transform.to_value(free[start:stop], slot.value)
 
+    def free_gradient(self, name, grad) -> np.ndarray:
+        """A gradient with respect to the slot's value, in free space."""
+        slot = self._slots[name]
+        if np.shape(grad) != slot.value.shape:
+            raise ShapeMismatch(
+                f"gradient for {name!r} has shape {np.shape(grad)}, "
+                f"slot has {slot.value.shape}"
+            )
+        return slot.transform.free_gradient(grad, slot.value)
+
 
 # ---------------------------------------------------------------------------
-# Gradient providers
+# Gradients
 
 
-@dataclass
-class FiniteDifference:
-    """Central differences in free space with relative step scaling."""
-
-    step: float = FD_STEP
-
-
-@dataclass
-class Analytic:
-    """Analytic gradients per slot name, finite differences elsewhere."""
-
-    entries: dict = field(default_factory=dict)
-    step: float = FD_STEP
-
-
-def _fd_coordinate(objective, store, free, i, step):
-    h = step * (1.0 + abs(free[i]))
+def _fd_coordinate(objective, store, free, i):
+    h = FD_STEP * (1.0 + abs(free[i]))
     bumped = free.copy()
     bumped[i] = free[i] + h
     store.set_free_vector(bumped)
@@ -212,34 +211,31 @@ def _fd_coordinate(objective, store, free, i, step):
     return (upper - lower) / (2.0 * h)
 
 
-def gradient(objective, store: ParameterStore, strategy=None) -> np.ndarray:
-    """Free-space gradient over the trainable slots.
+def gradient(objective, store: ParameterStore, exact=None) -> np.ndarray:
+    """Free-space gradient of ``objective`` over the trainable slots.
 
-    The objective must be deterministic for the duration of the call;
-    stochastic objectives fix their seed per evaluation (common random
-    numbers), so the differences are well defined.
+    ``exact`` maps slot names to the objective's gradient with respect to
+    each slot's constrained value; the slot's transform carries it into free
+    space.  Every other coordinate takes a central difference.  The
+    objective must be deterministic for the duration of the call; stochastic
+    objectives fix their seed per evaluation (common random numbers), so the
+    differences are well defined.
     """
-    if strategy is None:
-        strategy = FiniteDifference()
     free = store.free_vector()
     grad = np.zeros_like(free)
-    entries = strategy.entries if isinstance(strategy, Analytic) else {}
-    step = strategy.step
-
-    analytic_values = {name: fn(store) for name, fn in entries.items()}
+    spans = store.spans()
+    exact = {  # at the current values, before any difference moves them
+        name: store.free_gradient(name, exact[name])
+        for name, _, _ in spans
+        if exact and name in exact
+    }
     try:
-        for name, start, stop in store.spans():
-            if name in analytic_values:
-                value = np.asarray(analytic_values[name], dtype=float).reshape(-1)
-                if value.shape[0] != stop - start:
-                    raise ShapeMismatch(
-                        f"analytic gradient for {name!r} has {value.shape[0]} "
-                        f"entries, slot has {stop - start}"
-                    )
-                grad[start:stop] = value
+        for name, start, stop in spans:
+            if name in exact:
+                grad[start:stop] = exact[name]
                 continue
             for i in range(start, stop):
-                grad[i] = _fd_coordinate(objective, store, free, i, step)
+                grad[i] = _fd_coordinate(objective, store, free, i)
     finally:
         store.set_free_vector(free)
     return grad
@@ -295,68 +291,6 @@ def parameterize(model):
 
 
 # ---------------------------------------------------------------------------
-# Analytic gradients for SVGP variational parameters (Gaussian noise, P = 1)
-
-
-def analytic_q_entries(model: SVGPModel, build, x, y, scale: float) -> dict:
-    """Analytic free-space ELBO gradients for q_mu and q_sqrt.
-
-    Valid for a single-output SVGP with Gaussian noise and a dense q; these
-    follow from the quadratic dependence of the Gaussian expected
-    log-likelihood and the KL on (m, S).
-    """
-    if not isinstance(model.likelihood, Gaussian) or model.q.is_block:
-        raise UnsupportedCombination(
-            "analytic q gradients cover dense single-output Gaussian models"
-        )
-
-    def common(store):
-        m = build(store)
-        kmm = kuu(m.inducing, m.kernel, m.jitter)
-        kmn = kuf(m.inducing, m.kernel, np.asarray(x, dtype=float))
-        luu = cholesky(densify(kmm), jitter=0.0)
-        a = tri_solve(luu, kmn)
-        proj = a if m.q.whiten else tri_solve(luu, a, transpose=True)
-        mean = proj.T @ m.q.mean_vector + m.mean_function(x)
-        resid = np.asarray(y, dtype=float).reshape(-1) - mean
-        noise = m.likelihood.variance
-        return m, luu, proj, resid, noise
-
-    def grad_q_mu(store):
-        m, luu, proj, resid, noise = common(store)
-        data_term = scale * (proj @ resid) / noise
-        if m.q.whiten:
-            kl_term = m.q.mean_vector
-        else:
-            kl_term = tri_solve(
-                luu, tri_solve(luu, m.q.mean_vector), transpose=True
-            )
-        return -(data_term - kl_term)  # descent direction on -ELBO
-
-    def grad_q_sqrt(store):
-        m, luu, proj, resid, noise = common(store)
-        l_s = m.q.dense_sqrt()
-        gram = proj @ proj.T
-        data_term = -(scale / noise) * (gram @ l_s)
-        diag = np.diag(l_s)
-        inv_diag_term = np.zeros_like(l_s)
-        np.fill_diagonal(inv_diag_term, 1.0 / diag)
-        if m.q.whiten:
-            kl_term = -inv_diag_term + l_s
-        else:
-            kuu_inv_ls = tri_solve(luu, tri_solve(luu, l_s), transpose=True)
-            kl_term = kuu_inv_ls - inv_diag_term
-        elbo_grad = data_term - kl_term
-        rows, cols = np.tril_indices(l_s.shape[0])
-        packed = elbo_grad[rows, cols]
-        diag_positions = rows == cols
-        packed[diag_positions] *= -np.expm1(-diag)  # softplus chain rule
-        return -packed
-
-    return {"q_mu": grad_q_mu, "q_sqrt": grad_q_sqrt}
-
-
-# ---------------------------------------------------------------------------
 # Training loop
 
 
@@ -394,21 +328,12 @@ def divergence_warning(recent, value) -> str | None:
     return None
 
 
-def _analytic_applicable(model) -> bool:
-    return (
-        isinstance(model, SVGPModel)
-        and isinstance(model.likelihood, Gaussian)
-        and not model.q.is_block
-        and model.num_outputs == 1
-    )
-
-
-def _objective_factory(model, build, x, y, outputs, config):
-    """Per-step (objective, strategy) pairs; objectives fix their own seeds."""
+def _objective_factory(build, x, y, outputs, config):
+    """Per-step (objective, exact gradients) pairs of functions of the store;
+    objectives fix their own seeds."""
     n = x.shape[0]
     batch_size = config.batch_size if config.batch_size > 0 else n
     batch_rng = RngState(config.seed).derive(0)
-    analytic = _analytic_applicable(model) and outputs is None
 
     def batches():
         while True:
@@ -427,10 +352,12 @@ def _objective_factory(model, build, x, y, outputs, config):
         scale = n / idx.shape[0]
         rng = lambda: RngState(config.seed).derive(1, step)  # noqa: E731
         objective = lambda s: -build(s).objective(batch, rng, scale)  # noqa: E731
-        strategy = FiniteDifference()
-        if analytic:
-            strategy = Analytic(analytic_q_entries(model, build, *batch, scale))
-        return objective, strategy
+
+        def exact(s):
+            grads = build(s).objective_gradients(batch, scale)
+            return {name: -g for name, g in grads.items()}
+
+        return objective, exact
 
     return make
 
@@ -468,7 +395,7 @@ def fit(model, data, config: FitConfig) -> FitResult:
     for name in config.freeze:
         store.set_trainable(name, False)
 
-    make_step = _objective_factory(model, build, x, y, outputs, config)
+    make_step = _objective_factory(build, x, y, outputs, config)
     state = AdamState.zeros(store.free_vector().shape[0])
     trace: list[TraceRecord] = []
     recent: list[float] = []
@@ -476,8 +403,8 @@ def fit(model, data, config: FitConfig) -> FitResult:
 
     for step in range(config.steps):
         started = time.perf_counter()
-        objective, strategy = make_step(step)
-        grad = gradient(objective, store, strategy)
+        objective, exact = make_step(step)
+        grad = gradient(objective, store, exact(store))
         free, previous = store.free_vector(), state
         state = adam_step(store, grad, state, lr)
         elbo_estimate = -objective(store)

@@ -6,10 +6,9 @@ from sparsegp import (
     Bernoulli,
     CorrelatedGaussian,
     Gaussian,
-    GaussHermite,
-    MonteCarlo,
     Poisson,
     RngState,
+    gauss_hermite_expectations,
     marginalize_outputs,
     predict_observation_moments,
     predictive_log_density,
@@ -44,9 +43,7 @@ class TestGaussian:
         mu, var, y = random_tuples(0, 100)
         sigma2 = 0.37
         closed = variational_expectations(Gaussian(sigma2), mu, var, y)
-        quad = variational_expectations(
-            Gaussian(sigma2, strategy=GaussHermite(20)), mu, var, y
-        )
+        quad = gauss_hermite_expectations(Gaussian(sigma2), mu, var, y, 20)
         np.testing.assert_allclose(closed, quad, atol=1e-10)
 
     def test_zero_variance_equals_pointwise_log_density(self):
@@ -67,12 +64,6 @@ class TestGaussian:
         quad = variational_expectations(lik, mu, var, y)
         mc, se = variational_expectations_mc(lik, mu, var, y, 10**6, RngState(7))
         np.testing.assert_array_less(np.abs(mc - quad), 4.0 * se)
-
-    def test_monte_carlo_strategy_used_when_configured(self):
-        mu, var, y = random_tuples(4, 3)
-        lik = Gaussian(0.5, strategy=MonteCarlo(2000, RngState(0)))
-        values = variational_expectations(lik, mu, var, y)
-        assert values.shape == (3,)
 
 
 class TestCorrelatedGaussian:
@@ -110,13 +101,6 @@ class TestCorrelatedGaussian:
         lik = self._instance(rng)
         with pytest.raises(ShapeMismatch):
             variational_expectations(lik, np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_factorized_strategy(self, rng):
-        lik = CorrelatedGaussian(make_spd(rng, 2, 0.2), strategy=GaussHermite(10))
-        with pytest.raises(UnsupportedCombination):
-            variational_expectations(
-                lik, np.zeros((1, 2)), np.eye(2)[None], np.zeros((1, 2))
-            )
 
     def test_marginalize_full_set_is_identity(self, rng):
         lik = self._instance(rng)
@@ -162,31 +146,23 @@ class TestBernoulli:
     def test_quadrature_converges_in_node_count(self):
         mu, var, _ = random_tuples(6, 50)
         y = np.ones_like(mu)
-        coarse = variational_expectations(Bernoulli(GaussHermite(20)), mu, var, y)
-        fine = variational_expectations(Bernoulli(GaussHermite(50)), mu, var, y)
+        coarse = gauss_hermite_expectations(Bernoulli(), mu, var, y, 20)
+        fine = gauss_hermite_expectations(Bernoulli(), mu, var, y, 50)
+        default = variational_expectations(Bernoulli(), mu, var, y)
+        np.testing.assert_array_equal(default, coarse)
         np.testing.assert_allclose(coarse, fine, atol=1e-8)
 
     def test_quadrature_error_shrinks_monotonically(self):
         mu, var, _ = random_tuples(7, 30)
         y = np.ones_like(mu)
-        reference = variational_expectations(Bernoulli(GaussHermite(120)), mu, var, y)
+        reference = gauss_hermite_expectations(Bernoulli(), mu, var, y, 120)
         errors = [
-            np.abs(
-                variational_expectations(Bernoulli(GaussHermite(n)), mu, var, y)
-                - reference
-            ).max()
+            np.abs(gauss_hermite_expectations(Bernoulli(), mu, var, y, n) - reference).max()
             for n in (4, 8, 16, 32)
         ]
         for coarse, fine in zip(errors, errors[1:]):
             if coarse > 1e-12:  # below that, round-off dominates
                 assert fine <= coarse
-
-    def test_closed_form_strategy_unavailable(self):
-        from sparsegp.likelihoods import ClosedForm
-
-        lik = Bernoulli(ClosedForm())
-        with pytest.raises(UnsupportedCombination):
-            variational_expectations(lik, np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
 
 
 class TestPoisson:
@@ -196,7 +172,7 @@ class TestPoisson:
         var = rng.generator.uniform(0.01, 0.5, (50, 1))
         y = rng.generator.poisson(1.0, (50, 1)).astype(float)
         closed = variational_expectations(Poisson(), mu, var, y)
-        quad = variational_expectations(Poisson(GaussHermite(40)), mu, var, y)
+        quad = gauss_hermite_expectations(Poisson(), mu, var, y, 40)
         np.testing.assert_allclose(closed, quad, atol=1e-8)
 
     def test_observation_moments_match_monte_carlo(self):

@@ -9,7 +9,6 @@ from sparsegp import (
     CorrelatedGaussian,
     DGPModel,
     Gaussian,
-    GaussHermite,
     GPLayer,
     GPRModel,
     InducingPoints,
@@ -350,7 +349,7 @@ class TestHeterotopicGroups:
     LIKELIHOODS = {
         "gaussian": lambda rng: Gaussian(0.3),
         "correlated": lambda rng: CorrelatedGaussian(make_spd(rng, 3, scale=0.1)),
-        "bernoulli": lambda rng: Bernoulli(GaussHermite()),
+        "bernoulli": lambda rng: Bernoulli(),
     }
 
     @pytest.mark.parametrize("whiten", [True, False])

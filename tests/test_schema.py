@@ -1,5 +1,5 @@
-"""Component and model declarations: coverage, strategies, and a kernel and
-a model kind added from their declarations alone."""
+"""Component and model declarations: coverage, and a kernel and a model
+kind added from their declarations alone."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ import pytest
 
 import sparsegp
 from sparsegp import (
-    Bernoulli,
     FitConfig,
-    GaussHermite,
     Gaussian,
     InducingPoints,
     SVGPModel,
@@ -66,27 +64,6 @@ def _svgp(likelihood, kernel=None, m=6):
     return model, x, y
 
 
-class TestStrategy:
-    def test_training_keeps_a_non_default_strategy(self):
-        model, x, y = _svgp(Bernoulli(GaussHermite(50)))
-        result = fit(model, (x, (y > 0).astype(float)), FitConfig(steps=1))
-        assert result.model.likelihood.strategy == GaussHermite(50)
-
-    def test_saving_a_non_default_strategy_is_refused(self, tmp_path):
-        model, x, y = _svgp(Bernoulli(GaussHermite(50)))
-        result = fit(model, (x, (y > 0).astype(float)), FitConfig(steps=1))
-        path = tmp_path / "model.json"
-        with pytest.raises(ConfigError, match="strategy"):
-            save_model(result.model, path)
-        assert not path.exists()
-
-    def test_the_default_strategy_saves(self, tmp_path):
-        model, _, _ = _svgp(Bernoulli(GaussHermite(20)))
-        save_model(model, tmp_path / "model.json")
-        loaded, _ = load_model(tmp_path / "model.json")
-        assert loaded.likelihood.strategy == GaussHermite(20)
-
-
 class Cauchy(Stationary):
     """Declared here only: k(r) = variance / (1 + r^2)."""
 
@@ -118,6 +95,7 @@ class TestNewKernel:
 def test_an_integer_beyond_the_float_range_is_a_config_error():
     with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
         Setting("steps", int, 500, ">= 0").coerce(int("9" * 400))
+
 
 
 class ConstantNoise(Model):

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsegp import (
-    Analytic,
-    FiniteDifference,
     FitConfig,
     Gaussian,
     GPRModel,
@@ -28,7 +26,6 @@ from sparsegp.training import (
     POSITIVE,
     AdamState,
     TriangularPositiveDiag,
-    analytic_q_entries,
     softplus,
     softplus_inv,
 )
@@ -101,7 +98,7 @@ class TestGradient:
             t = s.get("theta")
             return 0.5 * t @ h @ t
 
-        grad = gradient(objective, store, FiniteDifference())
+        grad = gradient(objective, store)
         np.testing.assert_allclose(grad, h @ np.array([1.0, -2.0, 0.5]), atol=1e-9)
 
     def test_frozen_parameters_are_excluded(self):
@@ -118,6 +115,25 @@ class TestGradient:
         store.add("a", np.array([1.0]))
         with pytest.raises(NonFiniteObjective):
             gradient(lambda s: float("nan"), store)
+
+    def test_exact_gradients_enter_through_the_slot_transforms(self):
+        rng = RngState(4)
+        store = ParameterStore()
+        store.add("a", standard_normal(rng, 3))
+        store.add("v", np.array([0.3, 2.0]), POSITIVE)
+        store.add("l", random_lower(rng.derive(1), 3), TriangularPositiveDiag())
+        w = standard_normal(rng.derive(2), (3, 3))
+
+        def objective(s):
+            return float(
+                s.get("a") @ s.get("a") + np.sum(np.log(s.get("v")))
+                + np.sum(w * s.get("l"))
+            )
+
+        exact = {"a": 2.0 * store.get("a"), "v": 1.0 / store.get("v"), "l": w}
+        np.testing.assert_allclose(
+            gradient(objective, store, exact), gradient(objective, store), atol=1e-8
+        )
 
     def test_store_restored_after_evaluation(self):
         store = ParameterStore()
@@ -162,9 +178,10 @@ class TestAnalyticGradients:
             def objective(s):
                 return -build(s).elbo((x, y), scale=1.0)
 
-            entries = analytic_q_entries(model, build, x, y, 1.0)
-            fd = gradient(objective, store, FiniteDifference())
-            an = gradient(objective, store, Analytic(entries))
+            grads = model.objective_gradients((x, y), 1.0)
+            exact = {name: -g for name, g in grads.items()}
+            fd = gradient(objective, store)
+            an = gradient(objective, store, exact)
             spans = {name: (a, b) for name, a, b in store.spans()}
             for group in ("q_mu", "q_sqrt"):
                 lo, hi = spans[group]
@@ -201,7 +218,7 @@ class TestAdam:
 
         state = AdamState.zeros(2)
         for _ in range(5000):
-            grad = gradient(objective, store, FiniteDifference())
+            grad = gradient(objective, store)
             state = adam_step(store, grad, state, lr=1e-2)
         np.testing.assert_allclose(store.get("theta"), target, atol=1e-4)
 
@@ -277,7 +294,7 @@ class TestFit:
             make = real_factory(*args)
 
             def make_step(step):
-                objective, strategy = make(step)
+                objective, exact = make(step)
 
                 def poisoned(store):
                     if pending_nan[0]:
@@ -285,7 +302,7 @@ class TestFit:
                         return np.nan
                     return objective(store)
 
-                return poisoned, strategy
+                return poisoned, exact
 
             return make_step
 
