@@ -112,6 +112,7 @@ def cmd_train(args) -> int:
         if dataset.y is None:
             raise DataError("training data needs output columns")
         data = (dataset.x, dataset.y)
+    model.likelihood.check_targets(dataset.y)
 
     result = fit(model, data, fit_config)
     metadata = {"seed": fit_config.seed, "steps": fit_config.steps}
@@ -172,10 +173,7 @@ def cmd_predict(args) -> int:
     if args.observation_noise:
         lik = model.likelihood
         if not full_cov and not full_output_cov:
-            if isinstance(lik, CorrelatedGaussian):
-                cov = cov + np.diag(lik.cov)[None, :]
-            else:
-                mean, cov = predict_observation_moments(lik, mean, cov)
+            mean, cov = predict_observation_moments(lik, mean, cov)
         else:
             cov = _apply_observation_noise(lik, cov, full_cov, full_output_cov)
 
@@ -278,6 +276,8 @@ def cmd_eval(args) -> int:
     model, _ = load_model(args.model)
     dataset = read_dataset(args.data)
     _check_input_dim(model, dataset.x)
+    if dataset.y is not None:
+        model.likelihood.check_targets(dataset.y)
     metrics = _eval_metrics(model, dataset)
     text = json.dumps(metrics, sort_keys=True, indent=2)
     if args.out:
@@ -393,8 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid_values(argv):
+    """``--grid -1:1:5`` as ``--grid=-1:1:5``: argparse reads a separate
+    value that starts with a dash as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg.startswith("-") and ":" in arg:
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_grid_values(argv))
     try:
         return args.handler(args)
     except ConfigError as err:

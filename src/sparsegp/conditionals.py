@@ -83,7 +83,7 @@ class VariationalGaussian:
         None,
         Param("q_mu"),
         Param("q_sqrt", "tril"),
-        Static("whiten", "whiten"),
+        Static("whiten", "whiten", type=bool),
     )
 
     def __post_init__(self):
@@ -320,19 +320,22 @@ def _latent_moments(xnew, iv, kernel, q, full_cov, jitter):
     kmm = kuu(iv, kernel, jitter)
     if not isinstance(kmm, BlockDiagonal):
         raise ShapeMismatch("latent conditional expects a block-diagonal Kuu")
-    kmn = kuf(iv, kernel, xnew)  # [L, M, N]
+    kmn = kuf(iv, kernel, xnew)  # latent blocks of rows, stacked like q_mu
     factors = block_cholesky_factors(kmm)  # shared blocks factorized once
     sizes = [f.shape[0] for f in factors]
     mus = q.mu_blocks(sizes)
     sqrts = q.sqrt_blocks(sizes)
-    shape = _cov_shape(kmn.shape[2], 1, full_cov, False)
+    shape = _cov_shape(kmn.shape[1], 1, full_cov, False)
     priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
     means, covs = [], []
+    start = 0
     for i, k in enumerate(kernel.latent_kernels):
         if id(k) not in priors:
             priors[id(k)] = (k.K(xnew) if full_cov else k.K_diag(xnew)).reshape(shape)
+        block = kmn[start : start + sizes[i], :, None]
+        start += sizes[i]
         mean, cov = _moments(
-            factors[i], kmn[i][:, :, None], priors[id(k)], mus[i], sqrts[i],
+            factors[i], block, priors[id(k)], mus[i], sqrts[i],
             q.whiten, full_cov, False,
         )
         means.append(mean)

@@ -4,8 +4,9 @@ Kuu and Kuf are dispatch functions over the (inducing variable, kernel)
 pair.  Kuu returns a structured PSD matrix with the jitter already added, so
 downstream factorizations receive pre-stabilized operands.  Kuf shapes are
 tagged by dimensionality: [M, N] for single-latent pairs, [M, P, N, P] for
-fully-correlated multioutput inducing points, and [L, M, N] for
-latent-process inducing variables (mixing, if any, is applied by the
+fully-correlated multioutput inducing points, and [M_1 + ... + M_L, N] for
+latent-process inducing variables: each latent's block of rows against its
+own process, stacked like q_mu (mixing, if any, is applied by the
 conditional).
 """
 
@@ -192,4 +193,4 @@ def _kuf_latent(iv, kernel, xnew):
         if key not in seen:
             seen[key] = k_full(k, member.z, xnew)
         grams.append(seen[key])
-    return np.stack(grams)  # [L, M, N]
+    return np.concatenate(grams)  # [M_1 + ... + M_L, N]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
-from .errors import EmptySubset, ShapeMismatch, UnsupportedCombination
+from .errors import DataError, EmptySubset, ShapeMismatch, UnsupportedCombination
 from .numerics import (
     RngState,
     cholesky,
@@ -39,6 +39,9 @@ class Likelihood:
         """E[log p(y|f)] summed over outputs, one value per point; the
         shapes are those ``variational_expectations`` checked."""
         raise NotImplementedError
+
+    def check_targets(self, y):
+        """Raise ``DataError`` for targets outside the likelihood's support."""
 
 
 def _as_rows(a, name) -> np.ndarray:
@@ -120,9 +123,15 @@ class CorrelatedGaussian(Likelihood):
         return -0.5 * (p * np.log(2.0 * np.pi) + logdet + quad + traces)
 
     def predict_moments(self, fmu, fvar):
-        if fvar.ndim != 3:
-            raise ShapeMismatch("correlated noise needs [N, P, P] covariances")
-        return fmu, fvar + self.cov[None, :, :]
+        """Adds the noise to [N, P, P] covariances, or its diagonal to [N, P]
+        marginal variances."""
+        if fvar.shape[-1] != self.num_outputs:
+            raise ShapeMismatch(
+                f"correlated noise over {self.num_outputs} outputs, got {fvar.shape}"
+            )
+        if fvar.ndim == 3:
+            return fmu, fvar + self.cov[None, :, :]
+        return fmu, fvar + np.diag(self.cov)[None, :]
 
     def predictive_log_density(self, fmu, fvar, y):
         out = np.empty(fmu.shape[0])
@@ -151,6 +160,10 @@ class Bernoulli(Likelihood):
     def expectations(self, fmu, fvar, y):
         return gauss_hermite_expectations(self, fmu, fvar, y)
 
+    def check_targets(self, y):
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise DataError("bernoulli targets must be 0 or 1")
+
     def predict_moments(self, fmu, fvar):
         prob = ndtr(fmu / np.sqrt(1.0 + fvar))
         return prob, prob * (1.0 - prob)
@@ -173,6 +186,10 @@ class Poisson(Likelihood):
     def expectations(self, fmu, fvar, y):
         per_output = y * fmu - np.exp(fmu + 0.5 * fvar) - gammaln(y + 1.0)
         return per_output.sum(axis=1)
+
+    def check_targets(self, y):
+        if not np.all(np.isfinite(y) & (y >= 0.0) & (y == np.floor(y))):
+            raise DataError("poisson targets must be counts: whole numbers >= 0")
 
     def predict_moments(self, fmu, fvar):
         mean = np.exp(fmu + 0.5 * fvar)

@@ -23,14 +23,13 @@ from .divergences import prior_kl
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
-    InducingPoints,
     InducingVariable,
+    LatentInducingVariables,
     input_width,
     num_inducing,
 )
 from .kernels import (
     Convolutional,
-    IndependentLatent,
     Kernel,
     MultioutputKernel,
     k_diag,
@@ -144,8 +143,8 @@ MEAN = Child(
     "mean_function", "mean_function", family=MeanFunction, slot="mean", default="zero"
 )
 LIKELIHOOD = Child("likelihood", "likelihood", family=Likelihood)
-NUM_DATA = Static("num_data", "num_data", default=None)
-JITTER = Static("jitter", "jitter", default=None)
+NUM_DATA = Static("num_data", "num_data", default=None, type=int, range=">= 1")
+JITTER = Static("jitter", "jitter", default=None, type=float, range=">= 0")
 
 # Config keys
 KERNEL_KEY = Setting("kernel", Kernel)
@@ -158,14 +157,32 @@ LAYER_KEYS = (
 Q_KEYS = (Setting("whiten", bool, True), Setting("jitter", float, None, ">= 0"))
 
 
+def _latent_sizes(iv, kernel):
+    """Inducing variables per latent, for latent inducing variables."""
+    if not isinstance(iv, LatentInducingVariables):
+        return None
+    return [member.num_rows for member in iv.per_latent(kernel.num_latent)]
+
+
 def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     """q(u) at the prior: zero mean, identity factor (per latent if needed)."""
     total = num_inducing(iv, kernel)
-    if isinstance(kernel, IndependentLatent) and not isinstance(iv, InducingPoints):
-        size = total // kernel.num_latent
-        blocks = tuple(np.eye(size) for _ in range(kernel.num_latent))
+    sizes = _latent_sizes(iv, kernel)
+    if sizes is not None:
+        blocks = tuple(np.eye(size) for size in sizes)
         return VariationalGaussian(np.zeros(total), blocks, whiten=whiten)
     return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
+
+
+def _check_q(q, iv, kernel):
+    """q has one entry per inducing variable and, for latent inducing
+    variables, one factor block per latent of its member's size."""
+    expected = num_inducing(iv, kernel)
+    if q.num_inducing != expected:
+        raise ShapeMismatch(f"q has {q.num_inducing} entries, pair requires {expected}")
+    sizes = _latent_sizes(iv, kernel)
+    if sizes is not None and q.q_sqrt is not None:
+        q.sqrt_blocks(sizes)
 
 
 def _posterior(gp, x, full_cov, full_output_cov, jitter) -> PosteriorMoments:
@@ -306,11 +323,7 @@ class SVGPModel(Model):
         num_data: int | None = None,
         jitter: float | None = None,
     ):
-        expected = num_inducing(inducing, kernel)
-        if q.num_inducing != expected:
-            raise ShapeMismatch(
-                f"q has {q.num_inducing} entries, pair requires {expected}"
-            )
+        _check_q(q, inducing, kernel)
         self.kernel = kernel
         self.likelihood = likelihood
         self.inducing = inducing
@@ -500,11 +513,7 @@ class GPLayer:
         q: VariationalGaussian,
         mean_function: MeanFunction | None = None,
     ):
-        expected = num_inducing(inducing, kernel)
-        if q.num_inducing != expected:
-            raise ShapeMismatch(
-                f"layer q has {q.num_inducing} entries, pair requires {expected}"
-            )
+        _check_q(q, inducing, kernel)
         self.kernel = kernel
         self.inducing = inducing
         self.q = q
@@ -534,7 +543,7 @@ class DGPModel(Model):
         Child("layers", "layers", many=True, family=GPLayer),
         LIKELIHOOD,
         NUM_DATA,
-        Static("num_samples", "num_samples", default=1),
+        Static("num_samples", "num_samples", default=1, type=int, range=">= 1"),
         JITTER,
     )
     settings = (

@@ -68,11 +68,15 @@ class Child:
 
 @dataclass(frozen=True)
 class Static:
-    """An untrained field."""
+    """An untrained field.  A ``type`` (and ``range``, as for a
+    :class:`Setting`) makes a filed value of another type or out of range a
+    ``ConfigError``."""
 
     key: str
     attr: str
     default: object = REQUIRED
+    type: type | None = None
+    range: str = ""
 
 
 class Schema:
@@ -269,6 +273,8 @@ def construct(cls, spec, family=None, data=None):
             value = value(spec) if callable(value) else value
         elif isinstance(f, Param):
             value = _param_value(f, value, tag)
+        elif f.type is not None and (value is not None or f.default is not None):
+            value = Setting(f.key, f.type, range=f.range).coerce(value, tag)
         kwargs[f.attr] = value
     try:
         return cls(**kwargs)

@@ -236,6 +236,27 @@ class TestExitCodes:
         assert main(["eval", "--model", trained_svgp, "--data", rows]) == 3
         assert "output_index 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "likelihood, bad, message",
+        [("poisson", -1.0, "counts"), ("poisson", 0.5, "counts"), ("bernoulli", 2.0, "0 or 1")],
+    )
+    def test_targets_outside_the_likelihood_support_are_3(
+        self, tmp_path, capsys, likelihood, bad, message
+    ):
+        x = np.linspace(0.0, 1.0, 6)[:, None]
+        good = str(tmp_path / "good.csv")
+        write_dataset(good, x, np.arange(6.0) % 2)
+        rows = str(tmp_path / "rows.csv")
+        write_dataset(rows, x, np.r_[np.arange(5.0) % 2, bad])
+        conf = SVGP_CONF.format(steps=1).replace("gaussian { variance = 0.05 }", likelihood)
+        conf = _write(tmp_path, "c.conf", conf.replace("from_data = 8", "from_data = 3"))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", rows, "--out", out]) == 3
+        assert message in capsys.readouterr().err
+        assert main(["train", "--config", conf, "--data", good, "--out", out]) == 0
+        assert main(["eval", "--model", out, "--data", rows]) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["gpr", "svgp_uncertain"])
     def test_batch_size_for_full_batch_kind_is_2(self, tmp_path, kind, capsys):
         out = str(tmp_path / "m.json")
@@ -575,6 +596,15 @@ class TestPlotdata:
         assert grid[1] == pytest.approx(pred[1], abs=1e-12)  # mu
         assert grid[2] == pytest.approx(pred[2], abs=1e-12)  # var
 
+    def test_separate_negative_grid_value_equals_attached_one(self, tmp_path, trained_svgp):
+        outputs = []
+        for name, grid in [("apart", ["--grid", "-0.99:0.96:5"]), ("attached", ["--grid=-0.99:0.96:5"])]:
+            out = tmp_path / f"{name}.csv"
+            assert main(["plotdata", "--model", trained_svgp, *grid, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith(b"-0.99,")
+
     def test_monotone_grid_order(self, tmp_path, trained_svgp):
         out = str(tmp_path / "grid.csv")
         main(["plotdata", "--model", trained_svgp, "--grid", "0:6:40", "--out", out])
@@ -759,6 +789,48 @@ class TestHeterotopicEval:
             assert entry["rmse"] == pytest.approx(
                 np.sqrt(np.mean(errors[mask] ** 2)), rel=1e-12
             )
+
+
+class TestCorrelatedNoiseCli:
+    def test_observation_noise_in_predict_eval_and_plotdata(self, tmp_path):
+        x = np.linspace(0.0, 3.0, 12)[:, None]
+        y = np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 0])])
+        data = str(tmp_path / "d.csv")
+        write_dataset(data, x, y)
+        conf = _write(
+            tmp_path,
+            "c.conf",
+            """
+            steps = 3
+            model {
+              kind = svgp
+              kernel = shared_independent { base = sqexp {}, outputs = 2 }
+              likelihood = correlated_gaussian { cov = [[0.2, 0.05], [0.05, 0.1]] }
+              inducing = points { from_data = 4 }
+            }
+            """,
+        )
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", model]) == 0
+        noise = np.diag(load_model(model)[0].likelihood.cov)
+
+        def table(command, *args, skip):
+            out = str(tmp_path / f"{command}.csv")
+            assert main([command, "--model", model, "--out", out, *args]) == 0
+            return np.genfromtxt(out, delimiter=",", skip_header=skip)
+
+        plain = table("predict", "--data", data, skip=2)
+        noisy = table("predict", "--data", data, "--observation-noise", skip=2)
+        np.testing.assert_array_equal(noisy[:, :3], plain[:, :3])
+        np.testing.assert_allclose(noisy[:, 3:], plain[:, 3:] + noise, atol=1e-12)
+        grid = table("plotdata", "--grid=0:3:12", "--observation-noise", skip=1)
+        np.testing.assert_allclose(grid[:, 1:5], noisy[:, 1:5], atol=1e-12)
+
+        metrics = str(tmp_path / "metrics.json")
+        assert main(["eval", "--model", model, "--data", data, "--out", metrics]) == 0
+        with open(metrics, encoding="utf-8") as handle:
+            report = json.load(handle)
+        assert np.isfinite(report["mlpd"]) and np.isfinite(report["rmse"])
 
 
 class TestDgpCli:

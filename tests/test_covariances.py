@@ -271,9 +271,9 @@ class TestKufPairs:
         k = LinearCoregionalization(kernels, standard_normal(rng, (3, 2)))
         iv = SharedIndependentInducingVariables(InducingPoints(z))
         got = kuf(iv, k, x)
-        assert got.shape == (2, 4, 5)
+        assert got.shape == (8, 5)  # latent blocks of rows, stacked like q_mu
         for ell in range(2):
-            np.testing.assert_allclose(got[ell], kernels[ell].K(z, x))
+            np.testing.assert_allclose(got[4 * ell : 4 * ell + 4], kernels[ell].K(z, x))
 
     def test_convolutional_kuf_sums_patch_responses(self, rng):
         k = Convolutional(SquaredExponential(1.0, 1.2), (3, 3), (2, 2))

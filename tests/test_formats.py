@@ -37,6 +37,8 @@ PLANE = Dataset(
     np.arange(10.0)[:, None] % 2,
     None,
 )
+COUNTS = Dataset(LINE.x, np.arange(12.0)[:, None] % 4, None)
+LABELS = Dataset(LINE.x, np.arange(12.0)[:, None] % 2, None)
 IMAGES = Dataset(
     np.sin(np.arange(6 * 9, dtype=float)).reshape(6, 9), np.ones((6, 1)), None
 )
@@ -68,7 +70,7 @@ CASES = {
         mean = constant { value = 0.3 }""",
     ),
     "svgp_matern32_points_poisson": (
-        LINE,
+        COUNTS,
         """kind = svgp
         kernel = matern32 {}
         likelihood = poisson
@@ -140,7 +142,7 @@ CASES = {
         inducing = patches { from_data = 3 }""",
     ),
     "dgp_two_layers": (
-        LINE,
+        LABELS,
         """kind = dgp
         num_samples = 2
         jitter = 1e-5

@@ -16,6 +16,7 @@ from sparsegp import (
     variational_expectations,
 )
 from sparsegp.errors import (
+    DataError,
     EmptySubset,
     ShapeMismatch,
     UnsupportedCombination,
@@ -102,6 +103,17 @@ class TestCorrelatedGaussian:
         with pytest.raises(ShapeMismatch):
             variational_expectations(lik, np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
 
+    def test_observation_moments_take_marginals_or_covariances(self, rng):
+        lik = self._instance(rng, p=2)
+        mu = standard_normal(rng, (3, 2))
+        cov = np.stack([make_spd(rng, 2, 0.1) for _ in range(3)])
+        marginal = np.einsum("npp->np", cov)
+        _, full = predict_observation_moments(lik, mu, cov)
+        ymu, var = predict_observation_moments(lik, mu, marginal)
+        np.testing.assert_array_equal(ymu, mu)
+        np.testing.assert_allclose(full, cov + lik.cov)
+        np.testing.assert_allclose(var, np.einsum("npp->np", full), atol=1e-15)
+
     def test_marginalize_full_set_is_identity(self, rng):
         lik = self._instance(rng)
         got = marginalize_outputs(lik, (0, 1, 2))
@@ -164,6 +176,12 @@ class TestBernoulli:
             if coarse > 1e-12:  # below that, round-off dominates
                 assert fine <= coarse
 
+    def test_targets_must_be_zero_or_one(self):
+        Bernoulli().check_targets(np.array([[0.0], [1.0]]))
+        for bad in (0.5, -1.0, 2.0, np.nan):
+            with pytest.raises(DataError, match="0 or 1"):
+                Bernoulli().check_targets(np.array([[1.0], [bad]]))
+
 
 class TestPoisson:
     def test_closed_form_matches_quadrature(self):
@@ -174,6 +192,12 @@ class TestPoisson:
         closed = variational_expectations(Poisson(), mu, var, y)
         quad = gauss_hermite_expectations(Poisson(), mu, var, y, 40)
         np.testing.assert_allclose(closed, quad, atol=1e-8)
+
+    def test_targets_must_be_counts(self):
+        Poisson().check_targets(np.array([[0.0], [3.0]]))
+        for bad in (-1.0, 0.5, np.inf, np.nan):
+            with pytest.raises(DataError, match="counts"):
+                Poisson().check_targets(np.array([[2.0], [bad]]))
 
     def test_observation_moments_match_monte_carlo(self):
         mu = np.array([[0.4]])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +34,12 @@ from sparsegp import (
 )
 from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 
+from sparsegp.modelio import load_model
+from sparsegp.numerics import default_jitter
+
 from conftest import desk_regression, make_spd, random_lower
+from test_conditionals import dense_posterior_oracle
+from test_formats import golden_path
 
 
 def svgp_1d(rng, n=12, m=5, whiten=False, noise=0.05, num_data=None, jitter=1e-10):
@@ -382,6 +389,56 @@ class TestHeterotopicGroups:
         x = np.zeros((3, 1))
         with pytest.raises(ShapeMismatch, match=str(bad)):
             model.elbo_heterotopic(x, np.array([0, bad, 1]), np.zeros(3))
+
+
+class TestSeparateInducingSets:
+    """Latents whose inducing sets differ in size (the golden models)."""
+
+    @pytest.mark.parametrize(
+        "case", ["svgp_separate_independent_separate", "svgp_imc_separate_unwhitened"]
+    )
+    def test_predict_f_matches_a_per_latent_dense_oracle(self, case):
+        model, _ = load_model(golden_path(case))
+        q, kernel = model.q, model.kernel
+        members = model.inducing.members
+        sizes = [m.num_rows for m in members]
+        assert len(set(sizes)) > 1
+        jitter = model.jitter if model.jitter is not None else default_jitter()
+        x = np.linspace(-0.5, 3.5, 7)[:, None]
+        means, covs, offset = [], [], 0
+        for k, member, sqrt in zip(kernel.latent_kernels, members, q.q_sqrt):
+            m = member.num_rows
+            kmm = k_full(k, member.z) + jitter * np.eye(m)
+            mu, s = q.q_mu[offset : offset + m], sqrt @ sqrt.T
+            offset += m
+            if q.whiten:
+                l = np.linalg.cholesky(kmm)
+                mu, s = l @ mu, l @ s @ l.T
+            mean, cov = dense_posterior_oracle(
+                k_full(k, member.z, x), kmm, k_full(k, x), mu, s
+            )
+            means.append(mean)
+            covs.append(cov)
+        w = getattr(kernel, "w", np.eye(len(sizes)))  # [P, L] output mixing
+        got = model.predict_f(x, full_cov=True)
+        np.testing.assert_allclose(got.mean, np.stack(means, axis=1) @ w.T, atol=1e-10)
+        want_cov = np.einsum("pl,lnm->pnm", w * w, np.stack(covs))
+        np.testing.assert_allclose(got.cov, want_cov, atol=1e-10)
+
+    def test_q_blocks_must_match_the_members(self, tmp_path):
+        path = golden_path("svgp_separate_independent_separate")
+        model, _ = load_model(path)
+        swapped = VariationalGaussian(
+            model.q.q_mu, tuple(np.eye(n) for n in (4, 3)), whiten=model.q.whiten
+        )
+        with pytest.raises(ShapeMismatch, match="rows for a latent of size"):
+            SVGPModel(model.kernel, model.likelihood, model.inducing, swapped)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["q_sqrt"]["blocks"] = [np.eye(3).tolist(), np.eye(3).tolist()]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ShapeMismatch, match="rows for a latent of size"):
+            load_model(tmp_path / "m.json")
 
 
 class TestConvolutionalModel:

@@ -1,9 +1,10 @@
-"""Component and model declarations: coverage, and a kernel and a model
-kind added from their declarations alone."""
+"""Component and model declarations: coverage, typed statics, and a kernel
+and a model kind added from their declarations alone."""
 
 from __future__ import annotations
 
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from sparsegp.errors import ConfigError
 from sparsegp.inducing import InducingVariable
 from sparsegp.kernels import Kernel, MultioutputKernel, Stationary
 from sparsegp.likelihoods import Likelihood
-from sparsegp.modelio import Dataset, load_model, save_model
+from sparsegp.modelio import Dataset, load_model, save_model, write_dataset
 from sparsegp.models import MeanFunction, Model
 from sparsegp.schema import Param, Schema, Setting, Static
 
 from conftest import desk_regression
+from test_formats import golden_path
 
 FAMILIES = (Kernel, InducingVariable, Likelihood, MeanFunction, Model)
 ABSTRACT = {Kernel, MultioutputKernel, InducingVariable}
@@ -96,6 +98,37 @@ def test_an_integer_beyond_the_float_range_is_a_config_error():
     with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
         Setting("steps", int, 500, ">= 0").coerce(int("9" * 400))
 
+
+@pytest.mark.parametrize(
+    "case, key, value",
+    [
+        ("svgp_sqexp_points_gaussian", "whiten", "maybe"),
+        ("svgp_sqexp_points_gaussian", "whiten", None),
+        ("svgp_sqexp_points_gaussian", "jitter", "abc"),
+        ("svgp_sqexp_points_gaussian", "jitter", -1e-6),
+        ("svgp_sqexp_points_gaussian", "num_data", "x"),
+        ("svgp_sqexp_points_gaussian", "num_data", 2.5),
+        ("svgp_sqexp_points_gaussian", "num_data", 0),
+        ("dgp_two_layers", "num_samples", "two"),
+        ("dgp_two_layers", "num_samples", 0),
+        ("dgp_two_layers", "jitter", [1e-5]),
+    ],
+)
+def test_a_mistyped_static_in_a_model_file_is_a_config_error(
+    case, key, value, tmp_path, capsys
+):
+    with open(golden_path(case), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc[key] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key):
+        load_model(model)
+    data = tmp_path / "x.csv"
+    write_dataset(data, np.zeros((2, 1)))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
 
 
 class ConstantNoise(Model):
