@@ -256,7 +256,9 @@ def variational_expectations_mc(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimate with its standard error, per data point."""
     if lik.requires_full_output_cov:
-        raise UnsupportedCombination("sampling is defined for factorized likelihoods only")
+        raise UnsupportedCombination(
+            "sampling is defined for factorized likelihoods only"
+        )
     fmu, fvar, y = _validate_factorized(lik, fmu, fvar, y)
     eps = standard_normal(rng, (num_samples,) + fmu.shape)
     f = fmu[None] + np.sqrt(fvar)[None] * eps

@@ -182,7 +182,7 @@ def _check_q(q, iv, kernel):
         raise ShapeMismatch(f"q has {q.num_inducing} entries, pair requires {expected}")
     sizes = _latent_sizes(iv, kernel)
     if sizes is not None and q.q_sqrt is not None:
-        q.sqrt_blocks(sizes)
+        q.sqrt_blocks(sizes)  # raises unless each block matches its member
 
 
 def _posterior(gp, x, full_cov, full_output_cov, jitter) -> PosteriorMoments:

@@ -295,7 +295,9 @@ def test_07_quadrature_matches_closed_form():
     quad = gauss_hermite_expectations(Gaussian(sigma2), mu, var, y, 20)
     err = float(np.max(np.abs(closed - quad)))
     assert err < 1e-10
-    report(7, f"20-node Gauss-Hermite within {err:.1e} of the closed form on 100 tuples")
+    report(
+        7, f"20-node Gauss-Hermite within {err:.1e} of the closed form on 100 tuples"
+    )
 
 
 def test_08_multiscale_delta_limit():

@@ -169,7 +169,9 @@ class TestBernoulli:
         y = np.ones_like(mu)
         reference = gauss_hermite_expectations(Bernoulli(), mu, var, y, 120)
         errors = [
-            np.abs(gauss_hermite_expectations(Bernoulli(), mu, var, y, n) - reference).max()
+            np.abs(
+                gauss_hermite_expectations(Bernoulli(), mu, var, y, n) - reference
+            ).max()
             for n in (4, 8, 16, 32)
         ]
         for coarse, fine in zip(errors, errors[1:]):

@@ -127,7 +127,8 @@ def test_a_mistyped_static_in_a_model_file_is_a_config_error(
     data = tmp_path / "x.csv"
     write_dataset(data, np.zeros((2, 1)))
     out = tmp_path / "p.csv"
-    assert main(["predict", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    args = ["predict", "--model", str(model), "--data", str(data), "--out", str(out)]
+    assert main(args) == 2
     assert key in capsys.readouterr().err
 
 
