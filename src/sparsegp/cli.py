@@ -103,14 +103,14 @@ def cmd_train(args) -> int:
     model = build_model(config, dataset)
     fit_config = _fit_config(config, model)
 
+    if dataset.y is None:
+        raise DataError("training data needs output columns")
     if dataset.heterotopic:
         if not model.heterotopic:
             raise ConfigError("heterotopic data requires an svgp model")
         _check_output_indices(dataset, model.num_outputs)
         data = (dataset.x, dataset.outputs, dataset.y[:, 0])
     else:
-        if dataset.y is None:
-            raise DataError("training data needs output columns")
         data = (dataset.x, dataset.y)
     model.likelihood.check_targets(dataset.y)
 
@@ -204,6 +204,8 @@ def cmd_predict(args) -> int:
 
 def _eval_metrics(model, dataset: Dataset) -> dict:
     lik = model.likelihood
+    if dataset.y is None:
+        raise DataError("evaluation data needs output columns")
     if dataset.heterotopic:
         if model.mixture:
             raise ConfigError("heterotopic evaluation supports shallow models")
@@ -234,8 +236,6 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
             "per_output": per_output,
         }
 
-    if dataset.y is None:
-        raise DataError("evaluation data needs output columns")
     y = dataset.y
     mean, var = model.predict_moments(dataset.x)
     logdens = model.log_density(dataset.x, y, mean, var)

@@ -1,7 +1,13 @@
 """Posterior moments of the approximate GP at new inputs.
 
-``conditional`` dispatches on the (inducing variable, kernel) pair and
-supports four covariance output modes, selected by ``full_cov`` (covariances
+A :class:`Posterior` holds one (inducing variable, kernel) pair's Kuu
+Cholesky factor and q.  ``create_posterior`` picks its class through the
+``CONDITIONAL`` dispatch registry; each registered class supplies the pair's
+two steps, the factor (``_factorize``, run once when the posterior is built)
+and the moments of one block of rows (``_chunk``).  ``conditional`` and
+``sample_conditional`` build a posterior and use it once; models keep one.
+
+Four covariance output modes are selected by ``full_cov`` (covariances
 across inputs) and ``full_output_cov`` (covariances across outputs):
 
     ==========  ================  ====================
@@ -13,7 +19,11 @@ across inputs) and ``full_output_cov`` (covariances across outputs):
     False       False             [N, P]
     ==========  ================  ====================
 
-The returned mean is always [N, P].
+The returned mean is always [N, P].  The marginal modes (``full_cov`` off)
+are independent per input row, so they are computed over chunks of rows,
+each with a Kuf of at most :data:`CHUNK_FLOATS` floats: memory stays bounded
+in N and every row gets the numbers a single pass would give.  The
+``full_cov`` modes run in one pass, since their output is N² anyway.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import numpy as np
 
 from .covariances import kuf, kuu
 from .dispatch import DispatchRegistry
+from .divergences import prior_kl
 from .errors import ShapeMismatch
 from .inducing import (
     InducingPatches,
@@ -44,12 +55,9 @@ from .kernels import (
     mo_k_diag,
 )
 from .numerics import (
-    BlockDiagonal,
     RngState,
-    as_structured,
-    block_cholesky_factors,
     cholesky,
-    densify,
+    factorize,
     record_allocation,
     standard_normal,
     tri_solve,
@@ -59,6 +67,10 @@ from .schema import Param, Schema, Static
 # Marginal variances at or below this are treated as exactly zero when
 # sampling, so deterministic posteriors reproduce their mean.
 SAMPLE_VARIANCE_FLOOR = 1e-12
+
+# Floats of Kuf per chunk of a streamed marginal prediction: 2048 rows when
+# each row of Kuf holds 128 floats.
+CHUNK_FLOATS = 2**18
 
 
 @dataclass(eq=False)
@@ -206,6 +218,43 @@ def _moments(lm, kmn, knn, mu, sqrt, whiten, full_cov, full_output_cov):
     return mean, cov
 
 
+def chunk_rows(row_floats: int) -> int:
+    """Rows per chunk: the largest power of two whose Kuf, at ``row_floats``
+    floats per row, fits in :data:`CHUNK_FLOATS`.  Chunks that start at
+    multiples of a power of two line up with the row blocking of the BLAS
+    kernels, which in practice keeps every row's numbers equal to those of a
+    single pass (an odd chunk length moved the last digit of a few rows)."""
+    fit = max(1, CHUNK_FLOATS // max(1, row_floats))
+    return 1 << (fit.bit_length() - 1)
+
+
+def stream_marginals(step, x, row_floats):
+    """``step(rows) -> (mean, cov)`` over all of ``x``, in chunks of
+    ``chunk_rows(row_floats)`` rows.
+
+    Only the results are allocated at full length; a single chunk is
+    returned as ``step`` gave it.
+    """
+    n = x.shape[0]
+    rows = chunk_rows(row_floats)
+    if n <= rows:
+        return step(x)
+    stops = [*range(rows, n, rows), n]
+    if n - stops[-2] == 1:
+        del stops[-2]  # numpy multiplies a lone row by vector kernels
+    mean = cov = None
+    start = 0
+    for stop in stops:
+        part_mean, part_cov = step(x[start:stop])
+        if mean is None:
+            mean = np.empty((n, *part_mean.shape[1:]))
+            cov = np.empty((n, *part_cov.shape[1:]))
+        mean[start:stop] = part_mean
+        cov[start:stop] = part_cov
+        start = stop
+    return mean, cov
+
+
 def fully_correlated_conditional(
     kmn, kmm, knn, q: VariationalGaussian, *, full_cov, full_output_cov
 ) -> PosteriorMoments:
@@ -217,7 +266,7 @@ def fully_correlated_conditional(
     kmn = np.asarray(kmn, dtype=float)
     knn = np.asarray(knn, dtype=float)
     mt, n, p = kmn.shape
-    lm = cholesky(densify(as_structured(kmm)), jitter=0.0)
+    lm = factorize(kmm)
     if mt != lm.shape[0]:
         raise ShapeMismatch(f"Kmn has {mt} rows for Kmm of dim {lm.shape[0]}")
     shape = _cov_shape(n, p, full_cov, full_output_cov)
@@ -231,9 +280,83 @@ def fully_correlated_conditional(
 
 
 # ---------------------------------------------------------------------------
-# Dispatching conditional
+# Posterior objects
 
 CONDITIONAL = DispatchRegistry("conditional")
+
+
+class Posterior:
+    """q(f) of one (inducing variable, kernel) pair with Kuu factored once.
+
+    ``factor`` is the lower Cholesky factor of Kuu, or for latent inducing
+    variables the list of per-latent factors (a block shared by several
+    latents is factored once).  Build one with ``create_posterior``.
+    """
+
+    correlated_outputs = False  # whether per-point outputs can correlate
+
+    def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None):
+        self.inducing = iv
+        self.kernel = kernel
+        self.q = q
+        self.factor = self._factorize(kuu(iv, kernel, jitter))
+
+    def _factorize(self, kmm):
+        raise NotImplementedError
+
+    def _row_floats(self) -> int:
+        """Floats per input row of the largest Kuf-sized array of a chunk."""
+        return self.q.num_inducing
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        """(mean, cov) of the rows ``x`` in the requested mode."""
+        raise NotImplementedError
+
+    def predict(
+        self, xnew, full_cov: bool = False, full_output_cov: bool = False
+    ) -> PosteriorMoments:
+        """Moments of q(f(Xnew)); the marginal modes stream over rows."""
+        xnew = np.asarray(xnew, dtype=float)
+        if full_cov:
+            mean, cov = self._chunk(xnew, True, full_output_cov)
+        else:
+            mean, cov = stream_marginals(
+                lambda rows: self._chunk(rows, False, full_output_cov),
+                xnew,
+                self._row_floats(),
+            )
+        return PosteriorMoments(mean, cov, full_cov, full_output_cov)
+
+    def sample(self, xnew, rng: RngState, num_samples: int = 1) -> np.ndarray:
+        """Reparameterized draws of f(Xnew) from its per-point marginals;
+        returns [num_samples, N, P]."""
+        correlated = self.correlated_outputs
+        moments = self.predict(xnew, full_cov=False, full_output_cov=correlated)
+        n, p = moments.mean.shape
+        eps = standard_normal(rng, (int(num_samples), n, p))
+        if correlated:
+            factors = np.stack([_marginal_sqrt(c) for c in moments.cov])  # [N, P, P]
+            noise = np.einsum("npq,snq->snp", factors, eps)
+        else:
+            var = np.asarray(moments.cov, dtype=float)
+            var = np.where(var <= SAMPLE_VARIANCE_FLOOR, 0.0, var)
+            noise = np.sqrt(var) * eps
+        return moments.mean[None, :, :] + noise
+
+    def kl(self) -> float:
+        """KL(q(u) || p(u)), reading the factor instead of refactoring."""
+        return prior_kl(self.inducing, self.kernel, self.q, factor=self.factor)
+
+
+def create_posterior(iv: InducingVariable, kernel: Kernel, q, jitter=None) -> Posterior:
+    """The posterior of the pair, its class chosen by dispatch."""
+    expected = num_inducing(iv, kernel)
+    if q.num_inducing != expected:
+        raise ShapeMismatch(
+            f"q has {q.num_inducing} inducing entries, pair requires {expected}"
+        )
+    cls = CONDITIONAL.resolve(type(iv), type(kernel))
+    return cls(iv, kernel, q, jitter)
 
 
 def conditional(
@@ -247,150 +370,8 @@ def conditional(
     jitter: float | None = None,
 ) -> PosteriorMoments:
     """Moments of the approximate posterior q(f(Xnew))."""
-    expected = num_inducing(iv, kernel)
-    if q.num_inducing != expected:
-        raise ShapeMismatch(
-            f"q has {q.num_inducing} inducing entries, pair requires {expected}"
-        )
-    impl = CONDITIONAL.resolve(type(iv), type(kernel))
-    return impl(
-        np.asarray(xnew, dtype=float),
-        iv,
-        kernel,
-        q,
-        full_cov=full_cov,
-        full_output_cov=full_output_cov,
-        jitter=jitter,
-    )
-
-
-# Summed-patch response is a scalar process; the single-output path applies
-# once Kuu/Kuf are the patch covariances.
-@CONDITIONAL.register(InducingPatches, Convolutional)
-@CONDITIONAL.register(InducingVariable, Kernel)
-def _single_output_conditional(
-    xnew, iv, kernel, q, *, full_cov, full_output_cov, jitter
-):
-    kmm = kuu(iv, kernel, jitter)
-    kmn = kuf(iv, kernel, xnew)[:, :, None]  # [M, N, 1]
-    knn = k_full(kernel, xnew) if full_cov else k_diag(kernel, xnew)
-    shape = _cov_shape(kmn.shape[1], 1, full_cov, full_output_cov)
-    return fully_correlated_conditional(
-        kmn, kmm, knn.reshape(shape), q,
-        full_cov=full_cov, full_output_cov=full_output_cov,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fully-correlated multioutput inducing points
-
-
-@CONDITIONAL.register(InducingPoints, MultioutputKernel)
-def _inducing_point_conditional(
-    xnew, iv, kernel, q, *, full_cov, full_output_cov, jitter
-):
-    kmm = kuu(iv, kernel, jitter)  # Dense [MP, MP]
-    kmn4 = kuf(iv, kernel, xnew)  # [M, P, N, P]
-    m, p, n, p2 = kmn4.shape
-    if full_cov:
-        knn = mo_k(kernel, xnew, full_output_cov=True)  # [N, P, N, P]
-        if not full_output_cov:
-            knn = np.einsum("npmp->pnm", knn)
-    else:
-        knn = mo_k_diag(kernel, xnew, full_output_cov=full_output_cov)
-    return fully_correlated_conditional(
-        kmn4.reshape(m * p, n, p2),
-        kmm,
-        knn,
-        q,
-        full_cov=full_cov,
-        full_output_cov=full_output_cov,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Latent-process inducing variables
-
-
-def _latent_moments(xnew, iv, kernel, q, full_cov, jitter):
-    """Per-latent posterior moments under the mean-field posterior.
-
-    Returns mean [N, L] and variance [N, L] (or covariance [L, N, N]).
-    """
-    kmm = kuu(iv, kernel, jitter)
-    if not isinstance(kmm, BlockDiagonal):
-        raise ShapeMismatch("latent conditional expects a block-diagonal Kuu")
-    kmn = kuf(iv, kernel, xnew)  # latent blocks of rows, stacked like q_mu
-    factors = block_cholesky_factors(kmm)  # shared blocks factorized once
-    sizes = [f.shape[0] for f in factors]
-    mus = q.mu_blocks(sizes)
-    sqrts = q.sqrt_blocks(sizes)
-    shape = _cov_shape(kmn.shape[1], 1, full_cov, False)
-    priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
-    means, covs = [], []
-    start = 0
-    for i, k in enumerate(kernel.latent_kernels):
-        if id(k) not in priors:
-            priors[id(k)] = (k.K(xnew) if full_cov else k.K_diag(xnew)).reshape(shape)
-        block = kmn[start : start + sizes[i], :, None]
-        start += sizes[i]
-        mean, cov = _moments(
-            factors[i], block, priors[id(k)], mus[i], sqrts[i],
-            q.whiten, full_cov, False,
-        )
-        means.append(mean)
-        covs.append(cov)
-    gvar = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
-    return np.concatenate(means, axis=1), gvar
-
-
-@CONDITIONAL.register(LatentInducingVariables, IndependentOutputs)
-def _independent_outputs_conditional(
-    xnew, iv, kernel, q, *, full_cov, full_output_cov, jitter
-):
-    gmean, gvar = _latent_moments(xnew, iv, kernel, q, full_cov, jitter)
-    n, p = gmean.shape
-    idx = np.arange(p)
-    if full_cov and full_output_cov:
-        cov = np.zeros((n, p, n, p))
-        cov[:, idx, :, idx] = gvar  # [P, N, N] into the diagonal output blocks
-    elif full_cov:
-        cov = gvar  # [P, N, N]
-    elif full_output_cov:
-        cov = np.zeros((n, p, p))
-        cov[:, idx, idx] = gvar  # [N, P] onto the per-point diagonals
-    else:
-        cov = gvar  # [N, P]
-    record_allocation(cov)
-    return PosteriorMoments(gmean, cov, full_cov, full_output_cov)
-
-
-@CONDITIONAL.register(LatentInducingVariables, LinearCoregionalization)
-def _coregionalization_conditional(
-    xnew, iv, kernel, q, *, full_cov, full_output_cov, jitter
-):
-    # Latent moments first, then the output mixing: mean = W mu_g and
-    # cov = W Sigma_g Wᵀ, never materializing anything of output size
-    # squared times inducing size.
-    gmean, gvar = _latent_moments(xnew, iv, kernel, q, full_cov, jitter)
-    w = kernel.w  # [P, L]
-    mean = gmean @ w.T
-    if full_cov and full_output_cov:
-        cov = np.einsum("pl,lnm,ql->npmq", w, gvar, w)
-    elif full_cov:
-        cov = np.einsum("pl,lnm->pnm", w * w, gvar)
-    elif full_output_cov:
-        cov = np.einsum("pl,nl,ql->npq", w, gvar, w)
-    else:
-        cov = gvar @ (w * w).T
-    record_allocation(cov)
-    return PosteriorMoments(mean, cov, full_cov, full_output_cov)
-
-
-# ---------------------------------------------------------------------------
-# Sampling
-
-SAMPLE_CONDITIONAL = DispatchRegistry("sample_conditional")
+    post = create_posterior(iv, kernel, q, jitter)
+    return post.predict(xnew, full_cov, full_output_cov)
 
 
 def sample_conditional(
@@ -403,27 +384,7 @@ def sample_conditional(
     jitter: float | None = None,
 ) -> np.ndarray:
     """Draw reparameterized samples of f(Xnew); returns [num_samples, N, P]."""
-    impl = SAMPLE_CONDITIONAL.resolve(type(iv), type(kernel))
-    return impl(
-        np.asarray(xnew, dtype=float),
-        iv,
-        kernel,
-        q,
-        rng,
-        int(num_samples),
-        jitter,
-    )
-
-
-def _outputs_correlated(iv, kernel, q) -> bool:
-    """Whether per-point outputs can be correlated under the posterior."""
-    if isinstance(iv, InducingPatches) and isinstance(kernel, Convolutional):
-        return False
-    if isinstance(kernel, IndependentOutputs) and isinstance(
-        iv, LatentInducingVariables
-    ):
-        return False  # mean-field posterior keeps outputs independent
-    return isinstance(kernel, MultioutputKernel)
+    return create_posterior(iv, kernel, q, jitter).sample(xnew, rng, num_samples)
 
 
 def _marginal_sqrt(cov_n):
@@ -433,25 +394,144 @@ def _marginal_sqrt(cov_n):
     return cholesky(cov_n, jitter=0.0)
 
 
-@SAMPLE_CONDITIONAL.register(InducingVariable, Kernel)
-def _default_sample_conditional(xnew, iv, kernel, q, rng, num_samples, jitter):
-    correlated = _outputs_correlated(iv, kernel, q)
-    moments = conditional(
-        xnew,
-        iv,
-        kernel,
-        q,
-        full_cov=False,
-        full_output_cov=correlated,
-        jitter=jitter,
-    )
-    n, p = moments.mean.shape
-    eps = standard_normal(rng, (num_samples, n, p))
-    if correlated:
-        factors = np.stack([_marginal_sqrt(c) for c in moments.cov])  # [N, P, P]
-        noise = np.einsum("npq,snq->snp", factors, eps)
-    else:
-        var = np.asarray(moments.cov, dtype=float)
-        var = np.where(var <= SAMPLE_VARIANCE_FLOOR, 0.0, var)
-        noise = np.sqrt(var) * eps
-    return moments.mean[None, :, :] + noise
+class _DensePosterior(Posterior):
+    """A pair whose Kuu is one dense M~ x M~ matrix."""
+
+    def _factorize(self, kmm):
+        factor = factorize(kmm)
+        self.q.dense_sqrt()  # raises for per-latent q blocks
+        return factor
+
+    def _dense_moments(self, kmn, knn, full_cov, full_output_cov):
+        q = self.q
+        return _moments(
+            self.factor, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten,
+            full_cov, full_output_cov,
+        )
+
+
+@CONDITIONAL.register(InducingVariable, Kernel)
+class SingleOutputPosterior(_DensePosterior):
+    def _chunk(self, x, full_cov, full_output_cov):
+        kmn = kuf(self.inducing, self.kernel, x)[:, :, None]  # [M, N, 1]
+        knn = k_full(self.kernel, x) if full_cov else k_diag(self.kernel, x)
+        shape = _cov_shape(kmn.shape[1], 1, full_cov, full_output_cov)
+        return self._dense_moments(kmn, knn.reshape(shape), full_cov, full_output_cov)
+
+
+# The summed-patch response is a scalar process; the single-output steps
+# apply once Kuu/Kuf are the patch covariances.
+@CONDITIONAL.register(InducingPatches, Convolutional)
+class PatchPosterior(SingleOutputPosterior):
+    def _row_floats(self):
+        return self.q.num_inducing * self.kernel.num_outputs  # Kuf's patch gram
+
+
+# ---------------------------------------------------------------------------
+# Fully-correlated multioutput inducing points
+
+
+@CONDITIONAL.register(InducingPoints, MultioutputKernel)
+class MultioutputPointsPosterior(_DensePosterior):
+    correlated_outputs = True
+
+    def _row_floats(self):
+        return self.q.num_inducing * self.kernel.num_outputs  # Kuf [M, P, N, P]
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        kernel = self.kernel
+        kmn4 = kuf(self.inducing, kernel, x)  # [M, P, N, P]
+        m, p, n, p2 = kmn4.shape
+        if full_cov:
+            knn = mo_k(kernel, x, full_output_cov=True)  # [N, P, N, P]
+            if not full_output_cov:
+                knn = np.einsum("npmp->pnm", knn)
+        else:
+            knn = mo_k_diag(kernel, x, full_output_cov=full_output_cov)
+        return self._dense_moments(
+            kmn4.reshape(m * p, n, p2), knn, full_cov, full_output_cov
+        )
+
+
+# ---------------------------------------------------------------------------
+# Latent-process inducing variables
+
+
+class _LatentPosterior(Posterior):
+    """Latent inducing variables: block-diagonal Kuu, mean-field q."""
+
+    def _factorize(self, kmm):
+        factors = factorize(kmm, per_block=True)
+        self._blocks(factors)  # raises unless q splits into those blocks
+        return factors
+
+    def _blocks(self, factors):
+        sizes = [f.shape[0] for f in factors]
+        return self.q.mu_blocks(sizes), self.q.sqrt_blocks(sizes)
+
+    def _latent_moments(self, x, full_cov):
+        """Per-latent mean [N, L] and variance [N, L] (or covariance
+        [L, N, N]) under the mean-field posterior."""
+        kmn = kuf(self.inducing, self.kernel, x)  # latent blocks, stacked like q_mu
+        mus, sqrts = self._blocks(self.factor)
+        shape = _cov_shape(kmn.shape[1], 1, full_cov, False)
+        priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
+        means, covs = [], []
+        start = 0
+        for i, k in enumerate(self.kernel.latent_kernels):
+            if id(k) not in priors:
+                priors[id(k)] = (k.K(x) if full_cov else k.K_diag(x)).reshape(shape)
+            size = mus[i].shape[0]
+            block = kmn[start : start + size, :, None]
+            start += size
+            mean, cov = _moments(
+                self.factor[i], block, priors[id(k)], mus[i], sqrts[i],
+                self.q.whiten, full_cov, False,
+            )
+            means.append(mean)
+            covs.append(cov)
+        gvar = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
+        return np.concatenate(means, axis=1), gvar
+
+
+@CONDITIONAL.register(LatentInducingVariables, IndependentOutputs)
+class IndependentOutputsPosterior(_LatentPosterior):
+    def _chunk(self, x, full_cov, full_output_cov):
+        gmean, gvar = self._latent_moments(x, full_cov)
+        n, p = gmean.shape
+        idx = np.arange(p)
+        if full_cov and full_output_cov:
+            cov = np.zeros((n, p, n, p))
+            cov[:, idx, :, idx] = gvar  # [P, N, N] into the diagonal output blocks
+        elif full_cov:
+            cov = gvar  # [P, N, N]
+        elif full_output_cov:
+            cov = np.zeros((n, p, p))
+            cov[:, idx, idx] = gvar  # [N, P] onto the per-point diagonals
+        else:
+            cov = gvar  # [N, P]
+        record_allocation(cov)
+        return gmean, cov
+
+
+@CONDITIONAL.register(LatentInducingVariables, LinearCoregionalization)
+class CoregionalizationPosterior(_LatentPosterior):
+    correlated_outputs = True
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        # Latent moments first, then the output mixing: mean = W mu_g and
+        # cov = W Sigma_g Wᵀ, never materializing anything of output size
+        # squared times inducing size.
+        gmean, gvar = self._latent_moments(x, full_cov)
+        w = self.kernel.w  # [P, L]
+        mean = gmean @ w.T
+        if full_cov and full_output_cov:
+            cov = np.einsum("pl,lnm,ql->npmq", w, gvar, w)
+        elif full_cov:
+            cov = np.einsum("pl,lnm->pnm", w * w, gvar)
+        elif full_output_cov:
+            cov = np.einsum("pl,nl,ql->npq", w, gvar, w)
+        else:
+            cov = gvar @ (w * w).T
+        record_allocation(cov)
+        return mean, cov

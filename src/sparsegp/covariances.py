@@ -36,6 +36,7 @@ from .numerics import (
     Dense,
     StructuredPSD,
     default_jitter,
+    densify,
     record_allocation,
 )
 
@@ -155,9 +156,10 @@ def _kuf_patches_conv(iv, kernel, xnew):
 # Latent-process inducing variables
 #
 # The prior independence of the latent processes makes Kuu block diagonal.
-# Blocks shared by several latents (shared inducing sets with a shared
-# kernel) are stored once with a repeat count, so a single factorization
-# serves all of them.
+# Each latent's blocks come from the dispatch on its own (member, latent
+# kernel) pair, so a multiscale member keeps its windows.  Blocks shared by
+# several latents (shared inducing sets with a shared kernel) are stored
+# once with a repeat count, so a single factorization serves all of them.
 
 
 def _latent_pairs(iv, kernel):
@@ -176,11 +178,9 @@ def _kuu_latent(iv, kernel, jitter):
         if key == last_key:
             repeats[-1] += 1
             continue
-        gram = k_full(k, member.z)
-        blocks.append(gram + jitter * np.eye(gram.shape[0]))
+        blocks.append(densify(kuu(member, k, jitter)))
         repeats.append(1)
         last_key = key
-    record_allocation(*blocks)
     return BlockDiagonal(tuple(blocks), tuple(repeats))
 
 
@@ -191,6 +191,6 @@ def _kuf_latent(iv, kernel, xnew):
     for k, member in _latent_pairs(iv, kernel):
         key = (id(k), id(member))
         if key not in seen:
-            seen[key] = k_full(k, member.z, xnew)
+            seen[key] = kuf(member, k, xnew)
         grams.append(seen[key])
     return np.concatenate(grams)  # [M_1 + ... + M_L, N]

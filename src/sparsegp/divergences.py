@@ -18,15 +18,7 @@ import numpy as np
 
 from .covariances import kuu
 from .errors import ShapeMismatch
-from .numerics import (
-    BlockDiagonal,
-    StructuredPSD,
-    as_structured,
-    block_cholesky_factors,
-    cholesky,
-    densify,
-    tri_solve,
-)
+from .numerics import StructuredPSD, factorize, tri_solve
 
 
 def _require_square_factor(sqrt: np.ndarray, m: int) -> np.ndarray:
@@ -59,8 +51,14 @@ def _unwhitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, luu: np.ndarray) -> f
     return 0.5 * (-logdet_s - m + logdet_k + trace + float(alpha @ alpha))
 
 
-def gauss_kl(q, kuu_matrix: StructuredPSD | None = None) -> float:
-    """KL(q(u) || p(u)); pass ``kuu_matrix=None`` for whitened parameters."""
+def gauss_kl(q, kuu_matrix: StructuredPSD | None = None, *, factor=None) -> float:
+    """KL(q(u) || p(u)).
+
+    Unwhitened parameters need the prior: ``factor``, the Cholesky factor of
+    Kuu (one lower-triangular matrix, or the per-latent factors when q has
+    per-latent blocks), or else ``kuu_matrix`` to factor here.  Whitened
+    parameters need neither.
+    """
     mu = q.mean_vector
     if q.whiten:
         if q.is_block:
@@ -74,33 +72,28 @@ def gauss_kl(q, kuu_matrix: StructuredPSD | None = None) -> float:
             return total
         return _whitened_block_kl(mu, q.q_sqrt)
 
-    if kuu_matrix is None:
-        raise ShapeMismatch("unwhitened KL needs the inducing covariance")
-    kuu_matrix = as_structured(kuu_matrix)
+    if factor is None:
+        if kuu_matrix is None:
+            raise ShapeMismatch("unwhitened KL needs the inducing covariance")
+        factor = factorize(kuu_matrix, per_block=q.is_block)
+    if not q.is_block:
+        return _unwhitened_block_kl(mu, q.q_sqrt, factor)
 
-    if q.is_block:
-        if not isinstance(kuu_matrix, BlockDiagonal):
-            raise ShapeMismatch(
-                "per-latent q_sqrt blocks need a block-diagonal inducing covariance"
-            )
-        factors = block_cholesky_factors(kuu_matrix)
-        if len(factors) != len(q.q_sqrt):
-            raise ShapeMismatch(
-                f"{len(q.q_sqrt)} q_sqrt blocks for {len(factors)} covariance blocks"
-            )
-        total, offset = 0.0, 0
-        for luu, block in zip(factors, q.q_sqrt):
-            m = luu.shape[0]
-            total += _unwhitened_block_kl(mu[offset : offset + m], block, luu)
-            offset += m
-        return total
-
-    luu = cholesky(densify(kuu_matrix), jitter=0.0)
-    return _unwhitened_block_kl(mu, q.q_sqrt, luu)
+    if len(factor) != len(q.q_sqrt):
+        raise ShapeMismatch(
+            f"{len(q.q_sqrt)} q_sqrt blocks for {len(factor)} covariance blocks"
+        )
+    total, offset = 0.0, 0
+    for luu, block in zip(factor, q.q_sqrt):
+        m = luu.shape[0]
+        total += _unwhitened_block_kl(mu[offset : offset + m], block, luu)
+        offset += m
+    return total
 
 
-def prior_kl(iv, kernel, q, jitter: float | None = None) -> float:
-    """KL against the prior, resolving Kuu by dispatch when it is needed."""
-    if q.whiten:
-        return gauss_kl(q, None)
+def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:
+    """KL against the prior.  Unwhitened q reads ``factor`` (as in
+    ``gauss_kl``) when given, else resolves Kuu by dispatch and factors it."""
+    if q.whiten or factor is not None:
+        return gauss_kl(q, factor=factor)
     return gauss_kl(q, kuu(iv, kernel, jitter))

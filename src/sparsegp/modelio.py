@@ -91,28 +91,30 @@ def _parse_header(header):
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if not rows:
-        raise DataError("dataset file is empty")
-    x_idx, y_idx, output_col = _parse_header(rows[0])
-    width = len(rows[0])
+    """Parse each row as it is read.  Blank rows are skipped, and error line
+    numbers count the rows that are not blank, the header being line 1."""
     x, y, outputs = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DataError(f"line {lineno}: expected {width} cells, got {len(row)}")
-        try:
-            x.append([float(row[i]) for i in x_idx])
-            if y_idx:
-                y.append([float(row[i]) for i in y_idx])
-            if output_col is not None:
-                index = float(row[output_col])
-                if index != int(index) or index < 0:
-                    raise ValueError
-                outputs.append(int(index))
-        except ValueError:
-            raise DataError(f"line {lineno}: non-numeric cell") from None
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = (row for row in csv.reader(handle) if row and any(c.strip() for c in row))
+        header = next(rows, None)
+        if header is None:
+            raise DataError("dataset file is empty")
+        x_idx, y_idx, output_col = _parse_header(header)
+        width = len(header)
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise DataError(f"line {lineno}: expected {width} cells, got {len(row)}")
+            try:
+                x.append([float(row[i]) for i in x_idx])
+                if y_idx:
+                    y.append([float(row[i]) for i in y_idx])
+                if output_col is not None:
+                    index = float(row[output_col])
+                    if index != int(index) or index < 0:
+                        raise ValueError
+                    outputs.append(int(index))
+            except ValueError:
+                raise DataError(f"line {lineno}: non-numeric cell") from None
     return Dataset(
         np.asarray(x, float),
         np.asarray(y, float) if y_idx else None,

@@ -9,14 +9,17 @@ mutating them.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.special import logsumexp
 
 from .conditionals import (
+    Posterior,
     PosteriorMoments,
     VariationalGaussian,
-    conditional,
-    sample_conditional,
+    create_posterior,
+    stream_marginals,
 )
 from .covariances import kuf, kuu
 from .divergences import prior_kl
@@ -45,7 +48,7 @@ from .likelihoods import (
 from .numerics import (
     RngState,
     cholesky,
-    densify,
+    factorize,
     standard_normal,
     tri_solve,
 )
@@ -185,17 +188,9 @@ def _check_q(q, iv, kernel):
         q.sqrt_blocks(sizes)  # raises unless each block matches its member
 
 
-def _posterior(gp, x, full_cov, full_output_cov, jitter) -> PosteriorMoments:
+def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
     """Moments of an SVGP or a deep-GP layer at ``x``, mean function added."""
-    moments = conditional(
-        x,
-        gp.inducing,
-        gp.kernel,
-        gp.q,
-        full_cov=full_cov,
-        full_output_cov=full_output_cov,
-        jitter=jitter,
-    )
+    moments = post.predict(x, full_cov, full_output_cov)
     moments.mean = moments.mean + gp.mean_function(x)
     return moments
 
@@ -217,6 +212,39 @@ def _layer_parts(node, x, whiten):
 
 # ---------------------------------------------------------------------------
 # Exact Gaussian process regression
+
+
+class GPRPosterior:
+    """Exact GP posterior: L with L Lᵀ = Kff + noise I and alpha = L⁻¹ y.
+
+    The marginal predictions stream over chunks of rows like the sparse
+    posteriors; the full covariance runs in one pass.
+    """
+
+    def __init__(self, kernel, noise_variance, x, y):
+        self.kernel = kernel
+        self.x = x
+        kyy = k_full(kernel, x) + noise_variance * np.eye(x.shape[0])
+        self.factor = cholesky(kyy, jitter=0.0)
+        self.alpha = tri_solve(self.factor, y[:, 0])
+
+    def _project(self, xnew):
+        a = tri_solve(self.factor, k_full(self.kernel, self.x, xnew))
+        return a, a.T @ self.alpha
+
+    def _marginals(self, xnew):
+        a, mean = self._project(xnew)
+        var = k_diag(self.kernel, xnew) - np.sum(a * a, axis=0)
+        return mean[:, None], var[:, None]
+
+    def predict(self, xnew, full_cov: bool = False) -> PosteriorMoments:
+        xnew = _as_columns(xnew)
+        if full_cov:
+            a, mean = self._project(xnew)
+            cov = k_full(self.kernel, xnew) - a.T @ a
+            return PosteriorMoments(mean[:, None], cov[None, :, :], True, False)
+        mean, var = stream_marginals(self._marginals, xnew, self.x.shape[0])
+        return PosteriorMoments(mean, var, False, False)
 
 
 class GPRModel(Model):
@@ -245,34 +273,23 @@ class GPRModel(Model):
                 f"targets must be [N, 1], got {self.y.shape} for N={self.x.shape[0]}"
             )
 
-    def _noisy_chol(self):
-        kyy = k_full(self.kernel, self.x) + self.noise_variance * np.eye(
-            self.x.shape[0]
-        )
-        return cholesky(kyy, jitter=0.0)
+    @cached_property
+    def posterior(self) -> GPRPosterior:
+        """The factor of Kff + noise I, built once for this snapshot."""
+        return GPRPosterior(self.kernel, self.noise_variance, self.x, self.y)
 
     def log_marginal(self) -> float:
         """log N(y; 0, Kff + noise I) via Cholesky."""
         n = self.x.shape[0]
-        l = self._noisy_chol()
-        alpha = tri_solve(l, self.y[:, 0])
+        post = self.posterior
         return float(
             -0.5 * n * np.log(2.0 * np.pi)
-            - np.sum(np.log(np.diag(l)))
-            - 0.5 * (alpha @ alpha)
+            - np.sum(np.log(np.diag(post.factor)))
+            - 0.5 * (post.alpha @ post.alpha)
         )
 
     def predict(self, xnew, full_cov: bool = False) -> PosteriorMoments:
-        xnew = _as_columns(xnew)
-        l = self._noisy_chol()
-        kmn = k_full(self.kernel, self.x, xnew)
-        a = tri_solve(l, kmn)
-        mean = a.T @ tri_solve(l, self.y[:, 0])
-        if full_cov:
-            cov = k_full(self.kernel, xnew) - a.T @ a
-            return PosteriorMoments(mean[:, None], cov[None, :, :], True, False)
-        var = k_diag(self.kernel, xnew) - np.sum(a * a, axis=0)
-        return PosteriorMoments(mean[:, None], var[:, None], False, False)
+        return self.posterior.predict(xnew, full_cov)
 
     @classmethod
     def from_config(cls, node, dataset):
@@ -375,9 +392,8 @@ class SVGPModel(Model):
             return {}
         x, y = batch
         x = np.asarray(x, dtype=float)
-        kmm = kuu(self.inducing, self.kernel, self.jitter)
+        luu = self.posterior.factor
         kmn = kuf(self.inducing, self.kernel, x).reshape(q.num_inducing, -1)
-        luu = cholesky(densify(kmm), jitter=0.0)
         a = tri_solve(luu, kmn)
         proj = a if q.whiten else tri_solve(luu, a, transpose=True)
         resid = np.asarray(y, dtype=float).reshape(-1) - (
@@ -397,13 +413,19 @@ class SVGPModel(Model):
             "q_sqrt": -(scale / noise) * ((proj @ proj.T) @ l_s) - kl_sqrt,
         }
 
+    @cached_property
+    def posterior(self) -> Posterior:
+        """Kuu factored once for this snapshot; the ELBO's data term and KL,
+        the exact gradients and every prediction read it."""
+        return create_posterior(self.inducing, self.kernel, self.q, self.jitter)
+
     def prior_kl(self) -> float:
-        return prior_kl(self.inducing, self.kernel, self.q, self.jitter)
+        return self.posterior.kl()
 
     def predict_f(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
     ) -> PosteriorMoments:
-        return _posterior(self, xnew, full_cov, full_output_cov, self.jitter)
+        return _posterior_moments(self, self.posterior, xnew, full_cov, full_output_cov)
 
     def elbo(self, batch, scale: float | None = None) -> float:
         """Scaled expected log-likelihood minus the KL to the prior."""
@@ -479,7 +501,7 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     targets = targets - mean_offset
 
     noise = model.likelihood.variance
-    luu = cholesky(densify(kmm), jitter=0.0)
+    luu = factorize(kmm)
     a = tri_solve(luu, kmn)
     b = np.eye(a.shape[0]) + (a @ a.T) / noise
     lb = cholesky(b, jitter=0.0)
@@ -616,34 +638,43 @@ class DGPModel(Model):
         parts = [predictive_log_density(self.likelihood, m, v, y) for m, v in draws]
         return logsumexp(np.stack(parts), axis=0) - np.log(samples)
 
-    def propagate(self, x, rng: RngState):
-        """Sample hidden states through all but the last layer."""
+    def _posteriors(self) -> list[Posterior]:
+        """Each layer's posterior; built once per ``elbo``, ``predict_f`` or
+        ``log_density`` call and shared by every propagated sample."""
+        return [
+            create_posterior(layer.inducing, layer.kernel, layer.q, self.jitter)
+            for layer in self.layers
+        ]
+
+    def propagate(self, x, rng: RngState, posteriors=None):
+        """Sample hidden states through all but the last layer; pass the
+        layers' ``posteriors`` when they are built already."""
+        posteriors = self._posteriors() if posteriors is None else posteriors
         h = np.asarray(x, dtype=float)
-        for layer in self.layers[:-1]:
-            draw = sample_conditional(
-                h, layer.inducing, layer.kernel, layer.q, rng, 1, self.jitter
-            )[0]
-            h = draw + layer.mean_function(h)
+        for layer, post in zip(self.layers[:-1], posteriors):
+            h = post.sample(h, rng, 1)[0] + layer.mean_function(h)
         return h
 
-    def _final_moments(self, h):
+    def _final_moments(self, x, rng, num_samples, posteriors):
+        """Final-layer moments at each of ``num_samples`` propagations."""
         foc = self.likelihood.requires_full_output_cov
-        return _posterior(self.layers[-1], h, False, foc, self.jitter)
+        for _ in range(num_samples):
+            h = self.propagate(x, rng, posteriors)
+            yield _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
 
     def elbo(self, batch, rng: RngState, scale: float | None = None) -> float:
         x, y = batch
         x = np.asarray(x, dtype=float)
         y = _as_columns(y)
+        posteriors = self._posteriors()
         data_terms = np.zeros(x.shape[0])
-        for _ in range(self.num_samples):
-            h = self.propagate(x, rng)
-            moments = self._final_moments(h)
+        for moments in self._final_moments(x, rng, self.num_samples, posteriors):
             data_terms += variational_expectations(
                 self.likelihood, moments.mean, moments.cov, y
             )
         data_terms /= self.num_samples
 
-        kl = sum(layer.prior_kl(self.jitter) for layer in self.layers)
+        kl = sum(post.kl() for post in posteriors)
         scale = _scale(self.num_data, x.shape[0], scale)
         return scale * float(np.sum(data_terms)) - kl
 
@@ -655,8 +686,8 @@ class DGPModel(Model):
 
     def _sampled_marginals(self, x, rng, num_samples):
         """Final-layer (mean, var) at each of ``num_samples`` propagations."""
-        for _ in range(num_samples):
-            moments = self._final_moments(self.propagate(x, rng))
+        posteriors = self._posteriors()
+        for moments in self._final_moments(x, rng, num_samples, posteriors):
             var = moments.cov
             if var.ndim == 3:  # [N, P, P] -> per-output marginals
                 var = np.einsum("npp->np", var)

@@ -26,6 +26,7 @@ from .errors import (
     DimensionMismatch,
     NonSquare,
     NotPositiveDefinite,
+    ShapeMismatch,
     ZeroDiagonal,
 )
 
@@ -216,6 +217,17 @@ def block_cholesky_factors(k: BlockDiagonal) -> list[np.ndarray]:
         l = cholesky(block, jitter=0.0)
         out.extend([l] * repeat)
     return out
+
+
+def factorize(k: StructuredPSD, per_block: bool = False):
+    """Lower Cholesky factor of ``k`` with no added jitter, or with
+    ``per_block`` the per-logical-block factors of a block-diagonal ``k``."""
+    k = as_structured(k)
+    if not per_block:
+        return cholesky(densify(k), jitter=0.0)
+    if not isinstance(k, BlockDiagonal):
+        raise ShapeMismatch("per-latent factors need a block-diagonal Kuu")
+    return block_cholesky_factors(k)
 
 
 # ---------------------------------------------------------------------------

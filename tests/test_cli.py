@@ -173,6 +173,17 @@ class TestDatasetFiles:
         with pytest.raises(DataError):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("1.0,huh", "line 4: non-numeric cell"), ("1.0", "line 4: expected 2 cells, got 1")],
+    )
+    def test_bad_row_reports_its_line(self, tmp_path, row, message):
+        # Blank lines are skipped and not counted, as they always were.
+        path = _write(tmp_path, "bad.csv", f"x0,y0\n0.0,1.0\n\n2.0,3.0\n{row}\n4.0,5.0\n")
+        with pytest.raises(DataError) as err:
+            read_dataset(path)
+        assert str(err.value) == message
+
     def test_heterotopic_forbids_second_output_column(self, tmp_path):
         path = _write(
             tmp_path, "bad.csv", "x0,output_index,y0,y1\n1.0,0,2.0,3.0\n"
@@ -235,6 +246,21 @@ class TestExitCodes:
         write_dataset(rows, x, y[:, 0], np.array([0, 2, 0, 0]))
         assert main(["eval", "--model", trained_svgp, "--data", rows]) == 3
         assert "output_index 2" in capsys.readouterr().err
+
+    def test_heterotopic_file_without_outputs_in_train_is_3(self, tmp_path, capsys):
+        lines = "".join(f"{i / 10},{i % 2}\n" for i in range(10))
+        rows = _write(tmp_path, "rows.csv", "x0,output_index\n" + lines)
+        conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", rows, "--out", out]) == 3
+        assert "needs output columns" in capsys.readouterr().err
+
+    def test_heterotopic_file_without_outputs_in_eval_is_3(
+        self, tmp_path, trained_svgp, capsys
+    ):
+        rows = _write(tmp_path, "rows.csv", "x0,output_index\n0.0,0\n0.5,0\n")
+        assert main(["eval", "--model", trained_svgp, "--data", rows]) == 3
+        assert "needs output columns" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "likelihood, bad, message",

@@ -104,8 +104,9 @@ class TestRegistry:
 
     def test_resolution_is_total_over_shipped_pairs(self):
         # Every shipped (inducing variable, kernel) combination resolves
-        # for Kuu, Kuf, and the conditional without ambiguity.
-        from sparsegp.conditionals import CONDITIONAL, SAMPLE_CONDITIONAL
+        # for Kuu, Kuf, and the conditional (which also samples) without
+        # ambiguity.
+        from sparsegp.conditionals import CONDITIONAL
         from sparsegp.covariances import KUF, KUU
         from sparsegp.inducing import (
             InducingPatches as Patches,
@@ -130,7 +131,7 @@ class TestRegistry:
             (SeparateIndependentInducingVariables, LinearCoregionalization),
             (SeparateIndependentInducingVariables, Imc),
         ]
-        for registry in (KUU, KUF, CONDITIONAL, SAMPLE_CONDITIONAL):
+        for registry in (KUU, KUF, CONDITIONAL):
             for iv_type, kernel_type in pairs:
                 assert registry.resolve(iv_type, kernel_type) is not None
 

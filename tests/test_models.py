@@ -27,6 +27,8 @@ from sparsegp import (
     White,
     conditional,
     k_full,
+    kuf,
+    kuu,
     marginalize_outputs,
     optimal_q,
     standard_normal,
@@ -35,7 +37,9 @@ from sparsegp import (
 from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 
 from sparsegp.modelio import load_model
-from sparsegp.numerics import default_jitter
+from sparsegp.models import Model
+from sparsegp.schema import from_document
+from sparsegp.numerics import default_jitter, densify
 
 from conftest import desk_regression, make_spd, random_lower
 from test_conditionals import dense_posterior_oracle
@@ -408,14 +412,14 @@ class TestSeparateInducingSets:
         means, covs, offset = [], [], 0
         for k, member, sqrt in zip(kernel.latent_kernels, members, q.q_sqrt):
             m = member.num_rows
-            kmm = k_full(k, member.z) + jitter * np.eye(m)
+            kmm = densify(kuu(member, k, jitter))  # the member's own pair
             mu, s = q.q_mu[offset : offset + m], sqrt @ sqrt.T
             offset += m
             if q.whiten:
                 l = np.linalg.cholesky(kmm)
                 mu, s = l @ mu, l @ s @ l.T
             mean, cov = dense_posterior_oracle(
-                k_full(k, member.z, x), kmm, k_full(k, x), mu, s
+                kuf(member, k, x), kmm, k_full(k, x), mu, s
             )
             means.append(mean)
             covs.append(cov)
@@ -424,6 +428,22 @@ class TestSeparateInducingSets:
         np.testing.assert_allclose(got.mean, np.stack(means, axis=1) @ w.T, atol=1e-10)
         want_cov = np.einsum("pl,lnm->pnm", w * w, np.stack(covs))
         np.testing.assert_allclose(got.cov, want_cov, atol=1e-10)
+
+    def test_multiscale_member_scales_change_the_prediction(self):
+        path = golden_path("svgp_separate_independent_separate")
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        member = doc["inducing"]["members"][0]
+        assert member["tag"] == "multiscale"
+        base = from_document(doc, Model)
+        member["scales"] = (10.0 * np.asarray(member["scales"])).tolist()
+        wide = from_document(doc, Model)
+        x = np.linspace(-0.5, 3.5, 7)[:, None]
+        a, b = base.predict_f(x), wide.predict_f(x)
+        assert np.max(np.abs(a.mean[:, 0] - b.mean[:, 0])) > 1e-6
+        assert np.max(np.abs(a.cov[:, 0] - b.cov[:, 0])) > 1e-6
+        # The second latent's inducing set is plain points: untouched.
+        np.testing.assert_array_equal(a.mean[:, 1], b.mean[:, 1])
 
     def test_q_blocks_must_match_the_members(self, tmp_path):
         path = golden_path("svgp_separate_independent_separate")
