@@ -55,25 +55,34 @@ RTOL = 1e-12
 
 
 @contextlib.contextmanager
-def chunks_of(rows: int, row_floats: int):
-    """Streamed predictions use chunks of ``rows`` rows (a power of two)."""
+def chunk_floats(value: int):
     saved = conditionals.CHUNK_FLOATS
-    conditionals.CHUNK_FLOATS = rows * row_floats
+    conditionals.CHUNK_FLOATS = value
     try:
-        assert chunk_rows(row_floats) == rows
         yield
     finally:
         conditionals.CHUNK_FLOATS = saved
 
 
 @contextlib.contextmanager
-def one_pass():
-    saved = conditionals.CHUNK_FLOATS
-    conditionals.CHUNK_FLOATS = 2**40
-    try:
+def chunks_of(rows: int, row_floats: int):
+    """Streamed predictions use chunks of ``rows`` rows (a power of two)."""
+    with chunk_floats(rows * row_floats):
+        assert chunk_rows(row_floats) == rows
         yield
-    finally:
-        conditionals.CHUNK_FLOATS = saved
+
+
+def one_pass():
+    return chunk_floats(2**40)
+
+
+# Input row counts around a chunk of ``rows`` rows.
+NUM_ROWS = {
+    "chunk-1": lambda rows: rows - 1,
+    "chunk": lambda rows: rows,
+    "chunk+1": lambda rows: rows + 1,
+    "2*chunk+7": lambda rows: 2 * rows + 7,
+}
 
 
 @contextlib.contextmanager
@@ -227,14 +236,14 @@ PAIRS = {
     whiten=st.booleans(),
     full_output_cov=st.booleans(),
     rows=st.sampled_from([4, 8]),
-    past=st.sampled_from(["-1", "0", "+1", "2x+7"]),
+    size=st.sampled_from(sorted(NUM_ROWS)),
     seed=st.integers(0, 2**16),
 )
-def test_streamed_pair_moments_match_one_shot(pair, whiten, full_output_cov, rows, past, seed):
+def test_streamed_pair_moments_match_one_shot(pair, whiten, full_output_cov, rows, size, seed):
     make, width = PAIRS[pair]
     rng = RngState(seed)
     post, reference = make(rng, whiten)
-    n = {"-1": rows - 1, "0": rows, "+1": rows + 1, "2x+7": 2 * rows + 7}[past]
+    n = NUM_ROWS[size](rows)
     x = standard_normal(rng.derive(50), (n, width))
     with chunks_of(rows, post._row_floats()):
         got = post.predict(x, full_cov=False, full_output_cov=full_output_cov)
@@ -245,14 +254,14 @@ def test_streamed_pair_moments_match_one_shot(pair, whiten, full_output_cov, row
 
 
 @settings(max_examples=20, deadline=None)
-@given(past=st.sampled_from(["-1", "0", "+1", "2x+7"]), seed=st.integers(0, 2**16))
-def test_streamed_gpr_marginals_match_one_pass(past, seed):
+@given(size=st.sampled_from(sorted(NUM_ROWS)), seed=st.integers(0, 2**16))
+def test_streamed_gpr_marginals_match_one_pass(size, seed):
     rng = RngState(seed)
     x_train = standard_normal(rng, (6, 1))
     y = np.sin(x_train)
     model = GPRModel(SquaredExponential(1.0, 0.8), 0.1, x_train, y)
     rows = 8
-    n = {"-1": rows - 1, "0": rows, "+1": rows + 1, "2x+7": 2 * rows + 7}[past]
+    n = NUM_ROWS[size](rows)
     x = standard_normal(rng.derive(1), (n, 1))
     with chunks_of(rows, 6):
         got = model.predict(x)
@@ -274,14 +283,14 @@ def _two_layer_dgp(rng, whiten):
 @settings(max_examples=20, deadline=None)
 @given(
     whiten=st.booleans(),
-    past=st.sampled_from(["-1", "0", "+1", "2x+7"]),
+    size=st.sampled_from(sorted(NUM_ROWS)),
     seed=st.integers(0, 2**16),
 )
-def test_streamed_dgp_final_layer_matches_one_pass(whiten, past, seed):
+def test_streamed_dgp_final_layer_matches_one_pass(whiten, size, seed):
     rng = RngState(seed)
     dgp = _two_layer_dgp(rng, whiten)
     rows = 8
-    n = {"-1": rows - 1, "0": rows, "+1": rows + 1, "2x+7": 2 * rows + 7}[past]
+    n = NUM_ROWS[size](rows)
     x = standard_normal(rng.derive(7), (n, 1))
     with chunks_of(rows, 4):
         got = dgp.predict_f(x, RngState(3), 4)
