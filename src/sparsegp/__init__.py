@@ -7,6 +7,7 @@ from .conditionals import (
     VariationalGaussian,
     conditional,
     fully_correlated_conditional,
+    num_inducing,
     sample_conditional,
 )
 from .covariances import KUF, KUU, kuf, kuu
@@ -20,7 +21,6 @@ from .inducing import (
     Multiscale,
     SeparateIndependentInducingVariables,
     SharedIndependentInducingVariables,
-    num_inducing,
 )
 from .kernels import (
     Convolutional,

@@ -2,10 +2,14 @@
 
 A :class:`Posterior` holds one (inducing variable, kernel) pair's Kuu
 Cholesky factor and q.  ``create_posterior`` picks its class through the
-``CONDITIONAL`` dispatch registry; each registered class supplies the pair's
-two steps, the factor (``_factorize``, run once when the posterior is built)
-and the moments of one block of rows (``_chunk``).  ``conditional`` and
-``sample_conditional`` build a posterior and use it once; models keep one.
+``CONDITIONAL`` dispatch registry; each registered class is the one place
+that knows its pair.  It supplies the pair's shape (``layout``: q's blocks,
+outputs per point and input columns, read by ``num_inducing``, ``check_q``
+and the models) and its two steps, the factor (``_factorize``, run once when
+the posterior is built) and the moments of one block of rows (``_chunk``).
+A new pair registers its Kuu and Kuf and one such class, and nothing else.
+``conditional`` and ``sample_conditional`` build a posterior and use it
+once; models keep one.
 
 Four covariance output modes are selected by ``full_cov`` (covariances
 across inputs) and ``full_output_cov`` (covariances across outputs):
@@ -41,10 +45,10 @@ from .inducing import (
     InducingPoints,
     InducingVariable,
     LatentInducingVariables,
-    num_inducing,
 )
 from .kernels import (
     Convolutional,
+    IndependentLatent,
     IndependentOutputs,
     Kernel,
     LinearCoregionalization,
@@ -132,36 +136,6 @@ class VariationalGaussian:
                 "this code path needs a dense covariance factor, got per-latent blocks"
             )
         return self.q_sqrt
-
-    def mu_blocks(self, sizes) -> list[np.ndarray]:
-        if sum(sizes) != self.num_inducing:
-            raise ShapeMismatch(
-                f"q_mu of length {self.num_inducing} does not split into {sizes}"
-            )
-        out, offset = [], 0
-        for n in sizes:
-            out.append(self.q_mu[offset : offset + n])
-            offset += n
-        return out
-
-    def sqrt_blocks(self, sizes) -> list[np.ndarray | None]:
-        if self.q_sqrt is None:
-            return [None] * len(sizes)
-        if not self.is_block:
-            raise ShapeMismatch(
-                "latent-independent paths need per-latent q_sqrt factors "
-                "(pass a tuple of [M, R] blocks)"
-            )
-        if len(self.q_sqrt) != len(sizes):
-            raise ShapeMismatch(
-                f"{len(self.q_sqrt)} q_sqrt blocks for {len(sizes)} latents"
-            )
-        for block, n in zip(self.q_sqrt, sizes):
-            if block.shape[0] != n:
-                raise ShapeMismatch(
-                    f"q_sqrt block with {block.shape[0]} rows for a latent of size {n}"
-                )
-        return list(self.q_sqrt)
 
 
 @dataclass(eq=False)
@@ -285,6 +259,30 @@ def fully_correlated_conditional(
 CONDITIONAL = DispatchRegistry("conditional")
 
 
+@dataclass(frozen=True)
+class Layout:
+    """The shape of an (inducing variable, kernel) pair.
+
+    ``blocks``: q's entries per block, a single block unless ``latent``
+    (mean-field q with one block per latent process); ``outputs``: outputs
+    per input point; ``columns``: input columns, None when free.
+    """
+
+    blocks: tuple[int, ...]
+    latent: bool
+    outputs: int
+    columns: int | None
+
+    @property
+    def total(self) -> int:
+        return sum(self.blocks)
+
+
+def _columns(iv) -> int | None:
+    """Input columns of a set of inducing points, None for other sets."""
+    return iv.z.shape[1] if isinstance(iv, InducingPoints) else None
+
+
 class Posterior:
     """q(f) of one (inducing variable, kernel) pair with Kuu factored once.
 
@@ -301,8 +299,13 @@ class Posterior:
         self.q = q
         self.factor = self._factorize(kuu(iv, kernel, jitter))
 
-    def _factorize(self, kmm):
+    @classmethod
+    def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
+        """The pair's shape; raises ShapeMismatch when the pair has none."""
         raise NotImplementedError
+
+    def _factorize(self, kmm):
+        return factorize(kmm)
 
     def _row_floats(self) -> int:
         """Floats per input row of the largest Kuf-sized array of a chunk."""
@@ -348,13 +351,53 @@ class Posterior:
         return prior_kl(self.inducing, self.kernel, self.q, factor=self.factor)
 
 
+def layout(iv: InducingVariable, kernel: Kernel) -> Layout:
+    """The shape of the pair, as its registered posterior class declares it."""
+    return CONDITIONAL.resolve(type(iv), type(kernel)).layout(iv, kernel)
+
+
+def num_inducing(iv: InducingVariable, kernel: Kernel) -> int:
+    """Total number of inducing variables for the (iv, kernel) pair."""
+    return layout(iv, kernel).total
+
+
+def check_q(q, iv: InducingVariable, kernel: Kernel) -> Layout:
+    """The pair's layout, once q's sizes are checked against it: one entry
+    per inducing variable, and a dense factor with as many rows, or for a
+    latent pair one factor block per latent with its member's rows."""
+    shape = layout(iv, kernel)
+    if q.num_inducing != shape.total:
+        raise ShapeMismatch(
+            f"q has {q.num_inducing} inducing entries, pair requires {shape.total}"
+        )
+    if q.q_sqrt is None:
+        return shape
+    if not shape.latent:
+        if q.dense_sqrt().shape[0] != shape.total:  # raises for per-latent blocks
+            raise ShapeMismatch(
+                f"q_sqrt has {q.q_sqrt.shape[0]} rows for {shape.total} entries"
+            )
+        return shape
+    if not q.is_block:
+        raise ShapeMismatch(
+            "latent-independent paths need per-latent q_sqrt factors "
+            "(pass a tuple of [M, R] blocks)"
+        )
+    if len(q.q_sqrt) != len(shape.blocks):
+        raise ShapeMismatch(
+            f"{len(q.q_sqrt)} q_sqrt blocks for {len(shape.blocks)} latents"
+        )
+    for block, n in zip(q.q_sqrt, shape.blocks):
+        if block.shape[0] != n:
+            raise ShapeMismatch(
+                f"q_sqrt block with {block.shape[0]} rows for a latent of size {n}"
+            )
+    return shape
+
+
 def create_posterior(iv: InducingVariable, kernel: Kernel, q, jitter=None) -> Posterior:
     """The posterior of the pair, its class chosen by dispatch."""
-    expected = num_inducing(iv, kernel)
-    if q.num_inducing != expected:
-        raise ShapeMismatch(
-            f"q has {q.num_inducing} inducing entries, pair requires {expected}"
-        )
+    check_q(q, iv, kernel)
     cls = CONDITIONAL.resolve(type(iv), type(kernel))
     return cls(iv, kernel, q, jitter)
 
@@ -397,11 +440,6 @@ def _marginal_sqrt(cov_n):
 class _DensePosterior(Posterior):
     """A pair whose Kuu is one dense M~ x M~ matrix."""
 
-    def _factorize(self, kmm):
-        factor = factorize(kmm)
-        self.q.dense_sqrt()  # raises for per-latent q blocks
-        return factor
-
     def _dense_moments(self, kmn, knn, full_cov, full_output_cov):
         q = self.q
         return _moments(
@@ -412,6 +450,10 @@ class _DensePosterior(Posterior):
 
 @CONDITIONAL.register(InducingVariable, Kernel)
 class SingleOutputPosterior(_DensePosterior):
+    @classmethod
+    def layout(cls, iv, kernel):
+        return Layout((iv.num_rows,), False, 1, _columns(iv))
+
     def _chunk(self, x, full_cov, full_output_cov):
         kmn = kuf(self.inducing, self.kernel, x)[:, :, None]  # [M, N, 1]
         knn = k_full(self.kernel, x) if full_cov else k_diag(self.kernel, x)
@@ -423,6 +465,11 @@ class SingleOutputPosterior(_DensePosterior):
 # apply once Kuu/Kuf are the patch covariances.
 @CONDITIONAL.register(InducingPatches, Convolutional)
 class PatchPosterior(SingleOutputPosterior):
+    @classmethod
+    def layout(cls, iv, kernel):  # one variable per patch; inputs are images
+        ih, iw = kernel.image_shape
+        return Layout((iv.num_rows,), False, 1, ih * iw)
+
     def _row_floats(self):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf's patch gram
 
@@ -434,6 +481,11 @@ class PatchPosterior(SingleOutputPosterior):
 @CONDITIONAL.register(InducingPoints, MultioutputKernel)
 class MultioutputPointsPosterior(_DensePosterior):
     correlated_outputs = True
+
+    @classmethod
+    def layout(cls, iv, kernel):
+        p = kernel.num_outputs
+        return Layout((iv.num_rows * p,), False, p, _columns(iv))
 
     def _row_floats(self):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf [M, P, N, P]
@@ -457,37 +509,45 @@ class MultioutputPointsPosterior(_DensePosterior):
 # Latent-process inducing variables
 
 
+# Registered on every kernel so that a latent set with a kernel that has no
+# latent processes is refused by its layout.
+@CONDITIONAL.register(LatentInducingVariables, Kernel)
 class _LatentPosterior(Posterior):
     """Latent inducing variables: block-diagonal Kuu, mean-field q."""
 
-    def _factorize(self, kmm):
-        factors = factorize(kmm, per_block=True)
-        self._blocks(factors)  # raises unless q splits into those blocks
-        return factors
+    @classmethod
+    def layout(cls, iv, kernel):
+        if not isinstance(kernel, IndependentLatent):
+            raise ShapeMismatch(
+                f"latent inducing variables need a latent-structured kernel, "
+                f"got {type(kernel).__name__}"
+            )
+        members = iv.per_latent(kernel.num_latent)
+        blocks = tuple(member.num_rows for member in members)
+        return Layout(blocks, True, kernel.num_outputs, _columns(members[0]))
 
-    def _blocks(self, factors):
-        sizes = [f.shape[0] for f in factors]
-        return self.q.mu_blocks(sizes), self.q.sqrt_blocks(sizes)
+    def _factorize(self, kmm):
+        return factorize(kmm, per_block=True)
 
     def _latent_moments(self, x, full_cov):
         """Per-latent mean [N, L] and variance [N, L] (or covariance
         [L, N, N]) under the mean-field posterior."""
         kmn = kuf(self.inducing, self.kernel, x)  # latent blocks, stacked like q_mu
-        mus, sqrts = self._blocks(self.factor)
+        q = self.q
+        sqrts = q.q_sqrt or (None,) * len(self.factor)
         shape = _cov_shape(kmn.shape[1], 1, full_cov, False)
         priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
         means, covs = [], []
         start = 0
-        for i, k in enumerate(self.kernel.latent_kernels):
+        for k, lm, sqrt in zip(self.kernel.latent_kernels, self.factor, sqrts):
             if id(k) not in priors:
                 priors[id(k)] = (k.K(x) if full_cov else k.K_diag(x)).reshape(shape)
-            size = mus[i].shape[0]
-            block = kmn[start : start + size, :, None]
-            start += size
+            stop = start + lm.shape[0]
             mean, cov = _moments(
-                self.factor[i], block, priors[id(k)], mus[i], sqrts[i],
-                self.q.whiten, full_cov, False,
+                lm, kmn[start:stop, :, None], priors[id(k)], q.q_mu[start:stop], sqrt,
+                q.whiten, full_cov, False,
             )
+            start = stop
             means.append(mean)
             covs.append(cov)
         gvar = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dispatch import DispatchRegistry
+from .errors import UnsupportedCombination
 from .inducing import (
     InducingPatches,
     InducingPoints,
@@ -103,6 +104,20 @@ def _kuf_mo_inducing_points(iv, kernel, xnew):
 def _multiscale_prefactor(kernel, eff2):
     ls2 = kernel.lengthscales**2
     return kernel.variance * np.prod(np.sqrt(ls2 / eff2), axis=-1)
+
+
+# Other kernels have no windowed form, so they refuse multiscale inducing
+# variables rather than treat them as plain points.  The multioutput entries
+# keep the refusal from being ambiguous with the multioutput-points pair.
+@KUU.register(Multiscale, Kernel)
+@KUF.register(Multiscale, Kernel)
+@KUU.register(Multiscale, MultioutputKernel)
+@KUF.register(Multiscale, MultioutputKernel)
+def _multiscale_other_kernel(iv, kernel, _):
+    raise UnsupportedCombination(
+        f"multiscale inducing variables have windowed covariances for the "
+        f"squared-exponential kernel only, got {type(kernel).__name__}"
+    )
 
 
 @KUU.register(Multiscale, SquaredExponential)

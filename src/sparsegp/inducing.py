@@ -1,15 +1,15 @@
-"""Inducing variable definitions and their counts."""
+"""Inducing variable definitions.
+
+What shape a set takes with a kernel (its count, blocks, outputs and input
+columns) is declared by the pair's posterior class; see ``conditionals``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, ShapeMismatch
-from .kernels import (
-    Convolutional,
-    IndependentLatent,
-    MultioutputKernel,
-)
+from .kernels import Convolutional
 from .schema import Child, Param, Schema
 
 Z = Param("z", from_data=lambda x, kernel: x)  # from_data: the first M inputs
@@ -120,29 +120,3 @@ class SeparateIndependentInducingVariables(LatentInducingVariables):
                 f"{len(self.members)} inducing sets for {num_latent} latents"
             )
         return list(self.members)
-
-
-def num_inducing(iv: InducingVariable, kernel) -> int:
-    """Total number of inducing variables for the (iv, kernel) pair."""
-    if isinstance(iv, LatentInducingVariables):
-        if not isinstance(kernel, IndependentLatent):
-            raise ShapeMismatch(
-                f"latent inducing variables need a latent-structured kernel, "
-                f"got {type(kernel).__name__}"
-            )
-        return sum(m.num_rows for m in iv.per_latent(kernel.num_latent))
-    if isinstance(iv, InducingPatches) and isinstance(kernel, Convolutional):
-        return iv.num_rows  # one variable per patch of the latent process
-    if isinstance(kernel, MultioutputKernel):
-        return iv.num_rows * kernel.num_outputs
-    return iv.num_rows
-
-
-def input_width(iv: InducingVariable, kernel) -> int | None:
-    """Input columns the pair expects: image pixels, else the first z found."""
-    if isinstance(kernel, Convolutional):
-        return kernel.image_shape[0] * kernel.image_shape[1]
-    while isinstance(iv, LatentInducingVariables):
-        shared = isinstance(iv, SharedIndependentInducingVariables)
-        iv = iv.base if shared else iv.members[0]
-    return iv.z.shape[1] if isinstance(iv, InducingPoints) else None

@@ -115,6 +115,8 @@ def read_dataset(path) -> Dataset:
                     outputs.append(int(index))
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric cell") from None
+    if not x:
+        raise DataError("dataset file has a header but no rows")
     return Dataset(
         np.asarray(x, float),
         np.asarray(y, float) if y_idx else None,

@@ -18,26 +18,16 @@ from .conditionals import (
     Posterior,
     PosteriorMoments,
     VariationalGaussian,
+    check_q,
     create_posterior,
+    layout,
     stream_marginals,
 )
 from .covariances import kuf, kuu
 from .divergences import prior_kl
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
-from .inducing import (
-    InducingPatches,
-    InducingVariable,
-    LatentInducingVariables,
-    input_width,
-    num_inducing,
-)
-from .kernels import (
-    Convolutional,
-    Kernel,
-    MultioutputKernel,
-    k_diag,
-    k_full,
-)
+from .inducing import InducingVariable
+from .kernels import Kernel, k_diag, k_full
 from .likelihoods import (
     Gaussian,
     Likelihood,
@@ -160,32 +150,14 @@ LAYER_KEYS = (
 Q_KEYS = (Setting("whiten", bool, True), Setting("jitter", float, None, ">= 0"))
 
 
-def _latent_sizes(iv, kernel):
-    """Inducing variables per latent, for latent inducing variables."""
-    if not isinstance(iv, LatentInducingVariables):
-        return None
-    return [member.num_rows for member in iv.per_latent(kernel.num_latent)]
-
-
 def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     """q(u) at the prior: zero mean, identity factor (per latent if needed)."""
-    total = num_inducing(iv, kernel)
-    sizes = _latent_sizes(iv, kernel)
-    if sizes is not None:
-        blocks = tuple(np.eye(size) for size in sizes)
-        return VariationalGaussian(np.zeros(total), blocks, whiten=whiten)
-    return VariationalGaussian(np.zeros(total), np.eye(total), whiten=whiten)
-
-
-def _check_q(q, iv, kernel):
-    """q has one entry per inducing variable and, for latent inducing
-    variables, one factor block per latent of its member's size."""
-    expected = num_inducing(iv, kernel)
-    if q.num_inducing != expected:
-        raise ShapeMismatch(f"q has {q.num_inducing} entries, pair requires {expected}")
-    sizes = _latent_sizes(iv, kernel)
-    if sizes is not None and q.q_sqrt is not None:
-        q.sqrt_blocks(sizes)  # raises unless each block matches its member
+    shape = layout(iv, kernel)
+    if shape.latent:
+        q_sqrt = tuple(np.eye(size) for size in shape.blocks)
+    else:
+        q_sqrt = np.eye(shape.total)
+    return VariationalGaussian(np.zeros(shape.total), q_sqrt, whiten=whiten)
 
 
 def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
@@ -340,7 +312,7 @@ class SVGPModel(Model):
         num_data: int | None = None,
         jitter: float | None = None,
     ):
-        _check_q(q, inducing, kernel)
+        self.layout = check_q(q, inducing, kernel)
         self.kernel = kernel
         self.likelihood = likelihood
         self.inducing = inducing
@@ -351,13 +323,7 @@ class SVGPModel(Model):
 
     @property
     def num_outputs(self) -> int:
-        if isinstance(self.kernel, Convolutional) and isinstance(
-            self.inducing, InducingPatches
-        ):
-            return 1  # summed-patch response
-        if isinstance(self.kernel, MultioutputKernel):
-            return self.kernel.num_outputs
-        return 1
+        return self.layout.outputs
 
     @classmethod
     def from_config(cls, node, dataset):
@@ -367,7 +333,7 @@ class SVGPModel(Model):
 
     @property
     def input_dim(self):
-        return input_width(self.inducing, self.kernel)
+        return self.layout.columns
 
     def objective(self, batch, rng, scale):
         if len(batch) == 3:
@@ -386,8 +352,8 @@ class SVGPModel(Model):
         if not (
             len(batch) == 2
             and isinstance(self.likelihood, Gaussian)
-            and not q.is_block
-            and self.num_outputs == 1
+            and not self.layout.latent
+            and self.layout.outputs == 1
         ):
             return {}
         x, y = batch
@@ -478,7 +444,7 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     """
     if not isinstance(model.likelihood, Gaussian):
         raise UnsupportedCombination("the optimum is closed form only for Gaussian noise")
-    if model.q.is_block:
+    if model.layout.latent:
         raise UnsupportedCombination(
             "closed-form optimum is implemented for dense posteriors"
         )
@@ -486,19 +452,9 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     y = _as_columns(y)
 
     kmm = kuu(model.inducing, model.kernel, model.jitter)
-    kmn = kuf(model.inducing, model.kernel, x)
-    if kmn.ndim == 4:  # [M, P, N, P] -> stacked [MP, NP]
-        m, p, n, p2 = kmn.shape
-        kmn = kmn.reshape(m * p, n * p2)
-        targets = y.reshape(-1)
-    elif kmn.ndim == 2:
-        targets = y[:, 0]
-    else:
-        raise UnsupportedCombination(
-            "closed-form optimum is implemented for dense posteriors"
-        )
-    mean_offset = model.mean_function(x)
-    targets = targets - mean_offset
+    # Kuf stacked as [M~, NP] against the point-major targets
+    kmn = kuf(model.inducing, model.kernel, x).reshape(model.layout.total, -1)
+    targets = y.reshape(-1) - model.mean_function(x)
 
     noise = model.likelihood.variance
     luu = factorize(kmm)
@@ -535,17 +491,11 @@ class GPLayer:
         q: VariationalGaussian,
         mean_function: MeanFunction | None = None,
     ):
-        _check_q(q, inducing, kernel)
+        self.layout = check_q(q, inducing, kernel)
         self.kernel = kernel
         self.inducing = inducing
         self.q = q
         self.mean_function = mean_function if mean_function is not None else Zero()
-
-    @property
-    def output_width(self) -> int:
-        if isinstance(self.kernel, MultioutputKernel):
-            return self.kernel.num_outputs
-        return 1
 
     def prior_kl(self, jitter=None) -> float:
         return prior_kl(self.inducing, self.kernel, self.q, jitter)
@@ -588,11 +538,10 @@ class DGPModel(Model):
         if not layers:
             raise ShapeMismatch("a deep GP needs at least one layer")
         for below, above in zip(layers, layers[1:]):
-            needed = input_width(above.inducing, above.kernel)
-            if needed is not None and needed != below.output_width:
+            width, needed = below.layout.outputs, above.layout.columns
+            if needed is not None and needed != width:
                 raise ShapeMismatch(
-                    f"layer producing {below.output_width} columns feeds a "
-                    f"layer expecting {needed}"
+                    f"layer producing {width} columns feeds a layer expecting {needed}"
                 )
         self.layers = layers
         self.likelihood = likelihood
@@ -619,8 +568,7 @@ class DGPModel(Model):
 
     @property
     def input_dim(self):
-        first = self.layers[0]
-        return input_width(first.inducing, first.kernel)
+        return self.layers[0].layout.columns
 
     def objective(self, batch, rng, scale):
         return self.elbo(batch, rng(), scale)

@@ -262,6 +262,20 @@ class TestExitCodes:
         assert main(["eval", "--model", trained_svgp, "--data", rows]) == 3
         assert "needs output columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_header_without_rows_is_3(self, tmp_path, trained_svgp, command, capsys):
+        header = "x0\n" if command == "predict" else "x0,y0\n"
+        data = _write(tmp_path, "empty.csv", header + "\n")
+        out = str(tmp_path / "out")
+        if command == "train":
+            conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+            args = ["train", "--config", conf, "--data", data, "--out", out]
+        else:
+            args = [command, "--model", trained_svgp, "--data", data]
+            args += ["--out", out] if command == "predict" else []
+        assert main(args) == 3
+        assert "has a header but no rows" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "likelihood, bad, message",
         [

@@ -661,3 +661,9 @@ class TestQValidation:
         q = VariationalGaussian(np.zeros(8), np.eye(8))
         with pytest.raises(ShapeMismatch):
             conditional(np.zeros((2, 1)), iv, kernel, q)
+
+    def test_dense_factor_rows_must_match(self, rng):
+        z = standard_normal(rng, (4, 1))
+        q = VariationalGaussian(np.zeros(4), np.eye(3))
+        with pytest.raises(ShapeMismatch, match="3 rows for 4 entries"):
+            conditional(np.zeros((2, 1)), InducingPoints(z), SquaredExponential(), q)

@@ -1,36 +1,76 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsegp import (
     BlockDiagonal,
     Convolutional,
     Dense,
     DispatchRegistry,
+    FitConfig,
+    Gaussian,
     InducingPatches,
     InducingPoints,
     IntrinsicCoregionalization,
     Kernel,
     LinearCoregionalization,
+    Matern12,
     Matern32,
     Multiscale,
+    RngState,
     SeparateIndependent,
     SeparateIndependentInducingVariables,
     SharedIndependent,
     SharedIndependentInducingVariables,
     SquaredExponential,
+    SVGPModel,
+    cholesky,
     densify,
+    fit,
+    k_diag,
     k_full,
     kuf,
     kuu,
     mo_k,
+    num_inducing,
     standard_normal,
+    tri_solve,
 )
 from sparsegp.errors import (
     AmbiguityDetected,
     DuplicateRegistration,
     NoImplementation,
+    UnsupportedCombination,
 )
+from sparsegp.conditionals import CONDITIONAL, Layout, Posterior, layout
+from sparsegp.covariances import KUF, KUU
 from sparsegp.inducing import InducingVariable
+from sparsegp.models import _initial_q
+from sparsegp.schema import Param, Schema
+
+from conftest import desk_regression
+from test_conditionals import dense_posterior_oracle
+
+
+SHIPPED_PAIRS = [
+    (InducingPoints, SquaredExponential),
+    (InducingPoints, Matern32),
+    (Multiscale, SquaredExponential),
+    (InducingPatches, Convolutional),
+    (InducingPoints, SharedIndependent),
+    (InducingPoints, SeparateIndependent),
+    (InducingPoints, LinearCoregionalization),
+    (InducingPoints, IntrinsicCoregionalization),
+    (SharedIndependentInducingVariables, SharedIndependent),
+    (SharedIndependentInducingVariables, SeparateIndependent),
+    (SharedIndependentInducingVariables, LinearCoregionalization),
+    (SharedIndependentInducingVariables, IntrinsicCoregionalization),
+    (SeparateIndependentInducingVariables, SharedIndependent),
+    (SeparateIndependentInducingVariables, SeparateIndependent),
+    (SeparateIndependentInducingVariables, LinearCoregionalization),
+    (SeparateIndependentInducingVariables, IntrinsicCoregionalization),
+]
 
 
 class TestRegistry:
@@ -79,8 +119,6 @@ class TestRegistry:
 
     def test_third_party_extension_point(self):
         # New pair types can be registered without touching core tables.
-        from sparsegp.covariances import KUU
-
         class CustomIv(InducingPoints):
             pass
 
@@ -106,33 +144,8 @@ class TestRegistry:
         # Every shipped (inducing variable, kernel) combination resolves
         # for Kuu, Kuf, and the conditional (which also samples) without
         # ambiguity.
-        from sparsegp.conditionals import CONDITIONAL
-        from sparsegp.covariances import KUF, KUU
-        from sparsegp.inducing import (
-            InducingPatches as Patches,
-        )
-        from sparsegp.kernels import IntrinsicCoregionalization as Imc
-
-        pairs = [
-            (InducingPoints, SquaredExponential),
-            (InducingPoints, Matern32),
-            (Multiscale, SquaredExponential),
-            (Patches, Convolutional),
-            (InducingPoints, SharedIndependent),
-            (InducingPoints, SeparateIndependent),
-            (InducingPoints, LinearCoregionalization),
-            (InducingPoints, Imc),
-            (SharedIndependentInducingVariables, SharedIndependent),
-            (SharedIndependentInducingVariables, SeparateIndependent),
-            (SharedIndependentInducingVariables, LinearCoregionalization),
-            (SharedIndependentInducingVariables, Imc),
-            (SeparateIndependentInducingVariables, SharedIndependent),
-            (SeparateIndependentInducingVariables, SeparateIndependent),
-            (SeparateIndependentInducingVariables, LinearCoregionalization),
-            (SeparateIndependentInducingVariables, Imc),
-        ]
         for registry in (KUU, KUF, CONDITIONAL):
-            for iv_type, kernel_type in pairs:
+            for iv_type, kernel_type in SHIPPED_PAIRS:
                 assert registry.resolve(iv_type, kernel_type) is not None
 
 
@@ -335,3 +348,176 @@ class TestMultiscale:
         k = SquaredExponential(1.0, 0.7)
         dense = densify(kuu(Multiscale(z, scales), k, jitter=0.0))
         assert np.linalg.eigvalsh(dense).min() > -1e-10
+
+    def test_windows_match_the_closed_form(self):
+        # Kuu_ij = v prod_d sqrt(l² / e) exp(-(z_i - z_j)² / 2e) with
+        # e = l² + s_i² + s_j², and Kuf with e = l² + s_i², per dimension.
+        z = np.array([[0.0, 1.0], [0.7, -0.4], [2.0, 0.3]])
+        s = np.array([[0.3, 0.5], [0.2, 0.9], [1.1, 0.4]])
+        x = np.array([[0.1, 0.2], [-1.0, 1.5]])
+        ls, v = np.array([0.8, 1.3]), 1.7
+        k = SquaredExponential(v, ls)
+
+        def window(a, b, e):
+            return v * np.prod(np.sqrt(ls**2 / e) * np.exp(-0.5 * (a - b) ** 2 / e))
+
+        iv = Multiscale(z, s)
+        want_kuu = [[window(zi, zj, ls**2 + si**2 + sj**2) for zj, sj in zip(z, s)]
+                    for zi, si in zip(z, s)]
+        want_kuf = [[window(zi, xn, ls**2 + si**2) for xn in x] for zi, si in zip(z, s)]
+        np.testing.assert_allclose(densify(kuu(iv, k, jitter=0.0)), want_kuu, rtol=1e-13)
+        np.testing.assert_allclose(kuf(iv, k, x), want_kuf, rtol=1e-13)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [Matern32(), Matern12(), SharedIndependent(SquaredExponential(), 2)],
+        ids=lambda k: type(k).__name__,
+    )
+    def test_other_kernels_refuse_windows(self, kernel):
+        iv = Multiscale(np.zeros((3, 1)), np.full((3, 1), 0.5))
+        for covariance in (lambda: kuu(iv, kernel), lambda: kuf(iv, kernel, np.ones((2, 1)))):
+            with pytest.raises(UnsupportedCombination, match=type(kernel).__name__):
+                covariance()
+
+    def test_latent_members_refuse_through_the_same_tables(self):
+        iv = SeparateIndependentInducingVariables(
+            [InducingPoints(np.zeros((2, 1))), Multiscale(np.ones((3, 1)), np.ones((3, 1)))]
+        )
+        kernel = SeparateIndependent([SquaredExponential(), Matern32()])
+        with pytest.raises(UnsupportedCombination, match="Matern32"):
+            kuu(iv, kernel)
+        with pytest.raises(UnsupportedCombination, match="Matern32"):
+            kuf(iv, kernel, np.zeros((2, 1)))
+
+
+def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
+    """An instance of a shipped pair: member sizes from ``sizes`` (the first
+    member of a separate set is multiscale), ``p`` outputs where the kernel
+    takes a count, and the input columns the pair expects."""
+    se, w = SquaredExponential(1.0, 0.8), np.linspace(0.5, 1.5, 2 * p).reshape(p, 2)
+    kernel = {
+        SquaredExponential: lambda: se,
+        Matern32: Matern32,
+        Convolutional: lambda: Convolutional(se, (3, 3), (2, 2)),
+        SharedIndependent: lambda: SharedIndependent(se, p),
+        SeparateIndependent: lambda: SeparateIndependent([se, Matern32()]),
+        LinearCoregionalization: lambda: LinearCoregionalization([se, Matern32()], w),
+        IntrinsicCoregionalization: lambda: IntrinsicCoregionalization(se, w),
+    }[kernel_type]()
+    columns = 9 if kernel_type is Convolutional else 2
+
+    def points(i, cls=InducingPoints):
+        z = standard_normal(rng.derive(i), (sizes[i % len(sizes)], columns))
+        return Multiscale(z, np.full_like(z, 0.3)) if cls is Multiscale else cls(z)
+
+    if iv_type is InducingPatches:
+        iv = InducingPatches(standard_normal(rng, (sizes[0], 4)))
+    elif iv_type is SharedIndependentInducingVariables:
+        iv = iv_type(points(0))
+    elif iv_type is SeparateIndependentInducingVariables:
+        members = [points(0, Multiscale)]
+        members += [points(i) for i in range(1, kernel.num_latent)]
+        iv = iv_type(members)
+    else:
+        iv = points(0, iv_type)
+    return iv, kernel, columns
+
+
+class TestLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=st.sampled_from(SHIPPED_PAIRS),
+        sizes=st.lists(st.integers(1, 5), min_size=3, max_size=3),
+        p=st.integers(1, 3),
+        whiten=st.booleans(),
+    )
+    def test_layout_agrees_with_kuu_q_and_predictions(self, pair, sizes, p, whiten):
+        rng = RngState(sum(sizes) + 7 * p)
+        iv, kernel, columns = _shipped_pair(*pair, sizes, p, rng)
+        shape = layout(iv, kernel)
+        q = _initial_q(iv, kernel, whiten)
+        assert shape.total == densify(kuu(iv, kernel)).shape[0] == q.q_mu.shape[0]
+        assert shape.columns == columns
+        model = SVGPModel(kernel, Gaussian(0.1), iv, q)
+        x = standard_normal(rng.derive(9), (4, columns))
+        assert model.predict_f(x).mean.shape == (4, shape.outputs)
+        assert model.num_outputs == shape.outputs and model.input_dim == columns
+
+    def test_third_party_pair_needs_only_registrations(self):
+        # Pairs of points averaged: u_m = (f(a_m) + f(b_m)) / 2.
+        a = np.linspace(0.0, 4.0, 4)[:, None]
+        iv, kernel = Midpoints(a, a + 0.5), SquaredExponential(1.0, 0.9)
+        entries = [
+            (KUU, lambda iv, k, jitter: Dense(
+                _midpoint_gram(k, iv, iv) + jitter * np.eye(iv.num_rows)
+            )),
+            (KUF, lambda iv, k, x: _midpoint_gram(k, iv, x)),
+            (CONDITIONAL, MidpointPosterior),
+        ]
+        for registry, impl in entries:
+            registry.register(Midpoints, SquaredExponential, impl)
+        try:
+            assert num_inducing(iv, kernel) == 4
+            x, y = desk_regression(n=12)
+            q = _initial_q(iv, kernel, whiten=False)
+            model = SVGPModel(kernel, Gaussian(0.1), iv, q, num_data=12)
+            trained = fit(model, (x, y), FitConfig(steps=1, learning_rate=0.01)).model
+            assert isinstance(trained.posterior, MidpointPosterior)
+            assert trained.input_dim == 1
+
+            got = trained.predict_f(x)
+            iv, kernel, q = trained.inducing, trained.kernel, trained.q
+            mean, cov = dense_posterior_oracle(
+                kuf(iv, kernel, x), densify(kuu(iv, kernel)), k_full(kernel, x),
+                q.q_mu, q.q_sqrt @ q.q_sqrt.T,
+            )
+            np.testing.assert_allclose(got.mean[:, 0], mean, atol=1e-8)
+            np.testing.assert_allclose(got.cov[:, 0], np.diag(cov), atol=1e-8)
+        finally:
+            for registry, _ in entries:
+                del registry._table[(Midpoints, SquaredExponential)]
+                registry._cache.clear()
+
+
+class Midpoints(InducingVariable):
+    """Test-only inducing variables: the average of f at two points."""
+
+    schema = Schema("test_midpoints", Param("a"), Param("b"))
+
+    def __init__(self, a, b):
+        self.a, self.b = np.asarray(a, float), np.asarray(b, float)
+
+    @property
+    def num_rows(self):
+        return self.a.shape[0]
+
+
+def _midpoint_gram(kernel, iv, other):
+    """Covariance of the midpoint variables with ``other`` (midpoints or
+    inputs)."""
+    ends = (other.a, other.b) if isinstance(other, Midpoints) else (other,)
+    grams = [k_full(kernel, e, o) for e in (iv.a, iv.b) for o in ends]
+    return sum(grams) / len(grams)
+
+
+class MidpointPosterior(Posterior):
+    @classmethod
+    def layout(cls, iv, kernel):
+        return Layout((iv.num_rows,), False, 1, iv.a.shape[1])
+
+    def _factorize(self, kmm):
+        return cholesky(densify(kmm), jitter=0.0)
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        kernel, q = self.kernel, self.q
+        a = tri_solve(self.factor, kuf(self.inducing, kernel, x))
+        proj = a if q.whiten else tri_solve(self.factor, a, transpose=True)
+        d = q.q_sqrt.T @ proj
+        n = x.shape[0]
+        if full_cov:
+            cov = k_full(kernel, x) - a.T @ a + d.T @ d
+            shape = (n, 1, n, 1) if full_output_cov else (1, n, n)
+        else:
+            cov = k_diag(kernel, x) - np.sum(a * a, 0) + np.sum(d * d, 0)
+            shape = (n, 1, 1) if full_output_cov else (n, 1)
+        return (proj.T @ q.q_mu)[:, None], cov.reshape(shape)

@@ -693,6 +693,35 @@ class TestDGP:
         value = dgp.elbo((x, y), RngState(0))
         assert np.isfinite(value)
 
+    def test_patch_layer_feeds_one_column(self):
+        # Inducing patches give the summed-patch response: one column per
+        # image, not one per patch.
+        from sparsegp import Convolutional, FitConfig, InducingPatches, fit
+
+        rng = RngState(18)
+        x = standard_normal(rng, (6, 9))  # flattened 3x3 images, 4 patches each
+        y = standard_normal(rng.derive(1), (6, 1))
+        kernel = Convolutional(SquaredExponential(1.0, 1.5), (3, 3), (2, 2))
+        patches = GPLayer(
+            kernel,
+            InducingPatches(kernel.patches(x).reshape(-1, 4)[:5]),
+            VariationalGaussian(np.zeros(5), np.eye(5), whiten=True),
+        )
+
+        def final(width):
+            z = standard_normal(rng.derive(2), (3, width))
+            q = VariationalGaussian(np.zeros(3), np.eye(3), whiten=True)
+            return GPLayer(SquaredExponential(1.0, 1.0), InducingPoints(z), q)
+
+        dgp = DGPModel([patches, final(1)], Gaussian(0.1), num_data=6)
+        assert dgp.input_dim == 9
+        trained = fit(dgp, (x, y), FitConfig(steps=1, learning_rate=0.01)).model
+        mean, var = trained.predict_f(x, RngState(0), 5)
+        assert mean.shape == var.shape == (6, 1)
+        assert np.all(np.isfinite(mean)) and np.all(var > 0)
+        with pytest.raises(ShapeMismatch, match="producing 1 columns"):
+            DGPModel([patches, final(4)], Gaussian(0.1))
+
 
 class TestUncertainInputs:
     def _setup(self, rng, input_scale=1e-6):
