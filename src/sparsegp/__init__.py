@@ -10,7 +10,7 @@ from .conditionals import (
     num_inducing,
     sample_conditional,
 )
-from .covariances import KUF, KUU, kuf, kuu
+from .covariances import kuf, kuu
 from .dispatch import DispatchRegistry
 from .divergences import gauss_kl, prior_kl
 from .errors import SparseGPError

@@ -1,8 +1,9 @@
 """Batch command-line interface: train, predict, evaluate, plot data.
 
-Exit codes: 0 success, 2 configuration error, 3 data validation error,
-4 numerical failure (the failing error class is printed).  The environment
-variable SPARSEGP_JITTER overrides the default jitter for debugging.
+Exit codes: 0 success; 2 configuration error, including a combination of
+components that is not supported; 3 data validation error; 4 numerical
+failure (the failing error class is printed).  The environment variable
+SPARSEGP_JITTER overrides the default jitter for debugging.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import load_config
-from .errors import ConfigError, DataError, SparseGPError
+from .errors import ConfigError, DataError, SparseGPError, UnsupportedCombination
 from .likelihoods import (
     CorrelatedGaussian,
     Gaussian,
@@ -132,18 +133,25 @@ def _trace_line(record: TraceRecord) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _apply_observation_noise(lik, cov, full_cov, full_output_cov):
-    """Noise on a non-marginal predictive covariance (one flag at least set)."""
+def _observation_noise(lik, full_cov, full_output_cov):
+    """``(mean, cov) -> (mean, cov)`` of y in the mode; raises before
+    anything is predicted when the likelihood has no noise for the mode."""
+    if not (full_cov or full_output_cov):
+        return lambda mean, cov: predict_observation_moments(lik, mean, cov)
     if isinstance(lik, Gaussian):
         noise = lik.variance
-        if full_cov and full_output_cov:
-            n, p = cov.shape[0], cov.shape[1]
-            flat = cov.reshape(n * p, n * p) + noise * np.eye(n * p)
-            return flat.reshape(n, p, n, p)
-        return cov + noise * np.eye(cov.shape[-1])  # [N, P, P] or [P, N, N]
+
+        def add_noise(mean, cov):
+            if full_cov and full_output_cov:
+                n, p = cov.shape[0], cov.shape[1]
+                flat = cov.reshape(n * p, n * p) + noise * np.eye(n * p)
+                return mean, flat.reshape(n, p, n, p)
+            return mean, cov + noise * np.eye(cov.shape[-1])  # [N, P, P] or [P, N, N]
+
+        return add_noise
     if isinstance(lik, CorrelatedGaussian):
         if not full_cov:  # [N, P, P]
-            return cov + lik.cov[None, :, :]
+            return lambda mean, cov: (mean, cov + lik.cov[None, :, :])
         raise ConfigError(
             "correlated observation noise is defined for the per-point modes"
         )
@@ -167,15 +175,14 @@ def cmd_predict(args) -> int:
     _check_input_dim(model, dataset.x)
     full_cov = bool(args.full_cov)
     full_output_cov = bool(args.full_output_cov)
+    model.check_modes(full_cov, full_output_cov)
+    noisy = (
+        _observation_noise(model.likelihood, full_cov, full_output_cov)
+        if args.observation_noise
+        else lambda mean, cov: (mean, cov)
+    )
 
-    mean, cov = model.predict_moments(dataset.x, full_cov, full_output_cov)
-
-    if args.observation_noise:
-        lik = model.likelihood
-        if not full_cov and not full_output_cov:
-            mean, cov = predict_observation_moments(lik, mean, cov)
-        else:
-            cov = _apply_observation_noise(lik, cov, full_cov, full_output_cov)
+    mean, cov = noisy(*model.predict_moments(dataset.x, full_cov, full_output_cov))
 
     n, p = mean.shape
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -410,7 +417,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_grid_values(argv))
     try:
         return args.handler(args)
-    except ConfigError as err:
+    except (ConfigError, UnsupportedCombination) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except DataError as err:

@@ -1,13 +1,16 @@
 """Posterior moments of the approximate GP at new inputs.
 
 A :class:`Posterior` holds one (inducing variable, kernel) pair's Kuu
-Cholesky factor and q.  ``create_posterior`` picks its class through the
-``CONDITIONAL`` dispatch registry; each registered class is the one place
-that knows its pair.  It supplies the pair's shape (``layout``: q's blocks,
-outputs per point and input columns, read by ``num_inducing``, ``check_q``
-and the models) and its two steps, the factor (``_factorize``, run once when
-the posterior is built) and the moments of one block of rows (``_chunk``).
-A new pair registers its Kuu and Kuf and one such class, and nothing else.
+Cholesky factor and q.  Each pair has one entry in the dispatch registry
+``covariances.PAIRS``: the ``Posterior`` subclass registered here for it,
+the one place that knows the pair.  The class supplies the pair's
+covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
+shape (``layout``: q's blocks, outputs per point and input columns, read by
+``num_inducing``, ``check_q`` and the models) and its two steps, the factor
+(``_factorize``, run once when the posterior is built) and the moments of
+one block of rows (``_chunk``).  A pair that is refused raises from
+``layout``, ``kuu`` and ``kuf`` alike, so a model holding it is refused when
+it is built.  A new pair registers one such class and nothing else.
 ``conditional`` and ``sample_conditional`` build a posterior and use it
 once; models keep one.
 
@@ -36,15 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariances import kuf, kuu
-from .dispatch import DispatchRegistry
+from .covariances import PAIRS, kuf, kuu
 from .divergences import prior_kl
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
     InducingPoints,
     InducingVariable,
     LatentInducingVariables,
+    Multiscale,
 )
 from .kernels import (
     Convolutional,
@@ -53,14 +56,19 @@ from .kernels import (
     Kernel,
     LinearCoregionalization,
     MultioutputKernel,
+    SquaredExponential,
     k_diag,
     k_full,
     mo_k,
     mo_k_diag,
 )
 from .numerics import (
+    BlockDiagonal,
+    Dense,
     RngState,
+    StructuredPSD,
     cholesky,
+    densify,
     factorize,
     record_allocation,
     standard_normal,
@@ -256,8 +264,6 @@ def fully_correlated_conditional(
 # ---------------------------------------------------------------------------
 # Posterior objects
 
-CONDITIONAL = DispatchRegistry("conditional")
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -278,11 +284,6 @@ class Layout:
         return sum(self.blocks)
 
 
-def _columns(iv) -> int | None:
-    """Input columns of a set of inducing points, None for other sets."""
-    return iv.z.shape[1] if isinstance(iv, InducingPoints) else None
-
-
 class Posterior:
     """q(f) of one (inducing variable, kernel) pair with Kuu factored once.
 
@@ -301,7 +302,18 @@ class Posterior:
 
     @classmethod
     def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
-        """The pair's shape; raises ShapeMismatch when the pair has none."""
+        """The pair's shape; raises ShapeMismatch or UnsupportedCombination
+        when the pair has none."""
+        raise NotImplementedError
+
+    @classmethod
+    def kuu(cls, iv: InducingVariable, kernel: Kernel, jitter: float) -> StructuredPSD:
+        """The pair's Kuu with ``jitter`` on the diagonal (``covariances.kuu``)."""
+        raise NotImplementedError
+
+    @classmethod
+    def kuf(cls, iv: InducingVariable, kernel: Kernel, xnew) -> np.ndarray:
+        """The pair's Kuf at ``xnew`` (``covariances.kuf``)."""
         raise NotImplementedError
 
     def _factorize(self, kmm):
@@ -353,7 +365,7 @@ class Posterior:
 
 def layout(iv: InducingVariable, kernel: Kernel) -> Layout:
     """The shape of the pair, as its registered posterior class declares it."""
-    return CONDITIONAL.resolve(type(iv), type(kernel)).layout(iv, kernel)
+    return PAIRS.resolve(type(iv), type(kernel)).layout(iv, kernel)
 
 
 def num_inducing(iv: InducingVariable, kernel: Kernel) -> int:
@@ -398,7 +410,7 @@ def check_q(q, iv: InducingVariable, kernel: Kernel) -> Layout:
 def create_posterior(iv: InducingVariable, kernel: Kernel, q, jitter=None) -> Posterior:
     """The posterior of the pair, its class chosen by dispatch."""
     check_q(q, iv, kernel)
-    cls = CONDITIONAL.resolve(type(iv), type(kernel))
+    cls = PAIRS.resolve(type(iv), type(kernel))
     return cls(iv, kernel, q, jitter)
 
 
@@ -448,11 +460,22 @@ class _DensePosterior(Posterior):
         )
 
 
-@CONDITIONAL.register(InducingVariable, Kernel)
+@PAIRS.register(InducingPoints, Kernel)
 class SingleOutputPosterior(_DensePosterior):
     @classmethod
     def layout(cls, iv, kernel):
-        return Layout((iv.num_rows,), False, 1, _columns(iv))
+        return Layout((iv.num_rows,), False, 1, iv.z.shape[1])
+
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        k = k_full(kernel, iv.z)
+        out = k + jitter * np.eye(k.shape[0])
+        record_allocation(out)
+        return Dense(out)
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        return k_full(kernel, iv.z, xnew)  # [M, N]
 
     def _chunk(self, x, full_cov, full_output_cov):
         kmn = kuf(self.inducing, self.kernel, x)[:, :, None]  # [M, N, 1]
@@ -461,14 +484,90 @@ class SingleOutputPosterior(_DensePosterior):
         return self._dense_moments(kmn, knn.reshape(shape), full_cov, full_output_cov)
 
 
+# ---------------------------------------------------------------------------
+# Multiscale windows for the squared-exponential kernel
+#
+# With a Gaussian window of per-dimension width s around z, integrating the
+# kernel once (Kuf) widens the effective squared lengthscale to l^2 + s^2;
+# integrating twice (Kuu) gives l^2 + s_m^2 + s_m'^2.  The normalization
+# prod(sqrt(l^2 / eff^2)) makes s -> 0 recover plain inducing points.
+
+
+def _multiscale_prefactor(kernel, eff2):
+    ls2 = kernel.lengthscales**2
+    return kernel.variance * np.prod(np.sqrt(ls2 / eff2), axis=-1)
+
+
+@PAIRS.register(Multiscale, SquaredExponential)
+class MultiscalePosterior(SingleOutputPosterior):
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        z = iv.z
+        s2 = iv.scales**2
+        ls2 = np.broadcast_to(kernel.lengthscales**2, (z.shape[1],))
+        eff2 = ls2[None, None, :] + s2[:, None, :] + s2[None, :, :]  # [M, M, D]
+        d2 = (z[:, None, :] - z[None, :, :]) ** 2
+        k = _multiscale_prefactor(kernel, eff2) * np.exp(
+            -0.5 * np.sum(d2 / eff2, axis=-1)
+        )
+        out = k + jitter * np.eye(k.shape[0])
+        record_allocation(out)
+        return Dense(out)
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        z = iv.z
+        s2 = iv.scales**2
+        ls2 = np.broadcast_to(kernel.lengthscales**2, (z.shape[1],))
+        eff2 = ls2[None, :] + s2  # [M, D]
+        d2 = (z[:, None, :] - xnew[None, :, :]) ** 2  # [M, N, D]
+        return _multiscale_prefactor(kernel, eff2)[:, None] * np.exp(
+            -0.5 * np.sum(d2 / eff2[:, None, :], axis=-1)
+        )
+
+
+# Other kernels have no windowed form, so they refuse multiscale inducing
+# variables rather than treat them as plain points.  The multioutput entry
+# keeps the refusal from being ambiguous with the multioutput-points pair.
+@PAIRS.register(Multiscale, Kernel)
+@PAIRS.register(Multiscale, MultioutputKernel)
+class UnwindowedMultiscale(Posterior):
+    @classmethod
+    def layout(cls, iv, kernel, *_):
+        raise UnsupportedCombination(
+            f"multiscale inducing variables have windowed covariances for the "
+            f"squared-exponential kernel only, got {type(kernel).__name__}"
+        )
+
+    kuu = kuf = layout
+
+
+# ---------------------------------------------------------------------------
+# Inducing patches for convolutional kernels (summed-patch response)
+
+
 # The summed-patch response is a scalar process; the single-output steps
 # apply once Kuu/Kuf are the patch covariances.
-@CONDITIONAL.register(InducingPatches, Convolutional)
+@PAIRS.register(InducingPatches, Convolutional)
 class PatchPosterior(SingleOutputPosterior):
     @classmethod
     def layout(cls, iv, kernel):  # one variable per patch; inputs are images
         ih, iw = kernel.image_shape
         return Layout((iv.num_rows,), False, 1, ih * iw)
+
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        k = kernel.kernel.K(iv.z)  # patch-response kernel on the patches
+        out = k + jitter * np.eye(k.shape[0])
+        record_allocation(out)
+        return Dense(out)
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        patches = kernel.patches(xnew)  # [N, P, h*w]
+        n, p, _ = patches.shape
+        gram = kernel.kernel.K(iv.z, patches.reshape(n * p, -1))  # [M, N*P]
+        return gram.reshape(-1, n, p).sum(axis=2)  # [M, N]
 
     def _row_floats(self):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf's patch gram
@@ -478,14 +577,26 @@ class PatchPosterior(SingleOutputPosterior):
 # Fully-correlated multioutput inducing points
 
 
-@CONDITIONAL.register(InducingPoints, MultioutputKernel)
+@PAIRS.register(InducingPoints, MultioutputKernel)
 class MultioutputPointsPosterior(_DensePosterior):
     correlated_outputs = True
 
     @classmethod
     def layout(cls, iv, kernel):
         p = kernel.num_outputs
-        return Layout((iv.num_rows * p,), False, p, _columns(iv))
+        return Layout((iv.num_rows * p,), False, p, iv.z.shape[1])
+
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        full = mo_k(kernel, iv.z, full_output_cov=True)  # [M, P, M, P]
+        mp = full.shape[0] * full.shape[1]
+        dense = full.reshape(mp, mp) + jitter * np.eye(mp)
+        record_allocation(dense)
+        return Dense(dense)
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        return mo_k(kernel, iv.z, xnew, full_output_cov=True)  # [M, P, N, P]
 
     def _row_floats(self):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf [M, P, N, P]
@@ -507,24 +618,65 @@ class MultioutputPointsPosterior(_DensePosterior):
 
 # ---------------------------------------------------------------------------
 # Latent-process inducing variables
+#
+# The prior independence of the latent processes makes Kuu block diagonal.
+# Each latent's blocks and shape come from the entry of its own (member,
+# latent kernel) pair, so a multiscale member keeps its windows, or is
+# refused with its latent kernel.  Blocks shared by several latents (shared
+# inducing sets with a shared kernel) are stored once with a repeat count,
+# so a single factorization serves all of them.
+
+
+def _latent_pairs(iv, kernel):
+    """(latent kernel, member) per latent; a kernel without latent processes
+    has none, so its pair is refused."""
+    if not isinstance(kernel, IndependentLatent):
+        raise ShapeMismatch(
+            f"latent inducing variables need a latent-structured kernel, "
+            f"got {type(kernel).__name__}"
+        )
+    kernels = kernel.latent_kernels
+    ivs = iv.per_latent(len(kernels))
+    return list(zip(kernels, ivs))
 
 
 # Registered on every kernel so that a latent set with a kernel that has no
-# latent processes is refused by its layout.
-@CONDITIONAL.register(LatentInducingVariables, Kernel)
+# latent processes is refused by its layout, Kuu and Kuf alike.
+@PAIRS.register(LatentInducingVariables, Kernel)
 class _LatentPosterior(Posterior):
     """Latent inducing variables: block-diagonal Kuu, mean-field q."""
 
     @classmethod
     def layout(cls, iv, kernel):
-        if not isinstance(kernel, IndependentLatent):
-            raise ShapeMismatch(
-                f"latent inducing variables need a latent-structured kernel, "
-                f"got {type(kernel).__name__}"
-            )
-        members = iv.per_latent(kernel.num_latent)
-        blocks = tuple(member.num_rows for member in members)
-        return Layout(blocks, True, kernel.num_outputs, _columns(members[0]))
+        shapes = [layout(member, k) for k, member in _latent_pairs(iv, kernel)]
+        blocks = tuple(shape.total for shape in shapes)
+        return Layout(blocks, True, kernel.num_outputs, shapes[0].columns)
+
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        blocks: list[np.ndarray] = []
+        repeats: list[int] = []
+        last_key = None
+        for k, member in _latent_pairs(iv, kernel):
+            key = (id(k), id(member))
+            if key == last_key:
+                repeats[-1] += 1
+                continue
+            blocks.append(densify(kuu(member, k, jitter)))
+            repeats.append(1)
+            last_key = key
+        return BlockDiagonal(tuple(blocks), tuple(repeats))
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        seen: dict[tuple[int, int], np.ndarray] = {}
+        grams = []
+        for k, member in _latent_pairs(iv, kernel):
+            key = (id(k), id(member))
+            if key not in seen:
+                seen[key] = kuf(member, k, xnew)
+            grams.append(seen[key])
+        return np.concatenate(grams)  # [M_1 + ... + M_L, N]
 
     def _factorize(self, kmm):
         return factorize(kmm, per_block=True)
@@ -554,7 +706,7 @@ class _LatentPosterior(Posterior):
         return np.concatenate(means, axis=1), gvar
 
 
-@CONDITIONAL.register(LatentInducingVariables, IndependentOutputs)
+@PAIRS.register(LatentInducingVariables, IndependentOutputs)
 class IndependentOutputsPosterior(_LatentPosterior):
     def _chunk(self, x, full_cov, full_output_cov):
         gmean, gvar = self._latent_moments(x, full_cov)
@@ -574,7 +726,7 @@ class IndependentOutputsPosterior(_LatentPosterior):
         return gmean, cov
 
 
-@CONDITIONAL.register(LatentInducingVariables, LinearCoregionalization)
+@PAIRS.register(LatentInducingVariables, LinearCoregionalization)
 class CoregionalizationPosterior(_LatentPosterior):
     correlated_outputs = True
 

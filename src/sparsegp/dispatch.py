@@ -1,11 +1,12 @@
 """Type-pair dispatch registry with nearest-ancestor resolution.
 
-Code paths for covariances, conditionals, and KL divergences are selected by
-the runtime types of the (inducing variable, kernel) pair.  Implementations
-register themselves against a pair of classes; resolution walks the class
-hierarchies of the query and picks the registered pair whose classes are the
-nearest ancestors, with an exact match always winning.  Third parties extend
-the library by registering new pairs, without touching core modules.
+The covariances, shape and conditional of an (inducing variable, kernel)
+pair are selected by the pair's runtime types, from one registry
+(``covariances.PAIRS``).  Implementations register against a pair of
+classes; resolution walks the class hierarchies of the query and picks the
+registered pair whose classes are the nearest ancestors, with an exact match
+always winning.  Third parties extend the library by registering new pairs,
+without touching core modules.
 
 Registries are populated at import time and read-only afterwards, so
 resolution is thread-safe.

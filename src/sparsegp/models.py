@@ -23,7 +23,7 @@ from .conditionals import (
     layout,
     stream_marginals,
 )
-from .covariances import kuf, kuu
+from .covariances import kuf
 from .divergences import prior_kl
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import InducingVariable
@@ -38,7 +38,6 @@ from .likelihoods import (
 from .numerics import (
     RngState,
     cholesky,
-    factorize,
     standard_normal,
     tri_solve,
 )
@@ -101,6 +100,8 @@ class Model:
       for every other slot.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
+      ``check_modes(full_cov, full_output_cov)`` refuses, before anything is
+      computed, a mode the kind does not predict (none by default);
     - ``likelihood``, and ``input_dim``: input columns, None when free;
     - ``full_batch``: training takes every row at each step; ``heterotopic``:
       it trains on rows observing one of its ``num_outputs`` each;
@@ -115,6 +116,9 @@ class Model:
 
     def objective_gradients(self, batch, scale) -> dict:
         return {}
+
+    def check_modes(self, full_cov, full_output_cov):
+        pass
 
     def log_density(self, x, y, mean, var) -> np.ndarray:
         """Log predictive density of each row of ``y``; ``mean`` and ``var``
@@ -284,9 +288,12 @@ class GPRModel(Model):
     def objective(self, batch, rng, scale):
         return self.log_marginal()
 
-    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+    def check_modes(self, full_cov, full_output_cov):
         if full_output_cov:
             raise ConfigError("gpr supports --full-cov without output modes")
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        self.check_modes(full_cov, full_output_cov)
         pm = self.predict(x, full_cov)
         return pm.mean, pm.cov
 
@@ -451,13 +458,12 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     x = np.asarray(x, dtype=float)
     y = _as_columns(y)
 
-    kmm = kuu(model.inducing, model.kernel, model.jitter)
+    luu = model.posterior.factor
     # Kuf stacked as [M~, NP] against the point-major targets
     kmn = kuf(model.inducing, model.kernel, x).reshape(model.layout.total, -1)
     targets = y.reshape(-1) - model.mean_function(x)
 
     noise = model.likelihood.variance
-    luu = factorize(kmm)
     a = tri_solve(luu, kmn)
     b = np.eye(a.shape[0]) + (a @ a.T) / noise
     lb = cholesky(b, jitter=0.0)
@@ -573,9 +579,12 @@ class DGPModel(Model):
     def objective(self, batch, rng, scale):
         return self.elbo(batch, rng(), scale)
 
-    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+    def check_modes(self, full_cov, full_output_cov):
         if full_cov or full_output_cov:
             raise ConfigError("deep models emit marginal predictions only")
+
+    def predict_moments(self, x, full_cov=False, full_output_cov=False):
+        self.check_modes(full_cov, full_output_cov)
         samples = max(self.num_samples, PREDICT_SAMPLES)
         return self.predict_f(x, RngState(0), samples)
 

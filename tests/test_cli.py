@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsegp.cli import build_model, main
+from sparsegp.models import SVGPModel
 from sparsegp.config import parse_config
 from sparsegp.errors import ConfigError, DataError
 from sparsegp.modelio import (
@@ -15,6 +16,7 @@ from sparsegp.modelio import (
 )
 
 from conftest import desk_regression, desk_truth
+from test_formats import golden_path
 
 DESK = "data/regression_30.csv"
 
@@ -63,6 +65,17 @@ model {
 }
 """
 FULL_BATCH_INDUCING = {"gpr": "", "svgp_uncertain": "inducing = points { from_data = 4 }"}
+
+
+MULTISCALE_MATERN = """
+steps = 1
+model {
+  kind = svgp
+  kernel = matern52 {}
+  likelihood = gaussian
+  inducing = multiscale { from_data = 4 }
+}
+"""
 
 
 def _write(tmp_path, name, text):
@@ -228,6 +241,23 @@ class TestExitCodes:
         out = str(tmp_path / "p.csv")
         assert main(["predict", "--model", bad, "--data", DESK, "--out", out]) == 4
         assert "NotPositiveDefinite" in capsys.readouterr().err
+
+    def test_multiscale_without_windows_in_train_is_2(self, tmp_path, capsys):
+        conf = _write(tmp_path, "ms.conf", MULTISCALE_MATERN)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: multiscale") and "Matern52" in err
+
+    def test_multiscale_without_windows_in_predict_is_2(self, tmp_path, capsys):
+        doc = json.load(open(golden_path("svgp_sqexp_multiscale_given")))
+        doc["kernel"]["tag"] = "matern52"
+        model = _write(tmp_path, "ms.json", json.dumps(doc))
+        data = _write(tmp_path, "x.csv", "x0,x1\n0.0,1.0\n")
+        out = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", model, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: multiscale") and "Matern52" in err
 
     def test_out_of_range_output_index_in_train_is_3(self, tmp_path, capsys):
         x, y = desk_regression(n=10)
@@ -536,6 +566,26 @@ class TestPredict:
         b = np.genfromtxt(noisy, delimiter=",", skip_header=2)
         np.testing.assert_allclose(b[:, 2] - a[:, 2], sigma2, atol=1e-12)
         np.testing.assert_allclose(b[:, 1], a[:, 1], atol=1e-12)
+
+    def test_observation_noise_is_checked_before_predicting(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        predict_moments = SVGPModel.predict_moments
+
+        def counted(self, *args):
+            calls.append(args)
+            return predict_moments(self, *args)
+
+        monkeypatch.setattr(SVGPModel, "predict_moments", counted)
+        model = golden_path("svgp_sqexp_multiscale_bernoulli")  # Bernoulli
+        data = _write(tmp_path, "x.csv", "x0,x1\n0.0,1.0\n")
+        args = ["predict", "--model", model, "--data", data, "--out", str(tmp_path / "p")]
+        assert main([*args, "--full-cov", "--observation-noise"]) == 2
+        assert "--observation-noise needs a Gaussian" in capsys.readouterr().err
+        assert calls == []
+        assert main([*args, "--full-cov"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "flags,header",

@@ -25,6 +25,7 @@ from sparsegp import (
     SharedIndependentInducingVariables,
     SquaredExponential,
     SVGPModel,
+    VariationalGaussian,
     cholesky,
     densify,
     fit,
@@ -41,10 +42,11 @@ from sparsegp.errors import (
     AmbiguityDetected,
     DuplicateRegistration,
     NoImplementation,
+    SparseGPError,
     UnsupportedCombination,
 )
-from sparsegp.conditionals import CONDITIONAL, Layout, Posterior, layout
-from sparsegp.covariances import KUF, KUU
+from sparsegp.conditionals import Layout, Posterior, layout
+from sparsegp.covariances import PAIRS
 from sparsegp.inducing import InducingVariable
 from sparsegp.models import _initial_q
 from sparsegp.schema import Param, Schema
@@ -70,6 +72,13 @@ SHIPPED_PAIRS = [
     (SeparateIndependentInducingVariables, SeparateIndependent),
     (SeparateIndependentInducingVariables, LinearCoregionalization),
     (SeparateIndependentInducingVariables, IntrinsicCoregionalization),
+]
+# Pairs the registry refuses: windows without a windowed kernel, and a latent
+# set with a kernel that has no latent processes.
+REFUSED_PAIRS = [
+    (Multiscale, Matern32),
+    (Multiscale, SharedIndependent),
+    (SharedIndependentInducingVariables, Matern32),
 ]
 
 
@@ -118,7 +127,8 @@ class TestRegistry:
             reg.resolve(Multiscale, SquaredExponential)
 
     def test_third_party_extension_point(self):
-        # New pair types can be registered without touching core tables.
+        # New pair types register a Posterior subclass without touching core
+        # tables; its Kuu is what ``kuu`` returns.
         class CustomIv(InducingPoints):
             pass
 
@@ -126,13 +136,19 @@ class TestRegistry:
             pass
 
         marker = object()
-        KUU.register(CustomIv, CustomKernel, lambda iv, k, j: marker)
+
+        class CustomPosterior(Posterior):
+            @classmethod
+            def kuu(cls, iv, kernel, jitter):
+                return marker
+
+        PAIRS.register(CustomIv, CustomKernel, CustomPosterior)
         try:
             got = kuu(CustomIv(np.zeros((2, 1))), CustomKernel(), jitter=0.0)
             assert got is marker
         finally:
-            del KUU._table[(CustomIv, CustomKernel)]
-            KUU._cache.clear()
+            del PAIRS._table[(CustomIv, CustomKernel)]
+            PAIRS._cache.clear()
 
     def test_resolution_is_deterministic(self):
         reg = DispatchRegistry("demo")
@@ -141,12 +157,11 @@ class TestRegistry:
         assert reg.resolve(Multiscale, Matern32) is first
 
     def test_resolution_is_total_over_shipped_pairs(self):
-        # Every shipped (inducing variable, kernel) combination resolves
-        # for Kuu, Kuf, and the conditional (which also samples) without
-        # ambiguity.
-        for registry in (KUU, KUF, CONDITIONAL):
-            for iv_type, kernel_type in SHIPPED_PAIRS:
-                assert registry.resolve(iv_type, kernel_type) is not None
+        # Every shipped (inducing variable, kernel) combination resolves,
+        # without ambiguity, to the one class that gives its Kuu, Kuf, shape
+        # and conditional (which also samples).
+        for iv_type, kernel_type in SHIPPED_PAIRS:
+            assert issubclass(PAIRS.resolve(iv_type, kernel_type), Posterior)
 
 
 class TestKuuPairs:
@@ -389,9 +404,17 @@ class TestMultiscale:
         with pytest.raises(UnsupportedCombination, match="Matern32"):
             kuf(iv, kernel, np.zeros((2, 1)))
 
+    def test_latent_members_refuse_at_build(self):
+        iv = SeparateIndependentInducingVariables(
+            [InducingPoints(np.zeros((2, 1))), Multiscale(np.ones((3, 1)), np.ones((3, 1)))]
+        )
+        kernel = SeparateIndependent([SquaredExponential(), Matern32()])
+        with pytest.raises(UnsupportedCombination, match="Matern32"):
+            SVGPModel(kernel, Gaussian(0.1), iv, VariationalGaussian(np.zeros(5)))
+
 
 def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
-    """An instance of a shipped pair: member sizes from ``sizes`` (the first
+    """An instance of a shipped or refused pair: member sizes from ``sizes`` (the first
     member of a separate set is multiscale), ``p`` outputs where the kernel
     takes a count, and the input columns the pair expects."""
     se, w = SquaredExponential(1.0, 0.8), np.linspace(0.5, 1.5, 2 * p).reshape(p, 2)
@@ -423,10 +446,19 @@ def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
     return iv, kernel, columns
 
 
+def _raised(call):
+    """The class of the error ``call`` raises, None when it returns."""
+    try:
+        call()
+    except SparseGPError as err:
+        return type(err)
+    return None
+
+
 class TestLayout:
     @settings(max_examples=60, deadline=None)
     @given(
-        pair=st.sampled_from(SHIPPED_PAIRS),
+        pair=st.sampled_from(SHIPPED_PAIRS + REFUSED_PAIRS),
         sizes=st.lists(st.integers(1, 5), min_size=3, max_size=3),
         p=st.integers(1, 3),
         whiten=st.booleans(),
@@ -434,12 +466,21 @@ class TestLayout:
     def test_layout_agrees_with_kuu_q_and_predictions(self, pair, sizes, p, whiten):
         rng = RngState(sum(sizes) + 7 * p)
         iv, kernel, columns = _shipped_pair(*pair, sizes, p, rng)
+        x = standard_normal(rng.derive(9), (4, columns))
+        raised = {
+            _raised(lambda: layout(iv, kernel)),
+            _raised(lambda: kuu(iv, kernel)),
+            _raised(lambda: kuf(iv, kernel, x)),
+        }
+        assert len(raised) == 1, raised  # all succeed, or all refuse alike
+        assert (raised == {None}) == (pair in SHIPPED_PAIRS)
+        if pair not in SHIPPED_PAIRS:
+            return
         shape = layout(iv, kernel)
         q = _initial_q(iv, kernel, whiten)
         assert shape.total == densify(kuu(iv, kernel)).shape[0] == q.q_mu.shape[0]
         assert shape.columns == columns
         model = SVGPModel(kernel, Gaussian(0.1), iv, q)
-        x = standard_normal(rng.derive(9), (4, columns))
         assert model.predict_f(x).mean.shape == (4, shape.outputs)
         assert model.num_outputs == shape.outputs and model.input_dim == columns
 
@@ -447,15 +488,9 @@ class TestLayout:
         # Pairs of points averaged: u_m = (f(a_m) + f(b_m)) / 2.
         a = np.linspace(0.0, 4.0, 4)[:, None]
         iv, kernel = Midpoints(a, a + 0.5), SquaredExponential(1.0, 0.9)
-        entries = [
-            (KUU, lambda iv, k, jitter: Dense(
-                _midpoint_gram(k, iv, iv) + jitter * np.eye(iv.num_rows)
-            )),
-            (KUF, lambda iv, k, x: _midpoint_gram(k, iv, x)),
-            (CONDITIONAL, MidpointPosterior),
-        ]
-        for registry, impl in entries:
-            registry.register(Midpoints, SquaredExponential, impl)
+        with pytest.raises(NoImplementation):  # refused by name until registered
+            num_inducing(iv, kernel)
+        PAIRS.register(Midpoints, SquaredExponential, MidpointPosterior)
         try:
             assert num_inducing(iv, kernel) == 4
             x, y = desk_regression(n=12)
@@ -474,9 +509,8 @@ class TestLayout:
             np.testing.assert_allclose(got.mean[:, 0], mean, atol=1e-8)
             np.testing.assert_allclose(got.cov[:, 0], np.diag(cov), atol=1e-8)
         finally:
-            for registry, _ in entries:
-                del registry._table[(Midpoints, SquaredExponential)]
-                registry._cache.clear()
+            del PAIRS._table[(Midpoints, SquaredExponential)]
+            PAIRS._cache.clear()
 
 
 class Midpoints(InducingVariable):
@@ -504,6 +538,14 @@ class MidpointPosterior(Posterior):
     @classmethod
     def layout(cls, iv, kernel):
         return Layout((iv.num_rows,), False, 1, iv.a.shape[1])
+
+    @classmethod
+    def kuu(cls, iv, kernel, jitter):
+        return Dense(_midpoint_gram(kernel, iv, iv) + jitter * np.eye(iv.num_rows))
+
+    @classmethod
+    def kuf(cls, iv, kernel, xnew):
+        return _midpoint_gram(kernel, iv, xnew)
 
     def _factorize(self, kmm):
         return cholesky(densify(kmm), jitter=0.0)

@@ -59,12 +59,12 @@ CASES = {
         inducing = points { from_data = 5 }
         mean = zero""",
     ),
-    "svgp_matern12_multiscale_bernoulli": (
+    "svgp_sqexp_multiscale_bernoulli": (
         PLANE,
         """kind = svgp
         whiten = false
         jitter = 1e-5
-        kernel = matern12 { lengthscales = [0.5, 2.0] }
+        kernel = sqexp { lengthscales = [0.5, 2.0] }
         likelihood = bernoulli
         inducing = multiscale { from_data = 4 }
         mean = constant { value = 0.3 }""",
@@ -76,10 +76,10 @@ CASES = {
         likelihood = poisson
         inducing = points { z = [[0.0], [1.0], [2.5]] }""",
     ),
-    "svgp_matern52_multiscale_given": (
+    "svgp_sqexp_multiscale_given": (
         PLANE,
         """kind = svgp
-        kernel = matern52 { variance = 2.0, lengthscales = 0.9 }
+        kernel = sqexp { variance = 2.0, lengthscales = 0.9 }
         likelihood = gaussian
         inducing = multiscale {
           z = [[0.0, 0.5], [1.0, -0.5]]

@@ -42,6 +42,7 @@ from sparsegp import (
     kuf,
     kuu,
     mo_k_diag,
+    optimal_q,
     prior_kl,
     standard_normal,
 )
@@ -359,6 +360,15 @@ def test_unwhitened_dgp_elbo_shares_its_factors_with_the_kl(samples):
     with counted_cholesky() as calls:
         dgp.elbo((x, np.sin(x)), RngState(0))
     assert len(calls) == 2
+
+
+def test_optimal_q_reads_the_built_factor():
+    model = _svgp(whiten=False)
+    x = np.linspace(-2.0, 2.0, 20)[:, None]
+    model.posterior  # Kuu factored here, once
+    with counted_cholesky() as calls:
+        optimal_q(model, x, np.sin(x))
+    assert len(calls) == 2  # B and S*; Kuu's factor is read, not redone
 
 
 def test_posterior_kl_equals_prior_kl_from_scratch():
