@@ -14,6 +14,11 @@ it is built.  A new pair registers one such class and nothing else.
 ``conditional`` and ``sample_conditional`` build a posterior and use it
 once; models keep one.
 
+A latent inducing set is a :class:`LatentPosterior`: one posterior per
+latent process, each of its own (member, latent kernel) pair's class, whose
+scalar moments the kernel maps to outputs with ``mix``, the map its own
+``K`` and ``K_diag`` apply.
+
 Four covariance output modes are selected by ``full_cov`` (covariances
 across inputs) and ``full_output_cov`` (covariances across outputs):
 
@@ -52,9 +57,7 @@ from .inducing import (
 from .kernels import (
     Convolutional,
     IndependentLatent,
-    IndependentOutputs,
     Kernel,
-    LinearCoregionalization,
     MultioutputKernel,
     SquaredExponential,
     k_diag,
@@ -133,10 +136,6 @@ class VariationalGaussian:
     @property
     def is_block(self) -> bool:
         return isinstance(self.q_sqrt, tuple)
-
-    @property
-    def mean_vector(self) -> np.ndarray:
-        return self.q_mu
 
     def dense_sqrt(self) -> np.ndarray | None:
         if self.is_block:
@@ -255,7 +254,7 @@ def fully_correlated_conditional(
     if knn.shape != shape:
         raise ShapeMismatch(f"Knn has shape {knn.shape}, the mode needs {shape}")
     mean, cov = _moments(
-        lm, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten,
+        lm, kmn, knn, q.q_mu, q.dense_sqrt(), q.whiten,
         full_cov, full_output_cov,
     )
     return PosteriorMoments(mean, cov, full_cov, full_output_cov)
@@ -288,17 +287,18 @@ class Posterior:
     """q(f) of one (inducing variable, kernel) pair with Kuu factored once.
 
     ``factor`` is the lower Cholesky factor of Kuu, or for latent inducing
-    variables the list of per-latent factors (a block shared by several
-    latents is factored once).  Build one with ``create_posterior``.
+    variables the list of per-latent factors; a posterior given the
+    ``factor`` of its pair (another latent's) reads it instead of factoring.
+    Build one with ``create_posterior``.
     """
 
     correlated_outputs = False  # whether per-point outputs can correlate
 
-    def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None):
+    def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None, factor=None):
         self.inducing = iv
         self.kernel = kernel
         self.q = q
-        self.factor = self._factorize(kuu(iv, kernel, jitter))
+        self.factor = self._factorize(kuu(iv, kernel, jitter)) if factor is None else factor
 
     @classmethod
     def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -455,7 +455,7 @@ class _DensePosterior(Posterior):
     def _dense_moments(self, kmn, knn, full_cov, full_output_cov):
         q = self.q
         return _moments(
-            self.factor, kmn, knn, q.mean_vector, q.dense_sqrt(), q.whiten,
+            self.factor, kmn, knn, q.q_mu, q.dense_sqrt(), q.whiten,
             full_cov, full_output_cov,
         )
 
@@ -619,36 +619,71 @@ class MultioutputPointsPosterior(_DensePosterior):
 # ---------------------------------------------------------------------------
 # Latent-process inducing variables
 #
-# The prior independence of the latent processes makes Kuu block diagonal.
-# Each latent's blocks and shape come from the entry of its own (member,
-# latent kernel) pair, so a multiscale member keeps its windows, or is
-# refused with its latent kernel.  Blocks shared by several latents (shared
-# inducing sets with a shared kernel) are stored once with a repeat count,
-# so a single factorization serves all of them.
+# Each latent process g_l is a scalar GP whose (member, latent kernel) pair
+# has its own entry, so a multiscale member keeps its windows, a patch member
+# its convolution, and a refused member is refused with its latent kernel.
+# The prior independence of the latents makes Kuu block diagonal and q
+# mean-field; the kernel maps the latents' moments to its outputs.
 
 
 def _latent_pairs(iv, kernel):
-    """(latent kernel, member) per latent; a kernel without latent processes
-    has none, so its pair is refused."""
+    """(member, latent kernel, the pair's posterior class, its layout) per
+    latent.  A kernel without latent processes, a member count other than
+    the latent count, or a member pair with more than one output is refused."""
     if not isinstance(kernel, IndependentLatent):
-        raise ShapeMismatch(
+        raise UnsupportedCombination(
             f"latent inducing variables need a latent-structured kernel, "
             f"got {type(kernel).__name__}"
         )
     kernels = kernel.latent_kernels
-    ivs = iv.per_latent(len(kernels))
-    return list(zip(kernels, ivs))
+    pairs = []
+    for member, k in zip(iv.per_latent(len(kernels)), kernels):
+        cls = PAIRS.resolve(type(member), type(k))
+        shape = cls.layout(member, k)
+        if shape.outputs != 1:
+            raise UnsupportedCombination(
+                f"a latent process is a scalar GP, but {type(member).__name__} "
+                f"with {type(k).__name__} has {shape.outputs} outputs"
+            )
+        pairs.append((member, k, cls, shape))
+    return pairs
 
 
 # Registered on every kernel so that a latent set with a kernel that has no
 # latent processes is refused by its layout, Kuu and Kuf alike.
 @PAIRS.register(LatentInducingVariables, Kernel)
-class _LatentPosterior(Posterior):
-    """Latent inducing variables: block-diagonal Kuu, mean-field q."""
+class LatentPosterior(Posterior):
+    """Latent inducing variables: one posterior per latent, of the class of
+    its own (member, latent kernel) pair and holding its slice of q, whose
+    moments the kernel mixes into outputs.  Latents that share a pair share
+    its Kuu factor."""
+
+    def __init__(self, iv, kernel, q, jitter=None):
+        self.inducing = iv
+        self.kernel = kernel
+        self.q = q
+        pairs = _latent_pairs(iv, kernel)
+        sqrts = q.q_sqrt or (None,) * len(pairs)
+        factors: dict[tuple[int, int], np.ndarray] = {}
+        self.latents: list[Posterior] = []
+        start = 0
+        for (member, k, cls, shape), sqrt in zip(pairs, sqrts):
+            stop = start + shape.total
+            q_l = VariationalGaussian(q.q_mu[start:stop], sqrt, q.whiten)
+            start = stop
+            key = (id(member), id(k))
+            post = cls(member, k, q_l, jitter, factors.get(key))
+            factors.setdefault(key, post.factor)
+            self.latents.append(post)
+        self.factor = [post.factor for post in self.latents]
+
+    @property
+    def correlated_outputs(self):
+        return self.kernel.correlated_outputs
 
     @classmethod
     def layout(cls, iv, kernel):
-        shapes = [layout(member, k) for k, member in _latent_pairs(iv, kernel)]
+        shapes = [shape for *_, shape in _latent_pairs(iv, kernel)]
         blocks = tuple(shape.total for shape in shapes)
         return Layout(blocks, True, kernel.num_outputs, shapes[0].columns)
 
@@ -657,12 +692,12 @@ class _LatentPosterior(Posterior):
         blocks: list[np.ndarray] = []
         repeats: list[int] = []
         last_key = None
-        for k, member in _latent_pairs(iv, kernel):
-            key = (id(k), id(member))
+        for member, k, pair, _ in _latent_pairs(iv, kernel):
+            key = (id(member), id(k))
             if key == last_key:
                 repeats[-1] += 1
                 continue
-            blocks.append(densify(kuu(member, k, jitter)))
+            blocks.append(densify(pair.kuu(member, k, jitter)))
             repeats.append(1)
             last_key = key
         return BlockDiagonal(tuple(blocks), tuple(repeats))
@@ -671,79 +706,20 @@ class _LatentPosterior(Posterior):
     def kuf(cls, iv, kernel, xnew):
         seen: dict[tuple[int, int], np.ndarray] = {}
         grams = []
-        for k, member in _latent_pairs(iv, kernel):
-            key = (id(k), id(member))
+        for member, k, pair, _ in _latent_pairs(iv, kernel):
+            key = (id(member), id(k))
             if key not in seen:
-                seen[key] = kuf(member, k, xnew)
+                seen[key] = pair.kuf(member, k, xnew)
             grams.append(seen[key])
         return np.concatenate(grams)  # [M_1 + ... + M_L, N]
 
-    def _factorize(self, kmm):
-        return factorize(kmm, per_block=True)
-
-    def _latent_moments(self, x, full_cov):
-        """Per-latent mean [N, L] and variance [N, L] (or covariance
-        [L, N, N]) under the mean-field posterior."""
-        kmn = kuf(self.inducing, self.kernel, x)  # latent blocks, stacked like q_mu
-        q = self.q
-        sqrts = q.q_sqrt or (None,) * len(self.factor)
-        shape = _cov_shape(kmn.shape[1], 1, full_cov, False)
-        priors: dict[int, np.ndarray] = {}  # latents sharing a kernel share a prior
-        means, covs = [], []
-        start = 0
-        for k, lm, sqrt in zip(self.kernel.latent_kernels, self.factor, sqrts):
-            if id(k) not in priors:
-                priors[id(k)] = (k.K(x) if full_cov else k.K_diag(x)).reshape(shape)
-            stop = start + lm.shape[0]
-            mean, cov = _moments(
-                lm, kmn[start:stop, :, None], priors[id(k)], q.q_mu[start:stop], sqrt,
-                q.whiten, full_cov, False,
-            )
-            start = stop
-            means.append(mean)
-            covs.append(cov)
-        gvar = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
-        return np.concatenate(means, axis=1), gvar
-
-
-@PAIRS.register(LatentInducingVariables, IndependentOutputs)
-class IndependentOutputsPosterior(_LatentPosterior):
-    def _chunk(self, x, full_cov, full_output_cov):
-        gmean, gvar = self._latent_moments(x, full_cov)
-        n, p = gmean.shape
-        idx = np.arange(p)
-        if full_cov and full_output_cov:
-            cov = np.zeros((n, p, n, p))
-            cov[:, idx, :, idx] = gvar  # [P, N, N] into the diagonal output blocks
-        elif full_cov:
-            cov = gvar  # [P, N, N]
-        elif full_output_cov:
-            cov = np.zeros((n, p, p))
-            cov[:, idx, idx] = gvar  # [N, P] onto the per-point diagonals
-        else:
-            cov = gvar  # [N, P]
-        record_allocation(cov)
-        return gmean, cov
-
-
-@PAIRS.register(LatentInducingVariables, LinearCoregionalization)
-class CoregionalizationPosterior(_LatentPosterior):
-    correlated_outputs = True
+    def _row_floats(self):
+        return sum(post._row_floats() for post in self.latents)
 
     def _chunk(self, x, full_cov, full_output_cov):
-        # Latent moments first, then the output mixing: mean = W mu_g and
-        # cov = W Sigma_g Wᵀ, never materializing anything of output size
-        # squared times inducing size.
-        gmean, gvar = self._latent_moments(x, full_cov)
-        w = self.kernel.w  # [P, L]
-        mean = gmean @ w.T
-        if full_cov and full_output_cov:
-            cov = np.einsum("pl,lnm,ql->npmq", w, gvar, w)
-        elif full_cov:
-            cov = np.einsum("pl,lnm->pnm", w * w, gvar)
-        elif full_output_cov:
-            cov = np.einsum("pl,nl,ql->npq", w, gvar, w)
-        else:
-            cov = gvar @ (w * w).T
-        record_allocation(cov)
-        return mean, cov
+        # Latent moments first, then the kernel's map to outputs, never
+        # materializing anything of output size squared times inducing size.
+        means, covs = zip(*(post._chunk(x, full_cov, False) for post in self.latents))
+        mean = np.concatenate(means, axis=1)  # [N, L]
+        cov = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
+        return self.kernel.mix_mean(mean), self.kernel.mix(cov, full_cov, full_output_cov)

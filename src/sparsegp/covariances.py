@@ -9,8 +9,8 @@ factorizations receive pre-stabilized operands.  Kuf shapes are tagged by
 dimensionality: [M, N] for single-latent pairs, [M, P, N, P] for
 fully-correlated multioutput inducing points, and [M_1 + ... + M_L, N] for
 latent-process inducing variables: each latent's block of rows against its
-own process, stacked like q_mu (mixing, if any, is applied by the
-conditional).
+own process, stacked like q_mu (the kernel's ``mix`` maps the latents'
+moments to outputs).
 """
 
 from __future__ import annotations

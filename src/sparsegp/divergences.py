@@ -59,7 +59,7 @@ def gauss_kl(q, kuu_matrix: StructuredPSD | None = None, *, factor=None) -> floa
     per-latent blocks), or else ``kuu_matrix`` to factor here.  Whitened
     parameters need neither.
     """
-    mu = q.mean_vector
+    mu = q.q_mu
     if q.whiten:
         if q.is_block:
             total, offset = 0.0, 0

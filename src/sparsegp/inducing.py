@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, ShapeMismatch
+from .errors import ConfigError, DimensionMismatch, UnsupportedCombination
 from .kernels import Convolutional
 from .schema import Child, Param, Schema
 
@@ -116,7 +116,7 @@ class SeparateIndependentInducingVariables(LatentInducingVariables):
 
     def per_latent(self, num_latent: int) -> list[InducingVariable]:
         if len(self.members) != num_latent:
-            raise ShapeMismatch(
+            raise UnsupportedCombination(
                 f"{len(self.members)} inducing sets for {num_latent} latents"
             )
         return list(self.members)

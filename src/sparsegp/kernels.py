@@ -2,7 +2,9 @@
 
 Multioutput evaluations follow a fixed stacking convention: the full
 covariance of P outputs at N and N2 points is an [N, P, N2, P] tensor whose
-row-major flattening matches index i = n * P + p.
+row-major flattening matches index i = n * P + p.  A kernel of independent
+latent processes writes its latent-to-output map once, as ``mix_mean`` and
+``mix``; its ``K`` and ``K_diag`` and the latent posteriors all apply it.
 """
 
 from __future__ import annotations
@@ -188,7 +190,15 @@ class MultioutputKernel(Kernel):
 
 
 class IndependentLatent(MultioutputKernel):
-    """Multioutput kernels built from L independent latent processes."""
+    """Multioutput kernels built from L independent scalar latent processes g,
+    whose outputs are a fixed map of the latents.
+
+    ``mix_mean`` and ``mix`` are that map, latent to output moments, written
+    once: the kernel's own ``K`` and ``K_diag`` apply it to the latent grams
+    and diagonals, and a latent posterior applies it to the latents' moments.
+    """
+
+    correlated_outputs = False  # whether the map correlates per-point outputs
 
     @property
     def latent_kernels(self) -> tuple[SingleOutputKernel, ...]:
@@ -198,30 +208,49 @@ class IndependentLatent(MultioutputKernel):
     def num_latent(self) -> int:
         return len(self.latent_kernels)
 
+    def mix_mean(self, mean) -> np.ndarray:
+        """Output means [N, P] from latent means [N, L]."""
+        raise NotImplementedError
+
+    def mix(self, cov, full_cov: bool, full_output_cov: bool) -> np.ndarray:
+        """Output covariance in the mode shape from the latents' covariances,
+        [L, N, N2] with ``full_cov`` and [N, L] without."""
+        raise NotImplementedError
+
+    def latent_grams(self, x, x2=None) -> np.ndarray:
+        """[L, N, N2]; latents sharing a kernel share its gram."""
+        seen: dict[int, np.ndarray] = {}
+        for k in self.latent_kernels:
+            if id(k) not in seen:
+                seen[id(k)] = k_full(k, x, x2)
+        return np.stack([seen[id(k)] for k in self.latent_kernels])
+
+    def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
+        return self.mix(self.latent_grams(x, x2), True, full_output_cov)
+
+    def K_diag(self, x, full_output_cov: bool = True) -> np.ndarray:
+        diags = np.stack([k_diag(k, x) for k in self.latent_kernels], axis=1)  # [N, L]
+        return self.mix(diags, False, full_output_cov)
+
 
 class IndependentOutputs(IndependentLatent):
     """Outputs are the latent processes themselves (identity mixing)."""
 
-    def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
-        grams = np.stack([k.K(x, x2) for k in self.latent_kernels])  # [P, N, N2]
-        if not full_output_cov:
-            record_allocation(grams)
-            return grams
-        p, n, n2 = grams.shape
-        out = np.zeros((n, p, n2, p))
-        idx = np.arange(p)
-        out[:, idx, :, idx] = grams
-        record_allocation(out)
-        return out
+    def mix_mean(self, mean):
+        return mean
 
-    def K_diag(self, x, full_output_cov: bool = True) -> np.ndarray:
-        diags = np.stack([k.K_diag(x) for k in self.latent_kernels], axis=1)  # [N, P]
+    def mix(self, cov, full_cov, full_output_cov):
         if not full_output_cov:
-            return diags
-        n, p = diags.shape
-        out = np.zeros((n, p, p))
-        idx = np.arange(p)
-        out[:, idx, idx] = diags
+            return cov
+        if full_cov:
+            p, n, n2 = cov.shape
+            out, idx = np.zeros((n, p, n2, p)), np.arange(p)
+            out[:, idx, :, idx] = cov  # [P, N, N2] into the diagonal output blocks
+        else:
+            n, p = cov.shape
+            out, idx = np.zeros((n, p, p)), np.arange(p)
+            out[:, idx, idx] = cov  # [N, P] onto the per-point diagonals
+        record_allocation(out)
         return out
 
 
@@ -246,27 +275,9 @@ class SharedIndependent(IndependentOutputs):
     def latent_kernels(self) -> tuple[SingleOutputKernel, ...]:
         return (self.kernel,) * self.output_dim
 
-    def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
-        gram = self.kernel.K(x, x2)  # computed once, shared by all outputs
-        p = self.output_dim
-        if not full_output_cov:
-            return np.broadcast_to(gram, (p,) + gram.shape)
-        n, n2 = gram.shape
-        out = np.zeros((n, p, n2, p))
-        idx = np.arange(p)
-        out[:, idx, :, idx] = gram
-        record_allocation(out)
-        return out
-
-    def K_diag(self, x, full_output_cov: bool = True) -> np.ndarray:
-        diag = self.kernel.K_diag(x)
-        p = self.output_dim
-        if not full_output_cov:
-            return np.broadcast_to(diag[:, None], (diag.shape[0], p))
-        out = np.zeros((diag.shape[0], p, p))
-        idx = np.arange(p)
-        out[:, idx, idx] = diag[:, None]
-        return out
+    def latent_grams(self, x, x2=None):
+        gram = k_full(self.kernel, x, x2)  # computed once, shared by all outputs
+        return np.broadcast_to(gram, (self.output_dim,) + gram.shape)
 
 
 class SeparateIndependent(IndependentOutputs):
@@ -293,6 +304,7 @@ class LinearCoregionalization(IndependentLatent):
     """P outputs as a fixed linear mixing W of L independent latent GPs."""
 
     schema = Schema("lmc", Param("w"), Child("latents", "kernels", many=True))
+    correlated_outputs = True
 
     def __init__(self, kernels, w):
         kernels = tuple(kernels)
@@ -314,30 +326,28 @@ class LinearCoregionalization(IndependentLatent):
     def latent_kernels(self) -> tuple[SingleOutputKernel, ...]:
         return self.kernels
 
-    def latent_grams(self, x, x2=None) -> np.ndarray:
-        seen: dict[int, np.ndarray] = {}
-        grams = []
-        for k in self.latent_kernels:
-            if id(k) not in seen:
-                seen[id(k)] = k.K(x, x2)
-            grams.append(seen[id(k)])
-        return np.stack(grams)  # [L, N, N2]
+    def mix_mean(self, mean):
+        return mean @ self.w.T
+
+    def mix(self, cov, full_cov, full_output_cov):
+        # mean = W mu_g and cov = W Sigma_g Wᵀ, in the requested mode
+        w = self.w  # [P, L]
+        if full_cov and full_output_cov:
+            out = np.einsum("pl,lnm,ql->npmq", w, cov, w)
+        elif full_cov:
+            out = np.einsum("pl,lnm->pnm", w * w, cov)
+        elif full_output_cov:
+            out = np.einsum("pl,nl,ql->npq", w, cov, w)
+        else:
+            out = cov @ (w * w).T
+        record_allocation(out)
+        return out
 
     def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
         grams = self.latent_grams(x, x2)
         if not full_output_cov:
-            # Latent-process covariances; the mixing is applied downstream.
-            record_allocation(grams)
-            return grams
-        out = np.einsum("pl,lnm,ql->npmq", self.w, grams, self.w)
-        record_allocation(out)
-        return out
-
-    def K_diag(self, x, full_output_cov: bool = True) -> np.ndarray:
-        diags = np.stack([k.K_diag(x) for k in self.latent_kernels], axis=1)  # [N, L]
-        if full_output_cov:
-            return np.einsum("pl,nl,ql->npq", self.w, diags, self.w)
-        return diags @ (self.w**2).T  # [N, P]
+            return grams  # latent-process covariances; the mixing is applied downstream
+        return self.mix(grams, True, True)
 
 
 class IntrinsicCoregionalization(LinearCoregionalization):

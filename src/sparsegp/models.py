@@ -19,11 +19,10 @@ from .conditionals import (
     PosteriorMoments,
     VariationalGaussian,
     check_q,
-    create_posterior,
     layout,
     stream_marginals,
 )
-from .covariances import kuf
+from .covariances import PAIRS, kuf
 from .divergences import prior_kl
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import InducingVariable
@@ -162,6 +161,13 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     else:
         q_sqrt = np.eye(shape.total)
     return VariationalGaussian(np.zeros(shape.total), q_sqrt, whiten=whiten)
+
+
+def _posterior(gp, jitter) -> Posterior:
+    """The posterior of an SVGP or a deep-GP layer, whose q was checked
+    against its pair when it was built."""
+    cls = PAIRS.resolve(type(gp.inducing), type(gp.kernel))
+    return cls(gp.inducing, gp.kernel, gp.q, jitter)
 
 
 def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
@@ -370,16 +376,16 @@ class SVGPModel(Model):
         a = tri_solve(luu, kmn)
         proj = a if q.whiten else tri_solve(luu, a, transpose=True)
         resid = np.asarray(y, dtype=float).reshape(-1) - (
-            proj.T @ q.mean_vector + self.mean_function(x)
+            proj.T @ q.q_mu + self.mean_function(x)
         )
         noise = self.likelihood.variance
         scale = _scale(self.num_data, x.shape[0], scale)
         l_s = q.dense_sqrt()
         inv_diag = np.diag(1.0 / np.diag(l_s))  # from d log|S| / dL
         if q.whiten:
-            kl_mu, kl_sqrt = q.mean_vector, l_s - inv_diag
+            kl_mu, kl_sqrt = q.q_mu, l_s - inv_diag
         else:
-            kl_mu = tri_solve(luu, tri_solve(luu, q.mean_vector), transpose=True)
+            kl_mu = tri_solve(luu, tri_solve(luu, q.q_mu), transpose=True)
             kl_sqrt = tri_solve(luu, tri_solve(luu, l_s), transpose=True) - inv_diag
         return {
             "q_mu": scale * (proj @ resid) / noise - kl_mu,
@@ -390,7 +396,7 @@ class SVGPModel(Model):
     def posterior(self) -> Posterior:
         """Kuu factored once for this snapshot; the ELBO's data term and KL,
         the exact gradients and every prediction read it."""
-        return create_posterior(self.inducing, self.kernel, self.q, self.jitter)
+        return _posterior(self, self.jitter)
 
     def prior_kl(self) -> float:
         return self.posterior.kl()
@@ -598,10 +604,7 @@ class DGPModel(Model):
     def _posteriors(self) -> list[Posterior]:
         """Each layer's posterior; built once per ``elbo``, ``predict_f`` or
         ``log_density`` call and shared by every propagated sample."""
-        return [
-            create_posterior(layer.inducing, layer.kernel, layer.q, self.jitter)
-            for layer in self.layers
-        ]
+        return [_posterior(layer, self.jitter) for layer in self.layers]
 
     def propagate(self, x, rng: RngState, posteriors=None):
         """Sample hidden states through all but the last layer; pass the

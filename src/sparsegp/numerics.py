@@ -23,6 +23,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import (
     AsymmetricInput,
+    ConfigError,
     DimensionMismatch,
     NonSquare,
     NotPositiveDefinite,
@@ -38,9 +39,18 @@ _SYMMETRY_RTOL = 1e-10
 
 
 def default_jitter() -> float:
-    """Package-wide default jitter; the SPARSEGP_JITTER env var overrides it."""
+    """Package-wide default jitter; the SPARSEGP_JITTER env var overrides it
+    with a finite, non-negative number."""
     raw = os.environ.get(JITTER_ENV_VAR)
-    return DEFAULT_JITTER if raw is None else float(raw)
+    if raw is None:
+        return DEFAULT_JITTER
+    try:
+        value = float(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0.0 <= value < np.inf:  # nan fails both bounds
+        raise ConfigError(f"{JITTER_ENV_VAR}={raw!r} is not a finite, non-negative number")
+    return value
 
 
 # ---------------------------------------------------------------------------

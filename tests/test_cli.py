@@ -77,6 +77,31 @@ model {
 }
 """
 
+# An svgp on a latent inducing set; each block is the model's kernel and
+# inducing set.  The REFUSED_LATENTS are refused at build; CONV_LATENT builds.
+LATENT_CONF = """
+steps = 1
+model {{
+  kind = svgp
+  likelihood = gaussian {{ variance = 0.1 }}
+  {block}
+}}
+"""
+CONV = "conv { base = sqexp { lengthscales = [1.5] }, image = [3, 3], patch = [2, 2] }"
+PATCHES = "patches { z = [[0.1, 0.2, -0.3, 0.5], [1.0, -0.4, 0.3, 0.0], [-0.6, 0.8, 0.2, -1.1]] }"
+REFUSED_LATENTS = {  # name -> (block, message)
+    "no_latent_processes": ("""kernel = sqexp {}
+  inducing = shared { base = points { from_data = 4 } }""", "latent-structured kernel"),
+    "too_few_members": ("""kernel = separate_independent { latents = [sqexp {}, matern32 {}] }
+  inducing = separate { members = [points { from_data = 4 }] }""", "1 inducing sets for 2"),
+    "multioutput_latent": ("""kernel = lmc { w = [[1.0, 0.5], [0.2, 0.8]], latents = [shared_independent { outputs = 2, base = sqexp {} }, sqexp {}] }
+  inducing = shared { base = points { from_data = 4 } }""", "SharedIndependent has 2 outputs"),
+    "conv_latent_with_points": (f"""kernel = separate_independent {{ latents = [{CONV}, sqexp {{}}] }}
+  inducing = separate {{ members = [points {{ from_data = 3 }}, points {{ from_data = 4 }}] }}""", "Convolutional has 4 outputs"),
+}
+CONV_LATENT = f"""kernel = separate_independent {{ latents = [{CONV}, sqexp {{}}] }}
+  inducing = separate {{ members = [{PATCHES}, points {{ from_data = 4 }}] }}"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -241,6 +266,35 @@ class TestExitCodes:
         out = str(tmp_path / "p.csv")
         assert main(["predict", "--model", bad, "--data", DESK, "--out", out]) == 4
         assert "NotPositiveDefinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_LATENTS))
+    def test_refused_latent_set_in_train_is_2(self, tmp_path, capsys, case):
+        block, message = REFUSED_LATENTS[case]
+        conf = _write(tmp_path, "l.conf", LATENT_CONF.format(block=block))
+        data = str(tmp_path / "d.csv")
+        write_dataset(data, np.sin(np.arange(54.0)).reshape(6, 9), np.ones((6, 2)))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_conv_latent_with_patch_member_trains_and_predicts(self, tmp_path):
+        conf = _write(tmp_path, "l.conf", LATENT_CONF.format(block=CONV_LATENT))
+        data = str(tmp_path / "d.csv")
+        write_dataset(data, np.sin(np.arange(54.0)).reshape(6, 9), np.ones((6, 2)))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", out]) == 0
+        pred = str(tmp_path / "p.csv")
+        argv = ["predict", "--model", out, "--data", data, "--out", pred]
+        assert main(argv + ["--full-cov", "--full-output-cov"]) == 0
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
+    def test_bad_jitter_variable_is_2(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("SPARSEGP_JITTER", raw)
+        conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert "SPARSEGP_JITTER" in capsys.readouterr().err
 
     def test_multiscale_without_windows_in_train_is_2(self, tmp_path, capsys):
         conf = _write(tmp_path, "ms.conf", MULTISCALE_MATERN)

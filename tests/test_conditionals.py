@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsegp import (
+    BlockDiagonal,
     Convolutional,
     InducingPatches,
     InducingPoints,
@@ -24,6 +25,8 @@ from sparsegp import (
     fully_correlated_conditional,
     k_full,
     kuu,
+    mo_k,
+    mo_k_diag,
     sample_conditional,
     standard_normal,
 )
@@ -328,25 +331,39 @@ class TestWhiteningAndPrior:
             np.testing.assert_allclose(a.mean, b.mean, atol=1e-9)
             np.testing.assert_allclose(a.cov, b.cov, atol=1e-9)
 
-    @pytest.mark.parametrize("name", ["single", "fully_correlated", "lmc"])
-    def test_prior_recovery(self, name):
+    @pytest.mark.parametrize("name", ["single", "fully_correlated", "indep_shared", "lmc", "imc"])
+    @pytest.mark.parametrize("full_cov", [False, True])
+    @pytest.mark.parametrize("full_output_cov", [False, True])
+    def test_prior_recovery(self, name, full_cov, full_output_cov):
+        # q(u) = p(u) gives back the kernel's own prior in every mode; for a
+        # latent kernel both sides go through its one latent-to-output map.
         rng = RngState(8)
         x, iv, kernel, q_builder, p = _paths(rng)[name]
         kmm = kuu(iv, kernel, JITTER)
-        if name == "lmc":
+        if isinstance(kmm, BlockDiagonal):
             sqrt = tuple(np.linalg.cholesky(b) for b in kmm.iter_blocks())
-            total = sum(b.shape[0] for b in kmm.iter_blocks())
+            total = sum(b.shape[0] for b in sqrt)
         else:
             sqrt = np.linalg.cholesky(densify(kmm))
             total = sqrt.shape[0]
         q = VariationalGaussian(np.zeros(total), sqrt, whiten=False)
-        pm = conditional(x, iv, kernel, q, full_cov=True, full_output_cov=True, jitter=JITTER)
+        pm = conditional(
+            x, iv, kernel, q, full_cov=full_cov, full_output_cov=full_output_cov, jitter=JITTER
+        )
         if p == 1:
-            prior = k_full(kernel, x)[:, None, :, None]
+            full = k_full(kernel, x)[:, None, :, None]
         else:
-            from sparsegp import mo_k
-
-            prior = mo_k(kernel, x, full_output_cov=True)
+            full = mo_k(kernel, x, full_output_cov=True)
+            if not full_cov:
+                np.testing.assert_allclose(
+                    pm.cov, mo_k_diag(kernel, x, full_output_cov=full_output_cov), atol=1e-9
+                )
+        prior = {
+            (True, True): full,
+            (True, False): np.einsum("npmp->pnm", full),
+            (False, True): np.einsum("npnq->npq", full),
+            (False, False): np.einsum("npnp->np", full),
+        }[(full_cov, full_output_cov)]
         np.testing.assert_allclose(pm.mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(pm.cov, prior, atol=1e-9)
 

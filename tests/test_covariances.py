@@ -55,6 +55,16 @@ from conftest import desk_regression
 from test_conditionals import dense_posterior_oracle
 
 
+class ConvLatents(SeparateIndependent):
+    """Separate latents of which the first is convolutional (test-only tag
+    for the pair tables below)."""
+
+
+class MultioutputLatent(LinearCoregionalization):
+    """A coregionalization whose first latent has two outputs (test-only tag
+    for the pair tables below)."""
+
+
 SHIPPED_PAIRS = [
     (InducingPoints, SquaredExponential),
     (InducingPoints, Matern32),
@@ -72,13 +82,18 @@ SHIPPED_PAIRS = [
     (SeparateIndependentInducingVariables, SeparateIndependent),
     (SeparateIndependentInducingVariables, LinearCoregionalization),
     (SeparateIndependentInducingVariables, IntrinsicCoregionalization),
+    (SeparateIndependentInducingVariables, ConvLatents),  # a patch member
 ]
-# Pairs the registry refuses: windows without a windowed kernel, and a latent
-# set with a kernel that has no latent processes.
+# Pairs the registry refuses: windows without a windowed kernel, a latent set
+# with a kernel that has no latent processes, and latents that are not scalar
+# processes (a multioutput latent, a convolutional latent with points).
 REFUSED_PAIRS = [
     (Multiscale, Matern32),
     (Multiscale, SharedIndependent),
     (SharedIndependentInducingVariables, Matern32),
+    (SharedIndependentInducingVariables, MultioutputLatent),
+    (SeparateIndependentInducingVariables, MultioutputLatent),
+    (SharedIndependentInducingVariables, ConvLatents),
 ]
 
 
@@ -415,8 +430,9 @@ class TestMultiscale:
 
 def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
     """An instance of a shipped or refused pair: member sizes from ``sizes`` (the first
-    member of a separate set is multiscale), ``p`` outputs where the kernel
-    takes a count, and the input columns the pair expects."""
+    member of a separate set is multiscale, or patches for a convolutional
+    latent), ``p`` outputs where the kernel takes a count, and the input
+    columns the pair expects."""
     se, w = SquaredExponential(1.0, 0.8), np.linspace(0.5, 1.5, 2 * p).reshape(p, 2)
     kernel = {
         SquaredExponential: lambda: se,
@@ -426,11 +442,14 @@ def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
         SeparateIndependent: lambda: SeparateIndependent([se, Matern32()]),
         LinearCoregionalization: lambda: LinearCoregionalization([se, Matern32()], w),
         IntrinsicCoregionalization: lambda: IntrinsicCoregionalization(se, w),
+        ConvLatents: lambda: ConvLatents([Convolutional(se, (3, 3), (2, 2)), Matern32()]),
+        MultioutputLatent: lambda: MultioutputLatent([SharedIndependent(se, 2), se], w),
     }[kernel_type]()
-    columns = 9 if kernel_type is Convolutional else 2
+    columns = 9 if kernel_type in (Convolutional, ConvLatents) else 2
 
     def points(i, cls=InducingPoints):
-        z = standard_normal(rng.derive(i), (sizes[i % len(sizes)], columns))
+        width = 4 if cls is InducingPatches else columns
+        z = standard_normal(rng.derive(i), (sizes[i % len(sizes)], width))
         return Multiscale(z, np.full_like(z, 0.3)) if cls is Multiscale else cls(z)
 
     if iv_type is InducingPatches:
@@ -438,7 +457,8 @@ def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
     elif iv_type is SharedIndependentInducingVariables:
         iv = iv_type(points(0))
     elif iv_type is SeparateIndependentInducingVariables:
-        members = [points(0, Multiscale)]
+        first = InducingPatches if kernel_type is ConvLatents else Multiscale
+        members = [points(0, first)]
         members += [points(i) for i in range(1, kernel.num_latent)]
         iv = iv_type(members)
     else:

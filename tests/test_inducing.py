@@ -14,7 +14,7 @@ from sparsegp import (
     SquaredExponential,
     num_inducing,
 )
-from sparsegp.errors import DimensionMismatch, ShapeMismatch
+from sparsegp.errors import DimensionMismatch, UnsupportedCombination
 
 
 def test_single_output_count():
@@ -53,14 +53,14 @@ def test_patches_with_convolutional_count_is_m():
 
 def test_latent_iv_requires_latent_kernel():
     iv = SharedIndependentInducingVariables(InducingPoints(np.zeros((4, 1))))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UnsupportedCombination, match="latent-structured kernel"):
         num_inducing(iv, SquaredExponential())
 
 
 def test_member_count_must_match_latents():
     iv = SeparateIndependentInducingVariables([InducingPoints(np.zeros((4, 1)))])
     kernel = SeparateIndependent([SquaredExponential(), SquaredExponential()])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UnsupportedCombination, match="1 inducing sets for 2 latents"):
         num_inducing(iv, kernel)
 
 

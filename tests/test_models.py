@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from sparsegp import (
     Bernoulli,
     Constant,
+    Convolutional,
     CorrelatedGaussian,
     DGPModel,
     Gaussian,
     GPLayer,
     GPRModel,
+    InducingPatches,
     InducingPoints,
     Linear,
     LinearCoregionalization,
     Matern32,
     RngState,
     SeparateIndependent,
+    SeparateIndependentInducingVariables,
     SharedIndependentInducingVariables,
     SquaredExponential,
     SVGPModel,
@@ -428,6 +431,45 @@ class TestSeparateInducingSets:
         np.testing.assert_allclose(got.mean, np.stack(means, axis=1) @ w.T, atol=1e-10)
         want_cov = np.einsum("pl,lnm->pnm", w * w, np.stack(covs))
         np.testing.assert_allclose(got.cov, want_cov, atol=1e-10)
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_conv_latent_with_patch_member_matches_the_oracle_in_all_modes(self, whiten):
+        rng = RngState(17)
+        conv = Convolutional(SquaredExponential(0.8, 1.5), (3, 3), (2, 2))
+        kernel = SeparateIndependent([conv, Matern32(1.0, 2.0)])
+        x = standard_normal(rng, (7, 9))  # flattened 3x3 images
+        members = [
+            InducingPatches(conv.patches(x).reshape(-1, 4)[:5]),
+            InducingPoints(x[:4] + 0.1),
+        ]
+        mu = standard_normal(rng.derive(1), 9)
+        sqrts = tuple(random_lower(rng.derive(2 + i), m.num_rows) for i, m in enumerate(members))
+        q = VariationalGaussian(mu, sqrts, whiten=whiten)
+        iv = SeparateIndependentInducingVariables(members)
+        model = SVGPModel(kernel, Gaussian(0.1), iv, q, jitter=1e-6)
+        means, covs, offset = [], [], 0
+        for k, member, sqrt in zip(kernel.latent_kernels, members, sqrts):
+            m = member.num_rows
+            kmm = densify(kuu(member, k, 1e-6))  # the member's own pair
+            mu_l, s = mu[offset : offset + m], sqrt @ sqrt.T
+            offset += m
+            if whiten:
+                l = np.linalg.cholesky(kmm)
+                mu_l, s = l @ mu_l, l @ s @ l.T
+            mean, cov = dense_posterior_oracle(kuf(member, k, x), kmm, k_full(k, x), mu_l, s)
+            means.append(mean)
+            covs.append(cov)
+        full = np.einsum("lnm,pl,ql->npmq", np.stack(covs), np.eye(2), np.eye(2))
+        want = {
+            (True, True): full,
+            (True, False): np.einsum("npmp->pnm", full),
+            (False, True): np.einsum("npnq->npq", full),
+            (False, False): np.einsum("npnp->np", full),
+        }
+        for (full_cov, full_output_cov), cov in want.items():
+            got = model.predict_f(x, full_cov=full_cov, full_output_cov=full_output_cov)
+            np.testing.assert_allclose(got.mean, np.stack(means, axis=1), atol=1e-9)
+            np.testing.assert_allclose(got.cov, cov, atol=1e-9)
 
     def test_multiscale_member_scales_change_the_prediction(self):
         path = golden_path("svgp_separate_independent_separate")

@@ -15,6 +15,7 @@ from sparsegp import (
 )
 from sparsegp.errors import (
     AsymmetricInput,
+    ConfigError,
     DimensionMismatch,
     NonSquare,
     NotPositiveDefinite,
@@ -71,6 +72,12 @@ class TestCholesky:
         assert default_jitter() == 1e-6
         monkeypatch.setenv("SPARSEGP_JITTER", "1e-3")
         assert default_jitter() == 1e-3
+
+    @pytest.mark.parametrize("raw", ["abc", "nan", "inf", "-1"])
+    def test_default_jitter_refuses_a_bad_env_value(self, monkeypatch, raw):
+        monkeypatch.setenv("SPARSEGP_JITTER", raw)
+        with pytest.raises(ConfigError, match="SPARSEGP_JITTER"):
+            default_jitter()
 
 
 class TestTriSolve:

@@ -26,6 +26,7 @@ from sparsegp import (
     GPRModel,
     InducingPatches,
     InducingPoints,
+    IntrinsicCoregionalization,
     LinearCoregionalization,
     Matern32,
     Multiscale,
@@ -177,7 +178,7 @@ def _latent_reference(iv, kernel, q, w):
             offset += m
             pm = fully_correlated_conditional(
                 kuf(member, k, x)[:, :, None], kuu(member, k, JITTER),
-                k.K_diag(x)[:, None], q_l, full_cov=False, full_output_cov=False,
+                k_diag(k, x)[:, None], q_l, full_cov=False, full_output_cov=False,
             )
             means.append(pm.mean[:, 0])
             variances.append(pm.cov[:, 0])
@@ -201,6 +202,16 @@ def _separate_sets(rng, whiten):
         [Multiscale(z1, np.full_like(z1, 0.3)), InducingPoints(standard_normal(rng.derive(2), (5, 1)))]
     )
     q = _q(rng.derive(9), [3, 5], whiten, block=True)
+    return create_posterior(iv, kernel, q, JITTER), _latent_reference(iv, kernel, q, np.eye(2))
+
+
+def _conv_latent(rng, whiten):
+    conv = Convolutional(SquaredExponential(0.5, 1.5), (3, 3), (2, 2))
+    kernel = SeparateIndependent([conv, Matern32(0.8, 2.0)])
+    z = conv.patches(standard_normal(rng, (3, 9))).reshape(-1, 4)[:5]
+    members = [InducingPatches(z), InducingPoints(standard_normal(rng.derive(1), (3, 9)))]
+    iv = SeparateIndependentInducingVariables(members)
+    q = _q(rng.derive(9), [5, 3], whiten, block=True)
     return create_posterior(iv, kernel, q, JITTER), _latent_reference(iv, kernel, q, np.eye(2))
 
 
@@ -228,6 +239,7 @@ PAIRS = {
     "lmc_shared": (_lmc_shared, 1),
     "separate_sets": (_separate_sets, 1),
     "conv_patches": (_conv_patches, 9),
+    "conv_latent": (_conv_latent, 9),
 }
 
 
@@ -360,6 +372,22 @@ def test_unwhitened_dgp_elbo_shares_its_factors_with_the_kl(samples):
     with counted_cholesky() as calls:
         dgp.elbo((x, np.sin(x)), RngState(0))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_imc_over_one_shared_set_factors_kuu_once_per_elbo(whiten):
+    rng = RngState(12)
+    kernel = IntrinsicCoregionalization(SquaredExponential(1.0, 0.8), standard_normal(rng, (3, 2)))
+    iv = SharedIndependentInducingVariables(InducingPoints(np.linspace(-2.0, 2.0, 5)[:, None]))
+    q = _q(rng.derive(1), [5, 5], whiten, block=True)
+    model = SVGPModel(kernel, Gaussian(0.1), iv, q, num_data=20)
+    x = np.linspace(-2.0, 2.0, 20)[:, None]
+    y = np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 0]), x[:, 0]])
+    with counted_cholesky() as calls:
+        model.elbo((x, y))
+    assert len(calls) == 1
+    first, second = model.posterior.latents
+    assert first.factor is second.factor
 
 
 def test_optimal_q_reads_the_built_factor():
