@@ -64,14 +64,10 @@ from .models import (
     optimal_q,
 )
 from .numerics import (
-    BlockDiagonal,
-    Dense,
     RngState,
-    StructuredPSD,
     allocation_probe,
     cholesky,
     default_jitter,
-    densify,
     gauss_hermite_nodes,
     standard_normal,
     tri_solve,

@@ -6,11 +6,12 @@ Cholesky factor and q.  Each pair has one entry in the dispatch registry
 the one place that knows the pair.  The class supplies the pair's
 covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
 shape (``layout``: q's blocks, outputs per point and input columns, read by
-``num_inducing``, ``check_q`` and the models) and its two steps, the factor
-(``_factorize``, run once when the posterior is built) and the moments of
-one block of rows (``_chunk``).  A pair that is refused raises from
-``layout``, ``kuu`` and ``kuf`` alike, so a model holding it is refused when
-it is built.  A new pair registers one such class and nothing else.
+``num_inducing``, ``check_q`` and the models) and the moments of one block
+of rows (``_chunk``).  Kuu is a plain array that the posterior factors once,
+when it is built; its ``kl`` reads that factor.  A pair that is refused
+raises from ``layout``, ``kuu`` and ``kuf`` alike, so a model holding it is
+refused when it is built.  A new pair registers one such class and nothing
+else.
 ``conditional`` and ``sample_conditional`` build a posterior and use it
 once; models keep one.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .covariances import PAIRS, kuf, kuu
 from .divergences import prior_kl
@@ -65,18 +67,7 @@ from .kernels import (
     mo_k,
     mo_k_diag,
 )
-from .numerics import (
-    BlockDiagonal,
-    Dense,
-    RngState,
-    StructuredPSD,
-    cholesky,
-    densify,
-    factorize,
-    record_allocation,
-    standard_normal,
-    tri_solve,
-)
+from .numerics import RngState, cholesky, record_allocation, standard_normal, tri_solve
 from .schema import Param, Schema, Static
 
 # Marginal variances at or below this are treated as exactly zero when
@@ -247,7 +238,7 @@ def fully_correlated_conditional(
     kmn = np.asarray(kmn, dtype=float)
     knn = np.asarray(knn, dtype=float)
     mt, n, p = kmn.shape
-    lm = factorize(kmm)
+    lm = cholesky(kmm, jitter=0.0)
     if mt != lm.shape[0]:
         raise ShapeMismatch(f"Kmn has {mt} rows for Kmm of dim {lm.shape[0]}")
     shape = _cov_shape(n, p, full_cov, full_output_cov)
@@ -298,7 +289,7 @@ class Posterior:
         self.inducing = iv
         self.kernel = kernel
         self.q = q
-        self.factor = self._factorize(kuu(iv, kernel, jitter)) if factor is None else factor
+        self.factor = cholesky(kuu(iv, kernel, jitter), jitter=0.0) if factor is None else factor
 
     @classmethod
     def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -307,7 +298,7 @@ class Posterior:
         raise NotImplementedError
 
     @classmethod
-    def kuu(cls, iv: InducingVariable, kernel: Kernel, jitter: float) -> StructuredPSD:
+    def kuu(cls, iv: InducingVariable, kernel: Kernel, jitter: float) -> np.ndarray:
         """The pair's Kuu with ``jitter`` on the diagonal (``covariances.kuu``)."""
         raise NotImplementedError
 
@@ -315,9 +306,6 @@ class Posterior:
     def kuf(cls, iv: InducingVariable, kernel: Kernel, xnew) -> np.ndarray:
         """The pair's Kuf at ``xnew`` (``covariances.kuf``)."""
         raise NotImplementedError
-
-    def _factorize(self, kmm):
-        return factorize(kmm)
 
     def _row_floats(self) -> int:
         """Floats per input row of the largest Kuf-sized array of a chunk."""
@@ -442,6 +430,13 @@ def sample_conditional(
     return create_posterior(iv, kernel, q, jitter).sample(xnew, rng, num_samples)
 
 
+def _jittered(k, jitter):
+    """A pair's Kuu: the gram ``k`` with ``jitter`` on its diagonal."""
+    out = k + jitter * np.eye(k.shape[0])
+    record_allocation(out)
+    return out
+
+
 def _marginal_sqrt(cov_n):
     """Factor of one P x P marginal; numerically zero slices collapse to 0."""
     if float(np.max(np.abs(np.diag(cov_n)))) <= SAMPLE_VARIANCE_FLOOR:
@@ -468,10 +463,7 @@ class SingleOutputPosterior(_DensePosterior):
 
     @classmethod
     def kuu(cls, iv, kernel, jitter):
-        k = k_full(kernel, iv.z)
-        out = k + jitter * np.eye(k.shape[0])
-        record_allocation(out)
-        return Dense(out)
+        return _jittered(k_full(kernel, iv.z), jitter)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -510,9 +502,7 @@ class MultiscalePosterior(SingleOutputPosterior):
         k = _multiscale_prefactor(kernel, eff2) * np.exp(
             -0.5 * np.sum(d2 / eff2, axis=-1)
         )
-        out = k + jitter * np.eye(k.shape[0])
-        record_allocation(out)
-        return Dense(out)
+        return _jittered(k, jitter)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -557,10 +547,7 @@ class PatchPosterior(SingleOutputPosterior):
 
     @classmethod
     def kuu(cls, iv, kernel, jitter):
-        k = kernel.kernel.K(iv.z)  # patch-response kernel on the patches
-        out = k + jitter * np.eye(k.shape[0])
-        record_allocation(out)
-        return Dense(out)
+        return _jittered(kernel.kernel.K(iv.z), jitter)  # the patches' own gram
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -590,9 +577,7 @@ class MultioutputPointsPosterior(_DensePosterior):
     def kuu(cls, iv, kernel, jitter):
         full = mo_k(kernel, iv.z, full_output_cov=True)  # [M, P, M, P]
         mp = full.shape[0] * full.shape[1]
-        dense = full.reshape(mp, mp) + jitter * np.eye(mp)
-        record_allocation(dense)
-        return Dense(dense)
+        return _jittered(full.reshape(mp, mp), jitter)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -689,29 +674,13 @@ class LatentPosterior(Posterior):
 
     @classmethod
     def kuu(cls, iv, kernel, jitter):
-        blocks: list[np.ndarray] = []
-        repeats: list[int] = []
-        last_key = None
-        for member, k, pair, _ in _latent_pairs(iv, kernel):
-            key = (id(member), id(k))
-            if key == last_key:
-                repeats[-1] += 1
-                continue
-            blocks.append(densify(pair.kuu(member, k, jitter)))
-            repeats.append(1)
-            last_key = key
-        return BlockDiagonal(tuple(blocks), tuple(repeats))
+        pairs = _latent_pairs(iv, kernel)
+        return block_diag(*(pair.kuu(m, k, jitter) for m, k, pair, _ in pairs))
 
     @classmethod
-    def kuf(cls, iv, kernel, xnew):
-        seen: dict[tuple[int, int], np.ndarray] = {}
-        grams = []
-        for member, k, pair, _ in _latent_pairs(iv, kernel):
-            key = (id(member), id(k))
-            if key not in seen:
-                seen[key] = pair.kuf(member, k, xnew)
-            grams.append(seen[key])
-        return np.concatenate(grams)  # [M_1 + ... + M_L, N]
+    def kuf(cls, iv, kernel, xnew):  # [M_1 + ... + M_L, N]
+        pairs = _latent_pairs(iv, kernel)
+        return np.concatenate([pair.kuf(m, k, xnew) for m, k, pair, _ in pairs])
 
     def _row_floats(self):
         return sum(post._row_floats() for post in self.latents)

@@ -3,14 +3,16 @@
 Every (inducing variable, kernel) pair has one entry in the dispatch
 registry :data:`PAIRS`: a ``conditionals.Posterior`` subclass, registered
 there, that supplies the pair's Kuu, Kuf, shape and conditional.  ``kuu``
-and ``kuf`` read the pair's covariances from that entry.  Kuu is a
-structured PSD matrix with the jitter already added, so downstream
-factorizations receive pre-stabilized operands.  Kuf shapes are tagged by
-dimensionality: [M, N] for single-latent pairs, [M, P, N, P] for
-fully-correlated multioutput inducing points, and [M_1 + ... + M_L, N] for
-latent-process inducing variables: each latent's block of rows against its
-own process, stacked like q_mu (the kernel's ``mix`` maps the latents'
-moments to outputs).
+and ``kuf`` read the pair's covariances from that entry.
+
+Kuu is a plain [M~, M~] array with the jitter already on its diagonal, so
+the posterior that factors it adds none; for latent-process inducing
+variables it is the block diagonal of each latent's own pair Kuu.  Kuf
+shapes are tagged by dimensionality: [M, N] for single-latent pairs,
+[M, P, N, P] for fully-correlated multioutput inducing points, and
+[M_1 + ... + M_L, N] for latent-process inducing variables: each latent's
+block of rows against its own process, stacked like q_mu (the kernel's
+``mix`` maps the latents' moments to outputs).
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import numpy as np
 from .dispatch import DispatchRegistry
 from .inducing import InducingVariable
 from .kernels import Kernel
-from .numerics import StructuredPSD, default_jitter, record_allocation
+from .numerics import default_jitter, record_allocation
 
 PAIRS = DispatchRegistry("PAIRS")
 
 
-def kuu(iv: InducingVariable, kernel: Kernel, jitter: float | None = None) -> StructuredPSD:
+def kuu(iv: InducingVariable, kernel: Kernel, jitter: float | None = None) -> np.ndarray:
     """Covariance of the inducing variables, plus jitter on the diagonal."""
     if jitter is None:
         jitter = default_jitter()

@@ -8,17 +8,19 @@ with log|S| read off the factor diagonal.  Whitening removes Kuu entirely:
 
     KL = -1/2 log|S_v| - M/2 + 1/2 m_vᵀ m_v + 1/2 Tr(S_v).
 
-Block-diagonal Kuu with per-latent q factors decomposes into a sum of
-independent per-block divergences.
+With per-latent q factors the prior's Kuu is block diagonal, so the
+divergence is a sum of independent per-latent ones, each against its own
+factor.  Kuu enters only through its Cholesky factor, which the caller's
+posterior owns: ``gauss_kl`` never factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .covariances import kuu
+from .covariances import PAIRS
 from .errors import ShapeMismatch
-from .numerics import StructuredPSD, factorize, tri_solve
+from .numerics import tri_solve
 
 
 def _require_square_factor(sqrt: np.ndarray, m: int) -> np.ndarray:
@@ -31,7 +33,8 @@ def _require_square_factor(sqrt: np.ndarray, m: int) -> np.ndarray:
     return sqrt
 
 
-def _whitened_block_kl(mu: np.ndarray, sqrt: np.ndarray) -> float:
+def _whitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, _luu=None) -> float:
+    # Whitening removes Kuu, so the factor ``_luu`` is never read.
     m = mu.shape[0]
     sqrt = _require_square_factor(sqrt, m)
     logdet_s = 2.0 * float(np.sum(np.log(np.abs(np.diag(sqrt)))))
@@ -51,49 +54,42 @@ def _unwhitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, luu: np.ndarray) -> f
     return 0.5 * (-logdet_s - m + logdet_k + trace + float(alpha @ alpha))
 
 
-def gauss_kl(q, kuu_matrix: StructuredPSD | None = None, *, factor=None) -> float:
+def gauss_kl(q, factor=None) -> float:
     """KL(q(u) || p(u)).
 
-    Unwhitened parameters need the prior: ``factor``, the Cholesky factor of
-    Kuu (one lower-triangular matrix, or the per-latent factors when q has
-    per-latent blocks), or else ``kuu_matrix`` to factor here.  Whitened
-    parameters need neither.
+    Unwhitened parameters need the prior's ``factor``, the Cholesky factor
+    of Kuu: one lower-triangular matrix, or the per-latent factors when q
+    has per-latent blocks.  Whitened parameters need none.
     """
     mu = q.q_mu
     if q.whiten:
-        if q.is_block:
-            total, offset = 0.0, 0
-            for block in q.q_sqrt:
-                m = block.shape[0]
-                total += _whitened_block_kl(mu[offset : offset + m], block)
-                offset += m
-            if offset != mu.shape[0]:
-                raise ShapeMismatch("q_sqrt blocks do not cover q_mu")
-            return total
-        return _whitened_block_kl(mu, q.q_sqrt)
-
-    if factor is None:
-        if kuu_matrix is None:
-            raise ShapeMismatch("unwhitened KL needs the inducing covariance")
-        factor = factorize(kuu_matrix, per_block=q.is_block)
+        kl = _whitened_block_kl
+    elif factor is None:
+        raise ShapeMismatch("unwhitened KL needs the Cholesky factor of Kuu")
+    else:
+        kl = _unwhitened_block_kl
     if not q.is_block:
-        return _unwhitened_block_kl(mu, q.q_sqrt, factor)
+        return kl(mu, q.q_sqrt, factor)
 
-    if len(factor) != len(q.q_sqrt):
+    factors = (None,) * len(q.q_sqrt) if q.whiten else factor
+    if len(factors) != len(q.q_sqrt):
         raise ShapeMismatch(
-            f"{len(q.q_sqrt)} q_sqrt blocks for {len(factor)} covariance blocks"
+            f"{len(q.q_sqrt)} q_sqrt blocks for {len(factors)} covariance blocks"
         )
     total, offset = 0.0, 0
-    for luu, block in zip(factor, q.q_sqrt):
-        m = luu.shape[0]
-        total += _unwhitened_block_kl(mu[offset : offset + m], block, luu)
+    for luu, block in zip(factors, q.q_sqrt):
+        m = block.shape[0]
+        total += kl(mu[offset : offset + m], block, luu)
         offset += m
+    if offset != mu.shape[0]:
+        raise ShapeMismatch("q_sqrt blocks do not cover q_mu")
     return total
 
 
 def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:
     """KL against the prior.  Unwhitened q reads ``factor`` (as in
-    ``gauss_kl``) when given, else resolves Kuu by dispatch and factors it."""
-    if q.whiten or factor is not None:
-        return gauss_kl(q, factor=factor)
-    return gauss_kl(q, kuu(iv, kernel, jitter))
+    ``gauss_kl``) when given, else the factor of the posterior the pair's
+    registered class builds, as a model builds its own."""
+    if factor is None and not q.whiten:
+        factor = PAIRS.resolve(type(iv), type(kernel))(iv, kernel, q, jitter).factor
+    return gauss_kl(q, factor)

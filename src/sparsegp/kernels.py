@@ -204,9 +204,18 @@ class IndependentLatent(MultioutputKernel):
     def latent_kernels(self) -> tuple[SingleOutputKernel, ...]:
         raise NotImplementedError
 
-    @property
-    def num_latent(self) -> int:
-        return len(self.latent_kernels)
+    @staticmethod
+    def _scalar(kernels) -> tuple[SingleOutputKernel, ...]:
+        """``kernels`` as latent processes, each a scalar GP: a single-output
+        kernel, or ``conv``, whose latent is its summed-patch process."""
+        kernels = tuple(kernels)
+        for k in kernels:
+            if isinstance(k, MultioutputKernel) and not isinstance(k, Convolutional):
+                raise ValueError(
+                    f"a latent process is a scalar GP, but {type(k).__name__} "
+                    f"has {k.num_outputs} outputs"
+                )
+        return kernels
 
     def mix_mean(self, mean) -> np.ndarray:
         """Output means [N, P] from latent means [N, L]."""
@@ -264,7 +273,7 @@ class SharedIndependent(IndependentOutputs):
     def __init__(self, kernel: SingleOutputKernel, output_dim: int):
         if output_dim < 1:
             raise ValueError("output_dim must be at least 1")
-        self.kernel = kernel
+        self.kernel = self._scalar((kernel,))[0]
         self.output_dim = int(output_dim)
 
     @property
@@ -286,7 +295,7 @@ class SeparateIndependent(IndependentOutputs):
     schema = Schema("separate_independent", Child("latents", "kernels", many=True))
 
     def __init__(self, kernels):
-        kernels = tuple(kernels)
+        kernels = self._scalar(kernels)
         if not kernels:
             raise ValueError("at least one kernel is required")
         self.kernels = kernels
@@ -307,7 +316,7 @@ class LinearCoregionalization(IndependentLatent):
     correlated_outputs = True
 
     def __init__(self, kernels, w):
-        kernels = tuple(kernels)
+        kernels = self._scalar(kernels)
         w = np.asarray(w, dtype=float)
         if w.ndim != 2:
             raise DimensionMismatch("mixing matrix must be [P, L]")

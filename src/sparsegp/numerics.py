@@ -1,11 +1,12 @@
-"""Dense and structured linear algebra, quadrature, and random numbers.
+"""Dense linear algebra, quadrature, and random numbers.
 
 Array conventions used throughout the package: matrices are float64 numpy
 arrays in row-major (C) element order, so a stacked (N, P) array flattens
 with index i = n * P + p.  Reshapes only reinterpret shape metadata, never
 reorder elements.  Lower-triangular factors are dense square arrays whose
 strict upper triangle is zero; factors produced by :func:`cholesky` have a
-strictly positive diagonal.
+strictly positive diagonal.  Covariances, Kuu included, are plain square
+arrays, and :func:`cholesky` is the one factorization.
 
 Everything here is a pure function of its inputs.  :class:`RngState` is the
 only stateful object and is advanced explicitly by the draw functions.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -27,7 +27,6 @@ from .errors import (
     DimensionMismatch,
     NonSquare,
     NotPositiveDefinite,
-    ShapeMismatch,
     ZeroDiagonal,
 )
 
@@ -137,110 +136,6 @@ def tri_solve(l: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Structured positive semi-definite matrices
-
-
-class StructuredPSD:
-    """Tagged PSD matrix: a dense matrix or shared diagonal blocks."""
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True, eq=False)
-class Dense(StructuredPSD):
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquare(f"dense PSD block must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class BlockDiagonal(StructuredPSD):
-    """Square diagonal blocks; each block may be shared by several slots.
-
-    ``repeats[i]`` copies of ``blocks[i]`` appear consecutively on the
-    diagonal, so a shared block is stored (and factorized) once.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    repeats: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        if not blocks:
-            raise DimensionMismatch("block-diagonal matrix needs at least one block")
-        for b in blocks:
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise NonSquare(f"diagonal block must be square, got {b.shape}")
-        repeats = self.repeats or tuple(1 for _ in blocks)
-        if len(repeats) != len(blocks) or any(r < 1 for r in repeats):
-            raise DimensionMismatch("repeats must assign a positive count per block")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "repeats", tuple(int(r) for r in repeats))
-
-    @property
-    def dim(self) -> int:
-        return sum(b.shape[0] * r for b, r in zip(self.blocks, self.repeats))
-
-    def iter_blocks(self):
-        """Yield every logical block in order, resolving repeats."""
-        for block, repeat in zip(self.blocks, self.repeats):
-            for _ in range(repeat):
-                yield block
-
-
-def as_structured(k) -> StructuredPSD:
-    if isinstance(k, StructuredPSD):
-        return k
-    return Dense(np.asarray(k, dtype=float))
-
-
-def densify(k: StructuredPSD) -> np.ndarray:
-    """Materialize the full matrix of a structured PSD operand."""
-    if isinstance(k, Dense):
-        return k.matrix
-    if isinstance(k, BlockDiagonal):
-        out = np.zeros((k.dim, k.dim))
-        offset = 0
-        for block in k.iter_blocks():
-            n = block.shape[0]
-            out[offset : offset + n, offset : offset + n] = block
-            offset += n
-        record_allocation(out)
-        return out
-    raise TypeError(f"unknown structured matrix {type(k).__name__}")
-
-
-def block_cholesky_factors(k: BlockDiagonal) -> list[np.ndarray]:
-    """Per-logical-block Cholesky factors; shared blocks are factorized once."""
-    out: list[np.ndarray] = []
-    for block, repeat in zip(k.blocks, k.repeats):
-        l = cholesky(block, jitter=0.0)
-        out.extend([l] * repeat)
-    return out
-
-
-def factorize(k: StructuredPSD, per_block: bool = False):
-    """Lower Cholesky factor of ``k`` with no added jitter, or with
-    ``per_block`` the per-logical-block factors of a block-diagonal ``k``."""
-    k = as_structured(k)
-    if not per_block:
-        return cholesky(densify(k), jitter=0.0)
-    if not isinstance(k, BlockDiagonal):
-        raise ShapeMismatch("per-latent factors need a block-diagonal Kuu")
-    return block_cholesky_factors(k)
-
-
-# ---------------------------------------------------------------------------
 # Quadrature
 
 
@@ -268,8 +163,6 @@ class RngState:
     salt, which keeps stochastic objectives reproducible without any global
     state.
     """
-
-    algorithm = "philox"
 
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)

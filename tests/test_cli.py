@@ -78,7 +78,8 @@ model {
 """
 
 # An svgp on a latent inducing set; each block is the model's kernel and
-# inducing set.  The REFUSED_LATENTS are refused at build; CONV_LATENT builds.
+# inducing set, or on plain points with a latent-process kernel.  The
+# REFUSED_LATENTS are refused at build; CONV_LATENT builds.
 LATENT_CONF = """
 steps = 1
 model {{
@@ -96,6 +97,8 @@ REFUSED_LATENTS = {  # name -> (block, message)
   inducing = separate { members = [points { from_data = 4 }] }""", "1 inducing sets for 2"),
     "multioutput_latent": ("""kernel = lmc { w = [[1.0, 0.5], [0.2, 0.8]], latents = [shared_independent { outputs = 2, base = sqexp {} }, sqexp {}] }
   inducing = shared { base = points { from_data = 4 } }""", "SharedIndependent has 2 outputs"),
+    "multioutput_latent_on_points": ("""kernel = lmc { w = [[1.0, 0.5], [0.2, 0.8]], latents = [shared_independent { outputs = 2, base = sqexp {} }, sqexp {}] }
+  inducing = points { from_data = 4 }""", "a latent process is a scalar GP, but SharedIndependent has 2 outputs"),
     "conv_latent_with_points": (f"""kernel = separate_independent {{ latents = [{CONV}, sqexp {{}}] }}
   inducing = separate {{ members = [points {{ from_data = 3 }}, points {{ from_data = 4 }}] }}""", "Convolutional has 4 outputs"),
 }

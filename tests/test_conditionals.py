@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from sparsegp import (
-    BlockDiagonal,
     Convolutional,
     InducingPatches,
     InducingPoints,
@@ -21,16 +21,18 @@ from sparsegp import (
     VariationalGaussian,
     allocation_probe,
     conditional,
-    densify,
     fully_correlated_conditional,
     k_full,
     kuu,
     mo_k,
     mo_k_diag,
+    prior_kl,
     sample_conditional,
     standard_normal,
 )
+from sparsegp.conditionals import create_posterior
 from sparsegp.errors import ShapeMismatch
+from sparsegp.inducing import LatentInducingVariables
 
 from conftest import make_spd, random_lower
 
@@ -194,9 +196,15 @@ def _build_q(name, iv, kernel, q_builder, whiten):
 
     total = num_inducing(iv, kernel)
     if q_builder.__name__ == "block_q":
-        l = kernel.num_latent
+        l = len(kernel.latent_kernels)
         return q_builder([total // l] * l, whiten)
     return q_builder(total, whiten)
+
+
+def latent_kuus(iv, kernel, jitter):
+    """Each latent's Kuu from its own (member, latent kernel) pair."""
+    members = iv.per_latent(len(kernel.latent_kernels))
+    return [kuu(member, k, jitter) for member, k in zip(members, kernel.latent_kernels)]
 
 
 ALL_PATHS = [
@@ -284,6 +292,27 @@ class TestShapeContract:
         assert np.linalg.eigvalsh(flat).min() > -1e-8
 
 
+class TestKuuAndKl:
+    """Kuu is a plain array on every path, and the KL has one factor path."""
+
+    @pytest.mark.parametrize("name", ALL_PATHS)
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_kuu_is_a_square_array(self, name, whiten):
+        _, iv, kernel, q_builder, _ = _paths(RngState(21))[name]
+        got = kuu(iv, kernel, JITTER)
+        total = _build_q(name, iv, kernel, q_builder, whiten).num_inducing
+        assert type(got) is np.ndarray and got.shape == (total, total)
+        if isinstance(iv, LatentInducingVariables):
+            np.testing.assert_array_equal(got, block_diag(*latent_kuus(iv, kernel, JITTER)))
+
+    @pytest.mark.parametrize("name", ALL_PATHS)
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_prior_kl_reads_the_posterior_factor(self, name, whiten):
+        _, iv, kernel, q_builder, _ = _paths(RngState(22))[name]
+        q = _build_q(name, iv, kernel, q_builder, whiten)
+        assert prior_kl(iv, kernel, q) == create_posterior(iv, kernel, q).kl()
+
+
 class TestWhiteningAndPrior:
     @pytest.mark.parametrize("name", ["single", "multiscale", "fully_correlated"])
     def test_whitening_equivalence_dense_paths(self, name):
@@ -293,7 +322,7 @@ class TestWhiteningAndPrior:
         m_v = standard_normal(rng.derive(1), total)
         s_v = random_lower(rng.derive(2), total)
 
-        luu = np.linalg.cholesky(densify(kuu(iv, kernel, JITTER)))
+        luu = np.linalg.cholesky(kuu(iv, kernel, JITTER))
         q_white = VariationalGaussian(m_v, s_v, whiten=True)
         q_plain = VariationalGaussian(
             luu @ m_v, np.linalg.cholesky(luu @ s_v @ s_v.T @ luu.T), whiten=False
@@ -308,8 +337,7 @@ class TestWhiteningAndPrior:
     def test_whitening_equivalence_block_paths(self, name):
         rng = RngState(6)
         x, iv, kernel, q_builder, p = _paths(rng)[name]
-        kmm = kuu(iv, kernel, JITTER)
-        factors = [np.linalg.cholesky(b) for b in kmm.iter_blocks()]
+        factors = [np.linalg.cholesky(b) for b in latent_kuus(iv, kernel, JITTER)]
         sizes = [f.shape[0] for f in factors]
 
         m_v = standard_normal(rng.derive(1), sum(sizes))
@@ -339,12 +367,11 @@ class TestWhiteningAndPrior:
         # latent kernel both sides go through its one latent-to-output map.
         rng = RngState(8)
         x, iv, kernel, q_builder, p = _paths(rng)[name]
-        kmm = kuu(iv, kernel, JITTER)
-        if isinstance(kmm, BlockDiagonal):
-            sqrt = tuple(np.linalg.cholesky(b) for b in kmm.iter_blocks())
+        if isinstance(iv, LatentInducingVariables):
+            sqrt = tuple(np.linalg.cholesky(b) for b in latent_kuus(iv, kernel, JITTER))
             total = sum(b.shape[0] for b in sqrt)
         else:
-            sqrt = np.linalg.cholesky(densify(kmm))
+            sqrt = np.linalg.cholesky(kuu(iv, kernel, JITTER))
             total = sqrt.shape[0]
         q = VariationalGaussian(np.zeros(total), sqrt, whiten=False)
         pm = conditional(

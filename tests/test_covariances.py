@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsegp import (
-    BlockDiagonal,
     Convolutional,
-    Dense,
     DispatchRegistry,
     FitConfig,
     Gaussian,
@@ -26,8 +24,6 @@ from sparsegp import (
     SquaredExponential,
     SVGPModel,
     VariationalGaussian,
-    cholesky,
-    densify,
     fit,
     k_diag,
     k_full,
@@ -60,11 +56,6 @@ class ConvLatents(SeparateIndependent):
     for the pair tables below)."""
 
 
-class MultioutputLatent(LinearCoregionalization):
-    """A coregionalization whose first latent has two outputs (test-only tag
-    for the pair tables below)."""
-
-
 SHIPPED_PAIRS = [
     (InducingPoints, SquaredExponential),
     (InducingPoints, Matern32),
@@ -85,14 +76,13 @@ SHIPPED_PAIRS = [
     (SeparateIndependentInducingVariables, ConvLatents),  # a patch member
 ]
 # Pairs the registry refuses: windows without a windowed kernel, a latent set
-# with a kernel that has no latent processes, and latents that are not scalar
-# processes (a multioutput latent, a convolutional latent with points).
+# with a kernel that has no latent processes, and a latent that is not a scalar
+# process (a convolutional latent with points).  A multioutput latent is
+# refused earlier, when its kernel is built (``test_kernels.py``).
 REFUSED_PAIRS = [
     (Multiscale, Matern32),
     (Multiscale, SharedIndependent),
     (SharedIndependentInducingVariables, Matern32),
-    (SharedIndependentInducingVariables, MultioutputLatent),
-    (SeparateIndependentInducingVariables, MultioutputLatent),
     (SharedIndependentInducingVariables, ConvLatents),
 ]
 
@@ -184,10 +174,8 @@ class TestKuuPairs:
         z = standard_normal(rng, (4, 1))
         k = SquaredExponential(1.2, 0.7)
         got = kuu(InducingPoints(z), k, jitter=1e-4)
-        assert isinstance(got, Dense)
-        np.testing.assert_allclose(
-            got.matrix, k.K(z) + 1e-4 * np.eye(4), atol=1e-14
-        )
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_allclose(got, k.K(z) + 1e-4 * np.eye(4), atol=1e-14)
 
     def test_inducing_points_multioutput_is_stacked_dense(self, rng):
         z = standard_normal(rng, (3, 1))
@@ -197,16 +185,7 @@ class TestKuuPairs:
         )
         got = kuu(InducingPoints(z), k, jitter=0.0)
         expected = mo_k(k, z).reshape(6, 6)
-        np.testing.assert_allclose(densify(got), expected, atol=1e-13)
-
-    def test_latent_shared_identical_kernels_share_one_block(self, rng):
-        z = standard_normal(rng, (4, 1))
-        iv = SharedIndependentInducingVariables(InducingPoints(z))
-        k = SharedIndependent(SquaredExponential(1.0, 0.9), 2)
-        got = kuu(iv, k, jitter=0.0)
-        assert isinstance(got, BlockDiagonal)
-        assert len(got.blocks) == 1 and got.repeats == (2,)
-        np.testing.assert_allclose(got.blocks[0], k.kernel.K(z))
+        np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_latent_separate_kernels_get_their_own_blocks(self, rng):
         z = standard_normal(rng, (3, 1))
@@ -214,18 +193,10 @@ class TestKuuPairs:
         kernels = [SquaredExponential(1.0, 0.5), Matern32(2.0, 1.0)]
         k = SeparateIndependent(kernels)
         got = kuu(iv, k, jitter=0.0)
-        assert len(got.blocks) == 2
-        np.testing.assert_allclose(got.blocks[0], kernels[0].K(z))
-        np.testing.assert_allclose(got.blocks[1], kernels[1].K(z))
-
-    def test_imc_stores_single_shared_block(self, rng):
-        z = standard_normal(rng, (4, 1))
-        iv = SharedIndependentInducingVariables(InducingPoints(z))
-        k = IntrinsicCoregionalization(
-            SquaredExponential(1.0, 0.8), standard_normal(rng, (5, 3))
-        )
-        got = kuu(iv, k, jitter=1e-6)
-        assert len(got.blocks) == 1 and got.repeats == (3,)
+        assert got.shape == (6, 6)
+        np.testing.assert_allclose(got[:3, :3], kernels[0].K(z))
+        np.testing.assert_allclose(got[3:, 3:], kernels[1].K(z))
+        assert not got[:3, 3:].any() and not got[3:, :3].any()
 
     def test_separate_members_evaluate_their_own_inputs(self, rng):
         z0, z1 = standard_normal(rng, (3, 1)), standard_normal(rng, (3, 1))
@@ -234,23 +205,19 @@ class TestKuuPairs:
         )
         kernels = [SquaredExponential(), SquaredExponential()]
         got = kuu(iv, SeparateIndependent(kernels), jitter=0.0)
-        np.testing.assert_allclose(got.blocks[0], kernels[0].K(z0))
-        np.testing.assert_allclose(got.blocks[1], kernels[1].K(z1))
+        np.testing.assert_allclose(got[:3, :3], kernels[0].K(z0))
+        np.testing.assert_allclose(got[3:, 3:], kernels[1].K(z1))
 
     def test_dense_lmc_kuu_matches_block_form_for_identity_mixing(self, rng):
         # With W = I and L = P the stacked covariance of f(Z) is a
-        # permutation of the latent block-diagonal; their densified forms
-        # must agree once reindexed.
+        # permutation of the latent block-diagonal; the two must agree once
+        # reindexed.
         z = standard_normal(rng, (3, 1))
         kernels = [SquaredExponential(1.0, 0.5), Matern32(0.8, 1.2)]
         k = LinearCoregionalization(kernels, np.eye(2))
-        dense = densify(kuu(InducingPoints(z), k, jitter=0.0))  # (m,p) stacking
-        blocks = densify(
-            kuu(
-                SharedIndependentInducingVariables(InducingPoints(z)),
-                k,
-                jitter=0.0,
-            )
+        dense = kuu(InducingPoints(z), k, jitter=0.0)  # (m,p) stacking
+        blocks = kuu(
+            SharedIndependentInducingVariables(InducingPoints(z)), k, jitter=0.0
         )  # (l,m) stacking
         m, p = 3, 2
         # reindex the latent (l, m) stacking into the output (m, p) stacking
@@ -274,7 +241,7 @@ class TestKuuPairs:
             ),
         ]
         for iv, kern in cases:
-            dense = densify(kuu(iv, kern, jitter=0.0))
+            dense = kuu(iv, kern, jitter=0.0)
             np.testing.assert_allclose(dense, dense.T, atol=1e-12)
             assert np.linalg.eigvalsh(dense).min() > -1e-8
 
@@ -287,7 +254,7 @@ class TestKufPairs:
         jitter = 1e-5
         got = kuf(iv, k, z)
         np.testing.assert_allclose(
-            got, densify(kuu(iv, k, jitter)) - jitter * np.eye(4), atol=1e-13
+            got, kuu(iv, k, jitter) - jitter * np.eye(4), atol=1e-13
         )
 
     def test_kuf_equals_kernel_cross_covariance(self, rng):
@@ -337,7 +304,7 @@ class TestKufPairs:
         k = Convolutional(SquaredExponential(1.0, 1.2), (3, 3), (2, 2))
         z = standard_normal(rng, (2, 4))
         got = kuu(InducingPatches(z), k, jitter=0.0)
-        np.testing.assert_allclose(densify(got), k.kernel.K(z))
+        np.testing.assert_allclose(got, k.kernel.K(z))
 
 
 class TestMultiscale:
@@ -345,8 +312,8 @@ class TestMultiscale:
         z = standard_normal(rng, (4, 1))
         k = SquaredExponential(1.3, 0.7)
         tiny = Multiscale(z, np.full((4, 1), 1e-8))
-        near = densify(kuu(tiny, k, jitter=0.0))
-        exact = densify(kuu(InducingPoints(z), k, jitter=0.0))
+        near = kuu(tiny, k, jitter=0.0)
+        exact = kuu(InducingPoints(z), k, jitter=0.0)
         np.testing.assert_allclose(near, exact, atol=1e-5)
 
     def test_kuf_delta_window_limit(self, rng):
@@ -362,21 +329,21 @@ class TestMultiscale:
         z = np.array([[0.0], [1.0], [2.5]])
         iv = Multiscale(z, np.full((3, 1), 0.4))
         k = SquaredExponential(1.0, 0.8)
-        diag = np.diag(densify(kuu(iv, k, jitter=0.0)))
+        diag = np.diag(kuu(iv, k, jitter=0.0))
         assert np.ptp(diag) == pytest.approx(0.0, abs=1e-14)
 
     def test_window_widening_shrinks_covariance_scale(self):
         z = np.array([[0.0], [1.0]])
         k = SquaredExponential(1.0, 0.5)
-        wide = densify(kuu(Multiscale(z, np.full((2, 1), 2.0)), k, jitter=0.0))
-        narrow = densify(kuu(Multiscale(z, np.full((2, 1), 0.1)), k, jitter=0.0))
+        wide = kuu(Multiscale(z, np.full((2, 1), 2.0)), k, jitter=0.0)
+        narrow = kuu(Multiscale(z, np.full((2, 1), 0.1)), k, jitter=0.0)
         assert wide[0, 0] < narrow[0, 0]
 
     def test_kuu_is_psd(self, rng):
         z = standard_normal(rng, (5, 1))
         scales = rng.generator.uniform(0.1, 1.0, (5, 1))
         k = SquaredExponential(1.0, 0.7)
-        dense = densify(kuu(Multiscale(z, scales), k, jitter=0.0))
+        dense = kuu(Multiscale(z, scales), k, jitter=0.0)
         assert np.linalg.eigvalsh(dense).min() > -1e-10
 
     def test_windows_match_the_closed_form(self):
@@ -395,7 +362,7 @@ class TestMultiscale:
         want_kuu = [[window(zi, zj, ls**2 + si**2 + sj**2) for zj, sj in zip(z, s)]
                     for zi, si in zip(z, s)]
         want_kuf = [[window(zi, xn, ls**2 + si**2) for xn in x] for zi, si in zip(z, s)]
-        np.testing.assert_allclose(densify(kuu(iv, k, jitter=0.0)), want_kuu, rtol=1e-13)
+        np.testing.assert_allclose(kuu(iv, k, jitter=0.0), want_kuu, rtol=1e-13)
         np.testing.assert_allclose(kuf(iv, k, x), want_kuf, rtol=1e-13)
 
     @pytest.mark.parametrize(
@@ -443,7 +410,6 @@ def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
         LinearCoregionalization: lambda: LinearCoregionalization([se, Matern32()], w),
         IntrinsicCoregionalization: lambda: IntrinsicCoregionalization(se, w),
         ConvLatents: lambda: ConvLatents([Convolutional(se, (3, 3), (2, 2)), Matern32()]),
-        MultioutputLatent: lambda: MultioutputLatent([SharedIndependent(se, 2), se], w),
     }[kernel_type]()
     columns = 9 if kernel_type in (Convolutional, ConvLatents) else 2
 
@@ -459,7 +425,7 @@ def _shipped_pair(iv_type, kernel_type, sizes, p, rng):
     elif iv_type is SeparateIndependentInducingVariables:
         first = InducingPatches if kernel_type is ConvLatents else Multiscale
         members = [points(0, first)]
-        members += [points(i) for i in range(1, kernel.num_latent)]
+        members += [points(i) for i in range(1, len(kernel.latent_kernels))]
         iv = iv_type(members)
     else:
         iv = points(0, iv_type)
@@ -498,7 +464,7 @@ class TestLayout:
             return
         shape = layout(iv, kernel)
         q = _initial_q(iv, kernel, whiten)
-        assert shape.total == densify(kuu(iv, kernel)).shape[0] == q.q_mu.shape[0]
+        assert shape.total == kuu(iv, kernel).shape[0] == q.q_mu.shape[0]
         assert shape.columns == columns
         model = SVGPModel(kernel, Gaussian(0.1), iv, q)
         assert model.predict_f(x).mean.shape == (4, shape.outputs)
@@ -523,7 +489,7 @@ class TestLayout:
             got = trained.predict_f(x)
             iv, kernel, q = trained.inducing, trained.kernel, trained.q
             mean, cov = dense_posterior_oracle(
-                kuf(iv, kernel, x), densify(kuu(iv, kernel)), k_full(kernel, x),
+                kuf(iv, kernel, x), kuu(iv, kernel), k_full(kernel, x),
                 q.q_mu, q.q_sqrt @ q.q_sqrt.T,
             )
             np.testing.assert_allclose(got.mean[:, 0], mean, atol=1e-8)
@@ -561,14 +527,11 @@ class MidpointPosterior(Posterior):
 
     @classmethod
     def kuu(cls, iv, kernel, jitter):
-        return Dense(_midpoint_gram(kernel, iv, iv) + jitter * np.eye(iv.num_rows))
+        return _midpoint_gram(kernel, iv, iv) + jitter * np.eye(iv.num_rows)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
         return _midpoint_gram(kernel, iv, xnew)
-
-    def _factorize(self, kmm):
-        return cholesky(densify(kmm), jitter=0.0)
 
     def _chunk(self, x, full_cov, full_output_cov):
         kernel, q = self.kernel, self.q

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from sparsegp import (
-    BlockDiagonal,
-    Dense,
     InducingPoints,
     Matern32,
     RngState,
     SeparateIndependent,
     SharedIndependentInducingVariables,
     SquaredExponential,
+    IntrinsicCoregionalization,
     VariationalGaussian,
-    densify,
+    cholesky,
     gauss_kl,
     kuu,
     prior_kl,
@@ -46,7 +46,7 @@ class TestGaussKl:
     def test_zero_when_q_equals_prior(self, rng):
         k = make_spd(rng, 4)
         q = VariationalGaussian(np.zeros(4), np.linalg.cholesky(k), whiten=False)
-        assert gauss_kl(q, Dense(k)) == pytest.approx(0.0, abs=1e-10)
+        assert gauss_kl(q, cholesky(k, jitter=0.0)) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_for_whitened_standard_normal(self):
         q = VariationalGaussian(np.zeros(5), np.eye(5), whiten=True)
@@ -57,7 +57,7 @@ class TestGaussKl:
         mu = standard_normal(rng, 2)
         sqrt = random_lower(rng, 2)
         q = VariationalGaussian(mu, sqrt, whiten=False)
-        exact = gauss_kl(q, Dense(k))
+        exact = gauss_kl(q, cholesky(k, jitter=0.0))
         estimate, se = mc_kl_oracle(mu, sqrt @ sqrt.T, k, 10**6, seed=0)
         assert abs(exact - estimate) < 3.0 * se
 
@@ -76,7 +76,7 @@ class TestGaussKl:
             q = VariationalGaussian(
                 standard_normal(rng, 3), random_lower(rng, 3), whiten=False
             )
-            assert gauss_kl(q, Dense(k)) >= -1e-10
+            assert gauss_kl(q, cholesky(k, jitter=0.0)) >= -1e-10
 
     def test_whitening_invariance(self):
         for seed in range(50):
@@ -92,7 +92,7 @@ class TestGaussKl:
                     np.linalg.cholesky(luu @ s_v @ s_v.T @ luu.T),
                     whiten=False,
                 ),
-                Dense(k),
+                cholesky(k, jitter=0.0),
             )
             assert white == pytest.approx(plain, abs=1e-9)
 
@@ -101,10 +101,11 @@ class TestGaussKl:
         sqrts = (random_lower(rng, 3), random_lower(rng, 2))
         mu = standard_normal(rng, 5)
         q = VariationalGaussian(mu, sqrts, whiten=False)
-        total = gauss_kl(q, BlockDiagonal(blocks))
+        total = gauss_kl(q, [cholesky(block, jitter=0.0) for block in blocks])
         parts = sum(
             gauss_kl(
-                VariationalGaussian(mu_part, sqrt, whiten=False), Dense(block)
+                VariationalGaussian(mu_part, sqrt, whiten=False),
+                cholesky(block, jitter=0.0),
             )
             for mu_part, sqrt, block in zip((mu[:3], mu[3:]), sqrts, blocks)
         )
@@ -115,14 +116,15 @@ class TestGaussKl:
         sqrts = (random_lower(rng, 3), random_lower(rng, 3))
         mu = standard_normal(rng, 6)
         block_value = gauss_kl(
-            VariationalGaussian(mu, sqrts, whiten=False), BlockDiagonal(blocks)
+            VariationalGaussian(mu, sqrts, whiten=False),
+            [cholesky(block, jitter=0.0) for block in blocks],
         )
         dense_sqrt = np.zeros((6, 6))
         dense_sqrt[:3, :3] = sqrts[0]
         dense_sqrt[3:, 3:] = sqrts[1]
         dense_value = gauss_kl(
             VariationalGaussian(mu, dense_sqrt, whiten=False),
-            Dense(densify(BlockDiagonal(blocks))),
+            cholesky(block_diag(*blocks), jitter=0.0),
         )
         assert block_value == pytest.approx(dense_value, abs=1e-9)
 
@@ -130,6 +132,12 @@ class TestGaussKl:
         q = VariationalGaussian(np.zeros(2), np.eye(2), whiten=False)
         with pytest.raises(ShapeMismatch):
             gauss_kl(q, None)
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_blocks_must_cover_q_mu(self, whiten):
+        q = VariationalGaussian(np.ones(7), (np.eye(3), np.eye(3)), whiten=whiten)
+        with pytest.raises(ShapeMismatch, match="do not cover"):
+            gauss_kl(q, [np.eye(3), np.eye(3)])
 
     def test_rectangular_factor_rejected(self):
         q = VariationalGaussian(np.zeros(3), np.ones((3, 1)), whiten=True)
@@ -156,12 +164,10 @@ class TestPriorKl:
         sqrts = (random_lower(rng, 3), random_lower(rng, 3))
         q = VariationalGaussian(mu, sqrts, whiten=False)
         via_dispatch = prior_kl(iv, kernel, q, jitter=1e-8)
-        direct = gauss_kl(q, kuu(iv, kernel, 1e-8))
-        assert via_dispatch == direct
+        factors = [cholesky(kuu(iv.base, k, 1e-8), jitter=0.0) for k in kernel.kernels]
+        assert via_dispatch == gauss_kl(q, factors)
 
     def test_imc_shared_block_kl_matches_densified(self, rng):
-        from sparsegp import IntrinsicCoregionalization
-
         z = standard_normal(rng, (3, 1))
         iv = SharedIndependentInducingVariables(InducingPoints(z))
         kernel = IntrinsicCoregionalization(
@@ -172,11 +178,12 @@ class TestPriorKl:
         q = VariationalGaussian(mu, sqrts, whiten=False)
         block_value = prior_kl(iv, kernel, q, jitter=1e-8)
 
-        kuu_dense = densify(kuu(iv, kernel, 1e-8))
+        kuu_dense = kuu(iv, kernel, 1e-8)
         dense_sqrt = np.zeros((6, 6))
         dense_sqrt[:3, :3], dense_sqrt[3:, 3:] = sqrts
         dense_value = gauss_kl(
-            VariationalGaussian(mu, dense_sqrt, whiten=False), Dense(kuu_dense)
+            VariationalGaussian(mu, dense_sqrt, whiten=False),
+            cholesky(kuu_dense, jitter=0.0),
         )
         assert block_value == pytest.approx(dense_value, abs=1e-9)
 
@@ -184,6 +191,6 @@ class TestPriorKl:
         z = standard_normal(rng, (4, 1))
         iv = InducingPoints(z)
         kernel = SquaredExponential(1.0, 0.8)
-        k = densify(kuu(iv, kernel, 1e-8))
+        k = kuu(iv, kernel, 1e-8)
         q = VariationalGaussian(np.zeros(4), np.linalg.cholesky(k), whiten=False)
         assert prior_kl(iv, kernel, q, jitter=1e-8) == pytest.approx(0.0, abs=1e-10)

@@ -191,6 +191,24 @@ class TestMultioutput:
         assert len(k.latent_kernels) == 2
         assert all(lat is base for lat in k.latent_kernels)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda k: SharedIndependent(k, 3),
+            lambda k: SeparateIndependent([k, SquaredExponential()]),
+            lambda k: LinearCoregionalization([k, SquaredExponential()], np.ones((2, 2))),
+            lambda k: IntrinsicCoregionalization(k, np.ones((2, 2))),
+        ],
+        ids=["shared", "separate", "lmc", "imc"],
+    )
+    def test_latent_processes_are_scalar(self, build):
+        # A latent is a single-output kernel or the summed-patch process of a
+        # convolutional kernel; a multioutput latent is refused when built.
+        conv = Convolutional(SquaredExponential(), (3, 3), (2, 2))
+        assert build(conv).latent_kernels[0] is conv
+        with pytest.raises(ValueError, match="scalar GP, but SharedIndependent has 2 outputs"):
+            build(SharedIndependent(SquaredExponential(), 2))
+
     def test_mo_k_rejects_single_output_kernels(self, rng):
         with pytest.raises(UnsupportedMode):
             mo_k(SquaredExponential(), np.ones((2, 1)))

@@ -42,7 +42,7 @@ from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 from sparsegp.modelio import load_model
 from sparsegp.models import Model
 from sparsegp.schema import from_document
-from sparsegp.numerics import default_jitter, densify
+from sparsegp.numerics import default_jitter
 
 from conftest import desk_regression, make_spd, random_lower
 from test_conditionals import dense_posterior_oracle
@@ -207,11 +207,9 @@ class TestSvgpElbo:
     def test_whitening_invariance_of_elbo(self):
         rng = RngState(4)
         model, x, y = svgp_1d(rng, whiten=True, jitter=1e-8)
-        from sparsegp import densify, kuu
+        from sparsegp import kuu
 
-        luu = np.linalg.cholesky(
-            densify(kuu(model.inducing, model.kernel, model.jitter))
-        )
+        luu = np.linalg.cholesky(kuu(model.inducing, model.kernel, model.jitter))
         q_plain = VariationalGaussian(
             luu @ model.q.q_mu,
             np.linalg.cholesky(luu @ model.q.q_sqrt @ model.q.q_sqrt.T @ luu.T),
@@ -415,7 +413,7 @@ class TestSeparateInducingSets:
         means, covs, offset = [], [], 0
         for k, member, sqrt in zip(kernel.latent_kernels, members, q.q_sqrt):
             m = member.num_rows
-            kmm = densify(kuu(member, k, jitter))  # the member's own pair
+            kmm = kuu(member, k, jitter)  # the member's own pair
             mu, s = q.q_mu[offset : offset + m], sqrt @ sqrt.T
             offset += m
             if q.whiten:
@@ -450,7 +448,7 @@ class TestSeparateInducingSets:
         means, covs, offset = [], [], 0
         for k, member, sqrt in zip(kernel.latent_kernels, members, sqrts):
             m = member.num_rows
-            kmm = densify(kuu(member, k, 1e-6))  # the member's own pair
+            kmm = kuu(member, k, 1e-6)  # the member's own pair
             mu_l, s = mu[offset : offset + m], sqrt @ sqrt.T
             offset += m
             if whiten:

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsegp import (
-    BlockDiagonal,
     RngState,
     allocation_probe,
     cholesky,
-    densify,
     gauss_hermite_nodes,
     standard_normal,
     tri_solve,
@@ -21,7 +19,7 @@ from sparsegp.errors import (
     NotPositiveDefinite,
     ZeroDiagonal,
 )
-from sparsegp.numerics import block_cholesky_factors, default_jitter
+from sparsegp.numerics import default_jitter
 
 from conftest import make_spd, random_lower
 
@@ -107,16 +105,6 @@ class TestTriSolve:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             tri_solve(np.eye(2), np.ones((3, 1)))
-
-
-class TestBlockDiagonal:
-    def test_repeated_block_densifies_and_factorizes_once(self):
-        block = np.array([[2.0, 0.5], [0.5, 1.0]])
-        k = BlockDiagonal((block,), repeats=(2,))
-        np.testing.assert_array_equal(densify(k), np.kron(np.eye(2), block))
-        factors = block_cholesky_factors(k)
-        assert len(factors) == 2 and factors[0] is factors[1]
-        np.testing.assert_allclose(factors[0] @ factors[0].T, block, atol=1e-12)
 
 
 class TestGaussHermite:

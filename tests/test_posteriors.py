@@ -168,7 +168,7 @@ def _multioutput_points(rng, whiten):
 
 
 def _latent_reference(iv, kernel, q, w):
-    members = iv.per_latent(kernel.num_latent)
+    members = iv.per_latent(len(kernel.latent_kernels))
 
     def reference(x, foc):
         means, variances, offset = [], [], 0
@@ -388,6 +388,15 @@ def test_imc_over_one_shared_set_factors_kuu_once_per_elbo(whiten):
     assert len(calls) == 1
     first, second = model.posterior.latents
     assert first.factor is second.factor
+
+
+def test_prior_kl_factors_a_shared_set_once_for_all_latents():
+    kernel = IntrinsicCoregionalization(SquaredExponential(1.0, 0.8), np.ones((3, 4)))
+    iv = SharedIndependentInducingVariables(InducingPoints(np.linspace(-2.0, 2.0, 5)[:, None]))
+    q = _q(RngState(3), [5] * 4, False, block=True)
+    with counted_cholesky() as calls:
+        prior_kl(iv, kernel, q)
+    assert len(calls) == 1
 
 
 def test_optimal_q_reads_the_built_factor():
