@@ -7,18 +7,22 @@ the one place that knows the pair.  The class supplies the pair's
 covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
 shape (``layout``: q's blocks, outputs per point and input columns, read by
 ``num_inducing``, ``check_q`` and the models) and the moments of one block
-of rows (``_chunk``).  Kuu is a plain array that the posterior factors once,
-when it is built; its ``kl`` reads that factor.  A pair that is refused
-raises from ``layout``, ``kuu`` and ``kuf`` alike, so a model holding it is
-refused when it is built.  A new pair registers one such class and nothing
-else.
+of rows (``_chunk``), with their backward (``_chunk_vjp``) where the pair has
+one.  Kuu is a plain array that the posterior factors once, when it is
+built; its ``kl`` and ``kl_gradient`` read that factor.  ``backward`` runs
+the chunks' backward over the rows that ``predict`` streams, giving an
+objective's gradient with respect to q (and to W, for a latent set that
+mixes with one) from its gradients with respect to the marginal moments.
+A pair that is refused raises from ``layout``, ``kuu`` and ``kuf`` alike, so
+a model holding it is refused when it is built.  A new pair registers one
+such class and nothing else.
 ``conditional`` and ``sample_conditional`` build a posterior and use it
 once; models keep one.
 
 A latent inducing set is a :class:`LatentPosterior`: one posterior per
 latent process, each of its own (member, latent kernel) pair's class, whose
 scalar moments the kernel maps to outputs with ``mix``, the map its own
-``K`` and ``K_diag`` apply.
+``K`` and ``K_diag`` apply; the backward runs through ``mix_adjoint``.
 
 Four covariance output modes are selected by ``full_cov`` (covariances
 across inputs) and ``full_output_cov`` (covariances across outputs):
@@ -42,12 +46,13 @@ in N and every row gets the numbers a single pass would give.  The
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .covariances import PAIRS, kuf, kuu
-from .divergences import prior_kl
+from .divergences import gauss_kl_gradient, prior_kl
 from .errors import ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
@@ -157,37 +162,74 @@ def _cov_shape(n, p, full_cov, full_output_cov):
     return (n, p, p) if full_output_cov else (n, p)
 
 
-def _moments(lm, kmn, knn, mu, sqrt, whiten, full_cov, full_output_cov):
-    """Mean [N, P] and covariance in the mode shape for Kmm = lm lmᵀ.
-
-    kmn: [M, N, P].  knn: the prior covariance, already in the mode shape.
-    Unwhitened: mean = Kmnᵀ Kmm⁻¹ m and
-    cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
-    Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
-    """
+def _project(lm, kmn, whiten):
+    """A = L⁻¹Kmn [M, NP] for Kmm = L Lᵀ, and q's projection: A when
+    whitened, Kmm⁻¹Kmn = L⁻ᵀA when not."""
     mt, n, p = kmn.shape
     a = tri_solve(lm, kmn.reshape(mt, n * p))  # [M, NP]
-    proj = a if whiten else tri_solve(lm, a, transpose=True)
+    return a, (a if whiten else tri_solve(lm, a, transpose=True))
+
+
+def _gram(x, n, p, full_cov, full_output_cov):
+    """The slices of xᵀx [NP, NP] that a mode keeps, x: [R, NP]."""
+    if full_cov and full_output_cov:
+        return x.T @ x
+    if not (full_cov or full_output_cov):
+        return np.sum(x * x, axis=0)
+    x3 = x.reshape(-1, n, p)
+    if full_cov:
+        return np.matmul(x3.transpose(2, 1, 0), x3.transpose(2, 0, 1))
+    return np.einsum("inp,inq->npq", x3, x3)
+
+
+def _gram_adjoint(x, g, n, p, full_cov, full_output_cov):
+    """The gradient with respect to x of the sum of ``g`` times
+    ``_gram(x, ...)``, both in the mode shape: x (G + Gᵀ) slice by slice."""
+    if full_cov and full_output_cov:
+        g = g.reshape(n * p, n * p)
+        return x @ (g + g.T)
+    if not (full_cov or full_output_cov):
+        return x * (2.0 * g.reshape(-1))
+    x3 = x.reshape(-1, n, p)
+    sym = g + g.transpose(0, 2, 1)
+    if full_cov:  # g: [P, N, N]
+        return np.einsum("rmp,pnm->rnp", x3, sym).reshape(x.shape)
+    return np.einsum("rnq,npq->rnp", x3, sym).reshape(x.shape)  # g: [N, P, P]
+
+
+def _moments_vjp(a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
+    """Mean [N, P], covariance in the mode shape, and their pullback.
+
+    ``a`` and ``proj`` come from :func:`_project` for a Kmn of [M, N, P];
+    knn is the prior covariance, already in the mode shape.  Unwhitened:
+    mean = Kmnᵀ Kmm⁻¹ m and
+    cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
+    Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
+    The pullback maps the gradients of an objective with respect to the
+    mean and the covariance to its gradients with respect to m and the
+    factor of S = sqrt sqrtᵀ, as a :class:`QGradient`: proj ∂mean, and
+    proj (D (∂cov + ∂covᵀ))ᵀ with D = sqrtᵀ proj, which for marginal
+    variances is 2 proj diag(∂var) projᵀ sqrt (Hensman et al. 2013,
+    arXiv:1309.6835).
+    """
     mean = (proj.T @ mu).reshape(n, p)
-
-    def gram(x):  # the requested slices of xᵀx, x: [R, NP]
-        if full_cov and full_output_cov:
-            return x.T @ x
-        if not (full_cov or full_output_cov):
-            return np.sum(x * x, axis=0)
-        x3 = x.reshape(-1, n, p)
-        if full_cov:
-            return np.matmul(x3.transpose(2, 1, 0), x3.transpose(2, 0, 1))
-        return np.einsum("inp,inq->npq", x3, x3)
-
     shape = _cov_shape(n, p, full_cov, full_output_cov)
-    cov = knn - gram(a).reshape(shape)
+    cov = knn - _gram(a, n, p, full_cov, full_output_cov).reshape(shape)
+    d = None
     if sqrt is not None and sqrt.size:
         d = sqrt.T @ proj  # [R, NP]
         record_allocation(d)
-        cov = cov + gram(d).reshape(shape)
+        cov = cov + _gram(d, n, p, full_cov, full_output_cov).reshape(shape)
     record_allocation(cov)
-    return mean, cov
+
+    def pullback(dmean, dcov):
+        dmu = proj @ np.reshape(dmean, -1)
+        if d is None:
+            return QGradient(dmu, None if sqrt is None else np.zeros_like(sqrt))
+        adjoint = _gram_adjoint(d, dcov, n, p, full_cov, full_output_cov)
+        return QGradient(dmu, proj @ adjoint.T)
+
+    return mean, cov, pullback
 
 
 def chunk_rows(row_floats: int) -> int:
@@ -200,30 +242,36 @@ def chunk_rows(row_floats: int) -> int:
     return 1 << (fit.bit_length() - 1)
 
 
+def chunk_slices(n: int, row_floats: int) -> list[slice]:
+    """The row chunks that stream the marginal modes over ``n`` rows:
+    ``chunk_rows(row_floats)`` rows each, a lone last row joining the chunk
+    before it (numpy multiplies a lone row by vector kernels)."""
+    rows = chunk_rows(row_floats)
+    stops = [*range(rows, n, rows), n]
+    if len(stops) > 1 and n - stops[-2] == 1:
+        del stops[-2]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 def stream_marginals(step, x, row_floats):
-    """``step(rows) -> (mean, cov)`` over all of ``x``, in chunks of
-    ``chunk_rows(row_floats)`` rows.
+    """``step(rows) -> (mean, cov)`` over all of ``x``, in the chunks of
+    :func:`chunk_slices`.
 
     Only the results are allocated at full length; a single chunk is
     returned as ``step`` gave it.
     """
     n = x.shape[0]
-    rows = chunk_rows(row_floats)
-    if n <= rows:
+    chunks = chunk_slices(n, row_floats)
+    if len(chunks) == 1:
         return step(x)
-    stops = [*range(rows, n, rows), n]
-    if n - stops[-2] == 1:
-        del stops[-2]  # numpy multiplies a lone row by vector kernels
     mean = cov = None
-    start = 0
-    for stop in stops:
-        part_mean, part_cov = step(x[start:stop])
+    for rows in chunks:
+        part_mean, part_cov = step(x[rows])
         if mean is None:
             mean = np.empty((n, *part_mean.shape[1:]))
             cov = np.empty((n, *part_cov.shape[1:]))
-        mean[start:stop] = part_mean
-        cov[start:stop] = part_cov
-        start = stop
+        mean[rows] = part_mean
+        cov[rows] = part_cov
     return mean, cov
 
 
@@ -244,8 +292,8 @@ def fully_correlated_conditional(
     shape = _cov_shape(n, p, full_cov, full_output_cov)
     if knn.shape != shape:
         raise ShapeMismatch(f"Knn has shape {knn.shape}, the mode needs {shape}")
-    mean, cov = _moments(
-        lm, kmn, knn, q.q_mu, q.dense_sqrt(), q.whiten,
+    mean, cov, _ = _moments_vjp(
+        *_project(lm, kmn, q.whiten), n, p, knn, q.q_mu, q.dense_sqrt(),
         full_cov, full_output_cov,
     )
     return PosteriorMoments(mean, cov, full_cov, full_output_cov)
@@ -253,6 +301,25 @@ def fully_correlated_conditional(
 
 # ---------------------------------------------------------------------------
 # Posterior objects
+
+
+class QGradient(NamedTuple):
+    """Gradients with respect to q, each in the shape of its field (per
+    latent blocks for ``q_sqrt`` when q has them), and with respect to the
+    kernel's mixing matrix ``w`` when a latent set mixes with one."""
+
+    q_mu: np.ndarray
+    q_sqrt: np.ndarray | tuple[np.ndarray, ...] | None
+    w: np.ndarray | None = None
+
+
+def _add(a, b):
+    """Elementwise sum of two gradients of one nested structure."""
+    if a is None:
+        return None
+    if isinstance(a, tuple):
+        return tuple(_add(x, y) for x, y in zip(a, b))
+    return a + b
 
 
 @dataclass(frozen=True)
@@ -315,6 +382,20 @@ class Posterior:
         """(mean, cov) of the rows ``x`` in the requested mode."""
         raise NotImplementedError
 
+    def _chunk_vjp(self, x, full_cov, full_output_cov):
+        """``_chunk``'s (mean, cov) and their pullback: given an objective's
+        gradients with respect to them, its :class:`QGradient`.  A pair
+        without a backward gives the pullback None, and its q slots keep
+        finite differences."""
+        return (*self._chunk(x, full_cov, full_output_cov), None)
+
+    def _group_vjp(self, posts, x, full_cov, full_output_cov):
+        """``_chunk_vjp`` of each posterior in ``posts``, this one among
+        them, that holds this posterior's pair and factor with its own q (the
+        latents of a latent set that share one pair), yielded in turn."""
+        for post in posts:
+            yield post._chunk_vjp(x, full_cov, full_output_cov)
+
     def predict(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
     ) -> PosteriorMoments:
@@ -346,9 +427,31 @@ class Posterior:
             noise = np.sqrt(var) * eps
         return moments.mean[None, :, :] + noise
 
+    def backward(self, x, seed, full_output_cov: bool = False):
+        """The :class:`QGradient` of an objective of the marginal moments at
+        ``x``, or None when the pair has no backward.
+
+        ``seed(rows, mean, cov)`` returns the objective's gradients with
+        respect to the marginal mean and covariance of the rows ``x[rows]``;
+        the rows run in the chunks that ``predict`` streams over.
+        """
+        x = np.asarray(x, dtype=float)
+        total = None
+        for rows in chunk_slices(x.shape[0], self._row_floats()):
+            mean, cov, pullback = self._chunk_vjp(x[rows], False, full_output_cov)
+            if pullback is None:
+                return None
+            part = pullback(*seed(rows, mean, cov))
+            total = part if total is None else QGradient(*_add(total, part))
+        return total
+
     def kl(self) -> float:
         """KL(q(u) || p(u)), reading the factor instead of refactoring."""
         return prior_kl(self.inducing, self.kernel, self.q, factor=self.factor)
+
+    def kl_gradient(self) -> QGradient:
+        """The gradient of ``kl()`` with respect to q, reading the factor."""
+        return QGradient(*gauss_kl_gradient(self.q, self.factor))
 
 
 def layout(iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -445,14 +548,31 @@ def _marginal_sqrt(cov_n):
 
 
 class _DensePosterior(Posterior):
-    """A pair whose Kuu is one dense M~ x M~ matrix."""
+    """A pair whose Kuu is one dense M~ x M~ matrix.  A subclass supplies
+    the blocks of a chunk; the moments and their backward, in both
+    whitenings and every mode, come from here."""
 
-    def _dense_moments(self, kmn, knn, full_cov, full_output_cov):
-        q = self.q
-        return _moments(
-            self.factor, kmn, knn, q.q_mu, q.dense_sqrt(), q.whiten,
-            full_cov, full_output_cov,
-        )
+    def _blocks(self, x, full_cov, full_output_cov):
+        """Kuf [M~, N, P] at the rows ``x`` and their prior covariance in
+        the mode shape."""
+        raise NotImplementedError
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        return self._chunk_vjp(x, full_cov, full_output_cov)[:2]
+
+    def _chunk_vjp(self, x, full_cov, full_output_cov):
+        return next(self._group_vjp([self], x, full_cov, full_output_cov))
+
+    def _group_vjp(self, posts, x, full_cov, full_output_cov):
+        # The posteriors share Kuf, the prior covariance and the solves.
+        kmn, knn = self._blocks(x, full_cov, full_output_cov)
+        a, proj = _project(self.factor, kmn, self.q.whiten)
+        _, n, p = kmn.shape
+        for post in posts:
+            q = post.q
+            yield _moments_vjp(
+                a, proj, n, p, knn, q.q_mu, q.dense_sqrt(), full_cov, full_output_cov
+            )
 
 
 @PAIRS.register(InducingPoints, Kernel)
@@ -469,11 +589,10 @@ class SingleOutputPosterior(_DensePosterior):
     def kuf(cls, iv, kernel, xnew):
         return k_full(kernel, iv.z, xnew)  # [M, N]
 
-    def _chunk(self, x, full_cov, full_output_cov):
+    def _blocks(self, x, full_cov, full_output_cov):
         kmn = kuf(self.inducing, self.kernel, x)[:, :, None]  # [M, N, 1]
         knn = k_full(self.kernel, x) if full_cov else k_diag(self.kernel, x)
-        shape = _cov_shape(kmn.shape[1], 1, full_cov, full_output_cov)
-        return self._dense_moments(kmn, knn.reshape(shape), full_cov, full_output_cov)
+        return kmn, knn.reshape(_cov_shape(kmn.shape[1], 1, full_cov, full_output_cov))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +705,7 @@ class MultioutputPointsPosterior(_DensePosterior):
     def _row_floats(self):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf [M, P, N, P]
 
-    def _chunk(self, x, full_cov, full_output_cov):
+    def _blocks(self, x, full_cov, full_output_cov):
         kernel = self.kernel
         kmn4 = kuf(self.inducing, kernel, x)  # [M, P, N, P]
         m, p, n, p2 = kmn4.shape
@@ -596,9 +715,7 @@ class MultioutputPointsPosterior(_DensePosterior):
                 knn = np.einsum("npmp->pnm", knn)
         else:
             knn = mo_k_diag(kernel, x, full_output_cov=full_output_cov)
-        return self._dense_moments(
-            kmn4.reshape(m * p, n, p2), knn, full_cov, full_output_cov
-        )
+        return kmn4.reshape(m * p, n, p2), knn
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +766,18 @@ class LatentPosterior(Posterior):
         self.q = q
         pairs = _latent_pairs(iv, kernel)
         sqrts = q.q_sqrt or (None,) * len(pairs)
-        factors: dict[tuple[int, int], np.ndarray] = {}
+        # latent indices per (member, latent kernel) pair, in first-seen order
+        self.groups: dict[tuple[int, int], list[int]] = {}
         self.latents: list[Posterior] = []
         start = 0
         for (member, k, cls, shape), sqrt in zip(pairs, sqrts):
             stop = start + shape.total
             q_l = VariationalGaussian(q.q_mu[start:stop], sqrt, q.whiten)
             start = stop
-            key = (id(member), id(k))
-            post = cls(member, k, q_l, jitter, factors.get(key))
-            factors.setdefault(key, post.factor)
-            self.latents.append(post)
+            group = self.groups.setdefault((id(member), id(k)), [])
+            shared = self.latents[group[0]].factor if group else None
+            group.append(len(self.latents))
+            self.latents.append(cls(member, k, q_l, jitter, shared))
         self.factor = [post.factor for post in self.latents]
 
     @property
@@ -685,10 +803,50 @@ class LatentPosterior(Posterior):
     def _row_floats(self):
         return sum(post._row_floats() for post in self.latents)
 
+    def _latent_moments(self, x, full_cov, pullbacks=None):
+        """The latents' means [N, L] and covariances ([L, N, N] or [N, L]) at
+        the rows ``x``; each latent's pullback goes into ``pullbacks`` when
+        it is given, else is dropped as soon as its moments are taken.
+        Latents that share a pair share its Kuf, prior covariance and
+        solves."""
+        means, covs = [None] * len(self.latents), [None] * len(self.latents)
+        for group in self.groups.values():
+            posts = [self.latents[i] for i in group]
+            shared = posts[0]._group_vjp(posts, x, full_cov, False)
+            for i, (mean, cov, back) in zip(group, shared):
+                means[i], covs[i] = mean, cov
+                if pullbacks is not None:
+                    pullbacks[i] = back
+                del back  # else a forward holds this latent's solves through the next
+            del shared  # and the group's Kuf and solves through the next group
+        mean = np.concatenate(means, axis=1)  # [N, L]
+        return mean, np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
+
     def _chunk(self, x, full_cov, full_output_cov):
         # Latent moments first, then the kernel's map to outputs, never
         # materializing anything of output size squared times inducing size.
-        means, covs = zip(*(post._chunk(x, full_cov, False) for post in self.latents))
-        mean = np.concatenate(means, axis=1)  # [N, L]
-        cov = np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
+        mean, cov = self._latent_moments(x, full_cov)
         return self.kernel.mix_mean(mean), self.kernel.mix(cov, full_cov, full_output_cov)
+
+    def _chunk_vjp(self, x, full_cov, full_output_cov):
+        pullbacks = [None] * len(self.latents)
+        mean, cov = self._latent_moments(x, full_cov, pullbacks)
+        kernel = self.kernel
+        moments = kernel.mix_mean(mean), kernel.mix(cov, full_cov, full_output_cov)
+        if None in pullbacks:
+            return (*moments, None)
+
+        def pullback(dmean, dcov):
+            # The adjoint of the kernel's map gives the latents' gradients
+            # (and W's), which each latent's own pair pulls back to its q.
+            dmean, dcov, dw = kernel.mix_adjoint(
+                dmean, dcov, mean, cov, full_cov, full_output_cov
+            )
+            grads = [
+                back(dmean[:, [i]], dcov[[i]] if full_cov else dcov[:, [i]])
+                for i, back in enumerate(pullbacks)
+            ]
+            sqrts = tuple(g.q_sqrt for g in grads) if self.q.q_sqrt else None
+            return QGradient(np.concatenate([g.q_mu for g in grads]), sqrts, dw)
+
+        return (*moments, pullback)

@@ -54,6 +54,29 @@ def _unwhitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, luu: np.ndarray) -> f
     return 0.5 * (-logdet_s - m + logdet_k + trace + float(alpha @ alpha))
 
 
+def _blocks(q, factor):
+    """(mean, factor of S, Kuu factor) per block of q: one block unless q
+    has per-latent factors.  Whitened q reads no Kuu factor (None)."""
+    mu = q.q_mu
+    if not q.whiten and factor is None:
+        raise ShapeMismatch("unwhitened KL needs the Cholesky factor of Kuu")
+    if not q.is_block:
+        return [(mu, q.q_sqrt, None if q.whiten else factor)]
+    factors = (None,) * len(q.q_sqrt) if q.whiten else factor
+    if len(factors) != len(q.q_sqrt):
+        raise ShapeMismatch(
+            f"{len(q.q_sqrt)} q_sqrt blocks for {len(factors)} covariance blocks"
+        )
+    blocks, offset = [], 0
+    for luu, block in zip(factors, q.q_sqrt):
+        m = block.shape[0]
+        blocks.append((mu[offset : offset + m], block, luu))
+        offset += m
+    if offset != mu.shape[0]:
+        raise ShapeMismatch("q_sqrt blocks do not cover q_mu")
+    return blocks
+
+
 def gauss_kl(q, factor=None) -> float:
     """KL(q(u) || p(u)).
 
@@ -61,29 +84,29 @@ def gauss_kl(q, factor=None) -> float:
     of Kuu: one lower-triangular matrix, or the per-latent factors when q
     has per-latent blocks.  Whitened parameters need none.
     """
-    mu = q.q_mu
-    if q.whiten:
-        kl = _whitened_block_kl
-    elif factor is None:
-        raise ShapeMismatch("unwhitened KL needs the Cholesky factor of Kuu")
-    else:
-        kl = _unwhitened_block_kl
-    if not q.is_block:
-        return kl(mu, q.q_sqrt, factor)
+    kl = _whitened_block_kl if q.whiten else _unwhitened_block_kl
+    return sum(kl(*block) for block in _blocks(q, factor))
 
-    factors = (None,) * len(q.q_sqrt) if q.whiten else factor
-    if len(factors) != len(q.q_sqrt):
-        raise ShapeMismatch(
-            f"{len(q.q_sqrt)} q_sqrt blocks for {len(factors)} covariance blocks"
-        )
-    total, offset = 0.0, 0
-    for luu, block in zip(factors, q.q_sqrt):
-        m = block.shape[0]
-        total += kl(mu[offset : offset + m], block, luu)
-        offset += m
-    if offset != mu.shape[0]:
-        raise ShapeMismatch("q_sqrt blocks do not cover q_mu")
-    return total
+
+def gauss_kl_gradient(q, factor=None):
+    """The gradients of ``gauss_kl(q, factor)`` with respect to q_mu and
+    q_sqrt, each in its field's shape.
+
+    Per block, whitened: m and L_S − diag(1 / diag L_S); unwhitened:
+    Kuu⁻¹m and Kuu⁻¹L_S − diag(1 / diag L_S), through triangular solves.
+    """
+    means, sqrts = [], []
+    for mu, sqrt, luu in _blocks(q, factor):
+        sqrt = _require_square_factor(sqrt, mu.shape[0])
+        inv_diag = np.diag(1.0 / np.diag(sqrt))  # from -1/2 log|S|
+        if luu is None:
+            means.append(mu)
+            sqrts.append(sqrt - inv_diag)
+        else:
+            means.append(tri_solve(luu, tri_solve(luu, mu), transpose=True))
+            sqrts.append(tri_solve(luu, tri_solve(luu, sqrt), transpose=True) - inv_diag)
+    sqrt = tuple(sqrts) if q.is_block else sqrts[0]
+    return np.concatenate(means), sqrt
 
 
 def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnsupportedCombination
-from .kernels import Convolutional
+from .kernels import Convolutional, IndependentLatent
 from .schema import Child, Param, Schema
 
 Z = Param("z", from_data=lambda x, kernel: x)  # from_data: the first M inputs
@@ -99,10 +99,21 @@ class SharedIndependentInducingVariables(LatentInducingVariables):
         return [self.base] * num_latent
 
 
+def _member_data(data, i):
+    """The i-th member of a separate set takes ``from_data`` rows for the
+    i-th latent kernel, so a ``conv`` latent's member can be patches."""
+    x, kernel = data
+    if isinstance(kernel, IndependentLatent) and i < len(kernel.latent_kernels):
+        return x, kernel.latent_kernels[i]
+    return data
+
+
 class SeparateIndependentInducingVariables(LatentInducingVariables):
     """One inducing set per latent process."""
 
-    schema = Schema("separate", Child("members", "members", many=True))
+    schema = Schema(
+        "separate", Child("members", "members", many=True, item_data=_member_data)
+    )
 
     def __init__(self, members):
         members = tuple(members)

@@ -23,13 +23,13 @@ from .conditionals import (
     stream_marginals,
 )
 from .covariances import PAIRS, kuf
-from .divergences import prior_kl
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import InducingVariable
 from .kernels import Kernel, k_diag, k_full
 from .likelihoods import (
     Gaussian,
     Likelihood,
+    expectation_gradients,
     marginalize_outputs,
     predictive_log_density,
     variational_expectations,
@@ -93,10 +93,10 @@ class Model:
       on (x, outputs, y) for heterotopic rows.  ``rng()`` returns the step's
       random stream afresh, so every evaluation in a step sees the same
       draws; ``scale`` weights the data term of a minibatch;
-    - ``objective_gradients(batch, scale)``: exact gradients of that
-      objective with respect to the values of named parameter slots (slot
-      name -> array of the value's shape); training takes finite differences
-      for every other slot.  Empty by default;
+    - ``objective_gradients(batch, rng, scale)``: exact gradients of that
+      objective, at the same ``rng``, with respect to the values of named
+      parameter slots (slot name -> array of the value's shape); training
+      takes finite differences for every other slot.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
       ``check_modes(full_cov, full_output_cov)`` refuses, before anything is
@@ -113,7 +113,7 @@ class Model:
     heterotopic = False
     mixture = False
 
-    def objective_gradients(self, batch, scale) -> dict:
+    def objective_gradients(self, batch, rng, scale) -> dict:
         return {}
 
     def check_modes(self, full_cov, full_output_cov):
@@ -175,6 +175,33 @@ def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> Pos
     moments = post.predict(x, full_cov, full_output_cov)
     moments.mean = moments.mean + gp.mean_function(x)
     return moments
+
+
+def _seed(gp, lik, x, y, weight):
+    """The ``Posterior.backward`` seed of ``weight`` times the expected
+    log-likelihood of (x, y) under an SVGP or a deep-GP layer."""
+
+    def seed(rows, mean, cov):
+        mean = mean + gp.mean_function(x[rows])
+        dmean, dcov = expectation_gradients(lik, mean, cov, y[rows])
+        return weight * dmean, weight * dcov
+
+    return seed
+
+
+def _q_gradients(prefix, post: Posterior, data) -> dict:
+    """Slot name -> gradient of the data term's ``QGradient`` minus the
+    posterior's KL, for the q (and mixing W) slots under ``prefix``."""
+    kl = post.kl_gradient()
+    grads = {prefix + "q_mu": data.q_mu - kl.q_mu}
+    if isinstance(kl.q_sqrt, tuple):
+        for i, (d, k) in enumerate(zip(data.q_sqrt, kl.q_sqrt)):
+            grads[f"{prefix}q_sqrt.{i}"] = d - k
+    else:
+        grads[prefix + "q_sqrt"] = data.q_sqrt - kl.q_sqrt
+    if data.w is not None:
+        grads[prefix + "kernel.w"] = data.w
+    return grads
 
 
 def _scale(num_data, batch_size, scale) -> float:
@@ -357,40 +384,41 @@ class SVGPModel(Model):
         pm = self.predict_f(x, full_cov, full_output_cov)
         return pm.mean, pm.cov
 
-    def objective_gradients(self, batch, scale):
-        """The ELBO's q_mu and q_sqrt gradients in closed form (Hensman et
-        al. 2013, arXiv:1309.6835) for Gaussian noise, a dense q, one output
-        and homotopic rows; none otherwise."""
-        q = self.q
-        if not (
-            len(batch) == 2
-            and isinstance(self.likelihood, Gaussian)
-            and not self.layout.latent
-            and self.layout.outputs == 1
-        ):
-            return {}
-        x, y = batch
-        x = np.asarray(x, dtype=float)
-        luu = self.posterior.factor
-        kmn = kuf(self.inducing, self.kernel, x).reshape(q.num_inducing, -1)
-        a = tri_solve(luu, kmn)
-        proj = a if q.whiten else tri_solve(luu, a, transpose=True)
-        resid = np.asarray(y, dtype=float).reshape(-1) - (
-            proj.T @ q.q_mu + self.mean_function(x)
-        )
-        noise = self.likelihood.variance
-        scale = _scale(self.num_data, x.shape[0], scale)
-        l_s = q.dense_sqrt()
-        inv_diag = np.diag(1.0 / np.diag(l_s))  # from d log|S| / dL
-        if q.whiten:
-            kl_mu, kl_sqrt = q.q_mu, l_s - inv_diag
+    def objective_gradients(self, batch, rng, scale):
+        """The ELBO's q gradients, and W's for a latent set that mixes with
+        one: the chain rule of Hensman et al. 2013 (arXiv:1309.6835) from
+        the likelihood's gradients with respect to the marginal moments,
+        through the posterior's backward, minus the KL's.  Heterotopic rows
+        seed each row's observed output only.  Empty for a pair without a
+        backward."""
+        x = np.asarray(batch[0], dtype=float)
+        weight = _scale(self.num_data, x.shape[0], scale)
+        post = self.posterior
+        if len(batch) == 3:
+            x, outputs, y = self._heterotopic_rows(*batch)
+            data = post.backward(x, self._heterotopic_seed(x, outputs, y, weight))
         else:
-            kl_mu = tri_solve(luu, tri_solve(luu, q.q_mu), transpose=True)
-            kl_sqrt = tri_solve(luu, tri_solve(luu, l_s), transpose=True) - inv_diag
-        return {
-            "q_mu": scale * (proj @ resid) / noise - kl_mu,
-            "q_sqrt": -(scale / noise) * ((proj @ proj.T) @ l_s) - kl_sqrt,
-        }
+            lik = self.likelihood
+            seed = _seed(self, lik, x, _as_columns(batch[1]), weight)
+            data = post.backward(x, seed, lik.requires_full_output_cov)
+        return {} if data is None else _q_gradients("", post, data)
+
+    def _heterotopic_seed(self, x, outputs, y, weight):
+        """The seed of the heterotopic ELBO: each row's gradients sit in the
+        column of its observed output, the others are zero."""
+
+        def seed(rows, mean, cov):
+            dmean, dcov = np.zeros_like(mean), np.zeros_like(cov)
+            mean = mean + self.mean_function(x[rows])
+            for p, group in _output_groups(outputs[rows]):
+                lik = marginalize_outputs(self.likelihood, (p,))
+                dm, dv = expectation_gradients(
+                    lik, mean[group, p], cov[group, p], y[rows][group]
+                )
+                dmean[group, p], dcov[group, p] = dm[:, 0], dv[:, 0]
+            return weight * dmean, weight * dcov
+
+        return seed
 
     @cached_property
     def posterior(self) -> Posterior:
@@ -400,6 +428,21 @@ class SVGPModel(Model):
 
     def prior_kl(self) -> float:
         return self.posterior.kl()
+
+    def _heterotopic_rows(self, x, outputs, y):
+        """(x, outputs, y) as arrays, checked: aligned rows, each observing
+        an output index of the model."""
+        x = np.asarray(x, dtype=float)
+        outputs = np.asarray(outputs, dtype=int)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if not (x.shape[0] == outputs.shape[0] == y.shape[0]):
+            raise ShapeMismatch("heterotopic rows must align")
+        bad = outputs[(outputs < 0) | (outputs >= self.num_outputs)]
+        if bad.size:
+            raise ShapeMismatch(
+                f"output index {bad[0]} is outside [0, {self.num_outputs})"
+            )
+        return x, outputs, y
 
     def predict_f(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
@@ -425,20 +468,10 @@ class SVGPModel(Model):
         posterior marginals and the likelihood marginalized to that output,
         so every group costs one vectorized expectation.
         """
-        x = np.asarray(x, dtype=float)
-        outputs = np.asarray(outputs, dtype=int)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if not (x.shape[0] == outputs.shape[0] == y.shape[0]):
-            raise ShapeMismatch("heterotopic rows must align")
-        bad = outputs[(outputs < 0) | (outputs >= self.num_outputs)]
-        if bad.size:
-            raise ShapeMismatch(
-                f"output index {bad[0]} is outside [0, {self.num_outputs})"
-            )
+        x, outputs, y = self._heterotopic_rows(x, outputs, y)
         moments = self.predict_f(x, full_cov=False, full_output_cov=False)
         total = 0.0
-        for p in np.flatnonzero(np.bincount(outputs)):  # outputs present
-            rows = np.flatnonzero(outputs == p)
+        for p, rows in _output_groups(outputs):
             ve = variational_expectations(
                 marginalize_outputs(self.likelihood, (p,)),
                 moments.mean[rows, p],
@@ -447,6 +480,12 @@ class SVGPModel(Model):
             )
             total += float(np.sum(ve))
         return _scale(self.num_data, x.shape[0], scale) * total - self.prior_kl()
+
+
+def _output_groups(outputs):
+    """(output index, its rows) for each output present, in index order."""
+    for p in np.flatnonzero(np.bincount(outputs)):
+        yield p, np.flatnonzero(outputs == p)
 
 
 def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
@@ -508,9 +547,6 @@ class GPLayer:
         self.inducing = inducing
         self.q = q
         self.mean_function = mean_function if mean_function is not None else Zero()
-
-    def prior_kl(self, jitter=None) -> float:
-        return prior_kl(self.inducing, self.kernel, self.q, jitter)
 
 
 class DGPModel(Model):
@@ -584,6 +620,28 @@ class DGPModel(Model):
 
     def objective(self, batch, rng, scale):
         return self.elbo(batch, rng(), scale)
+
+    def objective_gradients(self, batch, rng, scale):
+        """The last layer's q gradients, as for an SVGP, at the inputs that
+        ``rng()`` propagates, the ones the objective sees.  Earlier layers'
+        q move those inputs, so they keep finite differences."""
+        x, y = batch
+        x = np.asarray(x, dtype=float)
+        y = _as_columns(y)
+        posteriors = self._posteriors()
+        layer, post = self.layers[-1], posteriors[-1]
+        lik = self.likelihood
+        weight = _scale(self.num_data, x.shape[0], scale) / self.num_samples
+        stream = rng()
+        # every propagation's rows in one backward
+        h = np.concatenate(
+            [self.propagate(x, stream, posteriors) for _ in range(self.num_samples)]
+        )
+        seed = _seed(layer, lik, h, np.tile(y, (self.num_samples, 1)), weight)
+        data = post.backward(h, seed, lik.requires_full_output_cov)
+        if data is None:
+            return {}
+        return _q_gradients(f"layers.{len(self.layers) - 1}.", post, data)
 
     def check_modes(self, full_cov, full_output_cov):
         if full_cov or full_output_cov:

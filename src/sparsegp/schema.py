@@ -51,6 +51,8 @@ class Child:
     family).  ``key`` is its file key and ``slot`` its slot prefix (default:
     ``key``); an empty one puts the child's entries in the parent's document
     or prefix.  A ``document`` child is filed as a whole model document.
+    ``item_data(data, i)`` gives the i-th of ``many`` children its own
+    (inputs, kernel) for ``from_data`` (default: the parent's).
     """
 
     key: str
@@ -60,6 +62,7 @@ class Child:
     slot: str | None = None
     default: object = REQUIRED
     document: bool = False
+    item_data: object = None
 
     def prefix(self, prefix: str) -> str:
         name = self.key if self.slot is None else self.slot
@@ -266,7 +269,11 @@ def construct(cls, spec, family=None, data=None):
             elif not f.many:
                 value = from_spec(value, kind, data)
             elif isinstance(value, list):
-                value = [from_spec(v, kind, data) for v in value]
+                per_item = data is not None and f.item_data is not None
+                value = [
+                    from_spec(v, kind, f.item_data(data, i) if per_item else data)
+                    for i, v in enumerate(value)
+                ]
             else:
                 raise ConfigError(f"{f.key} must be a list, got {value!r}")
         elif f.key not in spec:  # a declared default

@@ -7,8 +7,13 @@ the diagonal of lower-triangular factors).  Optimization happens entirely in
 free space; models are rebuilt from the store at each objective evaluation.
 
 Gradients come from central finite differences, except for the slots
-whose exact gradients the model supplies (``Model.objective_gradients``);
-the test suite checks those against finite differences.
+whose exact gradients the model supplies (``Model.objective_gradients``):
+q, and the mixing matrix W of a latent set, of every SVGP and of a deep
+GP's last layer.  Kernels, inducing inputs, likelihood parameters, mean
+functions and a deep GP's earlier layers stay on differences, as does the
+q of a pair whose posterior has no backward.  ``gradient`` evaluates the
+exact gradients inside its own call, and the test suite checks them against
+finite differences.
 """
 
 from __future__ import annotations
@@ -214,20 +219,22 @@ def _fd_coordinate(objective, store, free, i):
 def gradient(objective, store: ParameterStore, exact=None) -> np.ndarray:
     """Free-space gradient of ``objective`` over the trainable slots.
 
-    ``exact`` maps slot names to the objective's gradient with respect to
-    each slot's constrained value; the slot's transform carries it into free
-    space.  Every other coordinate takes a central difference.  The
-    objective must be deterministic for the duration of the call; stochastic
-    objectives fix their seed per evaluation (common random numbers), so the
-    differences are well defined.
+    ``exact(store)`` maps slot names to the objective's gradient with
+    respect to each slot's constrained value.  It is called once, at the
+    current values, before any coordinate moves; the slot's transform
+    carries each gradient into free space.  Every other coordinate takes a
+    central difference.  The objective must be deterministic for the
+    duration of the call; stochastic objectives fix their seed per
+    evaluation (common random numbers), so the differences are well defined.
     """
     free = store.free_vector()
     grad = np.zeros_like(free)
     spans = store.spans()
-    exact = {  # at the current values, before any difference moves them
-        name: store.free_gradient(name, exact[name])
+    given = exact(store) if exact is not None else {}
+    exact = {
+        name: store.free_gradient(name, given[name])
         for name, _, _ in spans
-        if exact and name in exact
+        if name in given
     }
     try:
         for name, start, stop in spans:
@@ -354,7 +361,7 @@ def _objective_factory(build, x, y, outputs, config):
         objective = lambda s: -build(s).objective(batch, rng, scale)  # noqa: E731
 
         def exact(s):
-            grads = build(s).objective_gradients(batch, scale)
+            grads = build(s).objective_gradients(batch, rng, scale)
             return {name: -g for name, g in grads.items()}
 
         return objective, exact
@@ -404,7 +411,7 @@ def fit(model, data, config: FitConfig) -> FitResult:
     for step in range(config.steps):
         started = time.perf_counter()
         objective, exact = make_step(step)
-        grad = gradient(objective, store, exact(store))
+        grad = gradient(objective, store, exact)
         free, previous = store.free_vector(), state
         state = adam_step(store, grad, state, lr)
         elbo_estimate = -objective(store)

@@ -39,6 +39,7 @@ from sparsegp import (
     standard_normal,
     variational_expectations,
 )
+from sparsegp.divergences import prior_kl
 from sparsegp.training import FitConfig, fit, gradient, parameterize
 
 from conftest import desk_regression, make_spd, random_lower
@@ -269,11 +270,12 @@ def test_06_analytic_gradients_match_finite_differences():
                 return -build(s).elbo((x, y), scale=1.0)
 
             exact = {
-                name: -g for name, g in model.objective_gradients((x, y), 1.0).items()
+                name: -g
+                for name, g in model.objective_gradients((x, y), None, 1.0).items()
             }
             assert sorted(exact) == ["q_mu", "q_sqrt"]
             fd = gradient(objective, store)
-            an = gradient(objective, store, exact)
+            an = gradient(objective, store, lambda s: exact)
             spans = {nm: (a, b) for nm, a, b in store.spans()}
             for group in ("q_mu", "q_sqrt"):
                 lo, hi = spans[group]
@@ -349,7 +351,9 @@ def test_09_dgp_degeneracy():
     ]
     deep = DGPModel(layers, Gaussian(0.1), num_data=n)
     kl_only = deep.elbo((x, y), RngState(0), scale=0.0)
-    assert kl_only == -sum(layer.prior_kl(None) for layer in layers)
+    assert kl_only == -sum(
+        prior_kl(layer.inducing, layer.kernel, layer.q) for layer in layers
+    )
     report(9, "one-layer deep model equals the shallow model; layer KLs add exactly")
 
 

@@ -7,6 +7,7 @@ from sparsegp.cli import build_model, main
 from sparsegp.models import SVGPModel
 from sparsegp.config import parse_config
 from sparsegp.errors import ConfigError, DataError
+from sparsegp.kernels import extract_patches
 from sparsegp.modelio import (
     Dataset,
     load_model,
@@ -104,6 +105,8 @@ REFUSED_LATENTS = {  # name -> (block, message)
 }
 CONV_LATENT = f"""kernel = separate_independent {{ latents = [{CONV}, sqexp {{}}] }}
   inducing = separate {{ members = [{PATCHES}, points {{ from_data = 4 }}] }}"""
+CONV_LATENT_FROM_DATA = f"""kernel = separate_independent {{ latents = [{CONV}, sqexp {{}}] }}
+  inducing = separate {{ members = [patches {{ from_data = 3 }}, points {{ from_data = 4 }}] }}"""
 
 
 def _write(tmp_path, name, text):
@@ -290,6 +293,21 @@ class TestExitCodes:
         pred = str(tmp_path / "p.csv")
         argv = ["predict", "--model", out, "--data", data, "--out", pred]
         assert main(argv + ["--full-cov", "--full-output-cov"]) == 0
+
+    def test_separate_members_take_from_data_with_their_latent_kernel(self, tmp_path):
+        # The conv latent's member draws patches of the inputs; the sqexp
+        # latent's member draws the inputs themselves.
+        text = LATENT_CONF.format(block=CONV_LATENT_FROM_DATA)
+        conf = _write(tmp_path, "l.conf", text)
+        data = str(tmp_path / "d.csv")
+        x = np.sin(np.arange(54.0)).reshape(6, 9)
+        write_dataset(data, x, np.ones((6, 2)))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", out]) == 0
+        patches, points = build_model(parse_config(text), read_dataset(data)).inducing.members
+        want = extract_patches(x, (3, 3), (2, 2)).reshape(-1, 4)[:3]
+        np.testing.assert_array_equal(patches.z, want)
+        np.testing.assert_array_equal(points.z, x[:4])
 
     @pytest.mark.parametrize("raw", ["abc", "nan", "-1"])
     def test_bad_jitter_variable_is_2(self, tmp_path, capsys, monkeypatch, raw):

@@ -119,11 +119,13 @@ class TestBaseConditional:
             )
 
 
-def _paths(rng):
-    """Conditional paths under test: name -> (X, iv, kernel, q builder)."""
-    x = standard_normal(rng, (6, 1))
-    z = standard_normal(rng, (4, 1))
-    w = standard_normal(rng, (3, 2))
+def _paths(rng, n=6, m=4, p=3, images=5):
+    """Conditional paths under test: name -> (X, iv, kernel, q builder,
+    outputs), at ``n`` inputs (``images`` for the convolutional path), ``m``
+    inducing inputs or patches and ``p`` coregionalized outputs."""
+    x = standard_normal(rng, (n, 1))
+    z = standard_normal(rng, (m, 1))
+    w = standard_normal(rng, (p, 2))
 
     def dense_q(size, whiten):
         return VariationalGaussian(
@@ -144,20 +146,20 @@ def _paths(rng):
     )
     imc = IntrinsicCoregionalization(SquaredExponential(1.0, 0.7), w)
     conv = Convolutional(SquaredExponential(1.0, 1.4), (3, 3), (2, 2))
-    images = standard_normal(rng.derive(99), (5, 9))
-    patches = standard_normal(rng.derive(98), (4, 4))
+    images = standard_normal(rng.derive(99), (images, 9))
+    patches = standard_normal(rng.derive(98), (m, 4))
 
     return {
         "single": (x, InducingPoints(z), SquaredExponential(1.0, 0.8), dense_q, 1),
         "multiscale": (
             x,
-            Multiscale(z, np.full((4, 1), 0.3)),
+            Multiscale(z, np.full((m, 1), 0.3)),
             SquaredExponential(1.0, 0.8),
             dense_q,
             1,
         ),
         "conv": (images, InducingPatches(patches), conv, dense_q, 1),
-        "fully_correlated": (x, InducingPoints(z), lmc, dense_q, 3),
+        "fully_correlated": (x, InducingPoints(z), lmc, dense_q, p),
         "indep_shared": (
             x,
             SharedIndependentInducingVariables(InducingPoints(z)),
@@ -168,7 +170,7 @@ def _paths(rng):
         "indep_separate": (
             x,
             SeparateIndependentInducingVariables(
-                [InducingPoints(z), InducingPoints(standard_normal(rng.derive(97), (4, 1)))]
+                [InducingPoints(z), InducingPoints(standard_normal(rng.derive(97), (m, 1)))]
             ),
             SeparateIndependent([SquaredExponential(), Matern32()]),
             block_q,
@@ -179,14 +181,14 @@ def _paths(rng):
             SharedIndependentInducingVariables(InducingPoints(z)),
             lmc,
             block_q,
-            3,
+            p,
         ),
         "imc": (
             x,
             SharedIndependentInducingVariables(InducingPoints(z)),
             imc,
             block_q,
-            3,
+            p,
         ),
     }
 

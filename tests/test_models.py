@@ -37,6 +37,7 @@ from sparsegp import (
     standard_normal,
     variational_expectations,
 )
+from sparsegp.divergences import prior_kl
 from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 
 from sparsegp.modelio import load_model
@@ -634,7 +635,7 @@ class TestDGP:
         x = standard_normal(rng.derive(10), (5, 1))
         y = standard_normal(rng.derive(11), (5, 1))
         value = dgp.elbo((x, y), RngState(0), scale=0.0)
-        want = -sum(layer.prior_kl(None) for layer in layers)
+        want = -sum(prior_kl(layer.inducing, layer.kernel, layer.q) for layer in layers)
         assert value == pytest.approx(want, abs=1e-12)
 
     def test_white_final_layer_matches_degenerate_svgp(self):
