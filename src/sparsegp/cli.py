@@ -24,7 +24,7 @@ from .likelihoods import (
     predictive_log_density,
 )
 from .modelio import Dataset, load_model, read_dataset, save_model
-from .models import Model
+from .models import Model, output_groups
 from .schema import Setting, check_keys, read_settings, tags
 from .training import FitConfig, TraceRecord, fit
 
@@ -222,19 +222,18 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
         logdens = np.empty(y.shape[0])
         errors = np.empty(y.shape[0])
         per_output = []
-        for p in np.flatnonzero(np.bincount(dataset.outputs)):
-            mask = dataset.outputs == p
+        for p, rows in output_groups(dataset.outputs):
             lik_p = marginalize_outputs(lik, (p,))
-            mu_p, var_p = mean[mask, p : p + 1], var[mask, p : p + 1]
-            logdens[mask] = predictive_log_density(lik_p, mu_p, var_p, y[mask])
+            mu_p, var_p = mean[rows, p : p + 1], var[rows, p : p + 1]
+            logdens[rows] = predictive_log_density(lik_p, mu_p, var_p, y[rows])
             ymu_p, _ = predict_observation_moments(lik_p, mu_p, var_p)
-            errors[mask] = y[mask, 0] - ymu_p[:, 0]
+            errors[rows] = y[rows, 0] - ymu_p[:, 0]
             per_output.append(
                 {
                     "output": int(p),
-                    "count": int(mask.sum()),
-                    "mlpd": float(logdens[mask].mean()),
-                    "rmse": float(np.sqrt(np.mean(errors[mask] ** 2))),
+                    "count": rows.size,
+                    "mlpd": float(logdens[rows].mean()),
+                    "rmse": float(np.sqrt(np.mean(errors[rows] ** 2))),
                 }
             )
         return {

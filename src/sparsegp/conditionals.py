@@ -433,7 +433,9 @@ class Posterior:
 
         ``seed(rows, mean, cov)`` returns the objective's gradients with
         respect to the marginal mean and covariance of the rows ``x[rows]``;
-        the rows run in the chunks that ``predict`` streams over.
+        the rows run in the chunks that ``predict`` streams over.  A model's
+        seed is its data term called with ``grads`` (``models._data_term``),
+        the same term its objective takes on ``predict``'s moments.
         """
         x = np.asarray(x, dtype=float)
         total = None

@@ -5,11 +5,14 @@ Models are immutable snapshots of their parameters; every objective is a
 pure function of (parameters, batch, random state).  Training (see the
 ``training`` module) rebuilds models from a parameter store rather than
 mutating them.
+
+An SVGP or a deep GP states its data term once (``_data_term``); its ELBO
+(``_elbo``) and its exact q gradients (``_q_gradients``) both read it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -95,7 +98,8 @@ class Model:
       draws; ``scale`` weights the data term of a minibatch;
     - ``objective_gradients(batch, rng, scale)``: exact gradients of that
       objective, at the same ``rng``, with respect to the values of named
-      parameter slots (slot name -> array of the value's shape); training
+      parameter slots (slot name -> array of the value's shape), from the
+      same data term as the objective and without evaluating it; training
       takes finite differences for every other slot.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
@@ -177,21 +181,65 @@ def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> Pos
     return moments
 
 
-def _seed(gp, lik, x, y, weight):
-    """The ``Posterior.backward`` seed of ``weight`` times the expected
-    log-likelihood of (x, y) under an SVGP or a deep-GP layer."""
+def output_groups(outputs):
+    """(output index, its rows) for each output present, in index order."""
+    for p in np.flatnonzero(np.bincount(outputs)):
+        yield p, np.flatnonzero(outputs == p)
 
-    def seed(rows, mean, cov):
+
+def _data_term(gp, lik, x, y, weight, outputs=None):
+    """``weight`` times the expected log-likelihood of (x, y) under an SVGP
+    or a deep-GP layer, as ``term(rows, mean, cov, grads=False)`` of the
+    posterior's marginal moments at ``x[rows]``.  With ``grads`` it returns
+    the term's gradients with respect to (mean, cov) instead, the seed of
+    ``Posterior.backward``.
+
+    Heterotopic rows (``outputs`` holds the output each row observes) are
+    grouped by output: each group reads its output's column under the
+    likelihood marginalized to that output, so it costs one vectorized
+    expectation, and its gradients sit in that column alone."""
+
+    def groups(rows):
+        """(likelihood, index into mean and cov, targets) per row group."""
+        if outputs is None:
+            yield lik, slice(None), y[rows]
+            return
+        for p, group in output_groups(outputs[rows]):
+            part = marginalize_outputs(lik, (p,))
+            yield part, (group, slice(p, p + 1)), y[rows][group]
+
+    def term(rows, mean, cov, grads=False):
         mean = mean + gp.mean_function(x[rows])
-        dmean, dcov = expectation_gradients(lik, mean, cov, y[rows])
+        if not grads:
+            return weight * sum(
+                float(np.sum(variational_expectations(part, mean[i], cov[i], t)))
+                for part, i, t in groups(rows)
+            )
+        dmean, dcov = np.zeros_like(mean), np.zeros_like(cov)
+        for part, i, t in groups(rows):
+            dmean[i], dcov[i] = expectation_gradients(part, mean[i], cov[i], t)
         return weight * dmean, weight * dcov
 
-    return seed
+    return term
 
 
-def _q_gradients(prefix, post: Posterior, data) -> dict:
-    """Slot name -> gradient of the data term's ``QGradient`` minus the
-    posterior's KL, for the q (and mixing W) slots under ``prefix``."""
+def _elbo(posteriors, x, term, foc) -> float:
+    """The data term on the last posterior's marginals at ``x`` (with full
+    output covariances if ``foc``), minus every posterior's KL."""
+    moments = posteriors[-1].predict(x, False, foc)
+    kl = sum(post.kl() for post in posteriors)
+    return term(slice(None), moments.mean, moments.cov) - kl
+
+
+def _q_gradients(prefix, posteriors, x, term, foc) -> dict:
+    """Slot name -> gradient of ``_elbo`` for the last posterior's q (and
+    mixing W) slots, under ``prefix``: the data term's, through that
+    posterior's backward, minus its KL's.  Empty for a pair without a
+    backward."""
+    post = posteriors[-1]
+    data = post.backward(x, partial(term, grads=True), foc)
+    if data is None:
+        return {}
     kl = post.kl_gradient()
     grads = {prefix + "q_mu": data.q_mu - kl.q_mu}
     if isinstance(kl.q_sqrt, tuple):
@@ -387,38 +435,33 @@ class SVGPModel(Model):
     def objective_gradients(self, batch, rng, scale):
         """The ELBO's q gradients, and W's for a latent set that mixes with
         one: the chain rule of Hensman et al. 2013 (arXiv:1309.6835) from
-        the likelihood's gradients with respect to the marginal moments,
-        through the posterior's backward, minus the KL's.  Heterotopic rows
-        seed each row's observed output only.  Empty for a pair without a
-        backward."""
+        the data term's gradients with respect to the marginal moments,
+        through the posterior's backward, minus the KL's.  Empty for a pair
+        without a backward."""
+        return _q_gradients("", *self._data(batch, scale))
+
+    def _data(self, batch, scale):
+        """(posteriors, x, the data term, whether it reads full output
+        covariances) of homotopic (x, y) rows, or of heterotopic
+        (x, outputs, y) rows, which must align and each observe an output
+        index of the model."""
         x = np.asarray(batch[0], dtype=float)
-        weight = _scale(self.num_data, x.shape[0], scale)
-        post = self.posterior
-        if len(batch) == 3:
-            x, outputs, y = self._heterotopic_rows(*batch)
-            data = post.backward(x, self._heterotopic_seed(x, outputs, y, weight))
+        if len(batch) == 2:
+            y, outputs = _as_columns(batch[1]), None
         else:
-            lik = self.likelihood
-            seed = _seed(self, lik, x, _as_columns(batch[1]), weight)
-            data = post.backward(x, seed, lik.requires_full_output_cov)
-        return {} if data is None else _q_gradients("", post, data)
-
-    def _heterotopic_seed(self, x, outputs, y, weight):
-        """The seed of the heterotopic ELBO: each row's gradients sit in the
-        column of its observed output, the others are zero."""
-
-        def seed(rows, mean, cov):
-            dmean, dcov = np.zeros_like(mean), np.zeros_like(cov)
-            mean = mean + self.mean_function(x[rows])
-            for p, group in _output_groups(outputs[rows]):
-                lik = marginalize_outputs(self.likelihood, (p,))
-                dm, dv = expectation_gradients(
-                    lik, mean[group, p], cov[group, p], y[rows][group]
+            outputs = np.asarray(batch[1], dtype=int)
+            y = np.asarray(batch[2], dtype=float).reshape(-1, 1)
+            if not (x.shape[0] == outputs.shape[0] == y.shape[0]):
+                raise ShapeMismatch("heterotopic rows must align")
+            bad = outputs[(outputs < 0) | (outputs >= self.num_outputs)]
+            if bad.size:
+                raise ShapeMismatch(
+                    f"output index {bad[0]} is outside [0, {self.num_outputs})"
                 )
-                dmean[group, p], dcov[group, p] = dm[:, 0], dv[:, 0]
-            return weight * dmean, weight * dcov
-
-        return seed
+        foc = outputs is None and self.likelihood.requires_full_output_cov
+        weight = _scale(self.num_data, x.shape[0], scale)
+        term = _data_term(self, self.likelihood, x, y, weight, outputs)
+        return [self.posterior], x, term, foc
 
     @cached_property
     def posterior(self) -> Posterior:
@@ -429,21 +472,6 @@ class SVGPModel(Model):
     def prior_kl(self) -> float:
         return self.posterior.kl()
 
-    def _heterotopic_rows(self, x, outputs, y):
-        """(x, outputs, y) as arrays, checked: aligned rows, each observing
-        an output index of the model."""
-        x = np.asarray(x, dtype=float)
-        outputs = np.asarray(outputs, dtype=int)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if not (x.shape[0] == outputs.shape[0] == y.shape[0]):
-            raise ShapeMismatch("heterotopic rows must align")
-        bad = outputs[(outputs < 0) | (outputs >= self.num_outputs)]
-        if bad.size:
-            raise ShapeMismatch(
-                f"output index {bad[0]} is outside [0, {self.num_outputs})"
-            )
-        return x, outputs, y
-
     def predict_f(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
     ) -> PosteriorMoments:
@@ -451,41 +479,12 @@ class SVGPModel(Model):
 
     def elbo(self, batch, scale: float | None = None) -> float:
         """Scaled expected log-likelihood minus the KL to the prior."""
-        x, y = batch
-        x = np.asarray(x, dtype=float)
-        y = _as_columns(y)
-        foc = self.likelihood.requires_full_output_cov
-        moments = self.predict_f(x, full_cov=False, full_output_cov=foc)
-        ve = variational_expectations(self.likelihood, moments.mean, moments.cov, y)
-        scale = _scale(self.num_data, x.shape[0], scale)
-        return scale * float(np.sum(ve)) - self.prior_kl()
+        return _elbo(*self._data(batch, scale))
 
     def elbo_heterotopic(self, x, outputs, y, scale: float | None = None) -> float:
-        """ELBO for rows observing one output index each.
-
-        ``outputs`` holds the observed output index per row.  Rows are
-        grouped by that index: each group needs only its column of the
-        posterior marginals and the likelihood marginalized to that output,
-        so every group costs one vectorized expectation.
-        """
-        x, outputs, y = self._heterotopic_rows(x, outputs, y)
-        moments = self.predict_f(x, full_cov=False, full_output_cov=False)
-        total = 0.0
-        for p, rows in _output_groups(outputs):
-            ve = variational_expectations(
-                marginalize_outputs(self.likelihood, (p,)),
-                moments.mean[rows, p],
-                moments.cov[rows, p],
-                y[rows],
-            )
-            total += float(np.sum(ve))
-        return _scale(self.num_data, x.shape[0], scale) * total - self.prior_kl()
-
-
-def _output_groups(outputs):
-    """(output index, its rows) for each output present, in index order."""
-    for p in np.flatnonzero(np.bincount(outputs)):
-        yield p, np.flatnonzero(outputs == p)
+        """ELBO for rows observing one output index each; ``outputs`` holds
+        the observed output index per row."""
+        return _elbo(*self._data((x, outputs, y), scale))
 
 
 def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
@@ -625,23 +624,24 @@ class DGPModel(Model):
         """The last layer's q gradients, as for an SVGP, at the inputs that
         ``rng()`` propagates, the ones the objective sees.  Earlier layers'
         q move those inputs, so they keep finite differences."""
+        prefix = f"layers.{len(self.layers) - 1}."
+        return _q_gradients(prefix, *self._data(batch, rng(), scale))
+
+    def _data(self, batch, rng, scale):
+        """(the layers' posteriors, inputs, data term, full output
+        covariances) of the last layer: the batch's ``num_samples``
+        propagations stacked, each row weighted by 1 / ``num_samples``."""
         x, y = batch
         x = np.asarray(x, dtype=float)
-        y = _as_columns(y)
         posteriors = self._posteriors()
-        layer, post = self.layers[-1], posteriors[-1]
-        lik = self.likelihood
-        weight = _scale(self.num_data, x.shape[0], scale) / self.num_samples
-        stream = rng()
-        # every propagation's rows in one backward
         h = np.concatenate(
-            [self.propagate(x, stream, posteriors) for _ in range(self.num_samples)]
+            [self.propagate(x, rng, posteriors) for _ in range(self.num_samples)]
         )
-        seed = _seed(layer, lik, h, np.tile(y, (self.num_samples, 1)), weight)
-        data = post.backward(h, seed, lik.requires_full_output_cov)
-        if data is None:
-            return {}
-        return _q_gradients(f"layers.{len(self.layers) - 1}.", post, data)
+        y = np.tile(_as_columns(y), (self.num_samples, 1))
+        weight = _scale(self.num_data, x.shape[0], scale) / self.num_samples
+        lik = self.likelihood
+        term = _data_term(self.layers[-1], lik, h, y, weight)
+        return posteriors, h, term, lik.requires_full_output_cov
 
     def check_modes(self, full_cov, full_output_cov):
         if full_cov or full_output_cov:
@@ -673,28 +673,8 @@ class DGPModel(Model):
             h = post.sample(h, rng, 1)[0] + layer.mean_function(h)
         return h
 
-    def _final_moments(self, x, rng, num_samples, posteriors):
-        """Final-layer moments at each of ``num_samples`` propagations."""
-        foc = self.likelihood.requires_full_output_cov
-        for _ in range(num_samples):
-            h = self.propagate(x, rng, posteriors)
-            yield _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
-
     def elbo(self, batch, rng: RngState, scale: float | None = None) -> float:
-        x, y = batch
-        x = np.asarray(x, dtype=float)
-        y = _as_columns(y)
-        posteriors = self._posteriors()
-        data_terms = np.zeros(x.shape[0])
-        for moments in self._final_moments(x, rng, self.num_samples, posteriors):
-            data_terms += variational_expectations(
-                self.likelihood, moments.mean, moments.cov, y
-            )
-        data_terms /= self.num_samples
-
-        kl = sum(post.kl() for post in posteriors)
-        scale = _scale(self.num_data, x.shape[0], scale)
-        return scale * float(np.sum(data_terms)) - kl
+        return _elbo(*self._data(batch, rng, scale))
 
     def predict_f(self, xnew, rng: RngState, num_samples: int = 100):
         """Posterior marginals by mixing over propagated samples."""
@@ -705,7 +685,10 @@ class DGPModel(Model):
     def _sampled_marginals(self, x, rng, num_samples):
         """Final-layer (mean, var) at each of ``num_samples`` propagations."""
         posteriors = self._posteriors()
-        for moments in self._final_moments(x, rng, num_samples, posteriors):
+        foc = self.likelihood.requires_full_output_cov
+        for _ in range(num_samples):
+            h = self.propagate(x, rng, posteriors)
+            moments = _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
             var = moments.cov
             if var.ndim == 3:  # [N, P, P] -> per-output marginals
                 var = np.einsum("npp->np", var)
@@ -778,11 +761,8 @@ class UncertainSVGP(Model):
         return float(0.5 * np.sum(s + mu * mu - 1.0 - np.log(s)))
 
     def elbo(self, rng: RngState) -> float:
+        """The SVGP's ELBO at inputs drawn from their posteriors, each row
+        weighted 1, minus the inputs' KL."""
         eps = standard_normal(rng, self.input_mean.shape)
         x_tilde = self.input_mean + np.sqrt(self.input_var) * eps
-        foc = self.svgp.likelihood.requires_full_output_cov
-        moments = self.svgp.predict_f(x_tilde, full_cov=False, full_output_cov=foc)
-        ve = variational_expectations(
-            self.svgp.likelihood, moments.mean, moments.cov, self.y
-        )
-        return float(np.sum(ve)) - self.input_kl() - self.svgp.prior_kl()
+        return self.svgp.elbo((x_tilde, self.y), 1.0) - self.input_kl()

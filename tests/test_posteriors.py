@@ -46,6 +46,7 @@ from sparsegp import (
     optimal_q,
     prior_kl,
     standard_normal,
+    variational_expectations,
 )
 from sparsegp import conditionals
 from sparsegp.conditionals import chunk_rows, create_posterior
@@ -372,6 +373,31 @@ def test_unwhitened_dgp_elbo_shares_its_factors_with_the_kl(samples):
     with counted_cholesky() as calls:
         dgp.elbo((x, np.sin(x)), RngState(0))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_dgp_elbo_over_stacked_samples_is_the_per_sample_average(whiten):
+    # The ELBO predicts all of its propagations in one stacked pass; it must
+    # be the average over samples of each propagation's expectation.
+    dgp = _two_layer_dgp(RngState(8), whiten)
+    dgp.num_samples = 3
+    x = np.linspace(-2.0, 2.0, 6)[:, None]
+    y = np.sin(x)
+    posteriors = [
+        create_posterior(layer.inducing, layer.kernel, layer.q, JITTER)
+        for layer in dgp.layers
+    ]
+    rng = RngState(4)
+    data = np.zeros(x.shape[0])
+    for _ in range(3):
+        h = dgp.propagate(x, rng)
+        moments = posteriors[-1].predict(h)
+        mean = moments.mean + dgp.layers[-1].mean_function(h)
+        data += variational_expectations(dgp.likelihood, mean, moments.cov, y)
+    kl = sum(post.kl() for post in posteriors)
+    want = (10 / 6) * float(np.sum(data / 3)) - kl
+    got = dgp.elbo((x, y), RngState(4))
+    assert got == pytest.approx(want, rel=RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("whiten", [False, True])
