@@ -243,8 +243,7 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
         }
 
     y = dataset.y
-    mean, var = model.predict_moments(dataset.x)
-    logdens = model.log_density(dataset.x, y, mean, var)
+    mean, var, logdens = model.predict_log_density(dataset.x, y)
     ymu, _ = predict_observation_moments(lik, mean, var)
     if y.shape != ymu.shape:
         raise DataError(

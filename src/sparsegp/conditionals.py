@@ -9,10 +9,17 @@ shape (``layout``: q's blocks, outputs per point and input columns, read by
 ``num_inducing``, ``check_q`` and the models) and the moments of one block
 of rows (``_chunk``), with their backward (``_chunk_vjp``) where the pair has
 one.  Kuu is a plain array that the posterior factors once, when it is
-built; its ``kl`` and ``kl_gradient`` read that factor.  ``backward`` runs
-the chunks' backward over the rows that ``predict`` streams, giving an
-objective's gradient with respect to q (and to W, for a latent set that
-mixes with one) from its gradients with respect to the marginal moments.
+built; its ``kl`` reads that factor.  ``backward`` runs the chunks'
+backward over the rows that ``predict`` streams, giving the gradient of an
+objective of the marginal moments minus the KL with respect to q (and to
+W, for a latent set that mixes with one) from the objective's gradients
+with respect to the moments.  A pair with ``input_vjp`` (inducing points
+with a stationary kernel) also supplies the VJPs of its own ``kuu`` and
+``kuf``: each chunk's Kuf cotangent goes through ``kuf_vjp``, and the
+factor's cotangent, summed over the chunks with the unwhitened KL's, goes
+through one Cholesky backward (``numerics.cholesky_vjp``) into
+``kuu_vjp``, giving the gradients with respect to Z, the kernel's
+parameters and the input rows.
 A pair that is refused raises from ``layout``, ``kuu`` and ``kuf`` alike, so
 a model holding it is refused when it is built.  A new pair registers one
 such class and nothing else.
@@ -67,12 +74,21 @@ from .kernels import (
     Kernel,
     MultioutputKernel,
     SquaredExponential,
+    Stationary,
     k_diag,
     k_full,
     mo_k,
     mo_k_diag,
 )
-from .numerics import RngState, cholesky, record_allocation, standard_normal, tri_solve
+from .numerics import (
+    RngState,
+    cholesky,
+    cholesky_vjp,
+    record_allocation,
+    standard_normal,
+    tri_solve,
+    tri_solve_vjp,
+)
 from .schema import Param, Schema, Static
 
 # Marginal variances at or below this are treated as exactly zero when
@@ -197,11 +213,12 @@ def _gram_adjoint(x, g, n, p, full_cov, full_output_cov):
     return np.einsum("rnq,npq->rnp", x3, sym).reshape(x.shape)  # g: [N, P, P]
 
 
-def _moments_vjp(a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
+def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
     """Mean [N, P], covariance in the mode shape, and their pullback.
 
-    ``a`` and ``proj`` come from :func:`_project` for a Kmn of [M, N, P];
-    knn is the prior covariance, already in the mode shape.  Unwhitened:
+    ``a`` and ``proj`` come from :func:`_project` for Kmm = lm lmᵀ and a
+    Kmn of [M, N, P] (``proj`` is ``a`` when whitened); knn is the prior
+    covariance, already in the mode shape.  Unwhitened:
     mean = Kmnᵀ Kmm⁻¹ m and
     cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
     Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
@@ -210,7 +227,9 @@ def _moments_vjp(a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
     factor of S = sqrt sqrtᵀ, as a :class:`QGradient`: proj ∂mean, and
     proj (D (∂cov + ∂covᵀ))ᵀ with D = sqrtᵀ proj, which for marginal
     variances is 2 proj diag(∂var) projᵀ sqrt (Hensman et al. 2013,
-    arXiv:1309.6835).
+    arXiv:1309.6835).  With ``prior`` it also returns the gradients with
+    respect to Kmn [M, N, P], Knn (∂cov itself) and lm's lower triangle,
+    through the VJPs of the triangular solves.
     """
     mean = (proj.T @ mu).reshape(n, p)
     shape = _cov_shape(n, p, full_cov, full_output_cov)
@@ -222,12 +241,27 @@ def _moments_vjp(a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
         cov = cov + _gram(d, n, p, full_cov, full_output_cov).reshape(shape)
     record_allocation(cov)
 
-    def pullback(dmean, dcov):
-        dmu = proj @ np.reshape(dmean, -1)
+    def pullback(dmean, dcov, prior=False):
+        dmean = np.reshape(dmean, -1)
+        dmu = proj @ dmean
         if d is None:
-            return QGradient(dmu, None if sqrt is None else np.zeros_like(sqrt))
-        adjoint = _gram_adjoint(d, dcov, n, p, full_cov, full_output_cov)
-        return QGradient(dmu, proj @ adjoint.T)
+            q = QGradient(dmu, None if sqrt is None else np.zeros_like(sqrt))
+        else:
+            adjoint = _gram_adjoint(d, dcov, n, p, full_cov, full_output_cov)
+            q = QGradient(dmu, proj @ adjoint.T)
+        if not prior:
+            return q
+        # proj's gradient, then A's (in place, one [M, NP] array at a time)
+        da = np.outer(mu, dmean)
+        if d is not None:
+            da += sqrt @ adjoint
+            del adjoint
+        dl = 0.0
+        if proj is not a:
+            dl, da = tri_solve_vjp(lm, proj, da, transpose=True)
+        da -= _gram_adjoint(a, dcov, n, p, full_cov, full_output_cov)
+        dl_a, dkmn = tri_solve_vjp(lm, a, da)
+        return q, dkmn.reshape(-1, n, p), dcov, dl + dl_a
 
     return mean, cov, pullback
 
@@ -293,7 +327,7 @@ def fully_correlated_conditional(
     if knn.shape != shape:
         raise ShapeMismatch(f"Knn has shape {knn.shape}, the mode needs {shape}")
     mean, cov, _ = _moments_vjp(
-        *_project(lm, kmn, q.whiten), n, p, knn, q.q_mu, q.dense_sqrt(),
+        lm, *_project(lm, kmn, q.whiten), n, p, knn, q.q_mu, q.dense_sqrt(),
         full_cov, full_output_cov,
     )
     return PosteriorMoments(mean, cov, full_cov, full_output_cov)
@@ -306,20 +340,34 @@ def fully_correlated_conditional(
 class QGradient(NamedTuple):
     """Gradients with respect to q, each in the shape of its field (per
     latent blocks for ``q_sqrt`` when q has them), and with respect to the
-    kernel's mixing matrix ``w`` when a latent set mixes with one."""
+    kernel's mixing matrix ``w`` when a latent set mixes with one.  Where
+    the pair has the VJPs of its ``kuu`` and ``kuf``, ``backward`` also
+    gives ``params`` (slot name under the pair, such as ``inducing.z`` or
+    ``kernel.variance`` -> gradient) and ``inputs``, the gradient with
+    respect to the input rows."""
 
     q_mu: np.ndarray
     q_sqrt: np.ndarray | tuple[np.ndarray, ...] | None
     w: np.ndarray | None = None
+    params: dict | None = None
+    inputs: np.ndarray | None = None
 
 
-def _add(a, b):
-    """Elementwise sum of two gradients of one nested structure."""
+def _add(a, b, scale=1.0):
+    """Elementwise a + scale·b of two gradients of one nested structure."""
     if a is None:
         return None
     if isinstance(a, tuple):
-        return tuple(_add(x, y) for x, y in zip(a, b))
-    return a + b
+        return tuple(_add(x, y, scale) for x, y in zip(a, b))
+    return a + scale * b
+
+
+def accumulate(total: dict, part: dict, prefix: str = "") -> dict:
+    """Add each gradient of ``part`` into ``total`` under ``prefix``."""
+    for name, grad in part.items():
+        name = prefix + name
+        total[name] = grad if name not in total else total[name] + grad
+    return total
 
 
 @dataclass(frozen=True)
@@ -347,16 +395,24 @@ class Posterior:
     ``factor`` is the lower Cholesky factor of Kuu, or for latent inducing
     variables the list of per-latent factors; a posterior given the
     ``factor`` of its pair (another latent's) reads it instead of factoring.
+    ``factor_jitter`` is the jitter ``cholesky`` escalated to, if any.
     Build one with ``create_posterior``.
     """
 
     correlated_outputs = False  # whether per-point outputs can correlate
+    # Whether the pair has the VJPs of its kuu and kuf (``kuu_vjp``,
+    # ``_blocks_vjp``), so that ``backward`` reaches its parameters and inputs.
+    input_vjp = False
 
     def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None, factor=None):
         self.inducing = iv
         self.kernel = kernel
         self.q = q
-        self.factor = cholesky(kuu(iv, kernel, jitter), jitter=0.0) if factor is None else factor
+        applied = []
+        if factor is None:
+            factor = cholesky(kuu(iv, kernel, jitter), jitter=0.0, applied=applied)
+        self.factor = factor
+        self.factor_jitter = applied[0] if applied else 0.0
 
     @classmethod
     def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -414,46 +470,78 @@ class Posterior:
     def sample(self, xnew, rng: RngState, num_samples: int = 1) -> np.ndarray:
         """Reparameterized draws of f(Xnew) from its per-point marginals;
         returns [num_samples, N, P]."""
+        return self.draw(xnew, rng, num_samples)[0]
+
+    def draw(self, xnew, rng: RngState, num_samples: int = 1):
+        """``sample``'s draws [S, N, P] with the noise that made them
+        (eps [S, N, P]) and, for uncorrelated outputs, the marginal
+        variances [N, P] that scale it, zero at or below
+        :data:`SAMPLE_VARIANCE_FLOOR` (None for correlated outputs)."""
         correlated = self.correlated_outputs
         moments = self.predict(xnew, full_cov=False, full_output_cov=correlated)
         n, p = moments.mean.shape
         eps = standard_normal(rng, (int(num_samples), n, p))
         if correlated:
             factors = np.stack([_marginal_sqrt(c) for c in moments.cov])  # [N, P, P]
-            noise = np.einsum("npq,snq->snp", factors, eps)
+            noise, var = np.einsum("npq,snq->snp", factors, eps), None
         else:
             var = np.asarray(moments.cov, dtype=float)
             var = np.where(var <= SAMPLE_VARIANCE_FLOOR, 0.0, var)
             noise = np.sqrt(var) * eps
-        return moments.mean[None, :, :] + noise
+        return moments.mean[None, :, :] + noise, eps, var
 
     def backward(self, x, seed, full_output_cov: bool = False):
         """The :class:`QGradient` of an objective of the marginal moments at
-        ``x``, or None when the pair has no backward.
+        ``x`` minus this posterior's KL, or None when the pair has no
+        backward.
 
         ``seed(rows, mean, cov)`` returns the objective's gradients with
         respect to the marginal mean and covariance of the rows ``x[rows]``;
         the rows run in the chunks that ``predict`` streams over.  A model's
         seed is its data term called with ``grads`` (``models._data_term``),
         the same term its objective takes on ``predict``'s moments.
+
+        Where the pair has ``input_vjp``, each chunk's pullback also gives
+        the gradients with respect to its Kuf, its prior covariance and the
+        Kuu factor.  The first two go through the pair's ``_blocks_vjp`` to
+        its parameters and to the rows; the factor's, summed over the chunks
+        with the KL's, go through one Cholesky backward into ``kuu_vjp``.
         """
         x = np.asarray(x, dtype=float)
-        total = None
+        exact = self.input_vjp
+        total, dfactor, params = None, 0.0, {}
+        inputs = np.zeros_like(x) if exact else None
         for rows in chunk_slices(x.shape[0], self._row_floats()):
             mean, cov, pullback = self._chunk_vjp(x[rows], False, full_output_cov)
             if pullback is None:
                 return None
-            part = pullback(*seed(rows, mean, cov))
+            dmoments = seed(rows, mean, cov)
+            if exact:
+                part, dkmn, dknn, dl = pullback(*dmoments, prior=True)
+                del pullback  # and the chunk's solves, before the blocks' VJPs
+                dfactor = dfactor + dl
+                blocks, inputs[rows] = self._blocks_vjp(x[rows], dkmn, dknn)
+                accumulate(params, blocks)
+            else:
+                part = pullback(*dmoments)
             total = part if total is None else QGradient(*_add(total, part))
-        return total
+        dmu, dsqrt, kl_factor = gauss_kl_gradient(self.q, self.factor)
+        if exact:
+            if kl_factor is not None:
+                dfactor = dfactor - kl_factor
+            dkuu = cholesky_vjp(self.factor, dfactor, self.factor_jitter)
+            accumulate(params, self.kuu_vjp(self.inducing, self.kernel, dkuu))
+        return QGradient(
+            total.q_mu - dmu,
+            _add(total.q_sqrt, dsqrt, -1.0),
+            total.w,
+            params if exact else None,
+            inputs,
+        )
 
     def kl(self) -> float:
         """KL(q(u) || p(u)), reading the factor instead of refactoring."""
         return prior_kl(self.inducing, self.kernel, self.q, factor=self.factor)
-
-    def kl_gradient(self) -> QGradient:
-        """The gradient of ``kl()`` with respect to q, reading the factor."""
-        return QGradient(*gauss_kl_gradient(self.q, self.factor))
 
 
 def layout(iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -573,12 +661,23 @@ class _DensePosterior(Posterior):
         for post in posts:
             q = post.q
             yield _moments_vjp(
-                a, proj, n, p, knn, q.q_mu, q.dense_sqrt(), full_cov, full_output_cov
+                self.factor, a, proj, n, p, knn, q.q_mu, q.dense_sqrt(),
+                full_cov, full_output_cov,
             )
+
+
+def _pair_slots(dz, kernel_grads) -> dict:
+    """A pair's gradients by slot name under the pair: its inducing inputs'
+    and its kernel's parameters', keyed by the kernel's own schema names."""
+    return accumulate({"inducing.z": dz}, kernel_grads, "kernel.")
 
 
 @PAIRS.register(InducingPoints, Kernel)
 class SingleOutputPosterior(_DensePosterior):
+    @property
+    def input_vjp(self):
+        return isinstance(self.kernel, Stationary) and self.kernel.dk_dr2 is not None
+
     @classmethod
     def layout(cls, iv, kernel):
         return Layout((iv.num_rows,), False, 1, iv.z.shape[1])
@@ -591,10 +690,31 @@ class SingleOutputPosterior(_DensePosterior):
     def kuf(cls, iv, kernel, xnew):
         return k_full(kernel, iv.z, xnew)  # [M, N]
 
+    @classmethod
+    def kuu_vjp(cls, iv, kernel, dkuu):
+        """Slot name -> gradient of Σ dkuu ⊙ Kuu, for a stationary kernel
+        that gives dk/dr² (the jitter is a constant)."""
+        dz, dz2, grads = kernel.K_vjp(iv.z, iv.z, dkuu)
+        return _pair_slots(dz + dz2, grads)
+
+    @classmethod
+    def kuf_vjp(cls, iv, kernel, xnew, dkuf):
+        """Slot name -> gradient of Σ dkuf ⊙ Kuf, and its gradient with
+        respect to ``xnew``, for a stationary kernel that gives dk/dr²."""
+        dz, dx, grads = kernel.K_vjp(iv.z, xnew, dkuf)
+        return _pair_slots(dz, grads), dx
+
     def _blocks(self, x, full_cov, full_output_cov):
         kmn = kuf(self.inducing, self.kernel, x)[:, :, None]  # [M, N, 1]
         knn = k_full(self.kernel, x) if full_cov else k_diag(self.kernel, x)
         return kmn, knn.reshape(_cov_shape(kmn.shape[1], 1, full_cov, full_output_cov))
+
+    def _blocks_vjp(self, x, dkmn, dknn):
+        """``_blocks``' VJP in the marginal modes: slot name -> gradient,
+        and the gradient with respect to the rows ``x``."""
+        slots, dx = self.kuf_vjp(self.inducing, self.kernel, x, dkmn[:, :, 0])
+        ddiag, grads = self.kernel.K_diag_vjp(x, np.reshape(dknn, -1))
+        return accumulate(slots, grads, "kernel."), dx + ddiag
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +733,8 @@ def _multiscale_prefactor(kernel, eff2):
 
 @PAIRS.register(Multiscale, SquaredExponential)
 class MultiscalePosterior(SingleOutputPosterior):
+    input_vjp = False  # its windowed kuu and kuf have no VJPs
+
     @classmethod
     def kuu(cls, iv, kernel, jitter):
         z = iv.z
@@ -661,6 +783,8 @@ class UnwindowedMultiscale(Posterior):
 # apply once Kuu/Kuf are the patch covariances.
 @PAIRS.register(InducingPatches, Convolutional)
 class PatchPosterior(SingleOutputPosterior):
+    input_vjp = False  # its patch sums have no VJPs
+
     @classmethod
     def layout(cls, iv, kernel):  # one variable per patch; inputs are images
         ih, iw = kernel.image_shape

@@ -89,24 +89,33 @@ def gauss_kl(q, factor=None) -> float:
 
 
 def gauss_kl_gradient(q, factor=None):
-    """The gradients of ``gauss_kl(q, factor)`` with respect to q_mu and
-    q_sqrt, each in its field's shape.
+    """The gradients of ``gauss_kl(q, factor)`` with respect to q_mu,
+    q_sqrt and the prior's factor, each in its argument's shape (None for
+    the factor of whitened q, which reads none).
 
     Per block, whitened: m and L_S − diag(1 / diag L_S); unwhitened:
-    Kuu⁻¹m and Kuu⁻¹L_S − diag(1 / diag L_S), through triangular solves.
+    Kuu⁻¹m and Kuu⁻¹L_S − diag(1 / diag L_S), through triangular solves,
+    and for the factor L, diag(1 / diag L) − tril(Kuu⁻¹m αᵀ + Kuu⁻¹L_S βᵀ)
+    with α = L⁻¹m and β = L⁻¹L_S.
     """
-    means, sqrts = [], []
+    means, sqrts, factors = [], [], []
     for mu, sqrt, luu in _blocks(q, factor):
         sqrt = _require_square_factor(sqrt, mu.shape[0])
         inv_diag = np.diag(1.0 / np.diag(sqrt))  # from -1/2 log|S|
         if luu is None:
             means.append(mu)
             sqrts.append(sqrt - inv_diag)
-        else:
-            means.append(tri_solve(luu, tri_solve(luu, mu), transpose=True))
-            sqrts.append(tri_solve(luu, tri_solve(luu, sqrt), transpose=True) - inv_diag)
-    sqrt = tuple(sqrts) if q.is_block else sqrts[0]
-    return np.concatenate(means), sqrt
+            continue
+        alpha, beta = tri_solve(luu, mu), tri_solve(luu, sqrt)
+        dmu = tri_solve(luu, alpha, transpose=True)
+        dsqrt = tri_solve(luu, beta, transpose=True)
+        means.append(dmu)
+        sqrts.append(dsqrt - inv_diag)
+        dl = np.diag(1.0 / np.diag(luu)) - np.tril(np.outer(dmu, alpha) + dsqrt @ beta.T)
+        factors.append(dl)
+    if q.is_block:
+        return np.concatenate(means), tuple(sqrts), factors or None
+    return means[0], sqrts[0], factors[0] if factors else None
 
 
 def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:

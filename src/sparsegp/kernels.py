@@ -5,6 +5,12 @@ covariance of P outputs at N and N2 points is an [N, P, N2, P] tensor whose
 row-major flattening matches index i = n * P + p.  A kernel of independent
 latent processes writes its latent-to-output map once, as ``mix_mean`` and
 ``mix``; its ``K`` and ``K_diag`` and the latent posteriors all apply it.
+
+A stationary kernel has one vector-Jacobian product, ``K_vjp``: the
+gradients of Σ G ⊙ K(x, x2) with respect to x, x2, ``variance`` and
+``lengthscales``.  Each family gives only its dk/dr² (``dk_dr2``), finite
+at r = 0 (Matérn-1/2 takes its central derivative 0 there); a family
+without one has no VJP, and training takes differences for its slots.
 """
 
 from __future__ import annotations
@@ -83,6 +89,11 @@ class Stationary(SingleOutputKernel):
     def _from_r2(self, r2):
         raise NotImplementedError
 
+    # dk/dr² at the scaled squared distances r², 0 at r² = 0 where k has a
+    # kink there: a family that gives it (``dk_dr2(self, r2)``) has
+    # ``K_vjp``, and training takes differences for one that does not.
+    dk_dr2 = None
+
     def K(self, x, x2=None) -> np.ndarray:
         out = self._from_r2(self._scaled_r2(x, x2))
         record_allocation(out)
@@ -92,6 +103,32 @@ class Stationary(SingleOutputKernel):
         x = _as_2d(x)
         return np.full(x.shape[0], self.variance)
 
+    def K_vjp(self, x, x2, dk):
+        """The gradients of Σ dk ⊙ K(x, x2) with respect to x, x2 and the
+        kernel's parameters (keyed by their schema names), from ``dk_dr2``."""
+        x, x2 = _as_2d(x), _as_2d(x2)
+        r2 = self._scaled_r2(x, x2)
+        dvariance = float(np.sum(dk * self._from_r2(r2))) / self.variance
+        g = self.dk_dr2(r2)
+        del r2
+        g *= dk  # the gradient with respect to r²
+        ls = self.lengthscales
+        a, b = x / ls, x2 / ls
+        rows, cols = g.sum(axis=1), g.sum(axis=0)
+        gb, ga = g @ b, g.T @ a
+        # r² = Σ_d (a_d - b_d)², a = x / ℓ and b = x2 / ℓ
+        dx = (2.0 / ls) * (a * rows[:, None] - gb)
+        dx2 = (2.0 / ls) * (b * cols[:, None] - ga)
+        per_dim = rows @ (a * a) - 2.0 * np.sum(a * gb, axis=0) + cols @ (b * b)
+        dls = -(2.0 / ls) * per_dim
+        if ls.shape[0] == 1:  # one lengthscale for every dimension
+            dls = dls.sum(keepdims=True)
+        return dx, dx2, {"variance": dvariance, "lengthscales": dls}
+
+    def K_diag_vjp(self, x, dk):
+        """``K_vjp`` of ``K_diag``: the diagonal is the variance alone."""
+        return np.zeros_like(_as_2d(x)), {"variance": float(np.sum(dk))}
+
 
 class SquaredExponential(Stationary):
     schema = Schema("sqexp", *Stationary.fields)
@@ -99,12 +136,23 @@ class SquaredExponential(Stationary):
     def _from_r2(self, r2):
         return self.variance * np.exp(-0.5 * r2)
 
+    def dk_dr2(self, r2):
+        return -0.5 * self.variance * np.exp(-0.5 * r2)
+
 
 class Matern12(Stationary):
     schema = Schema("matern12", *Stationary.fields)
 
     def _from_r2(self, r2):
         return self.variance * np.exp(-np.sqrt(r2))
+
+    def dk_dr2(self, r2):
+        # k = σ² e^{-r}: dk/dr² = -σ² e^{-r} / 2r, whose kink at r = 0 takes
+        # the symmetric (central) derivative 0.
+        r = np.sqrt(r2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = -0.5 * self.variance * np.exp(-r) / r
+        return np.where(r > 0.0, out, 0.0)
 
 
 class Matern32(Stationary):
@@ -114,6 +162,9 @@ class Matern32(Stationary):
         r = np.sqrt(3.0 * r2)
         return self.variance * (1.0 + r) * np.exp(-r)
 
+    def dk_dr2(self, r2):
+        return -1.5 * self.variance * np.exp(-np.sqrt(3.0 * r2))
+
 
 class Matern52(Stationary):
     schema = Schema("matern52", *Stationary.fields)
@@ -121,6 +172,10 @@ class Matern52(Stationary):
     def _from_r2(self, r2):
         r = np.sqrt(5.0 * r2)
         return self.variance * (1.0 + r + r * r / 3.0) * np.exp(-r)
+
+    def dk_dr2(self, r2):
+        r = np.sqrt(5.0 * r2)
+        return -(5.0 / 6.0) * self.variance * (1.0 + r) * np.exp(-r)
 
 
 class Linear(SingleOutputKernel):

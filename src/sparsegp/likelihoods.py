@@ -43,6 +43,12 @@ class Likelihood:
         and ``fvar``, in their shapes."""
         raise NotImplementedError
 
+    def parameter_gradients(self, fmu, fvar, y) -> dict:
+        """The gradients of the summed expectations with respect to the
+        likelihood's own parameters, keyed by their schema names; empty
+        where training takes differences for them."""
+        return {}
+
     def check_targets(self, y):
         """Raise ``DataError`` for targets outside the likelihood's support."""
 
@@ -79,6 +85,11 @@ class Gaussian(Likelihood):
         if not grads:
             return values
         return values, (y - fmu) / self.variance, np.full_like(fvar, -0.5 / self.variance)
+
+    def parameter_gradients(self, fmu, fvar, y):
+        # d/dσ² of -1/2 log(2πσ²) - ((y - μ)² + v) / 2σ², summed
+        squares = float(np.sum((y - fmu) ** 2 + fvar))
+        return {"variance": 0.5 * (squares / self.variance - fmu.size) / self.variance}
 
     def predict_moments(self, fmu, fvar):
         return fmu, fvar + self.variance

@@ -7,12 +7,12 @@ pure function of (parameters, batch, random state).  Training (see the
 mutating them.
 
 An SVGP or a deep GP states its data term once (``_data_term``); its ELBO
-(``_elbo``) and its exact q gradients (``_q_gradients``) both read it.
+(``_elbo``) and its exact gradients (``_gradients``) both read it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
@@ -21,6 +21,7 @@ from .conditionals import (
     Posterior,
     PosteriorMoments,
     VariationalGaussian,
+    accumulate,
     check_q,
     layout,
     stream_marginals,
@@ -102,7 +103,9 @@ class Model:
       same data term as the objective and without evaluating it; training
       takes finite differences for every other slot.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
-      posterior (mean, cov) of the latent outputs, marginal [N, P] by default;
+      posterior (mean, cov) of the latent outputs, marginal [N, P] by default,
+      and ``predict_log_density(x, y)``: its marginals with the log
+      predictive density of each row of ``y``;
       ``check_modes(full_cov, full_output_cov)`` refuses, before anything is
       computed, a mode the kind does not predict (none by default);
     - ``likelihood``, and ``input_dim``: input columns, None when free;
@@ -123,14 +126,15 @@ class Model:
     def check_modes(self, full_cov, full_output_cov):
         pass
 
-    def log_density(self, x, y, mean, var) -> np.ndarray:
-        """Log predictive density of each row of ``y``; ``mean`` and ``var``
-        are the marginals ``predict_moments`` gave at ``x``."""
+    def predict_log_density(self, x, y):
+        """The marginals (mean, var) that ``predict_moments`` gives at
+        ``x``, and the log predictive density of each row of ``y``."""
         lik = self.likelihood
+        mean, var = self.predict_moments(x)
         if lik.requires_full_output_cov:
-            mean, cov = self.predict_moments(x, full_output_cov=True)
-            return predictive_log_density(lik, mean, cov, y)
-        return predictive_log_density(lik, mean, var, y)
+            full_mean, cov = self.predict_moments(x, full_output_cov=True)
+            return mean, var, predictive_log_density(lik, full_mean, cov, y)
+        return mean, var, predictive_log_density(lik, mean, var, y)
 
 
 # Fields an SVGP shares with a deep-GP layer.  q's entries sit in the model
@@ -192,7 +196,8 @@ def _data_term(gp, lik, x, y, weight, outputs=None):
     or a deep-GP layer, as ``term(rows, mean, cov, grads=False)`` of the
     posterior's marginal moments at ``x[rows]``.  With ``grads`` it returns
     the term's gradients with respect to (mean, cov) instead, the seed of
-    ``Posterior.backward``.
+    ``Posterior.backward``, and with respect to the likelihood's parameters
+    that have them (schema name -> gradient).
 
     Heterotopic rows (``outputs`` holds the output each row observes) are
     grouped by output: each group reads its output's column under the
@@ -215,10 +220,12 @@ def _data_term(gp, lik, x, y, weight, outputs=None):
                 float(np.sum(variational_expectations(part, mean[i], cov[i], t)))
                 for part, i, t in groups(rows)
             )
-        dmean, dcov = np.zeros_like(mean), np.zeros_like(cov)
+        dmean, dcov, dlik = np.zeros_like(mean), np.zeros_like(cov), {}
         for part, i, t in groups(rows):
             dmean[i], dcov[i] = expectation_gradients(part, mean[i], cov[i], t)
-        return weight * dmean, weight * dcov
+            if part is lik:  # not a correlated likelihood's one-output marginal
+                accumulate(dlik, part.parameter_gradients(mean[i], cov[i], t))
+        return weight * dmean, weight * dcov, {k: weight * g for k, g in dlik.items()}
 
     return term
 
@@ -231,25 +238,51 @@ def _elbo(posteriors, x, term, foc) -> float:
     return term(slice(None), moments.mean, moments.cov) - kl
 
 
-def _q_gradients(prefix, posteriors, x, term, foc) -> dict:
-    """Slot name -> gradient of ``_elbo`` for the last posterior's q (and
-    mixing W) slots, under ``prefix``: the data term's, through that
-    posterior's backward, minus its KL's.  Empty for a pair without a
+def _backward(prefix, gp, post: Posterior, x, seed, foc):
+    """Slot name (under ``prefix``) -> gradient of an objective of the
+    marginal moments at ``x`` of an SVGP or a deep-GP layer, minus its KL,
+    and the gradient with respect to the rows ``x`` (None where the pair
+    has no input VJP).  ``seed`` is as for ``Posterior.backward``; its mean
+    gradient is also the one of the mean function's output, so a
+    ``Constant`` mean's value takes its sum.  Empty for a pair without a
     backward."""
-    post = posteriors[-1]
-    data = post.backward(x, partial(term, grads=True), foc)
-    if data is None:
-        return {}
-    kl = post.kl_gradient()
-    grads = {prefix + "q_mu": data.q_mu - kl.q_mu}
-    if isinstance(kl.q_sqrt, tuple):
-        for i, (d, k) in enumerate(zip(data.q_sqrt, kl.q_sqrt)):
-            grads[f"{prefix}q_sqrt.{i}"] = d - k
+    dvalue = []
+
+    def seeded(rows, mean, cov):
+        dmean, dcov = seed(rows, mean, cov)
+        dvalue.append(np.sum(dmean))
+        return dmean, dcov
+
+    grads = post.backward(x, seeded, foc)
+    if grads is None:
+        return {}, None
+    out = {prefix + "q_mu": grads.q_mu}
+    if isinstance(grads.q_sqrt, tuple):
+        for i, block in enumerate(grads.q_sqrt):
+            out[f"{prefix}q_sqrt.{i}"] = block
     else:
-        grads[prefix + "q_sqrt"] = data.q_sqrt - kl.q_sqrt
-    if data.w is not None:
-        grads[prefix + "kernel.w"] = data.w
-    return grads
+        out[prefix + "q_sqrt"] = grads.q_sqrt
+    if grads.w is not None:
+        out[prefix + "kernel.w"] = grads.w
+    accumulate(out, grads.params or {}, prefix)
+    if isinstance(gp.mean_function, Constant):
+        out[prefix + "mean.value"] = float(np.sum(dvalue))
+    return out, grads.inputs
+
+
+def _gradients(prefix, gp, posteriors, x, term, foc):
+    """``_backward`` of ``_elbo`` for the last posterior, that of ``gp``:
+    its slots under ``prefix`` and the likelihood's, and the gradient with
+    respect to its rows."""
+    lik = {}
+
+    def seed(rows, mean, cov):
+        dmean, dcov, dlik = term(rows, mean, cov, grads=True)
+        accumulate(lik, dlik, "likelihood.")
+        return dmean, dcov
+
+    grads, inputs = _backward(prefix, gp, posteriors[-1], x, seed, foc)
+    return {**grads, **lik}, inputs
 
 
 def _scale(num_data, batch_size, scale) -> float:
@@ -433,12 +466,15 @@ class SVGPModel(Model):
         return pm.mean, pm.cov
 
     def objective_gradients(self, batch, rng, scale):
-        """The ELBO's q gradients, and W's for a latent set that mixes with
-        one: the chain rule of Hensman et al. 2013 (arXiv:1309.6835) from
-        the data term's gradients with respect to the marginal moments,
-        through the posterior's backward, minus the KL's.  Empty for a pair
-        without a backward."""
-        return _q_gradients("", *self._data(batch, scale))
+        """The ELBO's gradients: the chain rule of Hensman et al. 2013
+        (arXiv:1309.6835) from the data term's gradients with respect to
+        the marginal moments, through the posterior's backward, minus the
+        KL's.  q's, and W's for a latent set that mixes with one; Z's and
+        the kernel's where the pair has the VJPs of its kuu and kuf (points
+        with a stationary kernel); a Gaussian likelihood's variance and a
+        ``Constant`` mean's value."""
+        posteriors, x, term, foc = self._data(batch, scale)
+        return _gradients("", self, posteriors, x, term, foc)[0]
 
     def _data(self, batch, scale):
         """(posteriors, x, the data term, whether it reads full output
@@ -621,21 +657,49 @@ class DGPModel(Model):
         return self.elbo(batch, rng(), scale)
 
     def objective_gradients(self, batch, rng, scale):
-        """The last layer's q gradients, as for an SVGP, at the inputs that
-        ``rng()`` propagates, the ones the objective sees.  Earlier layers'
-        q move those inputs, so they keep finite differences."""
-        prefix = f"layers.{len(self.layers) - 1}."
-        return _q_gradients(prefix, *self._data(batch, rng(), scale))
+        """The ELBO's gradients by reverse mode through the reparameterized
+        samples (Salimbeni & Deisenroth 2017, arXiv:1705.08933), at the
+        draws that ``rng()`` makes, the ones the objective sees.
 
-    def _data(self, batch, rng, scale):
+        The last layer's slots are an SVGP's, at the propagated inputs.  A
+        hidden state h = mean + sqrt(var)·eps (+ the mean function) pulls
+        its gradient back to that layer's marginal moments, with
+        ∂var = ∂h·eps / 2 sqrt(var) (0 where var was floored), and its
+        layer's backward gives that layer's slots and the gradient with
+        respect to the layer below.  A layer whose pair has no input VJP,
+        or whose outputs correlate, stops the chain: the layers below it
+        keep finite differences."""
+        record = []
+        posteriors, h, term, foc = self._data(batch, rng(), scale, record)
+        last = len(self.layers) - 1
+        grads, dh = _gradients(f"layers.{last}.", self.layers[-1], posteriors, h, term, foc)
+        for i in reversed(range(last)):
+            draws = record[i::last]  # this layer's, one per sample
+            if dh is None or any(var is None for _, _, var in draws):
+                break
+            inputs, eps, var = (np.concatenate(parts) for parts in zip(*draws))
+
+            def seed(rows, mean, cov, dh=dh, eps=eps, var=var):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    dvar = dh[rows] * eps[rows] / (2.0 * np.sqrt(var[rows]))
+                return dh[rows], np.where(var[rows] > 0.0, dvar, 0.0)
+
+            layer, dh = _backward(
+                f"layers.{i}.", self.layers[i], posteriors[i], inputs, seed, False
+            )
+            grads.update(layer)
+        return grads
+
+    def _data(self, batch, rng, scale, record=None):
         """(the layers' posteriors, inputs, data term, full output
         covariances) of the last layer: the batch's ``num_samples``
-        propagations stacked, each row weighted by 1 / ``num_samples``."""
+        propagations stacked, each row weighted by 1 / ``num_samples``.
+        ``record`` is as for ``propagate``."""
         x, y = batch
         x = np.asarray(x, dtype=float)
         posteriors = self._posteriors()
         h = np.concatenate(
-            [self.propagate(x, rng, posteriors) for _ in range(self.num_samples)]
+            [self.propagate(x, rng, posteriors, record) for _ in range(self.num_samples)]
         )
         y = np.tile(_as_columns(y), (self.num_samples, 1))
         weight = _scale(self.num_data, x.shape[0], scale) / self.num_samples
@@ -652,25 +716,29 @@ class DGPModel(Model):
         samples = max(self.num_samples, PREDICT_SAMPLES)
         return self.predict_f(x, RngState(0), samples)
 
-    def log_density(self, x, y, mean, var):
-        """Log density of the mixture over propagated samples."""
+    def predict_log_density(self, x, y):
+        """``predict_moments``'s mixture marginals and the log density of
+        the mixture, from one pass over the propagated samples."""
         samples = max(self.num_samples, PREDICT_SAMPLES)
-        draws = self._sampled_marginals(x, RngState(0), samples)
-        parts = [predictive_log_density(self.likelihood, m, v, y) for m, v in draws]
-        return logsumexp(np.stack(parts), axis=0) - np.log(samples)
+        return self._mixture(x, RngState(0), samples, y)
 
     def _posteriors(self) -> list[Posterior]:
         """Each layer's posterior; built once per ``elbo``, ``predict_f`` or
-        ``log_density`` call and shared by every propagated sample."""
+        ``predict_log_density`` call and shared by every propagated sample."""
         return [_posterior(layer, self.jitter) for layer in self.layers]
 
-    def propagate(self, x, rng: RngState, posteriors=None):
+    def propagate(self, x, rng: RngState, posteriors=None, record=None):
         """Sample hidden states through all but the last layer; pass the
-        layers' ``posteriors`` when they are built already."""
+        layers' ``posteriors`` when they are built already.  ``record``, a
+        list when given, receives each hidden layer's (inputs, eps,
+        variances) as ``Posterior.draw`` gives them."""
         posteriors = self._posteriors() if posteriors is None else posteriors
         h = np.asarray(x, dtype=float)
         for layer, post in zip(self.layers[:-1], posteriors):
-            h = post.sample(h, rng, 1)[0] + layer.mean_function(h)
+            draws, eps, var = post.draw(h, rng, 1)
+            if record is not None:
+                record.append((h, eps[0], var))
+            h = draws[0] + layer.mean_function(h)
         return h
 
     def elbo(self, batch, rng: RngState, scale: float | None = None) -> float:
@@ -678,21 +746,33 @@ class DGPModel(Model):
 
     def predict_f(self, xnew, rng: RngState, num_samples: int = 100):
         """Posterior marginals by mixing over propagated samples."""
-        draws = self._sampled_marginals(xnew, rng, num_samples)
-        means, variances = (np.stack(a) for a in zip(*draws))
-        return means.mean(axis=0), variances.mean(axis=0) + means.var(axis=0)
+        return self._mixture(xnew, rng, num_samples)
 
-    def _sampled_marginals(self, x, rng, num_samples):
-        """Final-layer (mean, var) at each of ``num_samples`` propagations."""
+    def _mixture(self, x, rng, num_samples, y=None):
+        """Mean and variance of the equal-weight mixture of the last layer's
+        marginals at ``num_samples`` propagations and, given ``y``, the log
+        density of each of its rows under the mixture: one pass over the
+        draws, each written into one [S, ...] array per quantity."""
         posteriors = self._posteriors()
         foc = self.likelihood.requires_full_output_cov
-        for _ in range(num_samples):
+        for i in range(num_samples):
             h = self.propagate(x, rng, posteriors)
             moments = _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
-            var = moments.cov
+            mean, var = moments.mean, moments.cov
             if var.ndim == 3:  # [N, P, P] -> per-output marginals
                 var = np.einsum("npp->np", var)
-            yield moments.mean, var
+            if i == 0:
+                means = np.empty((num_samples, *mean.shape))
+                variances = np.empty((num_samples, *var.shape))
+                parts = np.empty((num_samples, mean.shape[0]))
+            means[i], variances[i] = mean, var
+            if y is not None:
+                parts[i] = predictive_log_density(self.likelihood, mean, var, y)
+        mixed = means.mean(axis=0), variances.mean(axis=0) + means.var(axis=0)
+        if y is None:
+            return mixed
+        del means, variances  # before logsumexp's own [S, N] temporaries
+        return (*mixed, logsumexp(parts, axis=0) - np.log(num_samples))
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,15 @@ def allocation_probe():
 # Dense factorizations and solves
 
 
-def cholesky(a: np.ndarray, jitter: float | None = None) -> np.ndarray:
+def cholesky(a: np.ndarray, jitter: float | None = None, *, applied=None) -> np.ndarray:
     """Lower Cholesky factor of ``a + jitter * mean(diag(a)) * I``.
 
     On failure the jitter is escalated tenfold (seeded at 1e-12 when the
     starting jitter is zero) up to :data:`MAX_CHOLESKY_RETRIES` times before
-    raising :class:`NotPositiveDefinite`.
+    raising :class:`NotPositiveDefinite`.  ``applied``, a list when given,
+    receives the jitter j that was finally applied (0 when the diagonal
+    mean is not positive and the shift does not scale with ``a``), which
+    :func:`cholesky_vjp` needs to differentiate the matrix actually factored.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -111,7 +114,10 @@ def cholesky(a: np.ndarray, jitter: float | None = None) -> np.ndarray:
     for _ in range(MAX_CHOLESKY_RETRIES + 1):
         try:
             shifted = a if j == 0.0 else a + (j * diag_scale) * np.eye(a.shape[0])
-            return np.linalg.cholesky(shifted)
+            factor = np.linalg.cholesky(shifted)
+            if applied is not None:
+                applied.append(j if diag_mean > 0 else 0.0)
+            return factor
         except np.linalg.LinAlgError:
             j = _RETRY_JITTER_FLOOR if j == 0.0 else j * 10.0
     raise NotPositiveDefinite(
@@ -133,6 +139,37 @@ def tri_solve(l: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarr
     x = solve_triangular(l, b, lower=True, trans=1 if transpose else 0)
     record_allocation(x)
     return x
+
+
+def cholesky_vjp(l: np.ndarray, dl: np.ndarray, jitter: float = 0.0) -> np.ndarray:
+    """The gradient with respect to a symmetric ``a`` of an objective of its
+    factor ``l``, given the objective's gradient ``dl`` with respect to
+    ``l``'s lower triangle, where ``l`` factors ``a + jitter * mean(diag(a))
+    * I`` (``jitter`` as :func:`cholesky` applied it).
+
+    Murray 2016 (arXiv:1602.07527), in level-3 form: the symmetric part of
+    L⁻ᵀ Φ(Lᵀ L̄) L⁻¹, with Φ the lower triangle with its diagonal halved;
+    the jitter adds j·tr(Ā)/M to each diagonal entry.
+    """
+    p = l.T @ np.tril(dl)
+    p = np.tril(p) - 0.5 * np.diag(np.diag(p))
+    s = tri_solve(l, tri_solve(l, p, transpose=True).T, transpose=True)  # (L⁻ᵀ P L⁻¹)ᵀ
+    out = 0.5 * (s + s.T)
+    if jitter:
+        out[np.diag_indices_from(out)] += jitter * np.trace(out) / out.shape[0]
+    return out
+
+
+def tri_solve_vjp(l, x, dx, transpose: bool = False):
+    """The gradients (with respect to ``l``'s lower triangle, and to B) of
+    an objective of X = ``tri_solve(l, B, transpose)``, given its gradient
+    ``dx`` with respect to X: B̄ = L⁻ᵀX̄ and L̄ = −tril(B̄ Xᵀ), or when
+    ``transpose`` B̄ = L⁻¹X̄ and L̄ = −tril(X B̄ᵀ)."""
+    x = np.asarray(x, dtype=float)
+    db = tri_solve(l, dx, transpose=not transpose)
+    x2, db2 = x.reshape(x.shape[0], -1), db.reshape(db.shape[0], -1)
+    dl = -(x2 @ db2.T if transpose else db2 @ x2.T)
+    return np.tril(dl), db
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,19 @@ the diagonal of lower-triangular factors).  Optimization happens entirely in
 free space; models are rebuilt from the store at each objective evaluation.
 
 Gradients come from central finite differences, except for the slots
-whose exact gradients the model supplies (``Model.objective_gradients``):
-q, and the mixing matrix W of a latent set, of every SVGP and of a deep
-GP's last layer.  Kernels, inducing inputs, likelihood parameters, mean
-functions and a deep GP's earlier layers stay on differences, as does the
-q of a pair whose posterior has no backward.  ``gradient`` evaluates the
-exact gradients inside its own call, and the test suite checks them against
-finite differences.
+whose exact gradients the model supplies (``Model.objective_gradients``),
+by reverse mode: q, and the mixing matrix W of a latent set, of every SVGP
+and deep-GP layer the chain reaches; Z and the kernel's slots where the
+pair is inducing points with a stationary kernel; a Gaussian likelihood's
+variance and a ``Constant`` mean's value.  A deep GP's chain runs from its
+last layer down through its sampled hidden states, and stops at a layer
+whose pair has no input VJP or whose outputs correlate.  Latent inducing
+sets' kernels and Z, multiscale and patch pairs, the fully-correlated
+points pair's kernel, ``linear``/``white`` kernels, ``gpr``,
+``svgp_uncertain`` and a correlated Gaussian's covariance stay on
+differences (``_fd_coordinate``), which are also the test oracle of every
+exact slot.  ``gradient`` evaluates the exact gradients inside its own
+call.
 """
 
 from __future__ import annotations

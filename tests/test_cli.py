@@ -1007,6 +1007,27 @@ class TestCorrelatedNoiseCli:
 
 
 class TestDgpCli:
+    def test_eval_propagates_each_mixture_sample_once(self, monkeypatch):
+        # One pass over the 100 draws gives the mixture's mean, variance and
+        # density alike.
+        from sparsegp import cli
+        from sparsegp.models import DGPModel
+        from test_formats import CASES
+
+        model, _ = load_model(golden_path("dgp_two_layers"))
+        dataset, _ = CASES["dgp_two_layers"]
+        calls = []
+        real = DGPModel.propagate
+
+        def counted(self, *args):
+            calls.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(DGPModel, "propagate", counted)
+        metrics = cli._eval_metrics(model, dataset)
+        assert len(calls) == 100
+        assert np.isfinite(metrics["mlpd"])
+
     def test_train_and_predict(self, tmp_path):
         conf = _write(
             tmp_path,

@@ -1,11 +1,14 @@
-"""Exact q gradients against their slow twin, central differences.
+"""Exact gradients against their slow twin, central differences.
 
 Every registered pair of ``tests/test_conditionals.py``'s ``_paths``, in
 both whitening modes, on homotopic and heterotopic rows and as a deep GP's
 last layer: the chain through each likelihood's ∂E/∂(mean, var) and each
-posterior's backward must agree with ``training._fd_coordinate`` on the q
-slots, and on W where a latent set mixes with one.  Each likelihood's
-∂E/∂(mean, var) is checked against differenced quadrature with more nodes.
+posterior's backward must agree with ``training._fd_coordinate`` on every
+slot it covers (``_exact_slots``): q, W where a latent set mixes with one,
+Z and the kernel's where the pair is points with a stationary kernel (and
+through it, a deep GP's layers below), and a Gaussian likelihood's
+variance.  Each likelihood's ∂E/∂(mean, var) is checked against
+differenced quadrature with more nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from sparsegp import (
     InducingPoints,
     IntrinsicCoregionalization,
     LinearCoregionalization,
+    Matern12,
     Matern32,
+    Matern52,
     Poisson,
     RngState,
     SharedIndependent,
@@ -42,6 +47,8 @@ from sparsegp import (
 )
 from sparsegp import conditionals, training
 from sparsegp.conditionals import create_posterior
+from sparsegp.kernels import Stationary
+from sparsegp.models import Constant
 from sparsegp.likelihoods import expectation_gradients
 from sparsegp.training import gradient
 
@@ -169,7 +176,7 @@ def _targets(lik, shape, rng):
 
 
 def _q_slots(model, prefix=""):
-    """The slots the exact chain covers: q, and W of a mixing latent set."""
+    """The slots every pair's backward covers: q, and W of a mixing latent set."""
     gp = model.layers[-1] if isinstance(model, DGPModel) else model
     store, _ = parameterize(model)
     names = [n for n in store.names() if n.startswith(prefix + "q_")]
@@ -177,9 +184,35 @@ def _q_slots(model, prefix=""):
     return sorted(names + ([prefix + "kernel.w"] if latent_mix else []))
 
 
-def _check_against_differences(model, batch, slots, seed=0):
+def _exact_slots(model):
+    """The slots the exact chain covers: each layer's q slots (and W), its
+    Constant mean's value and, for points with a stationary kernel, its Z
+    and kernel slots, from the last layer down to the first whose pair has
+    no input VJP; and a Gaussian likelihood's variance."""
+    store, _ = parameterize(model)
+    names = store.names()
+    if isinstance(model, DGPModel):
+        layers = [(f"layers.{i}.", gp) for i, gp in enumerate(model.layers)][::-1]
+    else:
+        layers = [("", model)]
+    covered = []
+    for prefix, gp in layers:
+        covered += [n for n in names if n.startswith(prefix + "q_") or n == prefix + "mean.value"]
+        if isinstance(gp.kernel, LinearCoregionalization) and gp.layout.latent:
+            covered.append(prefix + "kernel.w")
+        if type(gp.inducing) is not InducingPoints or not isinstance(gp.kernel, Stationary):
+            break
+        covered += [n for n in names if n.startswith((prefix + "kernel.", prefix + "inducing."))]
+    if isinstance(model.likelihood, Gaussian):
+        covered.append("likelihood.variance")
+    return sorted(covered)
+
+
+def _check_against_differences(model, batch, slots, seed=0, screen=assume):
     """The model's exact gradients on ``slots`` against central differences
-    of its objective on the same slots (the others frozen)."""
+    of its objective on the same slots (the others frozen).  ``screen``
+    (hypothesis's ``assume`` in a property) drops the cases where the
+    differences have no digits to compare; a fixed case passes ``assert``."""
     store, build = parameterize(model)
     for name in store.names():
         store.set_trainable(name, name in slots)
@@ -194,12 +227,27 @@ def _check_against_differences(model, batch, slots, seed=0):
     # Differences round off about 1e-11 of the objective per coordinate, so
     # a random q whose exp-link objective is astronomically large leaves
     # the oracle no digits on its small coordinates.
-    assume(abs(objective(store)) < 1e4)
+    screen(abs(objective(store)) < 1e4)
     assert sorted(exact(store)) == slots
     fd = gradient(objective, store)
     an = gradient(objective, store, exact)
     for name, lo, hi in store.spans():
+        if name.endswith("inducing.z") and not _spaced(store.get(name)):
+            continue
         _assert_close(an[lo:hi], fd[lo:hi], name)
+
+
+def _spaced(z, gap=1e-2):
+    """Whether inducing inputs are ``gap`` apart: closer ones curve the
+    objective so sharply in Z that the differences' truncation error
+    exceeds the bound, so their Z is not compared."""
+    dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=-1)
+    return bool(np.min(dist + gap * np.eye(z.shape[0])) >= gap)
+
+
+def _screen(condition):
+    """``_check_against_differences``'s screen for a fixed case."""
+    assert condition
 
 
 SHAPES = dict(
@@ -230,7 +278,7 @@ def test_svgp_q_gradients_match_differences(name, whiten, heterotopic, seed, n, 
         batch = (x, observed, y)
     else:
         batch = (x, _targets(likelihood, (x.shape[0], outputs), rng.derive(6)))
-    _check_against_differences(model, batch, _q_slots(model))
+    _check_against_differences(model, batch, _exact_slots(model))
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_PATHS if n != "conv"])
@@ -240,7 +288,9 @@ def test_svgp_q_gradients_match_differences(name, whiten, heterotopic, seed, n, 
 def test_deep_gp_last_layer_q_gradients_match_differences(
     name, whiten, num_samples, seed, n, m, p, lik
 ):
-    # The step's seed fixes the propagated inputs of the last layer.
+    # The step's seed fixes the propagated inputs of the last layer; the
+    # first layer's slots are exact through them where the last layer's
+    # pair has an input VJP.
     rng = RngState(seed)
     x, iv, kernel, q_builder, outputs = _paths(rng, n=n, m=m, p=p)[name]
     z = standard_normal(rng.derive(7), (3, 1))
@@ -255,7 +305,78 @@ def test_deep_gp_last_layer_q_gradients_match_differences(
     likelihood = _likelihood(lik, outputs, rng.derive(5))
     model = DGPModel([first, last], likelihood, n, num_samples, jitter=JITTER)
     y = _targets(likelihood, (n, outputs), rng.derive(6))
-    _check_against_differences(model, (x, y), _q_slots(model, "layers.1."), seed)
+    _check_against_differences(model, (x, y), _exact_slots(model), seed)
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("num_samples", [1, 3])
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(range(4)), min_size=3, max_size=3),
+    means=st.lists(st.booleans(), min_size=3, max_size=3),
+    lik=st.sampled_from(LIKELIHOODS[:3]),
+)
+def test_deep_gp_gradients_through_every_layer_match_differences(
+    whiten, depth, num_samples, seed, n, m, kinds, means, lik
+):
+    # Layers of points with stationary kernels, some with a Constant mean:
+    # every layer's slots are exact, through the sampled hidden states.
+    rng = RngState(seed)
+    stationary = [SquaredExponential, Matern12, Matern32, Matern52]
+    layers = []
+    for i in range(depth):
+        q = VariationalGaussian(
+            standard_normal(rng.derive(i, 1), m), random_lower(rng.derive(i, 2), m), whiten
+        )
+        kernel = stationary[kinds[i]](float(rng.generator.uniform(0.5, 1.5)), 0.9)
+        mean = Constant(float(standard_normal(rng.derive(i, 3), 1)[0])) if means[i] else None
+        z = standard_normal(rng.derive(i, 4), (m, 1))
+        layers.append(GPLayer(kernel, InducingPoints(z), q, mean))
+    likelihood = _likelihood(lik, 1, rng.derive(5))
+    model = DGPModel(layers, likelihood, n, num_samples, jitter=JITTER)
+    x = standard_normal(rng.derive(6), (n, 1))
+    y = _targets(likelihood, (n, 1), rng.derive(7))
+    # A difference step moves the hidden states by up to a few times its
+    # size; where one crosses Matérn-1/2's kink at an inducing input of the
+    # layer it feeds, the differences are not the derivative.
+    draws, record = RngState(seed).derive(1, 0), []
+    last = np.concatenate([model.propagate(x, draws, None, record) for _ in range(num_samples)])
+    hidden = [np.concatenate([r[0] for r in record[i::depth - 1]]) for i in range(1, depth - 1)]
+    for layer, inputs in zip(layers, [x, *hidden, last]):
+        if isinstance(layer.kernel, Matern12):
+            assume(np.min(np.abs(inputs - layer.inducing.z.T)) > 1e-2)
+    slots = _exact_slots(model)
+    assert all(f"layers.{i}.q_mu" in slots for i in range(depth))
+    _check_against_differences(model, (x, y), slots, seed)
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+@pytest.mark.parametrize("heterotopic", [False, True])
+def test_constant_mean_value_gradient_matches_differences(whiten, heterotopic):
+    # The sum of the data term's mean gradient, on homotopic rows and on
+    # heterotopic rows of a latent set, whose other slots are exact too.
+    rng = RngState(70)
+    n = 7
+    x = standard_normal(rng, (n, 1))
+    if heterotopic:
+        _, iv, kernel, q_builder, outputs = _paths(rng, n=n)["lmc"]
+        q = _build_q("lmc", iv, kernel, q_builder, whiten)
+        observed = rng.generator.integers(0, outputs, n)
+        batch = (x, observed, standard_normal(rng.derive(1), n))
+    else:
+        iv, kernel = InducingPoints(standard_normal(rng.derive(2), (3, 1))), Matern52(1.1, 0.8)
+        q = VariationalGaussian(
+            standard_normal(rng.derive(3), 3), random_lower(rng.derive(4), 3), whiten
+        )
+        batch = (x, standard_normal(rng.derive(1), (n, 1)))
+    model = SVGPModel(kernel, Gaussian(0.3), iv, q, Constant(0.4), num_data=n, jitter=JITTER)
+    slots = _exact_slots(model)
+    assert "mean.value" in slots
+    _check_against_differences(model, batch, slots, screen=_screen)
 
 
 @pytest.mark.parametrize("name", ALL_PATHS)
@@ -319,6 +440,81 @@ def test_streamed_backward_sums_its_chunks():
 
 
 # ---------------------------------------------------------------------------
+# Coincident inputs
+#
+# One input column, where the kernels' r² is exactly 0 on coincident pairs.
+# At r = 0 Matérn-1/2 has a kink, whose central difference is 0 by symmetry;
+# the exact gradients must take that value there, not NaN.
+
+STATIONARY = [SquaredExponential, Matern12, Matern32, Matern52]
+
+
+def _coincident(kind, whiten):
+    """An SVGP whose third training row is its second inducing input."""
+    rng = RngState(68)
+    z = np.array([[-1.0], [0.3], [1.4]])
+    x = np.array([[-2.0], [-0.4], [0.3], [0.9], [2.1]])
+    q = VariationalGaussian(standard_normal(rng, 3), random_lower(rng.derive(1), 3), whiten)
+    model = SVGPModel(
+        kind(1.3, 0.9), Gaussian(0.2), InducingPoints(z), q, num_data=5, jitter=1e-6
+    )
+    return model, x, standard_normal(rng.derive(2), (5, 1))
+
+
+@pytest.mark.parametrize("kind", STATIONARY)
+def test_kernel_vjp_at_zero_distance_is_the_central_difference(kind):
+    k = kind(1.3, 0.9)
+    x = np.array([[0.3]])
+    dx, dx2, params = k.K_vjp(x, x, np.ones((1, 1)))
+    h = 1e-6
+    central = (k.K(x + h, x) - k.K(x - h, x))[0, 0] / (2 * h)
+    assert dx[0, 0] == dx2[0, 0] == central == 0.0
+    assert params["variance"] == 1.0 and params["lengthscales"][0] == 0.0
+
+
+@pytest.mark.parametrize("kind", STATIONARY)
+@pytest.mark.parametrize("whiten", [False, True])
+def test_coincident_inputs_give_finite_exact_gradients(monkeypatch, kind, whiten):
+    # Z, the kernel's slots and every other exact slot, through Kuu's own
+    # diagonal and a Kuf entry at r = 0.  At Matérn-1/2's kink the central
+    # difference is first-order accurate only (its error in Z is 1.5e-4
+    # relative at the default step, proportional to the step), so the
+    # differences take a step of 1e-7.
+    monkeypatch.setattr(training, "FD_STEP", 1e-7)
+    model, x, y = _coincident(kind, whiten)
+    grads = model.objective_gradients((x, y), None, 1.0)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert {"inducing.z", "kernel.variance", "kernel.lengthscales"} <= set(grads)
+    _check_against_differences(model, (x, y), _exact_slots(model), screen=_screen)
+
+
+@pytest.mark.parametrize("kind", STATIONARY)
+@pytest.mark.parametrize("whiten", [False, True])
+def test_coincident_inputs_give_finite_input_gradients(kind, whiten):
+    # The gradient with respect to the rows, for fixed gradients of the
+    # marginal moments, against central differences of those rows.
+    model, x, _ = _coincident(kind, whiten)
+    post = model.posterior
+    rng = RngState(69)
+    g_mean, g_var = standard_normal(rng, (5, 1)), standard_normal(rng.derive(1), (5, 1))
+    inputs = post.backward(x, lambda rows, mean, cov: (g_mean[rows], g_var[rows])).inputs
+    assert np.all(np.isfinite(inputs))
+
+    def objective(rows):
+        moments = post.predict(rows)
+        return float(np.sum(g_mean * moments.mean) + np.sum(g_var * moments.cov))
+
+    fd = np.zeros_like(x)
+    for i in range(x.shape[0]):
+        h = training.FD_STEP * (1.0 + abs(x[i, 0]))
+        up, down = x.copy(), x.copy()
+        up[i, 0] += h
+        down[i, 0] -= h
+        fd[i, 0] = (objective(up) - objective(down)) / (2.0 * h)
+    _assert_close(inputs, fd, "inputs")
+
+
+# ---------------------------------------------------------------------------
 # Latents that share one pair
 
 
@@ -377,8 +573,9 @@ def test_latents_sharing_a_pair_evaluate_kuf_once_per_chunk(monkeypatch, kind, w
 
 
 def test_fit_step_differences_only_the_slots_without_a_backward(monkeypatch):
-    # A hetero_lmc-shaped model: every q and W coordinate is exact, so one
-    # step's gradient makes two objective calls per remaining coordinate.
+    # A hetero_lmc-shaped model: every q and W coordinate and the noise
+    # are exact, so one step's gradient makes two objective calls per
+    # remaining coordinate.
     rng = RngState(64)
     n = 30
     kernel = LinearCoregionalization(
@@ -394,9 +591,9 @@ def test_fit_step_differences_only_the_slots_without_a_backward(monkeypatch):
     y = standard_normal(rng.derive(1), n)
 
     store, _ = parameterize(model)
-    exact_slots = set(_q_slots(model))
+    exact_slots = set(_exact_slots(model))
     others = sum(hi - lo for name, lo, hi in store.spans() if name not in exact_slots)
-    assert others == 4 + 4 + 1  # kernels 4, Z 4, noise 1
+    assert others == 4 + 4  # kernels 4, Z 4
 
     inside, calls = [False], []
     real_gradient, real_elbo = training.gradient, SVGPModel.elbo_heterotopic
@@ -417,6 +614,89 @@ def test_fit_step_differences_only_the_slots_without_a_backward(monkeypatch):
     fit(model, (x, outputs, y), FitConfig(steps=1, learning_rate=0.01))
     assert sum(calls) == 2 * others
     assert len(calls) == 2 * others + 1  # and the step's trace value
+
+
+def _deep_classify_shaped(whiten, n=30, m=10):
+    """Two layers of points with a squared-exponential kernel, Bernoulli."""
+    rng = RngState(65)
+    z = np.linspace(-2.7, 2.7, m)[:, None]
+    layers = [
+        GPLayer(
+            SquaredExponential(1.0, 1.0),
+            InducingPoints(z),
+            VariationalGaussian(np.zeros(m), np.eye(m), whiten),
+        )
+        for _ in range(2)
+    ]
+    x = rng.generator.uniform(-3.0, 3.0, (n, 1))
+    y = (np.sin(1.2 * x) + 0.3 * standard_normal(rng.derive(1), (n, 1)) > 0).astype(float)
+    return DGPModel(layers, Bernoulli(), n), (x, y), ()
+
+
+def _regress_shaped(whiten, n=60):
+    """A Gaussian SVGP over two input columns, its 16 inducing inputs frozen."""
+    rng = RngState(66)
+    g = np.linspace(-2.8, 2.8, 4)
+    z = np.stack(np.meshgrid(g, g, indexing="ij"), -1).reshape(-1, 2)
+    q = VariationalGaussian(np.zeros(16), np.eye(16), whiten)
+    model = SVGPModel(
+        SquaredExponential(1.0, [1.0, 1.0]), Gaussian(0.3), InducingPoints(z), q, num_data=n
+    )
+    x = rng.generator.uniform(-3.0, 3.0, (n, 2))
+    y = np.sin(1.3 * x[:, :1]) + 0.5 * standard_normal(rng.derive(1), (n, 1))
+    return model, (x, y), ("inducing.z",)
+
+
+def _hetero_lmc_shaped(whiten, n=30, m=10):
+    """Three outputs mixing two latents over one shared set of 10 points."""
+    rng = RngState(67)
+    kernel = LinearCoregionalization(
+        [SquaredExponential(1.0, 1.0), Matern32(1.0, 1.0)],
+        np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]]),
+    )
+    iv = SharedIndependentInducingVariables(InducingPoints(np.linspace(0.3, 5.7, m)[:, None]))
+    q = VariationalGaussian(np.zeros(2 * m), (np.eye(m), np.eye(m)), whiten)
+    model = SVGPModel(kernel, Gaussian(0.1), iv, q, num_data=n)
+    x = rng.generator.uniform(0.0, 6.0, (n, 1))
+    outputs = rng.generator.integers(0, 3, n)
+    return model, (x, outputs, standard_normal(rng.derive(1), n)), ()
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+@pytest.mark.parametrize(
+    "shaped, differenced",
+    [
+        (_deep_classify_shaped, 0),
+        (_regress_shaped, 0),
+        (_hetero_lmc_shaped, 4 + 10),  # the latent kernels' 4 and Z's 10
+    ],
+    ids=["deep_classify", "regress", "hetero_lmc"],
+)
+def test_one_fit_step_differences_only_what_no_vjp_reaches(
+    monkeypatch, shaped, differenced, whiten
+):
+    # Objective calls inside one step's gradient: two per coordinate that
+    # no exact gradient covers.
+    model, data, frozen = shaped(whiten)
+    inside, calls = [False], []
+    real_gradient, real_objective = training.gradient, type(model).objective
+
+    def traced_gradient(*args):
+        inside[0] = True
+        try:
+            return real_gradient(*args)
+        finally:
+            inside[0] = False
+
+    def counted_objective(self, *args):
+        calls.append(inside[0])
+        return real_objective(self, *args)
+
+    monkeypatch.setattr(training, "gradient", traced_gradient)
+    monkeypatch.setattr(type(model), "objective", counted_objective)
+    fit(model, data, FitConfig(steps=1, learning_rate=0.01, freeze=frozen))
+    assert sum(calls) == 2 * differenced
+    assert len(calls) == 2 * differenced + 1  # and the step's trace value
 
 
 def test_exact_gradients_are_evaluated_inside_gradient():

@@ -19,7 +19,7 @@ from sparsegp.errors import (
     NotPositiveDefinite,
     ZeroDiagonal,
 )
-from sparsegp.numerics import default_jitter
+from sparsegp.numerics import cholesky_vjp, default_jitter, tri_solve_vjp
 
 from conftest import make_spd, random_lower
 
@@ -105,6 +105,75 @@ class TestTriSolve:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             tri_solve(np.eye(2), np.ones((3, 1)))
+
+
+DIFF_STEP = 1e-6
+
+
+def _symmetric_directions(m):
+    """E_ij + E_ji for i >= j: the perturbations that keep a symmetric."""
+    for i, j in zip(*np.tril_indices(m)):
+        e = np.zeros((m, m))
+        e[i, j] = e[j, i] = 1.0
+        yield e
+
+
+class TestVjps:
+    @pytest.mark.parametrize("jitter", [0.0, 1e-12, 1e-3])
+    def test_cholesky_vjp_matches_differences_of_the_shifted_factor(self, rng, jitter):
+        # The objective <G, chol(a + j mean(diag a) I)>: its symmetric
+        # derivative along E_ij + E_ji is a-bar_ij + a-bar_ji.
+        m = 5
+        a = make_spd(rng, m)
+        g = np.tril(standard_normal(rng.derive(1), (m, m)))
+
+        def objective(b):
+            shifted = b + jitter * np.mean(np.diag(b)) * np.eye(m)
+            return float(np.sum(g * np.linalg.cholesky(shifted)))
+
+        l = np.linalg.cholesky(a + jitter * np.mean(np.diag(a)) * np.eye(m))
+        abar = cholesky_vjp(l, g, jitter)
+        np.testing.assert_array_equal(abar, abar.T)
+        for e in _symmetric_directions(m):
+            fd = (objective(a + DIFF_STEP * e) - objective(a - DIFF_STEP * e)) / (2 * DIFF_STEP)
+            assert np.sum(abar * e) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+
+    def test_cholesky_reports_the_jitter_it_escalated_to(self):
+        # A singular matrix fails unshifted; the reported jitter is the
+        # shift of the matrix that was factored, which its VJP reads.
+        a = np.ones((3, 3))
+        applied = []
+        l = cholesky(a, jitter=0.0, applied=applied)
+        (j,) = applied
+        assert j > 0.0
+        np.testing.assert_allclose(l @ l.T, a + j * np.eye(3), rtol=0, atol=1e-12)
+        applied = []
+        cholesky(np.eye(3) * 2.0, jitter=1e-6, applied=applied)
+        assert applied == [1e-6]
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_tri_solve_vjp_matches_dense_differences(self, rng, transpose):
+        m, k = 4, 3
+        l = random_lower(rng, m)
+        b = standard_normal(rng.derive(1), (m, k))
+        g = standard_normal(rng.derive(2), (m, k))
+
+        def objective(factor, rhs):  # dense: the solve by an explicit inverse
+            inverse = np.linalg.inv(factor.T if transpose else factor)
+            return float(np.sum(g * (inverse @ rhs)))
+
+        dl, db = tri_solve_vjp(l, tri_solve(l, b, transpose), g, transpose)
+        assert np.all(np.triu(dl, 1) == 0.0)
+        for i, j in np.ndindex(m, k):
+            e = np.zeros((m, k))
+            e[i, j] = DIFF_STEP
+            fd = (objective(l, b + e) - objective(l, b - e)) / (2 * DIFF_STEP)
+            assert db[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        for i, j in zip(*np.tril_indices(m)):
+            e = np.zeros((m, m))
+            e[i, j] = DIFF_STEP
+            fd = (objective(l + e, b) - objective(l - e, b)) / (2 * DIFF_STEP)
+            assert dl[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 class TestGaussHermite:

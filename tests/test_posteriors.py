@@ -336,7 +336,10 @@ def test_svgp_elbo_factors_kuu_once(whiten):
         assert len(calls) == 1
         grads = model.objective_gradients((x, np.sin(x)), None, None)
         model.predict_f(x, full_cov=True)
-    assert sorted(grads) == ["q_mu", "q_sqrt"]
+    assert sorted(grads) == [
+        "inducing.z", "kernel.lengthscales", "kernel.variance",
+        "likelihood.variance", "q_mu", "q_sqrt",
+    ]
     assert len(calls) == 1  # the snapshot's factor serves all three
 
 
