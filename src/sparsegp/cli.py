@@ -160,13 +160,18 @@ def _observation_noise(lik, full_cov, full_output_cov):
     )
 
 
+def _write_rows(handle, table):
+    """One CSV line per row of ``table``, each float as its ``repr``.  Rows
+    are converted to lists one at a time: a list of the whole table would
+    hold a Python float per cell."""
+    for row in table:
+        handle.write(",".join(map(repr, row.tolist())) + "\n")
+
+
 def _write_tensor_section(handle, name, tensor):
     shape = " ".join(str(d) for d in tensor.shape)
     handle.write(f"# {name} shape: {shape}\n")
-    lead = tensor.shape[0]
-    flat = tensor.reshape(lead, -1)
-    for row in flat:
-        handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_rows(handle, tensor.reshape(tensor.shape[0], -1))
 
 
 def cmd_predict(args) -> int:
@@ -203,9 +208,7 @@ def cmd_predict(args) -> int:
             x_names = [f"x{d}" for d in range(dataset.x.shape[1])]
             mu_names = [f"mu_{i}" for i in range(p)]
             handle.write(",".join(x_names + mu_names + var_names) + "\n")
-            table = np.hstack([dataset.x, mean, var_rows])
-            for row in table:
-                handle.write(",".join(repr(float(v)) for v in row) + "\n")
+            _write_rows(handle, np.hstack([dataset.x, mean, var_rows]))
     return 0
 
 
@@ -332,8 +335,7 @@ def cmd_plotdata(args) -> int:
     table = np.hstack([x, mean, var, mean - band, mean + band])
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(names) + "\n")
-        for row in table:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(handle, table)
     return 0
 
 

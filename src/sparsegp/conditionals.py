@@ -19,7 +19,9 @@ with a stationary kernel) also supplies the VJPs of its own ``kuu`` and
 factor's cotangent, summed over the chunks with the unwhitened KL's, goes
 through one Cholesky backward (``numerics.cholesky_vjp``) into
 ``kuu_vjp``, giving the gradients with respect to Z, the kernel's
-parameters and the input rows.
+parameters and the input rows.  The KL's gradients come from
+``divergences.gauss_kl`` with ``grads``.  The exact GP's posterior
+(``models.ExactPosterior``) is the single-output points posterior at Z = X.
 A pair that is refused raises from ``layout``, ``kuu`` and ``kuf`` alike, so
 a model holding it is refused when it is built.  A new pair registers one
 such class and nothing else.
@@ -44,10 +46,11 @@ across inputs) and ``full_output_cov`` (covariances across outputs):
     ==========  ================  ====================
 
 The returned mean is always [N, P].  The marginal modes (``full_cov`` off)
-are independent per input row, so they are computed over chunks of rows,
-each with a Kuf of at most :data:`CHUNK_FLOATS` floats: memory stays bounded
-in N and every row gets the numbers a single pass would give.  The
-``full_cov`` modes run in one pass, since their output is N² anyway.
+are independent per input row, so ``Posterior.predict`` computes them over
+chunks of rows, each with a Kuf of at most :data:`CHUNK_FLOATS` floats:
+memory stays bounded in N and every row gets the numbers a single pass
+would give.  The ``full_cov`` modes run in one pass, since their output is
+N² anyway.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from .covariances import PAIRS, kuf, kuu
-from .divergences import gauss_kl_gradient, prior_kl
+from .divergences import gauss_kl, prior_kl
 from .errors import ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
@@ -287,28 +290,6 @@ def chunk_slices(n: int, row_floats: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def stream_marginals(step, x, row_floats):
-    """``step(rows) -> (mean, cov)`` over all of ``x``, in the chunks of
-    :func:`chunk_slices`.
-
-    Only the results are allocated at full length; a single chunk is
-    returned as ``step`` gave it.
-    """
-    n = x.shape[0]
-    chunks = chunk_slices(n, row_floats)
-    if len(chunks) == 1:
-        return step(x)
-    mean = cov = None
-    for rows in chunks:
-        part_mean, part_cov = step(x[rows])
-        if mean is None:
-            mean = np.empty((n, *part_mean.shape[1:]))
-            cov = np.empty((n, *part_cov.shape[1:]))
-        mean[rows] = part_mean
-        cov[rows] = part_cov
-    return mean, cov
-
-
 def fully_correlated_conditional(
     kmn, kmm, knn, q: VariationalGaussian, *, full_cov, full_output_cov
 ) -> PosteriorMoments:
@@ -455,16 +436,21 @@ class Posterior:
     def predict(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
     ) -> PosteriorMoments:
-        """Moments of q(f(Xnew)); the marginal modes stream over rows."""
+        """Moments of q(f(Xnew)).  The marginal modes stream over the
+        chunks of :func:`chunk_slices`; only the results are allocated at
+        full length."""
         xnew = np.asarray(xnew, dtype=float)
-        if full_cov:
-            mean, cov = self._chunk(xnew, True, full_output_cov)
+        n = xnew.shape[0]
+        chunks = chunk_slices(n, self._row_floats())
+        if full_cov or len(chunks) == 1:
+            mean, cov = self._chunk(xnew, full_cov, full_output_cov)
         else:
-            mean, cov = stream_marginals(
-                lambda rows: self._chunk(rows, False, full_output_cov),
-                xnew,
-                self._row_floats(),
-            )
+            for rows in chunks:
+                part_mean, part_cov = self._chunk(xnew[rows], False, full_output_cov)
+                if rows.start == 0:
+                    mean = np.empty((n, *part_mean.shape[1:]))
+                    cov = np.empty((n, *part_cov.shape[1:]))
+                mean[rows], cov[rows] = part_mean, part_cov
         return PosteriorMoments(mean, cov, full_cov, full_output_cov)
 
     def sample(self, xnew, rng: RngState, num_samples: int = 1) -> np.ndarray:
@@ -490,7 +476,7 @@ class Posterior:
             noise = np.sqrt(var) * eps
         return moments.mean[None, :, :] + noise, eps, var
 
-    def backward(self, x, seed, full_output_cov: bool = False):
+    def backward(self, x, seed, full_output_cov: bool = False, prior: bool = True):
         """The :class:`QGradient` of an objective of the marginal moments at
         ``x`` minus this posterior's KL, or None when the pair has no
         backward.
@@ -506,9 +492,11 @@ class Posterior:
         Kuu factor.  The first two go through the pair's ``_blocks_vjp`` to
         its parameters and to the rows; the factor's, summed over the chunks
         with the KL's, go through one Cholesky backward into ``kuu_vjp``.
+        ``prior`` False skips these VJPs (and gives no ``params`` or
+        ``inputs``), for a caller that trains none of what they reach.
         """
         x = np.asarray(x, dtype=float)
-        exact = self.input_vjp
+        exact = prior and self.input_vjp
         total, dfactor, params = None, 0.0, {}
         inputs = np.zeros_like(x) if exact else None
         for rows in chunk_slices(x.shape[0], self._row_floats()):
@@ -525,7 +513,7 @@ class Posterior:
             else:
                 part = pullback(*dmoments)
             total = part if total is None else QGradient(*_add(total, part))
-        dmu, dsqrt, kl_factor = gauss_kl_gradient(self.q, self.factor)
+        _, dmu, dsqrt, kl_factor = gauss_kl(self.q, self.factor, grads=True)
         if exact:
             if kl_factor is not None:
                 dfactor = dfactor - kl_factor

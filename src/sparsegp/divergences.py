@@ -11,7 +11,9 @@ with log|S| read off the factor diagonal.  Whitening removes Kuu entirely:
 With per-latent q factors the prior's Kuu is block diagonal, so the
 divergence is a sum of independent per-latent ones, each against its own
 factor.  Kuu enters only through its Cholesky factor, which the caller's
-posterior owns: ``gauss_kl`` never factors.
+posterior owns: ``gauss_kl`` never factors.  One routine, ``gauss_kl``,
+gives the value and, with ``grads``, its gradients from the same pass over
+the blocks; ``Posterior.backward`` reads the gradients.
 """
 
 from __future__ import annotations
@@ -21,37 +23,6 @@ import numpy as np
 from .covariances import PAIRS
 from .errors import ShapeMismatch
 from .numerics import tri_solve
-
-
-def _require_square_factor(sqrt: np.ndarray, m: int) -> np.ndarray:
-    if sqrt is None:
-        raise ShapeMismatch("KL needs a full-rank covariance factor, got none")
-    if sqrt.shape != (m, m):
-        raise ShapeMismatch(
-            f"KL needs a square [{m}, {m}] factor, got shape {sqrt.shape}"
-        )
-    return sqrt
-
-
-def _whitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, _luu=None) -> float:
-    # Whitening removes Kuu, so the factor ``_luu`` is never read.
-    m = mu.shape[0]
-    sqrt = _require_square_factor(sqrt, m)
-    logdet_s = 2.0 * float(np.sum(np.log(np.abs(np.diag(sqrt)))))
-    return 0.5 * (
-        -logdet_s - m + float(mu @ mu) + float(np.sum(sqrt * sqrt))
-    )
-
-
-def _unwhitened_block_kl(mu: np.ndarray, sqrt: np.ndarray, luu: np.ndarray) -> float:
-    m = mu.shape[0]
-    sqrt = _require_square_factor(sqrt, m)
-    logdet_s = 2.0 * float(np.sum(np.log(np.abs(np.diag(sqrt)))))
-    logdet_k = 2.0 * float(np.sum(np.log(np.diag(luu))))
-    alpha = tri_solve(luu, mu)  # Kuu⁻¹ enters only through triangular solves
-    beta = tri_solve(luu, sqrt)
-    trace = float(np.sum(beta * beta))
-    return 0.5 * (-logdet_s - m + logdet_k + trace + float(alpha @ alpha))
 
 
 def _blocks(q, factor):
@@ -77,45 +48,51 @@ def _blocks(q, factor):
     return blocks
 
 
-def gauss_kl(q, factor=None) -> float:
+def gauss_kl(q, factor=None, grads=False):
     """KL(q(u) || p(u)).
 
     Unwhitened parameters need the prior's ``factor``, the Cholesky factor
     of Kuu: one lower-triangular matrix, or the per-latent factors when q
     has per-latent blocks.  Whitened parameters need none.
+
+    With ``grads`` it returns (value, dmu, dsqrt, dfactor) from the same
+    pass over the blocks: the gradients with respect to q_mu, q_sqrt and
+    the prior's factor, each in its argument's shape (None for the factor
+    of whitened q, which reads none).  Per block, whitened: m and
+    L_S − diag(1 / diag L_S); unwhitened: Kuu⁻¹m and
+    Kuu⁻¹L_S − diag(1 / diag L_S), through triangular solves, and for the
+    factor L, diag(1 / diag L) − tril(Kuu⁻¹m αᵀ + Kuu⁻¹L_S βᵀ) with
+    α = L⁻¹m and β = L⁻¹L_S.
     """
-    kl = _whitened_block_kl if q.whiten else _unwhitened_block_kl
-    return sum(kl(*block) for block in _blocks(q, factor))
-
-
-def gauss_kl_gradient(q, factor=None):
-    """The gradients of ``gauss_kl(q, factor)`` with respect to q_mu,
-    q_sqrt and the prior's factor, each in its argument's shape (None for
-    the factor of whitened q, which reads none).
-
-    Per block, whitened: m and L_S − diag(1 / diag L_S); unwhitened:
-    Kuu⁻¹m and Kuu⁻¹L_S − diag(1 / diag L_S), through triangular solves,
-    and for the factor L, diag(1 / diag L) − tril(Kuu⁻¹m αᵀ + Kuu⁻¹L_S βᵀ)
-    with α = L⁻¹m and β = L⁻¹L_S.
-    """
-    means, sqrts, factors = [], [], []
+    value, means, sqrts, factors = 0, [], [], []
     for mu, sqrt, luu in _blocks(q, factor):
-        sqrt = _require_square_factor(sqrt, mu.shape[0])
-        inv_diag = np.diag(1.0 / np.diag(sqrt))  # from -1/2 log|S|
+        m = mu.shape[0]
+        if sqrt is None or sqrt.shape != (m, m):
+            got = "none" if sqrt is None else f"shape {sqrt.shape}"
+            raise ShapeMismatch(f"KL needs a square [{m}, {m}] covariance factor, got {got}")
+        logdet_s = 2.0 * float(np.sum(np.log(np.abs(np.diag(sqrt)))))
         if luu is None:
-            means.append(mu)
-            sqrts.append(sqrt - inv_diag)
-            continue
-        alpha, beta = tri_solve(luu, mu), tri_solve(luu, sqrt)
-        dmu = tri_solve(luu, alpha, transpose=True)
-        dsqrt = tri_solve(luu, beta, transpose=True)
-        means.append(dmu)
-        sqrts.append(dsqrt - inv_diag)
-        dl = np.diag(1.0 / np.diag(luu)) - np.tril(np.outer(dmu, alpha) + dsqrt @ beta.T)
-        factors.append(dl)
+            value += 0.5 * (-logdet_s - m + float(mu @ mu) + float(np.sum(sqrt * sqrt)))
+            dmu, dsqrt = mu, sqrt
+        else:
+            logdet_k = 2.0 * float(np.sum(np.log(np.diag(luu))))
+            alpha = tri_solve(luu, mu)  # Kuu⁻¹ enters only through triangular solves
+            beta = tri_solve(luu, sqrt)
+            trace = float(np.sum(beta * beta))
+            value += 0.5 * (-logdet_s - m + logdet_k + trace + float(alpha @ alpha))
+            if grads:
+                dmu = tri_solve(luu, alpha, transpose=True)
+                dsqrt = tri_solve(luu, beta, transpose=True)
+                outer = np.outer(dmu, alpha) + dsqrt @ beta.T
+                factors.append(np.diag(1.0 / np.diag(luu)) - np.tril(outer))
+        if grads:
+            means.append(dmu)
+            sqrts.append(dsqrt - np.diag(1.0 / np.diag(sqrt)))  # from -1/2 log|S|
+    if not grads:
+        return value
     if q.is_block:
-        return np.concatenate(means), tuple(sqrts), factors or None
-    return means[0], sqrts[0], factors[0] if factors else None
+        return value, np.concatenate(means), tuple(sqrts), factors or None
+    return value, means[0], sqrts[0], factors[0] if factors else None
 
 
 def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:

@@ -65,8 +65,12 @@ class Stationary(SingleOutputKernel):
         self.lengthscales = lengthscales
 
     def _scaled_r2(self, x, x2) -> np.ndarray:
+        """Scaled squared distances, exactly 0 on the diagonal of inputs
+        against themselves (``x2`` None or ``x``), where the expansion
+        leaves rounding that Matérn-1/2's kink would amplify."""
+        same = x2 is None or x2 is x
         x = _as_2d(x)
-        x2 = x if x2 is None else _as_2d(x2)
+        x2 = x if same else _as_2d(x2)
         if x.shape[1] != x2.shape[1]:
             raise DimensionMismatch(
                 f"input dims differ: {x.shape[1]} vs {x2.shape[1]}"
@@ -84,6 +88,8 @@ class Stationary(SingleOutputKernel):
             + np.sum(b * b, axis=1)[None, :]
             - 2.0 * (a @ b.T)
         )
+        if same:
+            np.fill_diagonal(r2, 0.0)
         return np.clip(r2, 0.0, None)
 
     def _from_r2(self, r2):

@@ -7,7 +7,8 @@ pure function of (parameters, batch, random state).  Training (see the
 mutating them.
 
 An SVGP or a deep GP states its data term once (``_data_term``); its ELBO
-(``_elbo``) and its exact gradients (``_gradients``) both read it.
+(``_elbo``) and its exact gradients (``_gradients``) both read it.  The
+exact GP's posterior is a dense posterior too (``ExactPosterior``).
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from scipy.special import logsumexp
 from .conditionals import (
     Posterior,
     PosteriorMoments,
+    SingleOutputPosterior,
     VariationalGaussian,
     accumulate,
     check_q,
     layout,
-    stream_marginals,
 )
 from .covariances import PAIRS, kuf
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
-from .inducing import InducingVariable
+from .inducing import InducingPoints, InducingVariable
 from .kernels import Kernel, k_diag, k_full
 from .likelihoods import (
     Gaussian,
@@ -41,8 +42,10 @@ from .likelihoods import (
 from .numerics import (
     RngState,
     cholesky,
+    cholesky_vjp,
     standard_normal,
     tri_solve,
+    tri_solve_vjp,
 )
 from .schema import (
     Child,
@@ -97,11 +100,13 @@ class Model:
       on (x, outputs, y) for heterotopic rows.  ``rng()`` returns the step's
       random stream afresh, so every evaluation in a step sees the same
       draws; ``scale`` weights the data term of a minibatch;
-    - ``objective_gradients(batch, rng, scale)``: exact gradients of that
-      objective, at the same ``rng``, with respect to the values of named
-      parameter slots (slot name -> array of the value's shape), from the
-      same data term as the objective and without evaluating it; training
-      takes finite differences for every other slot.  Empty by default;
+    - ``objective_gradients(batch, rng, scale, trainable=None)``: exact
+      gradients of that objective, at the same ``rng``, with respect to the
+      values of named parameter slots (slot name -> array of the value's
+      shape), from the same data term as the objective and without
+      evaluating it; training takes finite differences for every other
+      slot.  ``trainable``, when given, names the slots that train: work
+      that reaches only frozen ones may be skipped.  Empty by default;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default,
       and ``predict_log_density(x, y)``: its marginals with the log
@@ -120,7 +125,7 @@ class Model:
     heterotopic = False
     mixture = False
 
-    def objective_gradients(self, batch, rng, scale) -> dict:
+    def objective_gradients(self, batch, rng, scale, trainable=None) -> dict:
         return {}
 
     def check_modes(self, full_cov, full_output_cov):
@@ -238,14 +243,14 @@ def _elbo(posteriors, x, term, foc) -> float:
     return term(slice(None), moments.mean, moments.cov) - kl
 
 
-def _backward(prefix, gp, post: Posterior, x, seed, foc):
+def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
     """Slot name (under ``prefix``) -> gradient of an objective of the
     marginal moments at ``x`` of an SVGP or a deep-GP layer, minus its KL,
     and the gradient with respect to the rows ``x`` (None where the pair
     has no input VJP).  ``seed`` is as for ``Posterior.backward``; its mean
     gradient is also the one of the mean function's output, so a
-    ``Constant`` mean's value takes its sum.  Empty for a pair without a
-    backward."""
+    ``Constant`` mean's value takes its sum; ``prior`` is as for
+    ``Posterior.backward``.  Empty for a pair without a backward."""
     dvalue = []
 
     def seeded(rows, mean, cov):
@@ -253,7 +258,7 @@ def _backward(prefix, gp, post: Posterior, x, seed, foc):
         dvalue.append(np.sum(dmean))
         return dmean, dcov
 
-    grads = post.backward(x, seeded, foc)
+    grads = post.backward(x, seeded, foc, prior)
     if grads is None:
         return {}, None
     out = {prefix + "q_mu": grads.q_mu}
@@ -270,7 +275,7 @@ def _backward(prefix, gp, post: Posterior, x, seed, foc):
     return out, grads.inputs
 
 
-def _gradients(prefix, gp, posteriors, x, term, foc):
+def _gradients(prefix, gp, posteriors, x, term, foc, prior=True):
     """``_backward`` of ``_elbo`` for the last posterior, that of ``gp``:
     its slots under ``prefix`` and the likelihood's, and the gradient with
     respect to its rows."""
@@ -281,7 +286,7 @@ def _gradients(prefix, gp, posteriors, x, term, foc):
         accumulate(lik, dlik, "likelihood.")
         return dmean, dcov
 
-    grads, inputs = _backward(prefix, gp, posteriors[-1], x, seed, foc)
+    grads, inputs = _backward(prefix, gp, posteriors[-1], x, seed, foc, prior)
     return {**grads, **lik}, inputs
 
 
@@ -304,37 +309,26 @@ def _layer_parts(node, x, whiten):
 # Exact Gaussian process regression
 
 
-class GPRPosterior:
-    """Exact GP posterior: L with L Lᵀ = Kff + noise I and alpha = L⁻¹ y.
-
-    The marginal predictions stream over chunks of rows like the sparse
-    posteriors; the full covariance runs in one pass.
-    """
+class ExactPosterior(SingleOutputPosterior):
+    """The exact GP's posterior as the points pair at Z = X (Titsias 2009):
+    Kuu = Kff + noise I, factored here with no jitter (an escalated one is
+    kept in ``factor_jitter``), and whitened, deterministic q = (L⁻¹y, no
+    factor).  Its moments, in every mode, and their backward are the
+    single-output pair's.  It is not registered: its Kuf is the kernel's
+    own gram, where a ``conv`` kernel is its summed-patch process."""
 
     def __init__(self, kernel, noise_variance, x, y):
-        self.kernel = kernel
-        self.x = x
+        applied = []
         kyy = k_full(kernel, x) + noise_variance * np.eye(x.shape[0])
-        self.factor = cholesky(kyy, jitter=0.0)
-        self.alpha = tri_solve(self.factor, y[:, 0])
+        factor = cholesky(kyy, jitter=0.0, applied=applied)
+        q = VariationalGaussian(tri_solve(factor, y[:, 0]), None, whiten=True)
+        super().__init__(InducingPoints(x), kernel, q, factor=factor)
+        self.factor_jitter = applied[0]
 
-    def _project(self, xnew):
-        a = tri_solve(self.factor, k_full(self.kernel, self.x, xnew))
-        return a, a.T @ self.alpha
-
-    def _marginals(self, xnew):
-        a, mean = self._project(xnew)
-        var = k_diag(self.kernel, xnew) - np.sum(a * a, axis=0)
-        return mean[:, None], var[:, None]
-
-    def predict(self, xnew, full_cov: bool = False) -> PosteriorMoments:
-        xnew = _as_columns(xnew)
-        if full_cov:
-            a, mean = self._project(xnew)
-            cov = k_full(self.kernel, xnew) - a.T @ a
-            return PosteriorMoments(mean[:, None], cov[None, :, :], True, False)
-        mean, var = stream_marginals(self._marginals, xnew, self.x.shape[0])
-        return PosteriorMoments(mean, var, False, False)
+    def _blocks(self, x, full_cov, full_output_cov):
+        kmn = k_full(self.kernel, self.inducing.z, x)[:, :, None]  # [N, Nnew, 1]
+        knn = k_full(self.kernel, x)[None] if full_cov else k_diag(self.kernel, x)[:, None]
+        return kmn, knn
 
 
 class GPRModel(Model):
@@ -364,22 +358,41 @@ class GPRModel(Model):
             )
 
     @cached_property
-    def posterior(self) -> GPRPosterior:
+    def posterior(self) -> ExactPosterior:
         """The factor of Kff + noise I, built once for this snapshot."""
-        return GPRPosterior(self.kernel, self.noise_variance, self.x, self.y)
+        return ExactPosterior(self.kernel, self.noise_variance, self.x, self.y)
 
     def log_marginal(self) -> float:
         """log N(y; 0, Kff + noise I) via Cholesky."""
         n = self.x.shape[0]
         post = self.posterior
+        alpha = post.q.q_mu
         return float(
             -0.5 * n * np.log(2.0 * np.pi)
             - np.sum(np.log(np.diag(post.factor)))
-            - 0.5 * (post.alpha @ post.alpha)
+            - 0.5 * (alpha @ alpha)
         )
 
     def predict(self, xnew, full_cov: bool = False) -> PosteriorMoments:
-        return self.posterior.predict(xnew, full_cov)
+        return self.posterior.predict(_as_columns(xnew), full_cov)
+
+    def objective_gradients(self, batch, rng, scale, trainable=None):
+        """The log marginal likelihood's gradients (Rasmussen & Williams
+        2006, eq. 5.9) where the kernel is stationary with dk/dr²: the
+        kernel's slots and the noise's.  log p = −Σ log Lᵢᵢ − ½αᵀα + c with
+        α = L⁻¹y gives ∂L = −diag(1/Lᵢᵢ) plus the triangular solve's
+        pullback of −α; the Cholesky backward carries it to Kff + noise I,
+        whose gradient goes to the kernel through ``kuu_vjp`` and whose
+        trace is the noise's."""
+        post = self.posterior
+        if not post.input_vjp:
+            return {}
+        factor, alpha = post.factor, post.q.q_mu
+        dl, _ = tri_solve_vjp(factor, alpha, -alpha)
+        dkyy = cholesky_vjp(factor, dl - np.diag(1.0 / np.diag(factor)), post.factor_jitter)
+        grads = post.kuu_vjp(post.inducing, self.kernel, dkyy)
+        del grads["inducing.z"]  # the training inputs, which are data
+        return {**grads, "likelihood.variance": float(np.trace(dkyy))}
 
     @classmethod
     def from_config(cls, node, dataset):
@@ -465,16 +478,19 @@ class SVGPModel(Model):
         pm = self.predict_f(x, full_cov, full_output_cov)
         return pm.mean, pm.cov
 
-    def objective_gradients(self, batch, rng, scale):
+    def objective_gradients(self, batch, rng, scale, trainable=None):
         """The ELBO's gradients: the chain rule of Hensman et al. 2013
         (arXiv:1309.6835) from the data term's gradients with respect to
         the marginal moments, through the posterior's backward, minus the
         KL's.  q's, and W's for a latent set that mixes with one; Z's and
         the kernel's where the pair has the VJPs of its kuu and kuf (points
-        with a stationary kernel); a Gaussian likelihood's variance and a
-        ``Constant`` mean's value."""
+        with a stationary kernel) and one of them trains; a Gaussian
+        likelihood's variance and a ``Constant`` mean's value."""
         posteriors, x, term, foc = self._data(batch, scale)
-        return _gradients("", self, posteriors, x, term, foc)[0]
+        prior = trainable is None or any(
+            name.startswith(("inducing.", "kernel.")) for name in trainable
+        )
+        return _gradients("", self, posteriors, x, term, foc, prior)[0]
 
     def _data(self, batch, scale):
         """(posteriors, x, the data term, whether it reads full output
@@ -656,7 +672,7 @@ class DGPModel(Model):
     def objective(self, batch, rng, scale):
         return self.elbo(batch, rng(), scale)
 
-    def objective_gradients(self, batch, rng, scale):
+    def objective_gradients(self, batch, rng, scale, trainable=None):
         """The ELBO's gradients by reverse mode through the reparameterized
         samples (Salimbeni & Deisenroth 2017, arXiv:1705.08933), at the
         draws that ``rng()`` makes, the ones the objective sees.

@@ -11,15 +11,17 @@ whose exact gradients the model supplies (``Model.objective_gradients``),
 by reverse mode: q, and the mixing matrix W of a latent set, of every SVGP
 and deep-GP layer the chain reaches; Z and the kernel's slots where the
 pair is inducing points with a stationary kernel; a Gaussian likelihood's
-variance and a ``Constant`` mean's value.  A deep GP's chain runs from its
-last layer down through its sampled hidden states, and stops at a layer
-whose pair has no input VJP or whose outputs correlate.  Latent inducing
-sets' kernels and Z, multiscale and patch pairs, the fully-correlated
-points pair's kernel, ``linear``/``white`` kernels, ``gpr``,
+variance and a ``Constant`` mean's value; and ``gpr``'s kernel and noise
+where its kernel is stationary.  A deep GP's chain runs from its last
+layer down through its sampled hidden states, and stops at a layer whose
+pair has no input VJP or whose outputs correlate.  Latent inducing sets'
+kernels and Z, multiscale and patch pairs, the fully-correlated points
+pair's kernel, ``linear``/``white`` kernels (in ``gpr`` too),
 ``svgp_uncertain`` and a correlated Gaussian's covariance stay on
 differences (``_fd_coordinate``), which are also the test oracle of every
 exact slot.  ``gradient`` evaluates the exact gradients inside its own
-call.
+call; the model is told which slots train, so that it skips the work that
+reaches only frozen ones.
 """
 
 from __future__ import annotations
@@ -367,7 +369,8 @@ def _objective_factory(build, x, y, outputs, config):
         objective = lambda s: -build(s).objective(batch, rng, scale)  # noqa: E731
 
         def exact(s):
-            grads = build(s).objective_gradients(batch, rng, scale)
+            trainable = s.names(trainable_only=True)
+            grads = build(s).objective_gradients(batch, rng, scale, trainable)
             return {name: -g for name, g in grads.items()}
 
         return objective, exact

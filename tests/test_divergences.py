@@ -194,3 +194,50 @@ class TestPriorKl:
         k = kuu(iv, kernel, 1e-8)
         q = VariationalGaussian(np.zeros(4), np.linalg.cholesky(k), whiten=False)
         assert prior_kl(iv, kernel, q, jitter=1e-8) == pytest.approx(0.0, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Gradients
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+@pytest.mark.parametrize("per_latent", [False, True], ids=["dense", "per_latent"])
+def test_kl_gradients_share_the_value_and_match_differences(whiten, per_latent):
+    rng = RngState(80)
+    sizes = (3, 2) if per_latent else (4,)
+    mu = standard_normal(rng, sum(sizes))
+    sqrts = [random_lower(rng.derive(1, i), m) for i, m in enumerate(sizes)]
+    factors = [cholesky(make_spd(rng.derive(2, i), m), jitter=0.0) for i, m in enumerate(sizes)]
+
+    def kl(mu, sqrts, factors, grads=False):
+        q = VariationalGaussian(mu, tuple(sqrts) if per_latent else sqrts[0], whiten)
+        return gauss_kl(q, factors if per_latent else factors[0], grads)
+
+    value, dmu, dsqrt, dfactor = kl(mu, sqrts, factors, grads=True)
+    assert value == kl(mu, sqrts, factors)  # bit for bit
+    dsqrts = list(dsqrt) if per_latent else [dsqrt]
+    if whiten:
+        assert dfactor is None
+        dfactors = []
+    else:
+        dfactors = list(dfactor) if per_latent else [dfactor]
+
+    h = 1e-6
+
+    def central(k, i, index):
+        """The central difference in one entry of argument ``k`` (its
+        block ``i`` for the per-block sqrts and factors)."""
+        moved = []
+        for step in (h, -h):
+            args = [mu.copy(), [a.copy() for a in sqrts], [a.copy() for a in factors]]
+            (args[0] if k == 0 else args[k][i])[index] += step
+            moved.append(kl(*args))
+        return (moved[0] - moved[1]) / (2 * h)
+
+    fd_mu = [central(0, None, (j,)) for j in range(mu.shape[0])]
+    np.testing.assert_allclose(dmu, fd_mu, rtol=1e-6, atol=1e-7)
+    for k, exacts in ((1, dsqrts), (2, dfactors)):
+        for i, exact in enumerate(exacts):
+            rows, cols = np.tril_indices(exact.shape[0])
+            fd = [central(k, i, (r, c)) for r, c in zip(rows, cols)]
+            np.testing.assert_allclose(exact[rows, cols], fd, rtol=1e-6, atol=1e-7)

@@ -7,7 +7,8 @@ posterior's backward must agree with ``training._fd_coordinate`` on every
 slot it covers (``_exact_slots``): q, W where a latent set mixes with one,
 Z and the kernel's where the pair is points with a stationary kernel (and
 through it, a deep GP's layers below), and a Gaussian likelihood's
-variance.  Each likelihood's ∂E/∂(mean, var) is checked against
+variance.  The exact GP's kernel and noise are checked the same way.  Each
+likelihood's ∂E/∂(mean, var) is checked against
 differenced quadrature with more nodes.
 """
 
@@ -26,6 +27,7 @@ from sparsegp import (
     FitConfig,
     Gaussian,
     GPLayer,
+    GPRModel,
     InducingPoints,
     IntrinsicCoregionalization,
     LinearCoregionalization,
@@ -50,10 +52,12 @@ from sparsegp.conditionals import create_posterior
 from sparsegp.kernels import Stationary
 from sparsegp.models import Constant
 from sparsegp.likelihoods import expectation_gradients
+from sparsegp.modelio import load_model
 from sparsegp.training import gradient
 
 from conftest import random_lower
 from test_conditionals import ALL_PATHS, _build_q, _paths
+from test_formats import CASES, golden_path
 from test_posteriors import chunks_of
 
 STEP = 1e-5  # differences on the moments themselves
@@ -515,6 +519,23 @@ def test_coincident_inputs_give_finite_input_gradients(kind, whiten):
 
 
 # ---------------------------------------------------------------------------
+# Exact GP regression
+
+
+@pytest.mark.parametrize("kind", STATIONARY)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gpr_gradients_match_differences(kind, dim):
+    # The kernel's slots and the noise through the factor of Kff + noise I;
+    # at D = 2 Kff's diagonal is exact only because r² is 0 there.
+    rng = RngState(71 + dim)
+    x = standard_normal(rng, (9, dim))
+    y = np.sin(x.sum(axis=1, keepdims=True)) + 0.3 * standard_normal(rng.derive(1), (9, 1))
+    model = GPRModel(kind(1.2, [0.8, 1.3][:dim]), 0.05, x, y)
+    slots = ["kernel.lengthscales", "kernel.variance", "likelihood.variance"]
+    _check_against_differences(model, (x, y), slots, screen=_screen)
+
+
+# ---------------------------------------------------------------------------
 # Latents that share one pair
 
 
@@ -662,6 +683,15 @@ def _hetero_lmc_shaped(whiten, n=30, m=10):
     return model, (x, outputs, standard_normal(rng.derive(1), n)), ()
 
 
+def _gpr_shaped(whiten, n=30):
+    """The shipped exact GP: a squared-exponential kernel on one column
+    (``whiten`` does not apply)."""
+    rng = RngState(72)
+    x = np.sort(rng.generator.uniform(0.0, 6.0, (n, 1)), axis=0)
+    y = np.sin(1.2 * x) + 0.15 * standard_normal(rng.derive(1), (n, 1))
+    return GPRModel(SquaredExponential(1.0, 0.8), 0.02, x, y), (x, y), ()
+
+
 @pytest.mark.parametrize("whiten", [False, True])
 @pytest.mark.parametrize(
     "shaped, differenced",
@@ -669,8 +699,9 @@ def _hetero_lmc_shaped(whiten, n=30, m=10):
         (_deep_classify_shaped, 0),
         (_regress_shaped, 0),
         (_hetero_lmc_shaped, 4 + 10),  # the latent kernels' 4 and Z's 10
+        (_gpr_shaped, 0),
     ],
-    ids=["deep_classify", "regress", "hetero_lmc"],
+    ids=["deep_classify", "regress", "hetero_lmc", "gpr"],
 )
 def test_one_fit_step_differences_only_what_no_vjp_reaches(
     monkeypatch, shaped, differenced, whiten
@@ -697,6 +728,44 @@ def test_one_fit_step_differences_only_what_no_vjp_reaches(
     fit(model, data, FitConfig(steps=1, learning_rate=0.01, freeze=frozen))
     assert sum(calls) == 2 * differenced
     assert len(calls) == 2 * differenced + 1  # and the step's trace value
+
+
+def test_frozen_pair_slots_skip_the_kernel_vjps(monkeypatch):
+    # With everything but q frozen no Kuu or Kuf VJP runs, and q's
+    # gradients are the ones computed with every slot trained.
+    model, (x, y), _ = _regress_shaped(True)
+    store, _ = parameterize(model)
+    frozen = tuple(name for name in store.names() if not name.startswith("q_"))
+    calls, real = [], Stationary.K_vjp
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(Stationary, "K_vjp", counted)
+    fit(model, (x, y), FitConfig(steps=1, learning_rate=0.01, freeze=frozen))
+    assert calls == []
+    q_only = model.objective_gradients((x, y), None, 1.0, ["q_mu", "q_sqrt"])
+    assert calls == []
+    every = model.objective_gradients((x, y), None, 1.0)
+    assert calls and {"inducing.z", "kernel.variance"} <= set(every)
+    for name in ("q_mu", "q_sqrt"):
+        np.testing.assert_array_equal(q_only[name], every[name])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_models_give_gradients_only_for_their_slots(name):
+    # ``gradient`` ignores a key that names no slot, which would silently
+    # leave that slot on differences.
+    model, _ = load_model(golden_path(name))
+    x, y = CASES[name][0].x, CASES[name][0].y
+    outputs = model.predict_moments(x)[0].shape[1]  # the case's y, once per output
+    rng = lambda: RngState(0).derive(1, 0)  # noqa: E731
+    grads = model.objective_gradients((x, np.tile(y, (1, outputs))), rng, 1.0)
+    store, _ = parameterize(model)
+    assert set(grads) <= set(store.names())
+    for slot, g in grads.items():
+        assert np.shape(g) == store.get(slot).shape, slot
 
 
 def test_exact_gradients_are_evaluated_inside_gradient():

@@ -52,6 +52,15 @@ class TestSingleOutput:
         k = family(1.7) if family in (Linear, White) else family(1.7, [0.5, 1.0, 2.0])
         np.testing.assert_allclose(k_diag(k, x), np.diag(k_full(k, x)), atol=1e-12)
 
+    def test_matern12_gram_diagonal_is_the_variance_exactly(self, rng):
+        # Expanded as |a|² + |b|² - 2a·b, r² rounds to ~1e-17 instead of 0
+        # on coincident rows of several columns, and Matérn-1/2's kink turns
+        # that into ~1e-8 below the variance.
+        x = standard_normal(rng, (50, 3))
+        k = Matern12(1.7, [0.5, 1.0, 2.0])
+        assert np.all(np.diag(k.K(x)) == 1.7)
+        assert np.all(np.diag(k.K(x, x)) == 1.7)
+
     def test_sqexp_diag_is_constant_variance(self, rng):
         x = standard_normal(rng, (4, 2))
         np.testing.assert_allclose(k_diag(SquaredExponential(2.5, 1.0), x), 2.5)
