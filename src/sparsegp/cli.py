@@ -304,6 +304,8 @@ def _parse_grid(spec: str):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ConfigError(f"grid {spec!r} must be numeric") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"grid {spec!r} must be finite")
     if steps < 1 or hi < lo:
         raise ConfigError(f"grid {spec!r} is degenerate")
     return np.linspace(lo, hi, steps)

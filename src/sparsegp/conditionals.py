@@ -6,11 +6,12 @@ Cholesky factor and q.  Each pair has one entry in the dispatch registry
 the one place that knows the pair.  The class supplies the pair's
 covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
 shape (``layout``: q's blocks, outputs per point and input columns, read by
-``num_inducing``, ``check_q`` and the models) and the moments of one block
-of rows (``_chunk``), with their backward (``_chunk_vjp``) where the pair has
-one.  Kuu is a plain array that the posterior factors once, when it is
-built; its ``kl`` reads that factor.  ``backward`` runs the chunks'
-backward over the rows that ``predict`` streams, giving the gradient of an
+``num_inducing``, ``check_q`` and the models) and the blocks of one chunk of
+rows (``_blocks``: Kuf and the rows' prior covariance), from which the base
+class takes their moments (``_chunk``) and backward (``_chunk_vjp``).  Kuu
+is a plain array that the posterior factors once, when it is built; its
+``kl`` reads that factor.  ``backward`` runs the chunks' backward over the
+rows that ``predict`` streams, giving the gradients, by slot name, of an
 objective of the marginal moments minus the KL with respect to q (and to
 W, for a latent set that mixes with one) from the objective's gradients
 with respect to the moments.  A pair with ``input_vjp`` (inducing points
@@ -50,7 +51,8 @@ are independent per input row, so ``Posterior.predict`` computes them over
 chunks of rows, each with a Kuf of at most :data:`CHUNK_FLOATS` floats:
 memory stays bounded in N and every row gets the numbers a single pass
 would give.  The ``full_cov`` modes run in one pass, since their output is
-N² anyway.
+N² anyway.  The backward streams the marginal modes, the only ones its
+pullbacks cover.
 """
 
 from __future__ import annotations
@@ -160,14 +162,11 @@ class VariationalGaussian:
         return self.q_sqrt
 
 
-@dataclass(eq=False)
-class PosteriorMoments:
+class PosteriorMoments(NamedTuple):
     """Predictive mean [N, P] and covariance in one of the four mode shapes."""
 
     mean: np.ndarray
     cov: np.ndarray
-    full_cov: bool
-    full_output_cov: bool
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +200,27 @@ def _gram(x, n, p, full_cov, full_output_cov):
     return np.einsum("inp,inq->npq", x3, x3)
 
 
-def _gram_adjoint(x, g, n, p, full_cov, full_output_cov):
+def _gram_adjoint(x, g, n, p, full_output_cov):
     """The gradient with respect to x of the sum of ``g`` times
-    ``_gram(x, ...)``, both in the mode shape: x (G + Gᵀ) slice by slice."""
-    if full_cov and full_output_cov:
-        g = g.reshape(n * p, n * p)
-        return x @ (g + g.T)
-    if not (full_cov or full_output_cov):
+    ``_gram(x, ...)`` in a marginal mode, both in the mode shape:
+    x (G + Gᵀ) point by point."""
+    if not full_output_cov:
         return x * (2.0 * g.reshape(-1))
-    x3 = x.reshape(-1, n, p)
-    sym = g + g.transpose(0, 2, 1)
-    if full_cov:  # g: [P, N, N]
-        return np.einsum("rmp,pnm->rnp", x3, sym).reshape(x.shape)
-    return np.einsum("rnq,npq->rnp", x3, sym).reshape(x.shape)  # g: [N, P, P]
+    sym = g + g.transpose(0, 2, 1)  # g: [N, P, P]
+    return np.einsum("rnq,npq->rnp", x.reshape(-1, n, p), sym).reshape(x.shape)
+
+
+def _q_slots(dmu, dsqrt) -> dict:
+    """q's gradients by slot name: ``q_mu``, and ``q_sqrt`` or, for per
+    latent blocks, ``q_sqrt.<i>`` (none for q without a factor)."""
+    if isinstance(dsqrt, tuple):
+        return {"q_mu": dmu, **{f"q_sqrt.{i}": block for i, block in enumerate(dsqrt)}}
+    return {"q_mu": dmu} if dsqrt is None else {"q_mu": dmu, "q_sqrt": dsqrt}
 
 
 def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
-    """Mean [N, P], covariance in the mode shape, and their pullback.
+    """Mean [N, P], covariance in the mode shape, and their pullback (in
+    the marginal modes).
 
     ``a`` and ``proj`` come from :func:`_project` for Kmm = lm lmᵀ and a
     Kmn of [M, N, P] (``proj`` is ``a`` when whitened); knn is the prior
@@ -226,9 +229,9 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
     cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
     Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
     The pullback maps the gradients of an objective with respect to the
-    mean and the covariance to its gradients with respect to m and the
-    factor of S = sqrt sqrtᵀ, as a :class:`QGradient`: proj ∂mean, and
-    proj (D (∂cov + ∂covᵀ))ᵀ with D = sqrtᵀ proj, which for marginal
+    marginal mean and covariance to its gradients with respect to m and the
+    factor of S = sqrt sqrtᵀ, by slot name (:func:`_q_slots`): proj ∂mean,
+    and proj (D (∂cov + ∂covᵀ))ᵀ with D = sqrtᵀ proj, which for marginal
     variances is 2 proj diag(∂var) projᵀ sqrt (Hensman et al. 2013,
     arXiv:1309.6835).  With ``prior`` it also returns the gradients with
     respect to Kmn [M, N, P], Knn (∂cov itself) and lm's lower triangle,
@@ -248,10 +251,10 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
         dmean = np.reshape(dmean, -1)
         dmu = proj @ dmean
         if d is None:
-            q = QGradient(dmu, None if sqrt is None else np.zeros_like(sqrt))
+            q = _q_slots(dmu, None if sqrt is None else np.zeros_like(sqrt))
         else:
-            adjoint = _gram_adjoint(d, dcov, n, p, full_cov, full_output_cov)
-            q = QGradient(dmu, proj @ adjoint.T)
+            adjoint = _gram_adjoint(d, dcov, n, p, full_output_cov)
+            q = _q_slots(dmu, proj @ adjoint.T)
         if not prior:
             return q
         # proj's gradient, then A's (in place, one [M, NP] array at a time)
@@ -262,7 +265,7 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
         dl = 0.0
         if proj is not a:
             dl, da = tri_solve_vjp(lm, proj, da, transpose=True)
-        da -= _gram_adjoint(a, dcov, n, p, full_cov, full_output_cov)
+        da -= _gram_adjoint(a, dcov, n, p, full_output_cov)
         dl_a, dkmn = tri_solve_vjp(lm, a, da)
         return q, dkmn.reshape(-1, n, p), dcov, dl + dl_a
 
@@ -311,36 +314,11 @@ def fully_correlated_conditional(
         lm, *_project(lm, kmn, q.whiten), n, p, knn, q.q_mu, q.dense_sqrt(),
         full_cov, full_output_cov,
     )
-    return PosteriorMoments(mean, cov, full_cov, full_output_cov)
+    return PosteriorMoments(mean, cov)
 
 
 # ---------------------------------------------------------------------------
 # Posterior objects
-
-
-class QGradient(NamedTuple):
-    """Gradients with respect to q, each in the shape of its field (per
-    latent blocks for ``q_sqrt`` when q has them), and with respect to the
-    kernel's mixing matrix ``w`` when a latent set mixes with one.  Where
-    the pair has the VJPs of its ``kuu`` and ``kuf``, ``backward`` also
-    gives ``params`` (slot name under the pair, such as ``inducing.z`` or
-    ``kernel.variance`` -> gradient) and ``inputs``, the gradient with
-    respect to the input rows."""
-
-    q_mu: np.ndarray
-    q_sqrt: np.ndarray | tuple[np.ndarray, ...] | None
-    w: np.ndarray | None = None
-    params: dict | None = None
-    inputs: np.ndarray | None = None
-
-
-def _add(a, b, scale=1.0):
-    """Elementwise a + scale·b of two gradients of one nested structure."""
-    if a is None:
-        return None
-    if isinstance(a, tuple):
-        return tuple(_add(x, y, scale) for x, y in zip(a, b))
-    return a + scale * b
 
 
 def accumulate(total: dict, part: dict, prefix: str = "") -> dict:
@@ -415,23 +393,35 @@ class Posterior:
         """Floats per input row of the largest Kuf-sized array of a chunk."""
         return self.q.num_inducing
 
-    def _chunk(self, x, full_cov, full_output_cov):
-        """(mean, cov) of the rows ``x`` in the requested mode."""
+    def _blocks(self, x, full_cov, full_output_cov):
+        """Kuf [M~, N, P] at the rows ``x`` and their prior covariance in
+        the mode shape, for a dense M~ x M~ Kuu."""
         raise NotImplementedError
-
-    def _chunk_vjp(self, x, full_cov, full_output_cov):
-        """``_chunk``'s (mean, cov) and their pullback: given an objective's
-        gradients with respect to them, its :class:`QGradient`.  A pair
-        without a backward gives the pullback None, and its q slots keep
-        finite differences."""
-        return (*self._chunk(x, full_cov, full_output_cov), None)
 
     def _group_vjp(self, posts, x, full_cov, full_output_cov):
         """``_chunk_vjp`` of each posterior in ``posts``, this one among
         them, that holds this posterior's pair and factor with its own q (the
-        latents of a latent set that share one pair), yielded in turn."""
+        latents of a latent set that share one pair), yielded in turn; they
+        share Kuf, the prior covariance and the solves."""
+        kmn, knn = self._blocks(x, full_cov, full_output_cov)
+        a, proj = _project(self.factor, kmn, self.q.whiten)
+        _, n, p = kmn.shape
         for post in posts:
-            yield post._chunk_vjp(x, full_cov, full_output_cov)
+            q = post.q
+            yield _moments_vjp(
+                self.factor, a, proj, n, p, knn, q.q_mu, q.dense_sqrt(),
+                full_cov, full_output_cov,
+            )
+
+    def _chunk(self, x, full_cov, full_output_cov):
+        """(mean, cov) of the rows ``x`` in the requested mode."""
+        return next(self._group_vjp([self], x, full_cov, full_output_cov))[:2]
+
+    def _chunk_vjp(self, x, full_output_cov):
+        """The marginal (mean, cov) of the rows ``x`` and their pullback:
+        given an objective's gradients with respect to them, its gradients
+        with respect to q (and W) by slot name."""
+        return next(self._group_vjp([self], x, False, full_output_cov))
 
     def predict(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
@@ -451,18 +441,13 @@ class Posterior:
                     mean = np.empty((n, *part_mean.shape[1:]))
                     cov = np.empty((n, *part_cov.shape[1:]))
                 mean[rows], cov[rows] = part_mean, part_cov
-        return PosteriorMoments(mean, cov, full_cov, full_output_cov)
-
-    def sample(self, xnew, rng: RngState, num_samples: int = 1) -> np.ndarray:
-        """Reparameterized draws of f(Xnew) from its per-point marginals;
-        returns [num_samples, N, P]."""
-        return self.draw(xnew, rng, num_samples)[0]
+        return PosteriorMoments(mean, cov)
 
     def draw(self, xnew, rng: RngState, num_samples: int = 1):
-        """``sample``'s draws [S, N, P] with the noise that made them
-        (eps [S, N, P]) and, for uncorrelated outputs, the marginal
-        variances [N, P] that scale it, zero at or below
-        :data:`SAMPLE_VARIANCE_FLOOR` (None for correlated outputs)."""
+        """Reparameterized draws [S, N, P] of f(Xnew) from its per-point
+        marginals, the noise that made them (eps [S, N, P]) and, for
+        uncorrelated outputs, the marginal variances [N, P] that scale it,
+        zero at or below :data:`SAMPLE_VARIANCE_FLOOR` (else None)."""
         correlated = self.correlated_outputs
         moments = self.predict(xnew, full_cov=False, full_output_cov=correlated)
         n, p = moments.mean.shape
@@ -477,9 +462,11 @@ class Posterior:
         return moments.mean[None, :, :] + noise, eps, var
 
     def backward(self, x, seed, full_output_cov: bool = False, prior: bool = True):
-        """The :class:`QGradient` of an objective of the marginal moments at
-        ``x`` minus this posterior's KL, or None when the pair has no
-        backward.
+        """(slot name under the pair -> gradient, gradient with respect to
+        the rows ``x``) of an objective of the marginal moments at ``x``
+        minus this posterior's KL.  The slots are q's, W's for a latent set
+        that mixes with one, and Z's and the kernel's where the pair has
+        ``input_vjp``; without it the rows' gradient is None.
 
         ``seed(rows, mean, cov)`` returns the objective's gradients with
         respect to the marginal mean and covariance of the rows ``x[rows]``;
@@ -492,40 +479,34 @@ class Posterior:
         Kuu factor.  The first two go through the pair's ``_blocks_vjp`` to
         its parameters and to the rows; the factor's, summed over the chunks
         with the KL's, go through one Cholesky backward into ``kuu_vjp``.
-        ``prior`` False skips these VJPs (and gives no ``params`` or
-        ``inputs``), for a caller that trains none of what they reach.
+        ``prior`` False skips these VJPs, for a caller that trains none of
+        what they reach.
         """
         x = np.asarray(x, dtype=float)
         exact = prior and self.input_vjp
-        total, dfactor, params = None, 0.0, {}
+        slots, dfactor = {}, 0.0
         inputs = np.zeros_like(x) if exact else None
         for rows in chunk_slices(x.shape[0], self._row_floats()):
-            mean, cov, pullback = self._chunk_vjp(x[rows], False, full_output_cov)
-            if pullback is None:
-                return None
+            mean, cov, pullback = self._chunk_vjp(x[rows], full_output_cov)
             dmoments = seed(rows, mean, cov)
-            if exact:
-                part, dkmn, dknn, dl = pullback(*dmoments, prior=True)
-                del pullback  # and the chunk's solves, before the blocks' VJPs
-                dfactor = dfactor + dl
-                blocks, inputs[rows] = self._blocks_vjp(x[rows], dkmn, dknn)
-                accumulate(params, blocks)
-            else:
-                part = pullback(*dmoments)
-            total = part if total is None else QGradient(*_add(total, part))
+            if not exact:
+                accumulate(slots, pullback(*dmoments))
+                continue
+            part, dkmn, dknn, dl = pullback(*dmoments, prior=True)
+            del pullback  # and the chunk's solves, before the blocks' VJPs
+            accumulate(slots, part)
+            dfactor = dfactor + dl
+            blocks, inputs[rows] = self._blocks_vjp(x[rows], dkmn, dknn)
+            accumulate(slots, blocks)
         _, dmu, dsqrt, kl_factor = gauss_kl(self.q, self.factor, grads=True)
+        for name, grad in _q_slots(dmu, dsqrt).items():
+            slots[name] = slots[name] - grad
         if exact:
             if kl_factor is not None:
                 dfactor = dfactor - kl_factor
             dkuu = cholesky_vjp(self.factor, dfactor, self.factor_jitter)
-            accumulate(params, self.kuu_vjp(self.inducing, self.kernel, dkuu))
-        return QGradient(
-            total.q_mu - dmu,
-            _add(total.q_sqrt, dsqrt, -1.0),
-            total.w,
-            params if exact else None,
-            inputs,
-        )
+            accumulate(slots, self.kuu_vjp(self.inducing, self.kernel, dkuu))
+        return slots, inputs
 
     def kl(self) -> float:
         """KL(q(u) || p(u)), reading the factor instead of refactoring."""
@@ -608,7 +589,7 @@ def sample_conditional(
     jitter: float | None = None,
 ) -> np.ndarray:
     """Draw reparameterized samples of f(Xnew); returns [num_samples, N, P]."""
-    return create_posterior(iv, kernel, q, jitter).sample(xnew, rng, num_samples)
+    return create_posterior(iv, kernel, q, jitter).draw(xnew, rng, num_samples)[0]
 
 
 def _jittered(k, jitter):
@@ -625,35 +606,6 @@ def _marginal_sqrt(cov_n):
     return cholesky(cov_n, jitter=0.0)
 
 
-class _DensePosterior(Posterior):
-    """A pair whose Kuu is one dense M~ x M~ matrix.  A subclass supplies
-    the blocks of a chunk; the moments and their backward, in both
-    whitenings and every mode, come from here."""
-
-    def _blocks(self, x, full_cov, full_output_cov):
-        """Kuf [M~, N, P] at the rows ``x`` and their prior covariance in
-        the mode shape."""
-        raise NotImplementedError
-
-    def _chunk(self, x, full_cov, full_output_cov):
-        return self._chunk_vjp(x, full_cov, full_output_cov)[:2]
-
-    def _chunk_vjp(self, x, full_cov, full_output_cov):
-        return next(self._group_vjp([self], x, full_cov, full_output_cov))
-
-    def _group_vjp(self, posts, x, full_cov, full_output_cov):
-        # The posteriors share Kuf, the prior covariance and the solves.
-        kmn, knn = self._blocks(x, full_cov, full_output_cov)
-        a, proj = _project(self.factor, kmn, self.q.whiten)
-        _, n, p = kmn.shape
-        for post in posts:
-            q = post.q
-            yield _moments_vjp(
-                self.factor, a, proj, n, p, knn, q.q_mu, q.dense_sqrt(),
-                full_cov, full_output_cov,
-            )
-
-
 def _pair_slots(dz, kernel_grads) -> dict:
     """A pair's gradients by slot name under the pair: its inducing inputs'
     and its kernel's parameters', keyed by the kernel's own schema names."""
@@ -661,7 +613,7 @@ def _pair_slots(dz, kernel_grads) -> dict:
 
 
 @PAIRS.register(InducingPoints, Kernel)
-class SingleOutputPosterior(_DensePosterior):
+class SingleOutputPosterior(Posterior):
     @property
     def input_vjp(self):
         return isinstance(self.kernel, Stationary) and self.kernel.dk_dr2 is not None
@@ -798,7 +750,7 @@ class PatchPosterior(SingleOutputPosterior):
 
 
 @PAIRS.register(InducingPoints, MultioutputKernel)
-class MultioutputPointsPosterior(_DensePosterior):
+class MultioutputPointsPosterior(Posterior):
     correlated_outputs = True
 
     @classmethod
@@ -942,25 +894,20 @@ class LatentPosterior(Posterior):
         mean, cov = self._latent_moments(x, full_cov)
         return self.kernel.mix_mean(mean), self.kernel.mix(cov, full_cov, full_output_cov)
 
-    def _chunk_vjp(self, x, full_cov, full_output_cov):
+    def _chunk_vjp(self, x, full_output_cov):
         pullbacks = [None] * len(self.latents)
-        mean, cov = self._latent_moments(x, full_cov, pullbacks)
+        mean, cov = self._latent_moments(x, False, pullbacks)
         kernel = self.kernel
-        moments = kernel.mix_mean(mean), kernel.mix(cov, full_cov, full_output_cov)
-        if None in pullbacks:
-            return (*moments, None)
 
         def pullback(dmean, dcov):
             # The adjoint of the kernel's map gives the latents' gradients
             # (and W's), which each latent's own pair pulls back to its q.
-            dmean, dcov, dw = kernel.mix_adjoint(
-                dmean, dcov, mean, cov, full_cov, full_output_cov
-            )
-            grads = [
-                back(dmean[:, [i]], dcov[[i]] if full_cov else dcov[:, [i]])
-                for i, back in enumerate(pullbacks)
-            ]
-            sqrts = tuple(g.q_sqrt for g in grads) if self.q.q_sqrt else None
-            return QGradient(np.concatenate([g.q_mu for g in grads]), sqrts, dw)
+            dmean, dcov, dw = kernel.mix_adjoint(dmean, dcov, mean, cov, full_output_cov)
+            grads = [back(dmean[:, [i]], dcov[:, [i]]) for i, back in enumerate(pullbacks)]
+            sqrts = tuple(g["q_sqrt"] for g in grads) if self.q.q_sqrt else None
+            slots = _q_slots(np.concatenate([g["q_mu"] for g in grads]), sqrts)
+            if dw is not None:
+                slots["kernel.w"] = dw
+            return slots
 
-        return (*moments, pullback)
+        return kernel.mix_mean(mean), kernel.mix(cov, False, full_output_cov), pullback

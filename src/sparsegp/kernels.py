@@ -287,11 +287,11 @@ class IndependentLatent(MultioutputKernel):
         [L, N, N2] with ``full_cov`` and [N, L] without."""
         raise NotImplementedError
 
-    def mix_adjoint(self, dmean, dcov, mean, cov, full_cov, full_output_cov):
-        """The adjoint of ``mix_mean`` and ``mix`` at the latents' ``mean``
-        and ``cov``: an objective's gradients with respect to the output
-        moments, as gradients with respect to the latents' moments and to
-        the mixing matrix (None when the map has none)."""
+    def mix_adjoint(self, dmean, dcov, mean, cov, full_output_cov):
+        """The adjoint of ``mix_mean`` and ``mix`` in a marginal mode at the
+        latents' ``mean`` and ``cov`` [N, L]: an objective's gradients with
+        respect to the output moments, as gradients with respect to the
+        latents' moments and to the mixing matrix (None if the map has none)."""
         raise NotImplementedError
 
     def latent_grams(self, x, x2=None) -> np.ndarray:
@@ -330,10 +330,10 @@ class IndependentOutputs(IndependentLatent):
         record_allocation(out)
         return out
 
-    def mix_adjoint(self, dmean, dcov, mean, cov, full_cov, full_output_cov):
-        if full_output_cov:  # the diagonal blocks that ``mix`` filled
+    def mix_adjoint(self, dmean, dcov, mean, cov, full_output_cov):
+        if full_output_cov:  # the per-point diagonals that ``mix`` filled
             idx = np.arange(dmean.shape[1])
-            dcov = dcov[:, idx, :, idx] if full_cov else dcov[:, idx, idx]
+            dcov = dcov[:, idx, idx]
         return dmean, dcov, None
 
 
@@ -426,17 +426,10 @@ class LinearCoregionalization(IndependentLatent):
         record_allocation(out)
         return out
 
-    def mix_adjoint(self, dmean, dcov, mean, cov, full_cov, full_output_cov):
+    def mix_adjoint(self, dmean, dcov, mean, cov, full_output_cov):
         w = self.w
         dw = dmean.T @ mean  # from mean @ Wᵀ
-        if full_cov and full_output_cov:
-            dc = np.einsum("pl,npmq,ql->lnm", w, dcov, w)
-            sym = dcov + dcov.transpose(0, 3, 2, 1)
-            dw = dw + np.einsum("npmq,lnm,ql->pl", sym, cov, w)
-        elif full_cov:
-            dc = np.einsum("pl,pnm->lnm", w * w, dcov)
-            dw = dw + 2.0 * w * np.einsum("pnm,lnm->pl", dcov, cov)
-        elif full_output_cov:
+        if full_output_cov:
             dc = np.einsum("pl,npq,ql->nl", w, dcov, w)
             sym = dcov + dcov.transpose(0, 2, 1)
             dw = dw + np.einsum("npq,nl,ql->pl", sym, cov, w)

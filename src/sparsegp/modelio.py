@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,9 @@ def _parse_header(header):
 
 
 def read_dataset(path) -> Dataset:
-    """Parse each row as it is read.  Blank rows are skipped, and error line
-    numbers count the rows that are not blank, the header being line 1."""
+    """Parse each row as it is read, then refuse non-finite cells.  Blank
+    rows are skipped, and error line numbers count the rows that are not
+    blank, the header being line 1."""
     x, y, outputs = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = (row for row in csv.reader(handle) if row and any(c.strip() for c in row))
@@ -110,18 +112,21 @@ def read_dataset(path) -> Dataset:
                     y.append([float(row[i]) for i in y_idx])
                 if output_col is not None:
                     index = float(row[output_col])
-                    if index != int(index) or index < 0:
-                        raise ValueError
-                    outputs.append(int(index))
+                    if math.isfinite(index):  # a non-finite one is refused below
+                        if index != int(index) or index < 0:
+                            raise ValueError
+                        index = int(index)
+                    outputs.append(index)
             except ValueError:
                 raise DataError(f"line {lineno}: non-numeric cell") from None
     if not x:
         raise DataError("dataset file has a header but no rows")
-    return Dataset(
-        np.asarray(x, float),
-        np.asarray(y, float) if y_idx else None,
-        np.asarray(outputs, int) if output_col is not None else None,
-    )
+    x, y = np.asarray(x, float), (np.asarray(y, float) if y_idx else None)
+    index = None if output_col is None else np.asarray(outputs, float)[:, None]
+    finite = np.isfinite(np.hstack([c for c in (x, y, index) if c is not None])).all(axis=1)
+    if not finite.all():
+        raise DataError(f"line {int(np.argmin(finite)) + 2}: non-finite cell")
+    return Dataset(x, y, None if index is None else np.asarray(outputs, int))
 
 
 def write_dataset(path, x, y=None, outputs=None) -> None:

@@ -186,8 +186,7 @@ def _posterior(gp, jitter) -> Posterior:
 def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
     """Moments of an SVGP or a deep-GP layer at ``x``, mean function added."""
     moments = post.predict(x, full_cov, full_output_cov)
-    moments.mean = moments.mean + gp.mean_function(x)
-    return moments
+    return PosteriorMoments(moments.mean + gp.mean_function(x), moments.cov)
 
 
 def output_groups(outputs):
@@ -250,7 +249,7 @@ def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
     has no input VJP).  ``seed`` is as for ``Posterior.backward``; its mean
     gradient is also the one of the mean function's output, so a
     ``Constant`` mean's value takes its sum; ``prior`` is as for
-    ``Posterior.backward``.  Empty for a pair without a backward."""
+    ``Posterior.backward``."""
     dvalue = []
 
     def seeded(rows, mean, cov):
@@ -258,21 +257,11 @@ def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
         dvalue.append(np.sum(dmean))
         return dmean, dcov
 
-    grads = post.backward(x, seeded, foc, prior)
-    if grads is None:
-        return {}, None
-    out = {prefix + "q_mu": grads.q_mu}
-    if isinstance(grads.q_sqrt, tuple):
-        for i, block in enumerate(grads.q_sqrt):
-            out[f"{prefix}q_sqrt.{i}"] = block
-    else:
-        out[prefix + "q_sqrt"] = grads.q_sqrt
-    if grads.w is not None:
-        out[prefix + "kernel.w"] = grads.w
-    accumulate(out, grads.params or {}, prefix)
+    slots, inputs = post.backward(x, seeded, foc, prior)
+    out = accumulate({}, slots, prefix)
     if isinstance(gp.mean_function, Constant):
         out[prefix + "mean.value"] = float(np.sum(dvalue))
-    return out, grads.inputs
+    return out, inputs
 
 
 def _gradients(prefix, gp, posteriors, x, term, foc, prior=True):

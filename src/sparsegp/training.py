@@ -8,8 +8,9 @@ free space; models are rebuilt from the store at each objective evaluation.
 
 Gradients come from central finite differences, except for the slots
 whose exact gradients the model supplies (``Model.objective_gradients``),
-by reverse mode: q, and the mixing matrix W of a latent set, of every SVGP
-and deep-GP layer the chain reaches; Z and the kernel's slots where the
+by reverse mode: q (through the backward that every pair's posterior
+takes from its blocks), and the mixing matrix W of a latent set, of every
+SVGP and deep-GP layer the chain reaches; Z and the kernel's slots where the
 pair is inducing points with a stationary kernel; a Gaussian likelihood's
 variance and a ``Constant`` mean's value; and ``gpr``'s kernel and noise
 where its kernel is stationary.  A deep GP's chain runs from its last

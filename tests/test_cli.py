@@ -219,7 +219,11 @@ class TestDatasetFiles:
 
     @pytest.mark.parametrize(
         "row, message",
-        [("1.0,huh", "line 4: non-numeric cell"), ("1.0", "line 4: expected 2 cells, got 1")],
+        [
+            ("1.0,huh", "line 4: non-numeric cell"),
+            ("1.0", "line 4: expected 2 cells, got 1"),
+            ("inf,1.0", "line 4: non-finite cell"),
+        ],
     )
     def test_bad_row_reports_its_line(self, tmp_path, row, message):
         # Blank lines are skipped and not counted, as they always were.
@@ -380,6 +384,41 @@ class TestExitCodes:
             args += ["--out", out] if command == "predict" else []
         assert main(args) == 3
         assert "has a header but no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_cell_is_3_with_its_line(
+        self, tmp_path, trained_svgp, capsys, command, column, value
+    ):
+        rows = [["0.1", "0.5"], ["0.2", "0.7"], ["0.3", "0.9"], ["0.4", "1.1"]]
+        rows[2][column] = value
+        text = "x0,y0\n" + "".join(",".join(row) + "\n" for row in rows)
+        data = _write(tmp_path, "rows.csv", text)
+        out = str(tmp_path / "out")
+        if command == "train":
+            conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+            args = ["train", "--config", conf, "--data", data, "--out", out]
+        else:
+            args = [command, "--model", trained_svgp, "--data", data]
+            args += ["--out", out] if command == "predict" else []
+        assert main(args) == 3
+        assert "line 4: non-finite cell" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("index", ["inf", "-inf", "nan"])
+    def test_non_finite_output_index_is_3_with_its_line(
+        self, tmp_path, trained_svgp, capsys, command, index
+    ):
+        text = f"x0,output_index,y0\n0.1,0,0.5\n0.2,{index},0.7\n0.3,0,0.9\n"
+        data = _write(tmp_path, "rows.csv", text)
+        if command == "train":
+            conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+            args = ["train", "--config", conf, "--data", data, "--out", str(tmp_path / "m")]
+        else:
+            args = ["eval", "--model", trained_svgp, "--data", data]
+        assert main(args) == 3
+        assert "line 3: non-finite cell" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "likelihood, bad, message",
@@ -777,6 +816,13 @@ class TestPlotdata:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1].startswith(b"-0.99,")
+
+    @pytest.mark.parametrize("grid", ["0:inf:5", "nan:1:5", "-inf:0:5", "0:nan:5"])
+    def test_non_finite_grid_is_2(self, tmp_path, trained_svgp, capsys, grid):
+        out = str(tmp_path / "grid.csv")
+        args = ["plotdata", "--model", trained_svgp, f"--grid={grid}", "--out", out]
+        assert main(args) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_monotone_grid_order(self, tmp_path, trained_svgp):
         out = str(tmp_path / "grid.csv")

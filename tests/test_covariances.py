@@ -25,14 +25,12 @@ from sparsegp import (
     SVGPModel,
     VariationalGaussian,
     fit,
-    k_diag,
     k_full,
     kuf,
     kuu,
     mo_k,
     num_inducing,
     standard_normal,
-    tri_solve,
 )
 from sparsegp.errors import (
     AmbiguityDetected,
@@ -41,10 +39,11 @@ from sparsegp.errors import (
     SparseGPError,
     UnsupportedCombination,
 )
-from sparsegp.conditionals import Layout, Posterior, layout
+from sparsegp.conditionals import Layout, Posterior, SingleOutputPosterior, layout
 from sparsegp.covariances import PAIRS
 from sparsegp.inducing import InducingVariable
 from sparsegp.models import _initial_q
+from sparsegp.training import _fd_coordinate, parameterize
 from sparsegp.schema import Param, Schema
 
 from conftest import desk_regression
@@ -494,6 +493,22 @@ class TestLayout:
             )
             np.testing.assert_allclose(got.mean[:, 0], mean, atol=1e-8)
             np.testing.assert_allclose(got.cov[:, 0], np.diag(cov), atol=1e-8)
+
+            # q trains on its exact gradients, which match the differences.
+            grads = trained.objective_gradients((x, y), None, None)
+            assert {"q_mu", "q_sqrt"} <= set(grads)
+            store, build = parameterize(trained)
+            free = store.free_vector()
+
+            def objective(s):
+                return build(s).objective((x, y), None, None)
+
+            for name, lo, hi in store.spans():
+                if name not in ("q_mu", "q_sqrt"):
+                    continue
+                fd = [_fd_coordinate(objective, store, free, i) for i in range(lo, hi)]
+                exact = store.free_gradient(name, grads[name])
+                np.testing.assert_allclose(exact, fd, rtol=1e-4, atol=1e-7)
         finally:
             del PAIRS._table[(Midpoints, SquaredExponential)]
             PAIRS._cache.clear()
@@ -520,7 +535,9 @@ def _midpoint_gram(kernel, iv, other):
     return sum(grams) / len(grams)
 
 
-class MidpointPosterior(Posterior):
+class MidpointPosterior(SingleOutputPosterior):
+    input_vjp = False  # its midpoint grams have no VJPs
+
     @classmethod
     def layout(cls, iv, kernel):
         return Layout((iv.num_rows,), False, 1, iv.a.shape[1])
@@ -532,17 +549,3 @@ class MidpointPosterior(Posterior):
     @classmethod
     def kuf(cls, iv, kernel, xnew):
         return _midpoint_gram(kernel, iv, xnew)
-
-    def _chunk(self, x, full_cov, full_output_cov):
-        kernel, q = self.kernel, self.q
-        a = tri_solve(self.factor, kuf(self.inducing, kernel, x))
-        proj = a if q.whiten else tri_solve(self.factor, a, transpose=True)
-        d = q.q_sqrt.T @ proj
-        n = x.shape[0]
-        if full_cov:
-            cov = k_full(kernel, x) - a.T @ a + d.T @ d
-            shape = (n, 1, n, 1) if full_output_cov else (1, n, n)
-        else:
-            cov = k_diag(kernel, x) - np.sum(a * a, 0) + np.sum(d * d, 0)
-            shape = (n, 1, 1) if full_output_cov else (n, 1)
-        return (proj.T @ q.q_mu)[:, None], cov.reshape(shape)
