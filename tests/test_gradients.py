@@ -384,23 +384,43 @@ def test_constant_mean_value_gradient_matches_differences(whiten, heterotopic):
     _check_against_differences(model, batch, slots, screen=_screen)
 
 
+def _row_marginals(cov, full_output_cov):
+    # The marginal-mode covariance on the row diagonal of a full_cov one:
+    # [P, N, N] -> [N, P], or [N, P, N, P] -> [N, P, P].
+    if full_output_cov:
+        return np.einsum("npnq->npq", cov)
+    return np.diagonal(cov, axis1=1, axis2=2).T
+
+
 @pytest.mark.parametrize("name", ALL_PATHS)
 @pytest.mark.parametrize("whiten", [False, True])
+@pytest.mark.parametrize("full_cov", [False, True])
 @pytest.mark.parametrize("full_output_cov", [False, True])
-def test_every_mode_pulls_back_to_q_and_w(name, whiten, full_output_cov):
-    # The pullback of Σ G_m·mean + Σ G_c·cov for random G, in both marginal
-    # modes, the ones the backward streams.
+def test_every_mode_pulls_back_to_q_and_w(name, whiten, full_cov, full_output_cov):
+    # The pullback of Σ G_m·mean + Σ G_c·cov for random G in the marginal
+    # modes, the ones the backward streams. With full_cov the differences run
+    # through the full-covariance forward, read on its row diagonal: the
+    # marginal pullback must be its exact gradient there too.
     rng = RngState(61)
     x, iv, kernel, q_builder, _ = _paths(rng)[name]
     q = _build_q(name, iv, kernel, q_builder, whiten)
     model = SVGPModel(kernel, Gaussian(1.0), iv, q, jitter=1e-6)
-    mean, cov, _ = create_posterior(iv, kernel, q, 1e-6)._chunk_vjp(x, full_output_cov)
+    post = create_posterior(iv, kernel, q, 1e-6)
+    mean, cov, _ = post._chunk_vjp(x, full_output_cov)
     g_mean = standard_normal(rng.derive(1), mean.shape)
     g_cov = standard_normal(rng.derive(2), cov.shape)
+    if full_cov:
+        full_mean, full = post._chunk(x, True, full_output_cov)
+        np.testing.assert_allclose(full_mean, mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            _row_marginals(full, full_output_cov), cov, rtol=1e-10, atol=1e-12
+        )
 
     def objective(s):
         post = build(s).posterior
-        m, c = post._chunk(x, False, full_output_cov)
+        m, c = post._chunk(x, full_cov, full_output_cov)
+        if full_cov:
+            c = _row_marginals(c, full_output_cov)
         return float(np.sum(g_mean * m) + np.sum(g_cov * c))
 
     store, build = parameterize(model)
