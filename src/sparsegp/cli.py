@@ -3,7 +3,8 @@
 Exit codes: 0 success; 2 configuration error, including a combination of
 components that is not supported; 3 data validation error; 4 numerical
 failure (the failing error class is printed).  The environment variable
-SPARSEGP_JITTER overrides the default jitter for debugging.
+SPARSEGP_JITTER overrides the default jitter, the absolute amount added to
+Kuu's diagonal, for debugging.
 """
 
 from __future__ import annotations

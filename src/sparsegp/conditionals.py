@@ -8,13 +8,14 @@ covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
 shape (``layout``: q's blocks, outputs per point and input columns, read by
 ``num_inducing``, ``check_q`` and the models) and the blocks of one chunk of
 rows (``_blocks``: Kuf and the rows' prior covariance), from which the base
-class takes their moments (``_chunk``) and backward (``_chunk_vjp``).  Kuu
-is a plain array that the posterior factors once, when it is built; its
-``kl`` reads that factor.  ``backward`` runs the chunks' backward over the
-rows that ``predict`` streams, giving the gradients, by slot name, of an
-objective of the marginal moments minus the KL with respect to q (and to
-W, for a latent set that mixes with one) from the objective's gradients
-with respect to the moments.  A pair with ``input_vjp`` (inducing points
+class takes their moments (``_chunk``) and backward (``_chunk_vjp``).  Kuu,
+the pair's plain one plus the jitter ``covariances.kuu`` adds, is factored
+once, when the posterior is built; its ``kl`` reads that factor.
+``backward`` runs the chunks' backward over the rows that ``predict``
+streams, giving the gradients, by slot name, of an objective of the
+marginal moments minus the KL with respect to q (and to W, for a latent
+set that mixes with one) from the objective's gradients with respect to
+the moments.  A pair with ``input_vjp`` (inducing points
 with a stationary kernel) also supplies the VJPs of its own ``kuu`` and
 ``kuf``: each chunk's Kuf cotangent goes through ``kuf_vjp``, and the
 factor's cotangent, summed over the chunks with the unwhitened KL's, goes
@@ -26,8 +27,8 @@ parameters and the input rows.  The KL's gradients come from
 A pair that is refused raises from ``layout``, ``kuu`` and ``kuf`` alike, so
 a model holding it is refused when it is built.  A new pair registers one
 such class and nothing else.
-``conditional`` and ``sample_conditional`` build a posterior and use it
-once; models keep one.
+``create_posterior`` builds a pair's posterior; ``conditional`` and
+``sample_conditional`` use one once, and models keep one.
 
 A latent inducing set is a :class:`LatentPosterior`: one posterior per
 latent process, each of its own (member, latent kernel) pair's class, whose
@@ -304,7 +305,7 @@ def fully_correlated_conditional(
     kmn = np.asarray(kmn, dtype=float)
     knn = np.asarray(knn, dtype=float)
     mt, n, p = kmn.shape
-    lm = cholesky(kmm, jitter=0.0)
+    lm = cholesky(kmm)
     if mt != lm.shape[0]:
         raise ShapeMismatch(f"Kmn has {mt} rows for Kmm of dim {lm.shape[0]}")
     shape = _cov_shape(n, p, full_cov, full_output_cov)
@@ -369,7 +370,7 @@ class Posterior:
         self.q = q
         applied = []
         if factor is None:
-            factor = cholesky(kuu(iv, kernel, jitter), jitter=0.0, applied=applied)
+            factor = cholesky(kuu(iv, kernel, jitter), applied=applied)
         self.factor = factor
         self.factor_jitter = applied[0] if applied else 0.0
 
@@ -380,8 +381,8 @@ class Posterior:
         raise NotImplementedError
 
     @classmethod
-    def kuu(cls, iv: InducingVariable, kernel: Kernel, jitter: float) -> np.ndarray:
-        """The pair's Kuu with ``jitter`` on the diagonal (``covariances.kuu``)."""
+    def kuu(cls, iv: InducingVariable, kernel: Kernel) -> np.ndarray:
+        """The pair's plain Kuu; ``covariances.kuu`` adds the jitter."""
         raise NotImplementedError
 
     @classmethod
@@ -592,18 +593,11 @@ def sample_conditional(
     return create_posterior(iv, kernel, q, jitter).draw(xnew, rng, num_samples)[0]
 
 
-def _jittered(k, jitter):
-    """A pair's Kuu: the gram ``k`` with ``jitter`` on its diagonal."""
-    out = k + jitter * np.eye(k.shape[0])
-    record_allocation(out)
-    return out
-
-
 def _marginal_sqrt(cov_n):
     """Factor of one P x P marginal; numerically zero slices collapse to 0."""
     if float(np.max(np.abs(np.diag(cov_n)))) <= SAMPLE_VARIANCE_FLOOR:
         return np.zeros_like(cov_n)
-    return cholesky(cov_n, jitter=0.0)
+    return cholesky(cov_n)
 
 
 def _pair_slots(dz, kernel_grads) -> dict:
@@ -623,8 +617,8 @@ class SingleOutputPosterior(Posterior):
         return Layout((iv.num_rows,), False, 1, iv.z.shape[1])
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
-        return _jittered(k_full(kernel, iv.z), jitter)
+    def kuu(cls, iv, kernel):
+        return k_full(kernel, iv.z)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -633,7 +627,7 @@ class SingleOutputPosterior(Posterior):
     @classmethod
     def kuu_vjp(cls, iv, kernel, dkuu):
         """Slot name -> gradient of Σ dkuu ⊙ Kuu, for a stationary kernel
-        that gives dk/dr² (the jitter is a constant)."""
+        that gives dk/dr²."""
         dz, dz2, grads = kernel.K_vjp(iv.z, iv.z, dkuu)
         return _pair_slots(dz + dz2, grads)
 
@@ -676,16 +670,15 @@ class MultiscalePosterior(SingleOutputPosterior):
     input_vjp = False  # its windowed kuu and kuf have no VJPs
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
+    def kuu(cls, iv, kernel):
         z = iv.z
         s2 = iv.scales**2
         ls2 = np.broadcast_to(kernel.lengthscales**2, (z.shape[1],))
         eff2 = ls2[None, None, :] + s2[:, None, :] + s2[None, :, :]  # [M, M, D]
         d2 = (z[:, None, :] - z[None, :, :]) ** 2
-        k = _multiscale_prefactor(kernel, eff2) * np.exp(
+        return _multiscale_prefactor(kernel, eff2) * np.exp(
             -0.5 * np.sum(d2 / eff2, axis=-1)
         )
-        return _jittered(k, jitter)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -731,8 +724,8 @@ class PatchPosterior(SingleOutputPosterior):
         return Layout((iv.num_rows,), False, 1, ih * iw)
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
-        return _jittered(kernel.kernel.K(iv.z), jitter)  # the patches' own gram
+    def kuu(cls, iv, kernel):
+        return kernel.kernel.K(iv.z)  # the patches' own gram
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -759,10 +752,10 @@ class MultioutputPointsPosterior(Posterior):
         return Layout((iv.num_rows * p,), False, p, iv.z.shape[1])
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
+    def kuu(cls, iv, kernel):
         full = mo_k(kernel, iv.z, full_output_cov=True)  # [M, P, M, P]
         mp = full.shape[0] * full.shape[1]
-        return _jittered(full.reshape(mp, mp), jitter)
+        return full.reshape(mp, mp)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):
@@ -772,16 +765,10 @@ class MultioutputPointsPosterior(Posterior):
         return self.q.num_inducing * self.kernel.num_outputs  # Kuf [M, P, N, P]
 
     def _blocks(self, x, full_cov, full_output_cov):
-        kernel = self.kernel
-        kmn4 = kuf(self.inducing, kernel, x)  # [M, P, N, P]
-        m, p, n, p2 = kmn4.shape
-        if full_cov:
-            knn = mo_k(kernel, x, full_output_cov=True)  # [N, P, N, P]
-            if not full_output_cov:
-                knn = np.einsum("npmp->pnm", knn)
-        else:
-            knn = mo_k_diag(kernel, x, full_output_cov=full_output_cov)
-        return kmn4.reshape(m * p, n, p2), knn
+        kmn = kuf(self.inducing, self.kernel, x)  # [M, P, N, P]
+        prior = mo_k if full_cov else mo_k_diag
+        knn = prior(self.kernel, x, full_output_cov=full_output_cov)
+        return kmn.reshape(-1, *kmn.shape[2:]), knn
 
 
 # ---------------------------------------------------------------------------
@@ -857,9 +844,9 @@ class LatentPosterior(Posterior):
         return Layout(blocks, True, kernel.num_outputs, shapes[0].columns)
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
+    def kuu(cls, iv, kernel):
         pairs = _latent_pairs(iv, kernel)
-        return block_diag(*(pair.kuu(m, k, jitter) for m, k, pair, _ in pairs))
+        return block_diag(*(pair.kuu(m, k) for m, k, pair, _ in pairs))
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):  # [M_1 + ... + M_L, N]

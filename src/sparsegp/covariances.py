@@ -5,10 +5,10 @@ registry :data:`PAIRS`: a ``conditionals.Posterior`` subclass, registered
 there, that supplies the pair's Kuu, Kuf, shape and conditional.  ``kuu``
 and ``kuf`` read the pair's covariances from that entry.
 
-Kuu is a plain [M~, M~] array with the jitter already on its diagonal, so
-the posterior that factors it adds none; for latent-process inducing
-variables it is the block diagonal of each latent's own pair Kuu.  Kuf
-shapes are tagged by dimensionality: [M, N] for single-latent pairs,
+A pair's own Kuu is the plain prior covariance (for latent-process inducing
+variables the block diagonal of each latent's own pair Kuu); ``kuu`` adds
+the jitter, ``jitter * I``, once, and the posterior factors that.  Kuf shapes
+are tagged by dimensionality: [M, N] for single-latent pairs,
 [M, P, N, P] for fully-correlated multioutput inducing points, and
 [M_1 + ... + M_L, N] for latent-process inducing variables: each latent's
 block of rows against its own process, stacked like q_mu (the kernel's
@@ -28,10 +28,12 @@ PAIRS = DispatchRegistry("PAIRS")
 
 
 def kuu(iv: InducingVariable, kernel: Kernel, jitter: float | None = None) -> np.ndarray:
-    """Covariance of the inducing variables, plus jitter on the diagonal."""
-    if jitter is None:
-        jitter = default_jitter()
-    return PAIRS.resolve(type(iv), type(kernel)).kuu(iv, kernel, float(jitter))
+    """Covariance of the inducing variables plus ``jitter * I`` (default:
+    ``numerics.default_jitter()``)."""
+    k = PAIRS.resolve(type(iv), type(kernel)).kuu(iv, kernel)
+    out = k + float(default_jitter() if jitter is None else jitter) * np.eye(k.shape[0])
+    record_allocation(out)
+    return out
 
 
 def kuf(iv: InducingVariable, kernel: Kernel, xnew) -> np.ndarray:

@@ -42,8 +42,10 @@ class InducingPoints(InducingVariable):
         z = np.asarray(z, dtype=float)
         if z.ndim == 1:
             z = z[:, None]
-        if z.ndim != 2 or z.shape[0] < 1:
+        if z.ndim != 2:
             raise DimensionMismatch(f"inducing inputs must be [M, D], got {z.shape}")
+        if z.shape[0] < 1:
+            raise ValueError("inducing inputs need at least one row")
         self.z = z
 
     @property

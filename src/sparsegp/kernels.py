@@ -39,6 +39,12 @@ class Kernel:
 
 
 class SingleOutputKernel(Kernel):
+    def __init__(self, variance: float = 1.0):
+        variance = float(variance)
+        if variance <= 0:
+            raise ValueError("variance must be positive")
+        self.variance = variance
+
     def K(self, x, x2=None) -> np.ndarray:
         raise NotImplementedError
 
@@ -55,13 +61,10 @@ class Stationary(SingleOutputKernel):
     fields = (VARIANCE, Param("lengthscales", "positive", default=1.0))
 
     def __init__(self, variance: float = 1.0, lengthscales=1.0):
-        variance = float(variance)
+        super().__init__(variance)
         lengthscales = np.asarray(lengthscales, dtype=float).reshape(-1)
-        if variance <= 0:
-            raise ValueError("variance must be positive")
-        if np.any(lengthscales <= 0):
-            raise ValueError("lengthscales must be positive")
-        self.variance = variance
+        if lengthscales.size == 0 or np.any(lengthscales <= 0):
+            raise ValueError("lengthscales must be one or more positive numbers")
         self.lengthscales = lengthscales
 
     def _scaled_r2(self, x, x2) -> np.ndarray:
@@ -187,12 +190,6 @@ class Matern52(Stationary):
 class Linear(SingleOutputKernel):
     schema = Schema("linear", VARIANCE)
 
-    def __init__(self, variance: float = 1.0):
-        variance = float(variance)
-        if variance <= 0:
-            raise ValueError("variance must be positive")
-        self.variance = variance
-
     def K(self, x, x2=None) -> np.ndarray:
         x = _as_2d(x)
         x2 = x if x2 is None else _as_2d(x2)
@@ -211,12 +208,6 @@ class White(SingleOutputKernel):
     """Unit-impulse kernel: cross-covariance between distinct point sets is 0."""
 
     schema = Schema("white", VARIANCE)
-
-    def __init__(self, variance: float = 1.0):
-        variance = float(variance)
-        if variance <= 0:
-            raise ValueError("variance must be positive")
-        self.variance = variance
 
     def K(self, x, x2=None) -> np.ndarray:
         x = _as_2d(x)
@@ -438,12 +429,6 @@ class LinearCoregionalization(IndependentLatent):
             dw = dw + 2.0 * w * (dcov.T @ cov)
         return dmean @ w, dc, dw
 
-    def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
-        grams = self.latent_grams(x, x2)
-        if not full_output_cov:
-            return grams  # latent-process covariances; the mixing is applied downstream
-        return self.mix(grams, True, True)
-
 
 class IntrinsicCoregionalization(LinearCoregionalization):
     """Coregionalization with a single kernel shared by all L latents."""
@@ -555,7 +540,8 @@ def k_diag(kernel, x) -> np.ndarray:
 
 
 def mo_k(kernel: MultioutputKernel, x, x2=None, full_output_cov: bool = True):
-    """Multioutput covariance: [N, P, N2, P] or the marginal/latent stack."""
+    """Multioutput covariance [N, P, N2, P], or without ``full_output_cov``
+    the outputs' grams [P, N, N2]."""
     if not isinstance(kernel, MultioutputKernel):
         raise UnsupportedMode(f"{type(kernel).__name__} is not multioutput")
     return kernel.K(x, x2, full_output_cov=full_output_cov)

@@ -62,6 +62,12 @@ def _as_rows(a, name) -> np.ndarray:
     return a
 
 
+def _as_moments(fmu, fvar):
+    """Fmu as [N, P] rows, and Fvar with [N] variances as [N, 1]."""
+    fvar = np.asarray(fvar, dtype=float)
+    return _as_rows(fmu, "Fmu"), (fvar[:, None] if fvar.ndim == 1 else fvar)
+
+
 class Gaussian(Likelihood):
     schema = Schema("gaussian", Param("variance", "positive", scalar=True, default=1.0))
 
@@ -112,7 +118,7 @@ class CorrelatedGaussian(Likelihood):
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ShapeMismatch(f"noise covariance must be [P, P], got {cov.shape}")
         self.cov = cov
-        self._chol = cholesky(cov, jitter=0.0)
+        self._chol = cholesky(cov)
 
     @property
     def num_outputs(self) -> int:
@@ -160,7 +166,7 @@ class CorrelatedGaussian(Likelihood):
         p = self.cov.shape[0]
         for n in range(fmu.shape[0]):
             total = fvar[n] + self.cov
-            l = cholesky(total, jitter=0.0)
+            l = cholesky(total)
             alpha = tri_solve(l, y[n] - fmu[n])
             out[n] = -0.5 * (
                 p * np.log(2.0 * np.pi)
@@ -256,11 +262,8 @@ class Poisson(Likelihood):
 
 
 def _validate_factorized(lik, fmu, fvar, y):
-    fmu = _as_rows(fmu, "Fmu")
+    fmu, fvar = _as_moments(fmu, fvar)
     y = _as_rows(y, "Y")
-    fvar = np.asarray(fvar, dtype=float)
-    if fvar.ndim == 1:
-        fvar = fvar[:, None]
     if fvar.ndim == 3:
         raise ShapeMismatch(
             f"{type(lik).__name__} factorizes over outputs and needs [N, P] "
@@ -347,18 +350,9 @@ def marginalize_outputs(lik: Likelihood, observed):
 
 def predict_observation_moments(lik: Likelihood, fmu, fvar):
     """Mean and variance of y given the posterior moments of f."""
-    fmu = _as_rows(fmu, "Fmu")
-    fvar = np.asarray(fvar, dtype=float)
-    if fvar.ndim == 1:
-        fvar = fvar[:, None]
-    return lik.predict_moments(fmu, fvar)
+    return lik.predict_moments(*_as_moments(fmu, fvar))
 
 
 def predictive_log_density(lik: Likelihood, fmu, fvar, y) -> np.ndarray:
     """log E[p(y_n | f_n)] under the posterior marginal, per data point."""
-    fmu = _as_rows(fmu, "Fmu")
-    y = _as_rows(y, "Y")
-    fvar = np.asarray(fvar, dtype=float)
-    if fvar.ndim == 1:
-        fvar = fvar[:, None]
-    return lik.predictive_log_density(fmu, fvar, y)
+    return lik.predictive_log_density(*_as_moments(fmu, fvar), _as_rows(y, "Y"))

@@ -115,6 +115,8 @@ def read_dataset(path) -> Dataset:
                     if math.isfinite(index):  # a non-finite one is refused below
                         if index != int(index) or index < 0:
                             raise ValueError
+                        if index >= 2.0**63:  # beyond the index array's int64
+                            raise DataError(f"line {lineno}: output_index out of range")
                         index = int(index)
                     outputs.append(index)
             except ValueError:

@@ -25,12 +25,13 @@ from .conditionals import (
     VariationalGaussian,
     accumulate,
     check_q,
+    create_posterior,
     layout,
 )
-from .covariances import PAIRS, kuf
+from .covariances import kuf
 from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
 from .inducing import InducingPoints, InducingVariable
-from .kernels import Kernel, k_diag, k_full
+from .kernels import Convolutional, Kernel, MultioutputKernel, k_diag, k_full
 from .likelihoods import (
     Gaussian,
     Likelihood,
@@ -135,11 +136,10 @@ class Model:
         """The marginals (mean, var) that ``predict_moments`` gives at
         ``x``, and the log predictive density of each row of ``y``."""
         lik = self.likelihood
-        mean, var = self.predict_moments(x)
-        if lik.requires_full_output_cov:
-            full_mean, cov = self.predict_moments(x, full_output_cov=True)
-            return mean, var, predictive_log_density(lik, full_mean, cov, y)
-        return mean, var, predictive_log_density(lik, mean, var, y)
+        foc = lik.requires_full_output_cov
+        mean, cov = self.predict_moments(x, full_output_cov=foc)
+        var = np.einsum("npp->np", cov) if foc else cov
+        return mean, var, predictive_log_density(lik, mean, cov, y)
 
 
 # Fields an SVGP shares with a deep-GP layer.  q's entries sit in the model
@@ -174,13 +174,6 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     else:
         q_sqrt = np.eye(shape.total)
     return VariationalGaussian(np.zeros(shape.total), q_sqrt, whiten=whiten)
-
-
-def _posterior(gp, jitter) -> Posterior:
-    """The posterior of an SVGP or a deep-GP layer, whose q was checked
-    against its pair when it was built."""
-    cls = PAIRS.resolve(type(gp.inducing), type(gp.kernel))
-    return cls(gp.inducing, gp.kernel, gp.q, jitter)
 
 
 def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
@@ -309,7 +302,7 @@ class ExactPosterior(SingleOutputPosterior):
     def __init__(self, kernel, noise_variance, x, y):
         applied = []
         kyy = k_full(kernel, x) + noise_variance * np.eye(x.shape[0])
-        factor = cholesky(kyy, jitter=0.0, applied=applied)
+        factor = cholesky(kyy, applied=applied)
         q = VariationalGaussian(tri_solve(factor, y[:, 0]), None, whiten=True)
         super().__init__(InducingPoints(x), kernel, q, factor=factor)
         self.factor_jitter = applied[0]
@@ -337,6 +330,10 @@ class GPRModel(Model):
         noise_variance = float(noise_variance)
         if noise_variance < 0:
             raise ValueError("noise variance must be non-negative")
+        if isinstance(kernel, MultioutputKernel) and not isinstance(kernel, Convolutional):
+            raise UnsupportedCombination(
+                f"gpr needs a single-output kernel or conv, got {type(kernel).__name__}"
+            )
         self.kernel = kernel
         self.noise_variance = noise_variance
         self.x = _as_columns(x)
@@ -508,7 +505,7 @@ class SVGPModel(Model):
     def posterior(self) -> Posterior:
         """Kuu factored once for this snapshot; the ELBO's data term and KL,
         the exact gradients and every prediction read it."""
-        return _posterior(self, self.jitter)
+        return create_posterior(self.inducing, self.kernel, self.q, self.jitter)
 
     def prior_kl(self) -> float:
         return self.posterior.kl()
@@ -551,7 +548,7 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     noise = model.likelihood.variance
     a = tri_solve(luu, kmn)
     b = np.eye(a.shape[0]) + (a @ a.T) / noise
-    lb = cholesky(b, jitter=0.0)
+    lb = cholesky(b)
 
     ay = a @ targets
     b_inv_ay = tri_solve(lb, tri_solve(lb, ay), transpose=True)
@@ -563,7 +560,7 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
     else:
         mu = luu @ b_inv_ay / noise
         s = c.T @ c
-    return VariationalGaussian(mu, cholesky(s, jitter=0.0), whiten=model.q.whiten)
+    return VariationalGaussian(mu, cholesky(s), whiten=model.q.whiten)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +727,10 @@ class DGPModel(Model):
     def _posteriors(self) -> list[Posterior]:
         """Each layer's posterior; built once per ``elbo``, ``predict_f`` or
         ``predict_log_density`` call and shared by every propagated sample."""
-        return [_posterior(layer, self.jitter) for layer in self.layers]
+        return [
+            create_posterior(layer.inducing, layer.kernel, layer.q, self.jitter)
+            for layer in self.layers
+        ]
 
     def propagate(self, x, rng: RngState, posteriors=None, record=None):
         """Sample hidden states through all but the last layer; pass the

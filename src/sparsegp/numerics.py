@@ -38,8 +38,9 @@ _SYMMETRY_RTOL = 1e-10
 
 
 def default_jitter() -> float:
-    """Package-wide default jitter; the SPARSEGP_JITTER env var overrides it
-    with a finite, non-negative number."""
+    """Package-wide default jitter, the absolute amount ``covariances.kuu``
+    adds to Kuu's diagonal; the SPARSEGP_JITTER env var overrides it with a
+    finite, non-negative number."""
     raw = os.environ.get(JITTER_ENV_VAR)
     if raw is None:
         return DEFAULT_JITTER
@@ -87,14 +88,15 @@ def allocation_probe():
 # Dense factorizations and solves
 
 
-def cholesky(a: np.ndarray, jitter: float | None = None, *, applied=None) -> np.ndarray:
-    """Lower Cholesky factor of ``a + jitter * mean(diag(a)) * I``.
+def cholesky(a: np.ndarray, *, applied=None) -> np.ndarray:
+    """Lower Cholesky factor of ``a`` as given.
 
-    On failure the jitter is escalated tenfold (seeded at 1e-12 when the
-    starting jitter is zero) up to :data:`MAX_CHOLESKY_RETRIES` times before
-    raising :class:`NotPositiveDefinite`.  ``applied``, a list when given,
-    receives the jitter j that was finally applied (0 when the diagonal
-    mean is not positive and the shift does not scale with ``a``), which
+    As a last resort, when ``a`` fails to factor, a shift j * mean(diag(a))
+    * I is added, j starting at 1e-12 and growing tenfold up to
+    :data:`MAX_CHOLESKY_RETRIES` times before :class:`NotPositiveDefinite`
+    is raised.  ``applied``, a list when given, receives the j that was
+    finally applied (0 when none was, or when the diagonal mean is not
+    positive and the shift does not scale with ``a``), which
     :func:`cholesky_vjp` needs to differentiate the matrix actually factored.
     """
     a = np.asarray(a, dtype=float)
@@ -104,13 +106,9 @@ def cholesky(a: np.ndarray, jitter: float | None = None, *, applied=None) -> np.
     scale = max(float(np.max(np.abs(a))), 1.0) if a.size else 1.0
     if a.size and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
         raise AsymmetricInput("matrix is not symmetric within 1e-10 relative")
-    if jitter is None:
-        jitter = default_jitter()
-    if jitter < 0:
-        raise ValueError("jitter must be non-negative")
     diag_mean = float(np.mean(np.diag(a))) if a.size else 1.0
     diag_scale = diag_mean if diag_mean > 0 else 1.0
-    j = float(jitter)
+    j = 0.0
     for _ in range(MAX_CHOLESKY_RETRIES + 1):
         try:
             shifted = a if j == 0.0 else a + (j * diag_scale) * np.eye(a.shape[0])

@@ -142,7 +142,7 @@ def _slot_reader(f, value, name, store):
         return lambda s: tuple(s.get(n) for n in names)
     if f.factored:
         name += "_sqrt"
-        value = cholesky(value, jitter=0.0)
+        value = cholesky(value)
     store.add(name, value, f.transform)
     if f.factored:
         return lambda s: s.get(name) @ s.get(name).T
@@ -290,18 +290,26 @@ def construct(cls, spec, family=None, data=None):
 
 
 def _param_value(f, value, tag):
-    """A filed or configured Param value as the number or arrays it holds."""
+    """A filed or configured Param value as the number or arrays it holds,
+    every entry finite."""
     try:
         if f.scalar:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError
-            return value
-        if isinstance(value, dict):
-            return tuple(np.asarray(b, float) for b in value["blocks"])
-        return np.asarray(value, float)
+            out = float(value)  # as the constructors read it
+        elif isinstance(value, dict):
+            out = tuple(np.asarray(b, float) for b in value["blocks"])
+        else:
+            out = np.asarray(value, float)
     except (KeyError, TypeError, ValueError):
         expected = "a number" if f.scalar else "numeric"
         raise ConfigError(f"{tag}: {f.key} must be {expected}, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    parts = out if isinstance(out, tuple) else (out,)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ConfigError(f"{tag}: {f.key} must be finite, got {value!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

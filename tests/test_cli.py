@@ -619,6 +619,80 @@ class TestExitCodes:
         assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
         assert "'sqexp' must be a block" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "shipped, right, wrong",
+        [
+            ("gpr", "sqexp { variance = 1.0", "sqexp { variance = 1e400"),
+            ("svgp", "gaussian { variance = 0.05 }", "gaussian { variance = 1e400 }"),
+        ],
+        ids=["gpr_kernel_variance", "svgp_likelihood_variance"],
+    )
+    def test_non_finite_config_value_is_2(self, tmp_path, capsys, shipped, right, wrong):
+        text = open(f"data/{shipped}.conf").read()
+        assert right in text
+        conf = _write(tmp_path, "huge.conf", text.replace(right, wrong))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert "variance must be finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize(
+        "block, key, value",
+        [("likelihood", "variance", float("nan")), ("kernel", "lengthscales", [float("inf")])],
+        ids=["nan_variance", "infinite_lengthscale"],
+    )
+    def test_non_finite_model_file_value_is_2(
+        self, tmp_path, trained_svgp, capsys, command, block, key, value
+    ):
+        doc = json.load(open(trained_svgp))
+        doc[block][key] = value
+        model = _write(tmp_path, "bad.json", json.dumps(doc))  # NaN / Infinity
+        args = [command, "--model", model, "--data", DESK]
+        args += ["--out", str(tmp_path / "p.csv")] if command == "predict" else []
+        assert main(args) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_huge_output_index_is_3_with_its_line(
+        self, tmp_path, trained_svgp, capsys, command
+    ):
+        text = "x0,output_index,y0\n0.1,0,0.5\n0.2,1e300,0.7\n0.3,0,0.9\n"
+        data = _write(tmp_path, "rows.csv", text)
+        if command == "train":
+            conf = _write(tmp_path, "c.conf", SVGP_CONF.format(steps=1))
+            args = ["train", "--config", conf, "--data", data, "--out", str(tmp_path / "m")]
+        else:
+            args = ["eval", "--model", trained_svgp, "--data", data]
+        assert main(args) == 3
+        assert "line 3: output_index out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                SVGP_CONF.format(steps=1).replace("lengthscales = [0.8]", "lengthscales = []"),
+                "sqexp: lengthscales must be one or more positive numbers",
+            ),
+            (
+                SVGP_CONF.format(steps=1).replace("from_data = 8", "z = []"),
+                "points: inducing inputs need at least one row",
+            ),
+            (
+                GPR_NEAR_NOISELESS.replace(
+                    "sqexp { variance = 1.0, lengthscales = [0.6] }",
+                    "shared_independent { base = sqexp, outputs = 1 }",
+                ),
+                "gpr needs a single-output kernel or conv, got SharedIndependent",
+            ),
+        ],
+        ids=["empty_lengthscales", "empty_inducing_inputs", "gpr_multioutput_kernel"],
+    )
+    def test_unbuildable_model_is_2_before_training(self, tmp_path, capsys, text, message):
+        conf = _write(tmp_path, "empty.conf", text)
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestTrain:
     def test_smoke_produces_loadable_model(self, trained_svgp):

@@ -132,24 +132,24 @@ class TestRegistry:
 
     def test_third_party_extension_point(self):
         # New pair types register a Posterior subclass without touching core
-        # tables; its Kuu is what ``kuu`` returns.
+        # tables; its Kuu, plus the jitter, is what ``kuu`` returns.
         class CustomIv(InducingPoints):
             pass
 
         class CustomKernel(SquaredExponential):
             pass
 
-        marker = object()
+        marker = np.array([[2.0, 1.0], [1.0, 3.0]])
 
         class CustomPosterior(Posterior):
             @classmethod
-            def kuu(cls, iv, kernel, jitter):
+            def kuu(cls, iv, kernel):
                 return marker
 
         PAIRS.register(CustomIv, CustomKernel, CustomPosterior)
         try:
-            got = kuu(CustomIv(np.zeros((2, 1))), CustomKernel(), jitter=0.0)
-            assert got is marker
+            got = kuu(CustomIv(np.zeros((2, 1))), CustomKernel(), jitter=0.5)
+            np.testing.assert_array_equal(got, marker + 0.5 * np.eye(2))
         finally:
             del PAIRS._table[(CustomIv, CustomKernel)]
             PAIRS._cache.clear()
@@ -243,6 +243,18 @@ class TestKuuPairs:
             dense = kuu(iv, kern, jitter=0.0)
             np.testing.assert_allclose(dense, dense.T, atol=1e-12)
             assert np.linalg.eigvalsh(dense).min() > -1e-8
+
+
+    @pytest.mark.parametrize("pair", SHIPPED_PAIRS)
+    def test_jitter_is_added_once_as_j_identity(self, pair):
+        # A pair's own Kuu carries no jitter: ``kuu`` adds j·I to it once,
+        # the latent pairs' block diagonal included.  Compared as a sum,
+        # which is exact, where a difference would round.
+        iv, kernel, _ = _shipped_pair(*pair, (3, 2, 4), 2, RngState(5))
+        plain = kuu(iv, kernel, 0.0)
+        for j in (1e-6, 0.5):
+            want = plain + j * np.eye(plain.shape[0])
+            np.testing.assert_array_equal(kuu(iv, kernel, j), want)
 
 
 class TestKufPairs:
@@ -543,8 +555,8 @@ class MidpointPosterior(SingleOutputPosterior):
         return Layout((iv.num_rows,), False, 1, iv.a.shape[1])
 
     @classmethod
-    def kuu(cls, iv, kernel, jitter):
-        return _midpoint_gram(kernel, iv, iv) + jitter * np.eye(iv.num_rows)
+    def kuu(cls, iv, kernel):
+        return _midpoint_gram(kernel, iv, iv)
 
     @classmethod
     def kuf(cls, iv, kernel, xnew):

@@ -46,7 +46,7 @@ class TestGaussKl:
     def test_zero_when_q_equals_prior(self, rng):
         k = make_spd(rng, 4)
         q = VariationalGaussian(np.zeros(4), np.linalg.cholesky(k), whiten=False)
-        assert gauss_kl(q, cholesky(k, jitter=0.0)) == pytest.approx(0.0, abs=1e-10)
+        assert gauss_kl(q, cholesky(k)) == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_for_whitened_standard_normal(self):
         q = VariationalGaussian(np.zeros(5), np.eye(5), whiten=True)
@@ -57,7 +57,7 @@ class TestGaussKl:
         mu = standard_normal(rng, 2)
         sqrt = random_lower(rng, 2)
         q = VariationalGaussian(mu, sqrt, whiten=False)
-        exact = gauss_kl(q, cholesky(k, jitter=0.0))
+        exact = gauss_kl(q, cholesky(k))
         estimate, se = mc_kl_oracle(mu, sqrt @ sqrt.T, k, 10**6, seed=0)
         assert abs(exact - estimate) < 3.0 * se
 
@@ -76,7 +76,7 @@ class TestGaussKl:
             q = VariationalGaussian(
                 standard_normal(rng, 3), random_lower(rng, 3), whiten=False
             )
-            assert gauss_kl(q, cholesky(k, jitter=0.0)) >= -1e-10
+            assert gauss_kl(q, cholesky(k)) >= -1e-10
 
     def test_whitening_invariance(self):
         for seed in range(50):
@@ -92,7 +92,7 @@ class TestGaussKl:
                     np.linalg.cholesky(luu @ s_v @ s_v.T @ luu.T),
                     whiten=False,
                 ),
-                cholesky(k, jitter=0.0),
+                cholesky(k),
             )
             assert white == pytest.approx(plain, abs=1e-9)
 
@@ -101,11 +101,11 @@ class TestGaussKl:
         sqrts = (random_lower(rng, 3), random_lower(rng, 2))
         mu = standard_normal(rng, 5)
         q = VariationalGaussian(mu, sqrts, whiten=False)
-        total = gauss_kl(q, [cholesky(block, jitter=0.0) for block in blocks])
+        total = gauss_kl(q, [cholesky(block) for block in blocks])
         parts = sum(
             gauss_kl(
                 VariationalGaussian(mu_part, sqrt, whiten=False),
-                cholesky(block, jitter=0.0),
+                cholesky(block),
             )
             for mu_part, sqrt, block in zip((mu[:3], mu[3:]), sqrts, blocks)
         )
@@ -117,14 +117,14 @@ class TestGaussKl:
         mu = standard_normal(rng, 6)
         block_value = gauss_kl(
             VariationalGaussian(mu, sqrts, whiten=False),
-            [cholesky(block, jitter=0.0) for block in blocks],
+            [cholesky(block) for block in blocks],
         )
         dense_sqrt = np.zeros((6, 6))
         dense_sqrt[:3, :3] = sqrts[0]
         dense_sqrt[3:, 3:] = sqrts[1]
         dense_value = gauss_kl(
             VariationalGaussian(mu, dense_sqrt, whiten=False),
-            cholesky(block_diag(*blocks), jitter=0.0),
+            cholesky(block_diag(*blocks)),
         )
         assert block_value == pytest.approx(dense_value, abs=1e-9)
 
@@ -164,7 +164,7 @@ class TestPriorKl:
         sqrts = (random_lower(rng, 3), random_lower(rng, 3))
         q = VariationalGaussian(mu, sqrts, whiten=False)
         via_dispatch = prior_kl(iv, kernel, q, jitter=1e-8)
-        factors = [cholesky(kuu(iv.base, k, 1e-8), jitter=0.0) for k in kernel.kernels]
+        factors = [cholesky(kuu(iv.base, k, 1e-8)) for k in kernel.kernels]
         assert via_dispatch == gauss_kl(q, factors)
 
     def test_imc_shared_block_kl_matches_densified(self, rng):
@@ -183,7 +183,7 @@ class TestPriorKl:
         dense_sqrt[:3, :3], dense_sqrt[3:, 3:] = sqrts
         dense_value = gauss_kl(
             VariationalGaussian(mu, dense_sqrt, whiten=False),
-            cholesky(kuu_dense, jitter=0.0),
+            cholesky(kuu_dense),
         )
         assert block_value == pytest.approx(dense_value, abs=1e-9)
 
@@ -207,7 +207,7 @@ def test_kl_gradients_share_the_value_and_match_differences(whiten, per_latent):
     sizes = (3, 2) if per_latent else (4,)
     mu = standard_normal(rng, sum(sizes))
     sqrts = [random_lower(rng.derive(1, i), m) for i, m in enumerate(sizes)]
-    factors = [cholesky(make_spd(rng.derive(2, i), m), jitter=0.0) for i, m in enumerate(sizes)]
+    factors = [cholesky(make_spd(rng.derive(2, i), m)) for i, m in enumerate(sizes)]
 
     def kl(mu, sqrts, factors, grads=False):
         q = VariationalGaussian(mu, tuple(sqrts) if per_latent else sqrts[0], whiten)

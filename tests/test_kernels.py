@@ -151,13 +151,32 @@ class TestMultioutput:
                         )
                         assert full[n, p, m, q] == pytest.approx(expected, abs=1e-12)
 
-    def test_lmc_marginal_mode_returns_latent_grams(self, rng):
-        x = standard_normal(rng, (4, 1))
-        k = _lmc(rng)
-        latents = mo_k(k, x, full_output_cov=False)
-        assert latents.shape == (2, 4, 4)
-        for ell, lat in enumerate(k.kernels):
-            np.testing.assert_allclose(latents[ell], lat.K(x))
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: SharedIndependent(SquaredExponential(1.5, 0.8), 3),
+            lambda rng: SeparateIndependent([SquaredExponential(1.0), Matern52(2.0)]),
+            _lmc,
+            lambda rng: IntrinsicCoregionalization(
+                Matern32(0.8, 1.2), standard_normal(rng, (3, 2))
+            ),
+            lambda rng: Convolutional(SquaredExponential(1.0, 0.7), (3, 3), (2, 2)),
+        ],
+    )
+    def test_marginal_mode_is_the_outputs_grams(self, rng, make):
+        # Without full_output_cov every multioutput kernel gives the grams
+        # of its outputs: the diagonal output blocks of the full tensor.
+        k = make(rng)
+        d = 9 if isinstance(k, Convolutional) else 1
+        x = standard_normal(rng.derive(1), (4, d))
+        x2 = standard_normal(rng.derive(2), (3, d))
+        for args in ((x,), (x, x2)):
+            full = mo_k(k, *args)  # [N, P, N2, P]
+            grams = mo_k(k, *args, full_output_cov=False)  # [P, N, N2]
+            assert grams.shape == (k.num_outputs, full.shape[0], full.shape[2])
+            np.testing.assert_allclose(
+                grams, np.einsum("npmp->pnm", full), rtol=1e-13, atol=1e-15
+            )
 
     def test_independent_marginal_mode_is_per_output(self, rng):
         x = standard_normal(rng, (4, 1))

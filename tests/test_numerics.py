@@ -26,45 +26,39 @@ from conftest import make_spd, random_lower
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(2), jitter=0.0), np.eye(2))
+        assert np.array_equal(cholesky(np.eye(2)), np.eye(2))
 
     def test_hand_checked_2x2(self):
         a = np.array([[4.0, 2.0], [2.0, 3.0]])
         expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-        np.testing.assert_allclose(cholesky(a, jitter=0.0), expected, atol=1e-14)
+        np.testing.assert_allclose(cholesky(a), expected, atol=1e-14)
 
     def test_reconstructs_random_spd(self, rng):
         a = make_spd(rng, 5)
-        l = cholesky(a, jitter=0.0)
+        l = cholesky(a)
         assert np.linalg.norm(l @ l.T - a) < 1e-10
 
     def test_refactorizing_product_recovers_factor(self, rng):
         l = random_lower(rng, 6)
-        again = cholesky(l @ l.T, jitter=0.0)
+        again = cholesky(l @ l.T)
         np.testing.assert_allclose(again, l, atol=1e-12)
-
-    def test_jitter_added_relative_to_mean_diagonal(self):
-        a = 4.0 * np.eye(3)
-        l = cholesky(a, jitter=0.25)
-        # + 0.25 * mean(diag) = +1 on the diagonal
-        np.testing.assert_allclose(l @ l.T, a + np.eye(3), atol=1e-12)
 
     def test_retry_escalation_rescues_indefinite_input(self):
         a = np.diag([1.0, -1e-9])
-        l = cholesky(a, jitter=1e-10)
+        l = cholesky(a)
         assert np.all(np.isfinite(l))
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquare):
-            cholesky(np.ones((2, 3)), jitter=0.0)
+            cholesky(np.ones((2, 3)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(AsymmetricInput):
-            cholesky(np.array([[1.0, 0.5], [0.1, 1.0]]), jitter=0.0)
+            cholesky(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
     def test_hopeless_matrix_fails_after_retries(self):
         with pytest.raises(NotPositiveDefinite):
-            cholesky(np.diag([1.0, -1e6]), jitter=1e-12)
+            cholesky(np.diag([1.0, -1e6]))
 
     def test_default_jitter_env_override(self, monkeypatch):
         assert default_jitter() == 1e-6
@@ -143,13 +137,13 @@ class TestVjps:
         # shift of the matrix that was factored, which its VJP reads.
         a = np.ones((3, 3))
         applied = []
-        l = cholesky(a, jitter=0.0, applied=applied)
+        l = cholesky(a, applied=applied)
         (j,) = applied
         assert j > 0.0
         np.testing.assert_allclose(l @ l.T, a + j * np.eye(3), rtol=0, atol=1e-12)
         applied = []
-        cholesky(np.eye(3) * 2.0, jitter=1e-6, applied=applied)
-        assert applied == [1e-6]
+        cholesky(np.eye(3) * 2.0, applied=applied)
+        assert applied == [0.0]
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_tri_solve_vjp_matches_dense_differences(self, rng, transpose):
@@ -240,13 +234,13 @@ class TestRng:
 class TestAllocationProbe:
     def test_records_factorization_shapes(self):
         with allocation_probe() as shapes:
-            cholesky(np.eye(3), jitter=0.0)
+            cholesky(np.eye(3))
         assert (3, 3) in shapes
 
     def test_inactive_outside_context(self):
         with allocation_probe() as shapes:
             pass
-        cholesky(np.eye(4), jitter=0.0)
+        cholesky(np.eye(4))
         assert (4, 4) not in shapes
 
 
@@ -254,4 +248,4 @@ class TestAllocationProbe:
 @given(st.integers(min_value=0, max_value=10**6))
 def test_cholesky_idempotent_on_random_factors(seed):
     l = random_lower(RngState(seed), 4)
-    np.testing.assert_allclose(cholesky(l @ l.T, jitter=0.0), l, atol=1e-12)
+    np.testing.assert_allclose(cholesky(l @ l.T), l, atol=1e-12)
