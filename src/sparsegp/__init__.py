@@ -6,7 +6,6 @@ from .conditionals import (
     PosteriorMoments,
     VariationalGaussian,
     conditional,
-    fully_correlated_conditional,
     num_inducing,
     sample_conditional,
 )

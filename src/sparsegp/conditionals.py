@@ -28,7 +28,10 @@ A pair that is refused raises from ``layout``, ``kuu`` and ``kuf`` alike, so
 a model holding it is refused when it is built.  A new pair registers one
 such class and nothing else.
 ``create_posterior`` builds a pair's posterior; ``conditional`` and
-``sample_conditional`` use one once, and models keep one.
+``sample_conditional`` use one once, and models keep one.  Every posterior
+checks q against its own class's ``layout`` when it is built, however it is
+built; ``check_q`` runs the same check for a model that holds q before it
+builds one.
 
 A latent inducing set is a :class:`LatentPosterior`: one posterior per
 latent process, each of its own (member, latent kernel) pair's class, whose
@@ -181,14 +184,6 @@ def _cov_shape(n, p, full_cov, full_output_cov):
     return (n, p, p) if full_output_cov else (n, p)
 
 
-def _project(lm, kmn, whiten):
-    """A = L⁻¹Kmn [M, NP] for Kmm = L Lᵀ, and q's projection: A when
-    whitened, Kmm⁻¹Kmn = L⁻ᵀA when not."""
-    mt, n, p = kmn.shape
-    a = tri_solve(lm, kmn.reshape(mt, n * p))  # [M, NP]
-    return a, (a if whiten else tri_solve(lm, a, transpose=True))
-
-
 def _gram(x, n, p, full_cov, full_output_cov):
     """The slices of xᵀx [NP, NP] that a mode keeps, x: [R, NP]."""
     if full_cov and full_output_cov:
@@ -223,9 +218,10 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
     """Mean [N, P], covariance in the mode shape, and their pullback (in
     the marginal modes).
 
-    ``a`` and ``proj`` come from :func:`_project` for Kmm = lm lmᵀ and a
-    Kmn of [M, N, P] (``proj`` is ``a`` when whitened); knn is the prior
-    covariance, already in the mode shape.  Unwhitened:
+    For Kmm = lm lmᵀ and a Kmn of [M, N, P], ``a`` is A = L⁻¹Kmn [M, NP]
+    and ``proj`` q's projection: A when whitened, Kmm⁻¹Kmn = L⁻ᵀA when not
+    (``Posterior._group_vjp`` gives both); knn is the prior covariance,
+    already in the mode shape.  Unwhitened:
     mean = Kmnᵀ Kmm⁻¹ m and
     cov = Knn − Kmnᵀ Kmm⁻¹ Kmn + Kmnᵀ Kmm⁻¹ S Kmm⁻¹ Kmn.
     Whitened (A = L⁻¹Kmn): mean = Aᵀ m and cov = Knn − AᵀA + Aᵀ S A.
@@ -294,30 +290,6 @@ def chunk_slices(n: int, row_floats: int) -> list[slice]:
     return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
 
 
-def fully_correlated_conditional(
-    kmn, kmm, knn, q: VariationalGaussian, *, full_cov, full_output_cov
-) -> PosteriorMoments:
-    """Conditional from precomputed blocks with a dense M~ x M~ Kmm.
-
-    kmn: [M~, N, P].  knn: the prior covariance in the shape of the
-    requested mode ([N, P, N, P], [P, N, N], [N, P, P] or [N, P]).
-    """
-    kmn = np.asarray(kmn, dtype=float)
-    knn = np.asarray(knn, dtype=float)
-    mt, n, p = kmn.shape
-    lm = cholesky(kmm)
-    if mt != lm.shape[0]:
-        raise ShapeMismatch(f"Kmn has {mt} rows for Kmm of dim {lm.shape[0]}")
-    shape = _cov_shape(n, p, full_cov, full_output_cov)
-    if knn.shape != shape:
-        raise ShapeMismatch(f"Knn has shape {knn.shape}, the mode needs {shape}")
-    mean, cov, _ = _moments_vjp(
-        lm, *_project(lm, kmn, q.whiten), n, p, knn, q.q_mu, q.dense_sqrt(),
-        full_cov, full_output_cov,
-    )
-    return PosteriorMoments(mean, cov)
-
-
 # ---------------------------------------------------------------------------
 # Posterior objects
 
@@ -356,7 +328,8 @@ class Posterior:
     variables the list of per-latent factors; a posterior given the
     ``factor`` of its pair (another latent's) reads it instead of factoring.
     ``factor_jitter`` is the jitter ``cholesky`` escalated to, if any.
-    Build one with ``create_posterior``.
+    Build one with ``create_posterior``; q's sizes are checked against the
+    class's ``layout`` first.
     """
 
     correlated_outputs = False  # whether per-point outputs can correlate
@@ -365,6 +338,7 @@ class Posterior:
     input_vjp = False
 
     def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None, factor=None):
+        _check_sizes(q, self.layout(iv, kernel))
         self.inducing = iv
         self.kernel = kernel
         self.q = q
@@ -405,8 +379,9 @@ class Posterior:
         latents of a latent set that share one pair), yielded in turn; they
         share Kuf, the prior covariance and the solves."""
         kmn, knn = self._blocks(x, full_cov, full_output_cov)
-        a, proj = _project(self.factor, kmn, self.q.whiten)
-        _, n, p = kmn.shape
+        mt, n, p = kmn.shape
+        a = tri_solve(self.factor, kmn.reshape(mt, n * p))  # [M, NP]
+        proj = a if self.q.whiten else tri_solve(self.factor, a, transpose=True)
         for post in posts:
             q = post.q
             yield _moments_vjp(
@@ -434,14 +409,15 @@ class Posterior:
         n = xnew.shape[0]
         chunks = chunk_slices(n, self._row_floats())
         if full_cov or len(chunks) == 1:
-            mean, cov = self._chunk(xnew, full_cov, full_output_cov)
-        else:
-            for rows in chunks:
-                part_mean, part_cov = self._chunk(xnew[rows], False, full_output_cov)
-                if rows.start == 0:
-                    mean = np.empty((n, *part_mean.shape[1:]))
-                    cov = np.empty((n, *part_cov.shape[1:]))
-                mean[rows], cov[rows] = part_mean, part_cov
+            # The chunk's own arrays: copying them into fresh results made a
+            # deep GP's 100-sample predict take twice the page faults.
+            return PosteriorMoments(*self._chunk(xnew, full_cov, full_output_cov))
+        for rows in chunks:
+            part_mean, part_cov = self._chunk(xnew[rows], False, full_output_cov)
+            if rows.start == 0:
+                mean = np.empty((n, *part_mean.shape[1:]))
+                cov = np.empty((n, *part_cov.shape[1:]))
+            mean[rows], cov[rows] = part_mean, part_cov
         return PosteriorMoments(mean, cov)
 
     def draw(self, xnew, rng: RngState, num_samples: int = 1):
@@ -525,10 +501,14 @@ def num_inducing(iv: InducingVariable, kernel: Kernel) -> int:
 
 
 def check_q(q, iv: InducingVariable, kernel: Kernel) -> Layout:
-    """The pair's layout, once q's sizes are checked against it: one entry
-    per inducing variable, and a dense factor with as many rows, or for a
+    """The pair's layout, once q's sizes are checked against it."""
+    return _check_sizes(q, layout(iv, kernel))
+
+
+def _check_sizes(q, shape: Layout) -> Layout:
+    """``shape``, once q's sizes are checked against it: one entry per
+    inducing variable, and a dense factor with as many rows, or for a
     latent pair one factor block per latent with its member's rows."""
-    shape = layout(iv, kernel)
     if q.num_inducing != shape.total:
         raise ShapeMismatch(
             f"q has {q.num_inducing} inducing entries, pair requires {shape.total}"
@@ -560,9 +540,7 @@ def check_q(q, iv: InducingVariable, kernel: Kernel) -> Layout:
 
 def create_posterior(iv: InducingVariable, kernel: Kernel, q, jitter=None) -> Posterior:
     """The posterior of the pair, its class chosen by dispatch."""
-    check_q(q, iv, kernel)
-    cls = PAIRS.resolve(type(iv), type(kernel))
-    return cls(iv, kernel, q, jitter)
+    return PAIRS.resolve(type(iv), type(kernel))(iv, kernel, q, jitter)
 
 
 def conditional(
@@ -814,6 +792,7 @@ class LatentPosterior(Posterior):
     its Kuu factor."""
 
     def __init__(self, iv, kernel, q, jitter=None):
+        _check_sizes(q, self.layout(iv, kernel))
         self.inducing = iv
         self.kernel = kernel
         self.q = q

@@ -98,7 +98,8 @@ def gauss_kl(q, factor=None, grads=False):
 def prior_kl(iv, kernel, q, jitter: float | None = None, *, factor=None) -> float:
     """KL against the prior.  Unwhitened q reads ``factor`` (as in
     ``gauss_kl``) when given, else the factor of the posterior the pair's
-    registered class builds, as a model builds its own."""
+    registered class builds, as a model builds its own; that constructor
+    checks q's sizes first."""
     if factor is None and not q.whiten:
         factor = PAIRS.resolve(type(iv), type(kernel))(iv, kernel, q, jitter).factor
     return gauss_kl(q, factor)

@@ -493,10 +493,13 @@ class Convolutional(MultioutputKernel):
         return flat.reshape(n, p, n2, p)
 
     def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
-        full = self._patch_gram(x, x2)
         if full_output_cov:
-            return full
-        return np.einsum("npmp->pnm", full)
+            return self._patch_gram(x, x2)
+        # Each output's gram of its own patches, never the whole tensor; x2
+        # None keeps the base kernel's exact diagonal of x against itself.
+        pa = self.patches(x)
+        pb = [None] * pa.shape[1] if x2 is None else self.patches(x2).transpose(1, 0, 2)
+        return np.stack([self.kernel.K(a, b) for a, b in zip(pa.transpose(1, 0, 2), pb)])
 
     def K_diag(self, x, full_output_cov: bool = True) -> np.ndarray:
         pa = self.patches(x)

@@ -130,23 +130,3 @@ def read_dataset(path) -> Dataset:
         raise DataError(f"line {int(np.argmin(finite)) + 2}: non-finite cell")
     return Dataset(x, y, None if index is None else np.asarray(outputs, int))
 
-
-def write_dataset(path, x, y=None, outputs=None) -> None:
-    x = np.asarray(x, float)
-    header = [f"x{d}" for d in range(x.shape[1])]
-    columns = [x]
-    if outputs is not None:
-        header.append("output_index")
-        columns.append(np.asarray(outputs)[:, None])
-    if y is not None:
-        y = np.asarray(y, float)
-        if y.ndim == 1:
-            y = y[:, None]
-        header.extend(f"y{p}" for p in range(y.shape[1]))
-        columns.append(y)
-    table = np.hstack(columns)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for lineno in range(table.shape[0]):
-            writer.writerow([repr(float(v)) for v in table[lineno]])

@@ -7,13 +7,14 @@ pure function of (parameters, batch, random state).  Training (see the
 mutating them.
 
 An SVGP or a deep GP states its data term once (``_data_term``); its ELBO
-(``_elbo``) and its exact gradients (``_gradients``) both read it.  The
-exact GP's posterior is a dense posterior too (``ExactPosterior``).
+(``_elbo``) and its exact gradients (``_backward``, seeded with the term's
+gradients) both read it.  The exact GP's posterior is a dense posterior too
+(``ExactPosterior``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import logsumexp
@@ -236,40 +237,29 @@ def _elbo(posteriors, x, term, foc) -> float:
 
 
 def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
-    """Slot name (under ``prefix``) -> gradient of an objective of the
-    marginal moments at ``x`` of an SVGP or a deep-GP layer, minus its KL,
-    and the gradient with respect to the rows ``x`` (None where the pair
-    has no input VJP).  ``seed`` is as for ``Posterior.backward``; its mean
-    gradient is also the one of the mean function's output, so a
-    ``Constant`` mean's value takes its sum; ``prior`` is as for
-    ``Posterior.backward``."""
-    dvalue = []
+    """Slot name -> gradient of an objective of the marginal moments at
+    ``x`` of an SVGP or a deep-GP layer, minus its KL: the layer's slots
+    under ``prefix`` and the likelihood's; and the gradient with respect to
+    the rows ``x`` (None where the pair has no input VJP).  ``seed(rows,
+    mean, cov)`` returns the objective's gradients with respect to the
+    moments, as for ``Posterior.backward``, and with respect to the
+    likelihood's parameters (``_data_term`` with ``grads``; ``{}`` for a
+    hidden layer).  Its mean gradient is also the one of the mean
+    function's output, so a ``Constant`` mean's value takes its sum;
+    ``prior`` is as for ``Posterior.backward``."""
+    dvalue, lik = [], {}
 
     def seeded(rows, mean, cov):
-        dmean, dcov = seed(rows, mean, cov)
+        dmean, dcov, dlik = seed(rows, mean, cov)
         dvalue.append(np.sum(dmean))
+        accumulate(lik, dlik, "likelihood.")
         return dmean, dcov
 
     slots, inputs = post.backward(x, seeded, foc, prior)
     out = accumulate({}, slots, prefix)
     if isinstance(gp.mean_function, Constant):
         out[prefix + "mean.value"] = float(np.sum(dvalue))
-    return out, inputs
-
-
-def _gradients(prefix, gp, posteriors, x, term, foc, prior=True):
-    """``_backward`` of ``_elbo`` for the last posterior, that of ``gp``:
-    its slots under ``prefix`` and the likelihood's, and the gradient with
-    respect to its rows."""
-    lik = {}
-
-    def seed(rows, mean, cov):
-        dmean, dcov, dlik = term(rows, mean, cov, grads=True)
-        accumulate(lik, dlik, "likelihood.")
-        return dmean, dcov
-
-    grads, inputs = _backward(prefix, gp, posteriors[-1], x, seed, foc, prior)
-    return {**grads, **lik}, inputs
+    return {**out, **lik}, inputs
 
 
 def _scale(num_data, batch_size, scale) -> float:
@@ -476,7 +466,8 @@ class SVGPModel(Model):
         prior = trainable is None or any(
             name.startswith(("inducing.", "kernel.")) for name in trainable
         )
-        return _gradients("", self, posteriors, x, term, foc, prior)[0]
+        seed = partial(term, grads=True)
+        return _backward("", self, posteriors[-1], x, seed, foc, prior)[0]
 
     def _data(self, batch, scale):
         """(posteriors, x, the data term, whether it reads full output
@@ -506,9 +497,6 @@ class SVGPModel(Model):
         """Kuu factored once for this snapshot; the ELBO's data term and KL,
         the exact gradients and every prediction read it."""
         return create_posterior(self.inducing, self.kernel, self.q, self.jitter)
-
-    def prior_kl(self) -> float:
-        return self.posterior.kl()
 
     def predict_f(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
@@ -674,7 +662,8 @@ class DGPModel(Model):
         record = []
         posteriors, h, term, foc = self._data(batch, rng(), scale, record)
         last = len(self.layers) - 1
-        grads, dh = _gradients(f"layers.{last}.", self.layers[-1], posteriors, h, term, foc)
+        seed = partial(term, grads=True)
+        grads, dh = _backward(f"layers.{last}.", self.layers[-1], posteriors[-1], h, seed, foc)
         for i in reversed(range(last)):
             draws = record[i::last]  # this layer's, one per sample
             if dh is None or any(var is None for _, _, var in draws):
@@ -684,7 +673,7 @@ class DGPModel(Model):
             def seed(rows, mean, cov, dh=dh, eps=eps, var=var):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     dvar = dh[rows] * eps[rows] / (2.0 * np.sqrt(var[rows]))
-                return dh[rows], np.where(var[rows] > 0.0, dvar, 0.0)
+                return dh[rows], np.where(var[rows] > 0.0, dvar, 0.0), {}
 
             layer, dh = _backward(
                 f"layers.{i}.", self.layers[i], posteriors[i], inputs, seed, False

@@ -13,10 +13,9 @@ from sparsegp.modelio import (
     load_model,
     read_dataset,
     save_model,
-    write_dataset,
 )
 
-from conftest import desk_regression, desk_truth
+from conftest import desk_regression, desk_truth, write_dataset
 from test_formats import golden_path
 
 DESK = "data/regression_30.csv"

@@ -23,8 +23,8 @@ import os
 import pytest
 
 from sparsegp.cli import main
-from sparsegp.modelio import write_dataset
 
+from conftest import write_dataset
 from test_formats import CASES, golden_path
 
 PINNED = os.path.join(os.path.dirname(__file__), "golden_cli")

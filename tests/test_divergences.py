@@ -195,6 +195,14 @@ class TestPriorKl:
         q = VariationalGaussian(np.zeros(4), np.linalg.cholesky(k), whiten=False)
         assert prior_kl(iv, kernel, q, jitter=1e-8) == pytest.approx(0.0, abs=1e-10)
 
+    def test_unwhitened_q_of_the_wrong_size_is_refused_as_the_pair_refuses_it(self, rng):
+        # The posterior built for the prior's factor checks q when it is
+        # built, so the error names q, not a solve it would fail in.
+        iv = InducingPoints(standard_normal(rng, (4, 1)))
+        q = VariationalGaussian(np.zeros(3), np.eye(3), whiten=False)
+        with pytest.raises(ShapeMismatch, match="q has 3 inducing entries, pair requires 4"):
+            prior_kl(iv, SquaredExponential(), q)
+
 
 # ---------------------------------------------------------------------------
 # Gradients

@@ -605,7 +605,7 @@ def test_latents_sharing_a_pair_evaluate_kuf_once_per_chunk(monkeypatch, kind, w
     np.testing.assert_array_equal(got.mean, want_mean)
     np.testing.assert_array_equal(got.cov, want_var)
     ve = variational_expectations(model.likelihood, want_mean, want_var, y)
-    assert elbo == float(np.sum(ve)) - model.prior_kl()
+    assert elbo == float(np.sum(ve)) - model.posterior.kl()
 
 
 # ---------------------------------------------------------------------------

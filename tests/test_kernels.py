@@ -16,6 +16,7 @@ from sparsegp import (
     SharedIndependent,
     SquaredExponential,
     White,
+    allocation_probe,
     extract_patches,
     k_diag,
     k_full,
@@ -177,6 +178,17 @@ class TestMultioutput:
             np.testing.assert_allclose(
                 grams, np.einsum("npmp->pnm", full), rtol=1e-13, atol=1e-15
             )
+
+    def test_conv_marginal_mode_builds_no_patch_tensor(self, rng):
+        # Each output's gram comes from its own patches: nothing of the
+        # [N P, N2 P] patch gram the full tensor needs.
+        k = Convolutional(SquaredExponential(1.0, 0.7), (3, 3), (2, 2))
+        x, x2 = standard_normal(rng, (50, 9)), standard_normal(rng.derive(1), (30, 9))
+        for args, shape in (((x,), (50, 50)), ((x, x2), (50, 30))):
+            with allocation_probe() as shapes:
+                grams = mo_k(k, *args, full_output_cov=False)
+            assert grams.shape == (k.num_outputs, *shape)
+            assert shapes == [shape] * k.num_outputs
 
     def test_independent_marginal_mode_is_per_output(self, rng):
         x = standard_normal(rng, (4, 1))

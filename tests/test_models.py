@@ -138,7 +138,7 @@ class TestSvgpElbo:
             np.sum(
                 variational_expectations(model.likelihood, pm.mean, pm.cov, y)
             )
-        ) - model.prior_kl()
+        ) - model.posterior.kl()
         assert model.elbo((x, y), scale=1.0) == pytest.approx(want, abs=1e-12)
 
     def test_collapse_to_exact_marginal_at_optimum(self):
@@ -312,7 +312,7 @@ class TestSvgpElbo:
         got = model.elbo_heterotopic(x, outputs, rows_y, scale=1.0)
 
         pm = model.predict_f(x)
-        expected = -model.prior_kl()
+        expected = -model.posterior.kl()
         from scipy.stats import norm
 
         for i in range(n):
@@ -337,7 +337,7 @@ def elbo_heterotopic_per_row(model, x, outputs, y, scale):
             lik_n, mu[n : n + 1], var[n : n + 1], y[n : n + 1]
         )
         total += float(ve[0])
-    return scale * total - model.prior_kl()
+    return scale * total - model.posterior.kl()
 
 
 def lmc_svgp(rng, likelihood, whiten, m=4, p=3):

@@ -1,10 +1,11 @@
 """Posterior objects: Kuu factored once, marginal modes streamed over rows.
 
 The streamed moments are checked against one-shot references: the
-conditional from precomputed blocks (``fully_correlated_conditional``) for
-dense pairs, one such conditional per latent for latent inducing sets, and
-a single pass of the same code for the exact GP and the deep GP.  Chunks are
-made small by lowering ``conditionals.CHUNK_FLOATS`` for the test.
+posterior's moment routine run once on precomputed blocks
+(``conftest.block_conditional``) for dense pairs, one such run per latent
+for latent inducing sets, and a single pass of the same code for the exact
+GP and the deep GP.  Chunks are made small by lowering
+``conditionals.CHUNK_FLOATS`` for the test.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from sparsegp import (
     SVGPModel,
     VariationalGaussian,
     allocation_probe,
-    fully_correlated_conditional,
     k_diag,
     kuf,
     kuu,
@@ -51,7 +51,7 @@ from sparsegp import (
 from sparsegp import conditionals
 from sparsegp.conditionals import chunk_rows, create_posterior
 
-from conftest import random_lower
+from conftest import block_conditional, random_lower
 
 JITTER = 1e-6
 RTOL = 1e-12
@@ -138,7 +138,7 @@ def _points(rng, whiten):
     def reference(x, foc):
         n = x.shape[0]
         knn = k_diag(kernel, x).reshape((n, 1, 1) if foc else (n, 1))
-        pm = fully_correlated_conditional(
+        pm = block_conditional(
             kuf(iv, kernel, x)[:, :, None], kuu(iv, kernel, JITTER), knn, q,
             full_cov=False, full_output_cov=foc,
         )
@@ -158,7 +158,7 @@ def _multioutput_points(rng, whiten):
 
     def reference(x, foc):
         kmn = kuf(iv, kernel, x)
-        pm = fully_correlated_conditional(
+        pm = block_conditional(
             kmn.reshape(m * 3, x.shape[0], 3), kuu(iv, kernel, JITTER),
             mo_k_diag(kernel, x, full_output_cov=foc), q,
             full_cov=False, full_output_cov=foc,
@@ -177,7 +177,7 @@ def _latent_reference(iv, kernel, q, w):
             m = member.num_rows
             q_l = VariationalGaussian(q.q_mu[offset : offset + m], sqrt, whiten=q.whiten)
             offset += m
-            pm = fully_correlated_conditional(
+            pm = block_conditional(
                 kuf(member, k, x)[:, :, None], kuu(member, k, JITTER),
                 k_diag(k, x)[:, None], q_l, full_cov=False, full_output_cov=False,
             )
@@ -225,7 +225,7 @@ def _conv_patches(rng, whiten):
     def reference(x, foc):
         n = x.shape[0]
         knn = k_diag(kernel, x).reshape((n, 1, 1) if foc else (n, 1))
-        pm = fully_correlated_conditional(
+        pm = block_conditional(
             kuf(iv, kernel, x)[:, :, None], kuu(iv, kernel, JITTER), knn, q,
             full_cov=False, full_output_cov=foc,
         )
@@ -439,7 +439,7 @@ def test_optimal_q_reads_the_built_factor():
 
 def test_posterior_kl_equals_prior_kl_from_scratch():
     model = _svgp(whiten=False)
-    assert model.prior_kl() == prior_kl(model.inducing, model.kernel, model.q)
+    assert model.posterior.kl() == prior_kl(model.inducing, model.kernel, model.q)
 
 
 # ---------------------------------------------------------------------------

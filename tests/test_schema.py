@@ -25,11 +25,11 @@ from sparsegp.errors import ConfigError
 from sparsegp.inducing import InducingVariable
 from sparsegp.kernels import Kernel, MultioutputKernel, Stationary
 from sparsegp.likelihoods import Likelihood
-from sparsegp.modelio import Dataset, load_model, save_model, write_dataset
+from sparsegp.modelio import Dataset, load_model, save_model
 from sparsegp.models import MeanFunction, Model
 from sparsegp.schema import Param, Schema, Setting, Static
 
-from conftest import desk_regression
+from conftest import desk_regression, write_dataset
 from test_formats import golden_path
 
 FAMILIES = (Kernel, InducingVariable, Likelihood, MeanFunction, Model)
