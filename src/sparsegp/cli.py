@@ -44,18 +44,12 @@ TRAINING = (
 FREEZE = Setting("freeze", list, ())
 
 
-def _require(node, key, context):
-    if key not in node:
-        raise ConfigError(f"{context} is missing the {key!r} entry")
-    return node[key]
-
-
 def build_model(config: dict, dataset: Dataset):
     check_keys(config, ["model", *(s.key for s in TRAINING)], "config")
-    node = _require(config, "model", "config")
+    node = read_settings(config, (Setting("model"),), "config")["model"]
     if not isinstance(node, dict):
         raise ConfigError("model must be a block")
-    kind = _require(node, "kind", "model")
+    kind = read_settings(node, (Setting("kind"),), "model")["kind"]
     cls = tags(Model).get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -104,6 +98,7 @@ def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     model = build_model(config, dataset)
     fit_config = _fit_config(config, model)
+    _check_input_dim(model, dataset.x)
 
     if dataset.y is None:
         raise DataError("training data needs output columns")
@@ -137,7 +132,8 @@ def _trace_line(record: TraceRecord) -> str:
 def _observation_noise(lik, full_cov, full_output_cov):
     """``(mean, cov) -> (mean, cov)`` of y in the mode; raises before
     anything is predicted when the likelihood has no noise for the mode."""
-    if not (full_cov or full_output_cov):
+    # The per-point modes; a correlated Gaussian adds its noise to [N, P, P] too.
+    if not full_cov and (not full_output_cov or isinstance(lik, CorrelatedGaussian)):
         return lambda mean, cov: predict_observation_moments(lik, mean, cov)
     if isinstance(lik, Gaussian):
         noise = lik.variance
@@ -151,8 +147,6 @@ def _observation_noise(lik, full_cov, full_output_cov):
 
         return add_noise
     if isinstance(lik, CorrelatedGaussian):
-        if not full_cov:  # [N, P, P]
-            return lambda mean, cov: (mean, cov + lik.cov[None, :, :])
         raise ConfigError(
             "correlated observation noise is defined for the per-point modes"
         )
@@ -214,69 +208,66 @@ def cmd_predict(args) -> int:
 
 
 def _eval_metrics(model, dataset: Dataset) -> dict:
+    """The mean log predictive density and the RMSE of the predictive mean
+    over every row, and per output from its (output, densities, errors)
+    group; an output's densities are None where the joint density does not
+    factorize per output."""
     lik = model.likelihood
-    if dataset.y is None:
+    y = dataset.y
+    if y is None:
         raise DataError("evaluation data needs output columns")
+    lik.check_targets(y)
     if dataset.heterotopic:
         if model.mixture:
             raise ConfigError("heterotopic evaluation supports shallow models")
         mean, var = model.predict_moments(dataset.x)
         _check_output_indices(dataset, mean.shape[1])
-        y = dataset.y
         logdens = np.empty(y.shape[0])
         errors = np.empty(y.shape[0])
-        per_output = []
+        groups = []
         for p, rows in output_groups(dataset.outputs):
             lik_p = marginalize_outputs(lik, (p,))
             mu_p, var_p = mean[rows, p : p + 1], var[rows, p : p + 1]
             logdens[rows] = predictive_log_density(lik_p, mu_p, var_p, y[rows])
             ymu_p, _ = predict_observation_moments(lik_p, mu_p, var_p)
             errors[rows] = y[rows, 0] - ymu_p[:, 0]
-            per_output.append(
-                {
-                    "output": int(p),
-                    "count": rows.size,
-                    "mlpd": float(logdens[rows].mean()),
-                    "rmse": float(np.sqrt(np.mean(errors[rows] ** 2))),
-                }
+            groups.append((p, logdens[rows], errors[rows]))
+    else:
+        mean, var, logdens = model.predict_log_density(dataset.x, y)
+        ymu, _ = predict_observation_moments(lik, mean, var)
+        if y.shape != ymu.shape:
+            raise DataError(
+                f"dataset has {y.shape[1]} outputs, model predicts {ymu.shape[1]}"
             )
-        return {
-            "mlpd": float(logdens.mean()),
-            "rmse": float(np.sqrt(np.mean(errors**2))),
-            "per_output": per_output,
-        }
+        errors = y - ymu
 
-    y = dataset.y
-    mean, var, logdens = model.predict_log_density(dataset.x, y)
-    ymu, _ = predict_observation_moments(lik, mean, var)
-    if y.shape != ymu.shape:
-        raise DataError(
-            f"dataset has {y.shape[1]} outputs, model predicts {ymu.shape[1]}"
-        )
-    errors = y - ymu
+        def densities(p):
+            if y.shape[1] == 1:
+                return logdens
+            if model.mixture or lik.requires_full_output_cov:
+                return None
+            column = slice(p, p + 1)
+            return predictive_log_density(
+                lik, mean[:, column], var[:, column], y[:, column]
+            )
 
-    def output_mlpd(p):
-        if y.shape[1] == 1:
-            return float(np.mean(logdens))
-        if model.mixture or lik.requires_full_output_cov:
-            return None  # joint density does not factorize per output
-        column = predictive_log_density(
-            lik, mean[:, p : p + 1], var[:, p : p + 1], y[:, p : p + 1]
-        )
-        return float(np.mean(column))
+        groups = [(p, densities(p), errors[:, p]) for p in range(y.shape[1])]
+
+    def rmse(e):
+        return float(np.sqrt(np.mean(e**2)))
 
     per_output = [
         {
-            "output": p,
-            "count": int(y.shape[0]),
-            "mlpd": output_mlpd(p),
-            "rmse": float(np.sqrt(np.mean(errors[:, p] ** 2))),
+            "output": int(p),
+            "count": int(e.size),
+            "mlpd": None if d is None else float(np.mean(d)),
+            "rmse": rmse(e),
         }
-        for p in range(y.shape[1])
+        for p, d, e in groups
     ]
     return {
         "mlpd": float(np.mean(logdens)),
-        "rmse": float(np.sqrt(np.mean(errors**2))),
+        "rmse": rmse(errors),
         "per_output": per_output,
     }
 
@@ -285,8 +276,6 @@ def cmd_eval(args) -> int:
     model, _ = load_model(args.model)
     dataset = read_dataset(args.data)
     _check_input_dim(model, dataset.x)
-    if dataset.y is not None:
-        model.likelihood.check_targets(dataset.y)
     metrics = _eval_metrics(model, dataset)
     text = json.dumps(metrics, sort_keys=True, indent=2)
     if args.out:

@@ -15,9 +15,9 @@ once, when the posterior is built; its ``kl`` reads that factor.
 streams, giving the gradients, by slot name, of an objective of the
 marginal moments minus the KL with respect to q (and to W, for a latent
 set that mixes with one) from the objective's gradients with respect to
-the moments.  A pair with ``input_vjp`` (inducing points
-with a stationary kernel) also supplies the VJPs of its own ``kuu`` and
-``kuf``: each chunk's Kuf cotangent goes through ``kuf_vjp``, and the
+the moments.  Where the classes that define a pair's ``kuu`` and ``kuf``
+define their VJPs beside them (``input_vjp``; inducing points with a
+stationary kernel), each chunk's Kuf cotangent goes through ``kuf_vjp``, and the
 factor's cotangent, summed over the chunks with the unwhitened KL's, goes
 through one Cholesky backward (``numerics.cholesky_vjp``) into
 ``kuu_vjp``, giving the gradients with respect to Z, the kernel's
@@ -98,7 +98,7 @@ from .numerics import (
     tri_solve,
     tri_solve_vjp,
 )
-from .schema import Param, Schema, Static
+from .schema import Param, Schema, Setting
 
 # Marginal variances at or below this are treated as exactly zero when
 # sampling, so deterministic posteriors reproduce their mean.
@@ -131,7 +131,7 @@ class VariationalGaussian:
         None,
         Param("q_mu"),
         Param("q_sqrt", "tril"),
-        Static("whiten", "whiten", type=bool),
+        Setting("whiten", bool),
     )
 
     def __post_init__(self):
@@ -333,9 +333,6 @@ class Posterior:
     """
 
     correlated_outputs = False  # whether per-point outputs can correlate
-    # Whether the pair has the VJPs of its kuu and kuf (``kuu_vjp``,
-    # ``_blocks_vjp``), so that ``backward`` reaches its parameters and inputs.
-    input_vjp = False
 
     def __init__(self, iv: InducingVariable, kernel: Kernel, q, jitter=None, factor=None):
         _check_sizes(q, self.layout(iv, kernel))
@@ -347,6 +344,17 @@ class Posterior:
             factor = cholesky(kuu(iv, kernel, jitter), applied=applied)
         self.factor = factor
         self.factor_jitter = applied[0] if applied else 0.0
+
+    @property
+    def input_vjp(self) -> bool:
+        """Whether ``backward`` reaches the pair's parameters and inputs:
+        the class that defines ``kuu`` defines ``kuu_vjp`` beside it, and
+        the one that defines ``kuf`` defines ``kuf_vjp``."""
+        mro = type(self).__mro__
+        return all(
+            f"{name}_vjp" in next(c for c in mro if name in c.__dict__).__dict__
+            for name in ("kuu", "kuf")
+        )
 
     @classmethod
     def layout(cls, iv: InducingVariable, kernel: Kernel) -> Layout:
@@ -587,8 +595,9 @@ def _pair_slots(dz, kernel_grads) -> dict:
 @PAIRS.register(InducingPoints, Kernel)
 class SingleOutputPosterior(Posterior):
     @property
-    def input_vjp(self):
-        return isinstance(self.kernel, Stationary) and self.kernel.dk_dr2 is not None
+    def input_vjp(self):  # the VJPs below read the kernel's, from its dk/dr²
+        k = self.kernel
+        return super().input_vjp and isinstance(k, Stationary) and k.dk_dr2 is not None
 
     @classmethod
     def layout(cls, iv, kernel):
@@ -645,8 +654,6 @@ def _multiscale_prefactor(kernel, eff2):
 
 @PAIRS.register(Multiscale, SquaredExponential)
 class MultiscalePosterior(SingleOutputPosterior):
-    input_vjp = False  # its windowed kuu and kuf have no VJPs
-
     @classmethod
     def kuu(cls, iv, kernel):
         z = iv.z
@@ -694,8 +701,6 @@ class UnwindowedMultiscale(Posterior):
 # apply once Kuu/Kuf are the patch covariances.
 @PAIRS.register(InducingPatches, Convolutional)
 class PatchPosterior(SingleOutputPosterior):
-    input_vjp = False  # its patch sums have no VJPs
-
     @classmethod
     def layout(cls, iv, kernel):  # one variable per patch; inputs are images
         ih, iw = kernel.image_shape

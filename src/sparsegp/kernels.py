@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, PatchLargerThanImage, UnsupportedMode
 from .numerics import record_allocation
-from .schema import Child, Param, Schema, Static
+from .schema import Child, Param, Schema, Setting
 
 VARIANCE = Param("variance", "positive", scalar=True, default=1.0)
 
@@ -332,7 +332,7 @@ class SharedIndependent(IndependentOutputs):
     """One kernel shared by P independent outputs."""
 
     schema = Schema(
-        "shared_independent", Child("base", "kernel"), Static("outputs", "output_dim")
+        "shared_independent", Child("base", "kernel"), Setting("outputs", attr="output_dim")
     )
 
     def __init__(self, kernel: SingleOutputKernel, output_dim: int):
@@ -455,8 +455,8 @@ class Convolutional(MultioutputKernel):
     schema = Schema(
         "conv",
         Child("base", "kernel"),
-        Static("image", "image_shape"),
-        Static("patch", "patch_shape"),
+        Setting("image", attr="image_shape"),
+        Setting("patch", attr="patch_shape"),
     )
 
     def __init__(self, kernel: SingleOutputKernel, image_shape, patch_shape):
@@ -485,12 +485,11 @@ class Convolutional(MultioutputKernel):
 
     def _patch_gram(self, x, x2):
         pa = self.patches(x)
-        pb = pa if x2 is None else self.patches(x2)
-        n, p, _ = pa.shape
-        n2 = pb.shape[0]
-        flat = self.kernel.K(pa.reshape(n * p, -1), pb.reshape(n2 * p, -1))
+        n, p, d = pa.shape
+        pb = None if x2 is None else self.patches(x2).reshape(-1, d)  # None: the self-gram
+        flat = self.kernel.K(pa.reshape(n * p, d), pb)
         record_allocation(flat)
-        return flat.reshape(n, p, n2, p)
+        return flat.reshape(n, p, -1, p)
 
     def K(self, x, x2=None, full_output_cov: bool = True) -> np.ndarray:
         if full_output_cov:

@@ -54,7 +54,6 @@ from .schema import (
     Param,
     Schema,
     Setting,
-    Static,
     check_keys,
     from_spec,
     read_settings,
@@ -153,8 +152,10 @@ MEAN = Child(
     "mean_function", "mean_function", family=MeanFunction, slot="mean", default="zero"
 )
 LIKELIHOOD = Child("likelihood", "likelihood", family=Likelihood)
-NUM_DATA = Static("num_data", "num_data", default=None, type=int, range=">= 1")
-JITTER = Static("jitter", "jitter", default=None, type=float, range=">= 0")
+NUM_DATA = Setting("num_data", int, None, ">= 1")
+# Fields that are config keys too
+JITTER = Setting("jitter", float, None, ">= 0")
+NUM_SAMPLES = Setting("num_samples", int, 1, ">= 1")
 
 # Config keys
 KERNEL_KEY = Setting("kernel", Kernel)
@@ -164,7 +165,7 @@ LAYER_KEYS = (
     Setting("inducing", InducingVariable),
     Setting("mean", MeanFunction, "zero"),
 )
-Q_KEYS = (Setting("whiten", bool, True), Setting("jitter", float, None, ">= 0"))
+Q_KEYS = (Setting("whiten", bool, True), JITTER)
 
 
 def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
@@ -310,8 +311,8 @@ class GPRModel(Model):
         "gpr",
         KERNEL,
         Param("noise_variance", "positive", scalar=True, slot="likelihood.variance"),
-        Static("x", "x"),
-        Static("y", "y"),
+        Setting("x"),
+        Setting("y"),
     )
     settings = (KERNEL_KEY, Setting("likelihood", Likelihood, "gaussian"))
     full_batch = True
@@ -588,14 +589,14 @@ class DGPModel(Model):
         Child("layers", "layers", many=True, family=GPLayer),
         LIKELIHOOD,
         NUM_DATA,
-        Static("num_samples", "num_samples", default=1, type=int, range=">= 1"),
+        NUM_SAMPLES,
         JITTER,
     )
     settings = (
         LIKELIHOOD_KEY,
         Setting("layers", GPLayer),
         *Q_KEYS,
-        Setting("num_samples", int, 1, ">= 1"),
+        NUM_SAMPLES,
     )
     mixture = True
 
@@ -635,9 +636,12 @@ class DGPModel(Model):
             spec = read_settings(spec, LAYER_KEYS, "layer")
             layers.append(GPLayer(*_layer_parts(spec, dataset.x, node["whiten"])))
         likelihood = from_spec(node["likelihood"], Likelihood)
-        return cls(
-            layers, likelihood, dataset.x.shape[0], node["num_samples"], node["jitter"]
-        )
+        try:
+            return cls(
+                layers, likelihood, dataset.x.shape[0], node["num_samples"], node["jitter"]
+            )
+        except ShapeMismatch as err:  # the layers' widths, as configured
+            raise ConfigError(str(err)) from err
 
     @property
     def input_dim(self):
@@ -788,7 +792,7 @@ class UncertainSVGP(Model):
         Child("svgp", "svgp", family=SVGPModel, slot="", document=True),
         Param("input_mean", slot="inputs.mu"),
         Param("input_var", "positive", slot="inputs.s"),
-        Static("y", "y"),
+        Setting("y"),
     )
     settings = (
         *SVGPModel.settings,

@@ -7,8 +7,8 @@ named after the field's attribute.  From the declarations come
 parameter-store slots and a rebuild closure (:func:`compile_slots`), file
 specs (:func:`to_spec`; a whole model file is :func:`to_document`) and
 objects from file or config specs (:func:`from_spec`,
-:func:`from_document`).  The keys of a config block are declared as
-:class:`Setting` entries and read by :func:`read_settings`.
+:func:`from_document`).  An untrained field is a :class:`Setting`, and so
+is each key of a config block, which :func:`read_settings` reads.
 """
 
 from __future__ import annotations
@@ -69,17 +69,61 @@ class Child:
         return f"{prefix}{name}." if name else prefix
 
 
+_TYPE_TEXT = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    list: "a name or a list of names",
+}
+
+
 @dataclass(frozen=True)
-class Static:
-    """An untrained field.  A ``type`` (and ``range``, as for a
-    :class:`Setting`) makes a filed value of another type or out of range a
-    ``ConfigError``."""
+class Setting:
+    """An untrained field, or a config key: its type, default and range
+    (such as ``"> 0"``), and the attribute it sets (default: ``key``).
+
+    ``type`` is bool, int, float, list (a name or a list of names, read as
+    a tuple), the family of a component spec, which is passed on as
+    written for ``from_spec`` to read, or None for a value copied as is.
+    A filed or configured value of another type or out of range is a
+    ``ConfigError``.
+    """
 
     key: str
-    attr: str
-    default: object = REQUIRED
     type: type | None = None
+    default: object = REQUIRED
     range: str = ""
+    attr: str | None = None
+
+    def __post_init__(self):
+        if self.attr is None:
+            object.__setattr__(self, "attr", self.key)
+
+    def coerce(self, value, context=None):
+        """``value`` as the declared type, or a ``ConfigError`` naming the key."""
+        t = self.type
+        if t not in _TYPE_TEXT:
+            return value
+        if t is list:
+            names = [value] if isinstance(value, str) else value
+            if isinstance(names, list) and all(isinstance(v, str) for v in names):
+                return tuple(names)
+        elif t is bool:
+            if isinstance(value, bool):
+                return value
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the float range
+                number = math.nan
+            op, bound = (self.range or ">= -inf").split()
+            within = number > float(bound) if op == ">" else number >= float(bound)
+            whole = t is float or number.is_integer()
+            if math.isfinite(number) and within and whole:
+                return t(value)
+        where = f"{context}: " if context else ""
+        expected = f"{_TYPE_TEXT[t]} {self.range}".rstrip()
+        raise ConfigError(f"{where}{self.key} must be {expected}, got {value!r}")
 
 
 class Schema:
@@ -106,7 +150,7 @@ def compile_slots(obj, prefix, store):
     readers, fixed = [], {}
     for f in schema.fields:
         value = getattr(obj, f.attr)
-        if isinstance(f, Static):
+        if isinstance(f, Setting):
             fixed[f.attr] = value
         elif isinstance(f, Param):
             name = prefix + (f.slot or f.key)
@@ -280,8 +324,8 @@ def construct(cls, spec, family=None, data=None):
             value = value(spec) if callable(value) else value
         elif isinstance(f, Param):
             value = _param_value(f, value, tag)
-        elif f.type is not None and (value is not None or f.default is not None):
-            value = Setting(f.key, f.type, range=f.range).coerce(value, tag)
+        elif value is not None or f.default is not None:
+            value = f.coerce(value, tag)
         kwargs[f.attr] = value
     try:
         return cls(**kwargs)
@@ -314,54 +358,6 @@ def _param_value(f, value, tag):
 
 # ---------------------------------------------------------------------------
 # Config settings
-
-_TYPE_TEXT = {
-    bool: "true or false",
-    int: "an integer",
-    float: "a number",
-    list: "a name or a list of names",
-}
-
-
-@dataclass(frozen=True)
-class Setting:
-    """A config key: its type, default and range (such as ``"> 0"``).
-
-    ``type`` is bool, int, float, list (a name or a list of names, read as
-    a tuple) or the family of a component spec, which is passed on as
-    written for ``from_spec`` to read.
-    """
-
-    key: str
-    type: type
-    default: object = REQUIRED
-    range: str = ""
-
-    def coerce(self, value, context=None):
-        """``value`` as the declared type, or a ``ConfigError`` naming the key."""
-        t = self.type
-        if t not in _TYPE_TEXT:
-            return value
-        if t is list:
-            names = [value] if isinstance(value, str) else value
-            if isinstance(names, list) and all(isinstance(v, str) for v in names):
-                return tuple(names)
-        elif t is bool:
-            if isinstance(value, bool):
-                return value
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            try:
-                number = float(value)
-            except OverflowError:  # an integer beyond the float range
-                number = math.nan
-            op, bound = (self.range or ">= -inf").split()
-            within = number > float(bound) if op == ">" else number >= float(bound)
-            whole = t is float or number.is_integer()
-            if math.isfinite(number) and within and whole:
-                return t(value)
-        where = f"{context}: " if context else ""
-        expected = f"{_TYPE_TEXT[t]} {self.range}".rstrip()
-        raise ConfigError(f"{where}{self.key} must be {expected}, got {value!r}")
 
 
 def check_keys(node, keys, context):

@@ -11,7 +11,8 @@ whose exact gradients the model supplies (``Model.objective_gradients``),
 by reverse mode: q (through the backward that every pair's posterior
 takes from its blocks), and the mixing matrix W of a latent set, of every
 SVGP and deep-GP layer the chain reaches; Z and the kernel's slots where the
-pair is inducing points with a stationary kernel; a Gaussian likelihood's
+pair's class gives the VJPs of its kuu and kuf beside them (inducing points
+with a stationary kernel); a Gaussian likelihood's
 variance and a ``Constant`` mean's value; and ``gpr``'s kernel and noise
 where its kernel is stationary.  A deep GP's chain runs from its last
 layer down through its sampled hidden states, and stops at a layer whose

@@ -264,6 +264,31 @@ class TestExitCodes:
             == 3
         )
 
+    def test_train_dimension_mismatch_is_3(self, tmp_path, capsys):
+        # Inducing points of two columns against the one-column dataset.
+        conf = _write(tmp_path, "wide.conf", SVGP_CONF.format(steps=1).replace(
+            "points { from_data = 8 }", "points { z = [[0, 1], [1, 0.5]] }"
+        ))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: dataset has 1 input columns, model expects 2\n"
+
+    def test_dgp_layer_widths_that_do_not_chain_are_2(self, tmp_path, capsys):
+        # The second layer's points come from the two-column inputs, while
+        # the first layer feeds it one column.
+        layer = "layer { kernel = sqexp, inducing = points { from_data = 3 } }"
+        conf = _write(tmp_path, "dgp.conf", DGP_LAYER_TYPO.replace(
+            "[layer { kernel = sqexp, inducing = points { from_data = 3 }, whiten = true }]",
+            f"[{layer}, {layer}]",
+        ))
+        data = str(tmp_path / "two.csv")
+        write_dataset(data, np.sin(np.arange(24.0)).reshape(12, 2), np.ones((12, 1)))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: layer producing 1 columns feeds a layer expecting 2\n"
+
     def test_numerical_failure_is_4(self, tmp_path, trained_svgp, capsys):
         # An indefinite noise covariance cannot be factorized.
         doc = json.load(open(trained_svgp))

@@ -580,8 +580,6 @@ def _midpoint_gram(kernel, iv, other):
 
 
 class MidpointPosterior(SingleOutputPosterior):
-    input_vjp = False  # its midpoint grams have no VJPs
-
     @classmethod
     def layout(cls, iv, kernel):
         return Layout((iv.num_rows,), False, 1, iv.a.shape[1])

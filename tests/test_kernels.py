@@ -190,6 +190,19 @@ class TestMultioutput:
             assert grams.shape == (k.num_outputs, *shape)
             assert shapes == [shape] * k.num_outputs
 
+    def test_conv_white_base_keeps_its_variance_on_every_diagonal(self, rng):
+        # Each patch is its own point to a white base, so the full tensor,
+        # the marginal mode and the summed process all read its variance
+        # on the diagonal of x against itself.
+        k = Convolutional(White(0.5), (3, 3), (2, 2))
+        x = standard_normal(rng, (4, 9))
+        full = mo_k(k, x)
+        np.testing.assert_array_equal(
+            np.einsum("npmp->pnm", full), mo_k(k, x, full_output_cov=False)
+        )
+        np.testing.assert_array_equal(np.einsum("npnp->np", full), mo_k_diag(k, x, False))
+        np.testing.assert_array_equal(np.diag(k_full(k, x)), k_diag(k, x))
+
     def test_independent_marginal_mode_is_per_output(self, rng):
         x = standard_normal(rng, (4, 1))
         k = SeparateIndependent([SquaredExponential(1.0), Matern52(2.0)])

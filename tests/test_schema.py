@@ -27,7 +27,7 @@ from sparsegp.kernels import Kernel, MultioutputKernel, Stationary
 from sparsegp.likelihoods import Likelihood
 from sparsegp.modelio import Dataset, load_model, save_model
 from sparsegp.models import MeanFunction, Model
-from sparsegp.schema import Param, Schema, Setting, Static
+from sparsegp.schema import Param, Schema, Setting
 
 from conftest import desk_regression, write_dataset
 from test_formats import golden_path
@@ -139,7 +139,7 @@ class ConstantNoise(Model):
         "test_constant",
         Param("offset", scalar=True),
         Param("noise", "positive", scalar=True),
-        Static("width", "input_dim"),
+        Setting("width", attr="input_dim"),
     )
     settings = (Setting("noise", float, 1.0, "> 0"),)
 
