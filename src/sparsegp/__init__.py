@@ -6,7 +6,6 @@ from .conditionals import (
     PosteriorMoments,
     VariationalGaussian,
     conditional,
-    num_inducing,
     sample_conditional,
 )
 from .covariances import kuf, kuu

@@ -4,7 +4,8 @@ Exit codes: 0 success; 2 configuration error, including a combination of
 components that is not supported; 3 data validation error; 4 numerical
 failure (the failing error class is printed).  The environment variable
 SPARSEGP_JITTER overrides the default jitter, the absolute amount added to
-Kuu's diagonal, for debugging.
+Kuu's diagonal, for debugging.  ``--observation-noise`` reports y's moments
+as the likelihood's ``predict_moments`` gives them in the requested mode.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import ConfigError, DataError, SparseGPError, UnsupportedCombinatio
 from .likelihoods import (
     CorrelatedGaussian,
     Gaussian,
-    marginalize_outputs,
     predict_observation_moments,
     predictive_log_density,
 )
@@ -131,28 +131,18 @@ def _trace_line(record: TraceRecord) -> str:
 
 def _observation_noise(lik, full_cov, full_output_cov):
     """``(mean, cov) -> (mean, cov)`` of y in the mode; raises before
-    anything is predicted when the likelihood has no noise for the mode."""
-    # The per-point modes; a correlated Gaussian adds its noise to [N, P, P] too.
-    if not full_cov and (not full_output_cov or isinstance(lik, CorrelatedGaussian)):
-        return lambda mean, cov: predict_observation_moments(lik, mean, cov)
-    if isinstance(lik, Gaussian):
-        noise = lik.variance
-
-        def add_noise(mean, cov):
-            if full_cov and full_output_cov:
-                n, p = cov.shape[0], cov.shape[1]
-                flat = cov.reshape(n * p, n * p) + noise * np.eye(n * p)
-                return mean, flat.reshape(n, p, n, p)
-            return mean, cov + noise * np.eye(cov.shape[-1])  # [N, P, P] or [P, N, N]
-
-        return add_noise
-    if isinstance(lik, CorrelatedGaussian):
+    anything is predicted when the likelihood has no noise for the mode.
+    Any likelihood has it for marginal variances, a Gaussian in every mode
+    and a correlated Gaussian in the per-point ones."""
+    if full_cov and isinstance(lik, CorrelatedGaussian):
         raise ConfigError(
             "correlated observation noise is defined for the per-point modes"
         )
-    raise ConfigError(
-        "--observation-noise needs a Gaussian or correlated Gaussian likelihood"
-    )
+    if (full_cov or full_output_cov) and not isinstance(lik, (Gaussian, CorrelatedGaussian)):
+        raise ConfigError(
+            "--observation-noise needs a Gaussian or correlated Gaussian likelihood"
+        )
+    return lambda mean, cov: predict_observation_moments(lik, mean, cov)
 
 
 def _write_rows(handle, table):
@@ -225,8 +215,7 @@ def _eval_metrics(model, dataset: Dataset) -> dict:
         logdens = np.empty(y.shape[0])
         errors = np.empty(y.shape[0])
         groups = []
-        for p, rows in output_groups(dataset.outputs):
-            lik_p = marginalize_outputs(lik, (p,))
+        for p, rows, lik_p in output_groups(dataset.outputs, lik):
             mu_p, var_p = mean[rows, p : p + 1], var[rows, p : p + 1]
             logdens[rows] = predictive_log_density(lik_p, mu_p, var_p, y[rows])
             ymu_p, _ = predict_observation_moments(lik_p, mu_p, var_p)

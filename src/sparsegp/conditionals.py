@@ -6,8 +6,8 @@ Cholesky factor and q.  Each pair has one entry in the dispatch registry
 the one place that knows the pair.  The class supplies the pair's
 covariances (``kuu`` and ``kuf``, read by ``covariances.kuu``/``kuf``), its
 shape (``layout``: q's blocks, outputs per point and input columns, read by
-``num_inducing``, ``check_q`` and the models) and the blocks of one chunk of
-rows (``_blocks``: Kuf and the rows' prior covariance), from which the base
+``check_q`` and the models) and the blocks of one chunk of rows
+(``_blocks``: Kuf and the rows' prior covariance), from which the base
 class takes their moments (``_chunk``) and backward (``_chunk_vjp``).  Kuu,
 the pair's plain one plus the jitter ``covariances.kuu`` adds, is factored
 once, when the posterior is built; its ``kl`` reads that factor.
@@ -501,11 +501,6 @@ class Posterior:
 def layout(iv: InducingVariable, kernel: Kernel) -> Layout:
     """The shape of the pair, as its registered posterior class declares it."""
     return PAIRS.resolve(type(iv), type(kernel)).layout(iv, kernel)
-
-
-def num_inducing(iv: InducingVariable, kernel: Kernel) -> int:
-    """Total number of inducing variables for the (iv, kernel) pair."""
-    return layout(iv, kernel).total
 
 
 def check_q(q, iv: InducingVariable, kernel: Kernel) -> Layout:

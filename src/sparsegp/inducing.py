@@ -28,10 +28,6 @@ def _patches_from_data(x, kernel):
 class InducingVariable:
     """Base class for all inducing variable definitions."""
 
-    @property
-    def num_rows(self) -> int:
-        raise NotImplementedError
-
 
 class InducingPoints(InducingVariable):
     """Plain function evaluations u = f(Z)."""
@@ -93,10 +89,6 @@ class SharedIndependentInducingVariables(LatentInducingVariables):
     def __init__(self, base: InducingVariable):
         self.base = base
 
-    @property
-    def num_rows(self) -> int:
-        return self.base.num_rows
-
     def per_latent(self, num_latent: int) -> list[InducingVariable]:
         return [self.base] * num_latent
 
@@ -122,10 +114,6 @@ class SeparateIndependentInducingVariables(LatentInducingVariables):
         if not members:
             raise DimensionMismatch("at least one member inducing set is required")
         self.members = members
-
-    @property
-    def num_rows(self) -> int:
-        return self.members[0].num_rows
 
     def per_latent(self, num_latent: int) -> list[InducingVariable]:
         if len(self.members) != num_latent:

@@ -34,6 +34,15 @@ def _as_2d(x) -> np.ndarray:
     return x
 
 
+def _as_pair(x, x2):
+    """``x`` and ``x2`` as [N, D] and [N2, D] inputs; ``x2`` None is ``x``."""
+    x = _as_2d(x)
+    x2 = x if x2 is None else _as_2d(x2)
+    if x.shape[1] != x2.shape[1]:
+        raise DimensionMismatch(f"input dims differ: {x.shape[1]} vs {x2.shape[1]}")
+    return x, x2
+
+
 class Kernel:
     """Base class for all covariance functions."""
 
@@ -49,7 +58,9 @@ class SingleOutputKernel(Kernel):
         raise NotImplementedError
 
     def K_diag(self, x) -> np.ndarray:
-        raise NotImplementedError
+        """The variance at every row, unless the family says otherwise."""
+        x = _as_2d(x)
+        return np.full(x.shape[0], self.variance)
 
 
 class Stationary(SingleOutputKernel):
@@ -68,16 +79,13 @@ class Stationary(SingleOutputKernel):
         self.lengthscales = lengthscales
 
     def _scaled_r2(self, x, x2) -> np.ndarray:
-        """Scaled squared distances, exactly 0 on the diagonal of inputs
-        against themselves (``x2`` None or ``x``), where the expansion
-        leaves rounding that Matérn-1/2's kink would amplify."""
+        """Scaled squared distances by the expansion |a|² + |b|² − 2a·b.  Its
+        rounding, about 1e-16 of |a|² + |b|², is not small against r² where
+        rows nearly coincide, and Matérn-1/2's kink would amplify it: there
+        r² is exactly 0 on the diagonal of inputs against themselves (``x2``
+        None or ``x``) and taken from the rows' differences elsewhere."""
         same = x2 is None or x2 is x
-        x = _as_2d(x)
-        x2 = x if same else _as_2d(x2)
-        if x.shape[1] != x2.shape[1]:
-            raise DimensionMismatch(
-                f"input dims differ: {x.shape[1]} vs {x2.shape[1]}"
-            )
+        x, x2 = _as_pair(x, None if same else x2)
         ls = self.lengthscales
         if ls.shape[0] not in (1, x.shape[1]):
             raise DimensionMismatch(
@@ -86,14 +94,17 @@ class Stationary(SingleOutputKernel):
             )
         a = x / ls
         b = x2 / ls
-        r2 = (
-            np.sum(a * a, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
+        aa, bb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+        r2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
         if same:
             np.fill_diagonal(r2, 0.0)
-        return np.clip(r2, 0.0, None)
+        elif r2.size:
+            cancelled = 1e-12 * (aa.max() + bb.max())
+            if r2.min() < cancelled:  # one reduction for a gram with no such entry
+                cols = np.flatnonzero(r2.min(axis=0) < cancelled)
+                i, j = np.nonzero(r2[:, cols] < cancelled)
+                r2[i, cols[j]] = np.sum((a[i] - b[cols[j]]) ** 2, axis=1)
+        return np.maximum(r2, 0.0, out=r2)
 
     def _from_r2(self, r2):
         raise NotImplementedError
@@ -107,10 +118,6 @@ class Stationary(SingleOutputKernel):
         out = self._from_r2(self._scaled_r2(x, x2))
         record_allocation(out)
         return out
-
-    def K_diag(self, x) -> np.ndarray:
-        x = _as_2d(x)
-        return np.full(x.shape[0], self.variance)
 
     def K_vjp(self, x, x2, dk):
         """The gradients of Σ dk ⊙ K(x, x2) with respect to x, x2 and the
@@ -191,12 +198,7 @@ class Linear(SingleOutputKernel):
     schema = Schema("linear", VARIANCE)
 
     def K(self, x, x2=None) -> np.ndarray:
-        x = _as_2d(x)
-        x2 = x if x2 is None else _as_2d(x2)
-        if x.shape[1] != x2.shape[1]:
-            raise DimensionMismatch(
-                f"input dims differ: {x.shape[1]} vs {x2.shape[1]}"
-            )
+        x, x2 = _as_pair(x, x2)
         return self.variance * (x @ x2.T)
 
     def K_diag(self, x) -> np.ndarray:
@@ -210,19 +212,10 @@ class White(SingleOutputKernel):
     schema = Schema("white", VARIANCE)
 
     def K(self, x, x2=None) -> np.ndarray:
-        x = _as_2d(x)
         if x2 is None:
-            return self.variance * np.eye(x.shape[0])
-        x2 = _as_2d(x2)
-        if x.shape[1] != x2.shape[1]:
-            raise DimensionMismatch(
-                f"input dims differ: {x.shape[1]} vs {x2.shape[1]}"
-            )
+            return self.variance * np.eye(_as_2d(x).shape[0])
+        x, x2 = _as_pair(x, x2)
         return np.zeros((x.shape[0], x2.shape[0]))
-
-    def K_diag(self, x) -> np.ndarray:
-        x = _as_2d(x)
-        return np.full(x.shape[0], self.variance)
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +429,9 @@ class IntrinsicCoregionalization(LinearCoregionalization):
     schema = Schema("imc", Param("w"), Child("base", "kernel"))
 
     def __init__(self, kernel, w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim != 2:
-            raise DimensionMismatch("mixing matrix must be [P, L]")
-        super().__init__((kernel,) * w.shape[1], w)
+        # one latent per column of w, whose shape the base class checks
+        latents = np.shape(w)[-1] if np.ndim(w) else 0
+        super().__init__((kernel,) * latents, w)
         self.kernel = kernel
 
 

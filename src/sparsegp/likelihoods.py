@@ -8,7 +8,8 @@ expectation one way, in its ``expectations``: in closed form where one
 exists, else (Bernoulli) by its own Gauss-Hermite sum.
 ``gauss_hermite_expectations`` and ``variational_expectations_mc`` are the
 quadrature and sampling oracles the closed forms and that sum are checked
-against.
+against.  ``predict_observation_moments`` gives the moments of y; a
+Gaussian adds its noise in every covariance mode.
 """
 
 from __future__ import annotations
@@ -98,7 +99,13 @@ class Gaussian(Likelihood):
         return {"variance": 0.5 * (squares / self.variance - fmu.size) / self.variance}
 
     def predict_moments(self, fmu, fvar):
-        return fmu, fvar + self.variance
+        """Adds the noise to [N, P] variances, or to the diagonal of [N, P, P]
+        and [P, N, N] blocks and of an [N, P, N, P] covariance."""
+        if fvar.ndim < 3:
+            return fmu, fvar + self.variance
+        m = fvar.shape[-1] if fvar.ndim == 3 else fvar.shape[0] * fvar.shape[1]
+        blocks = fvar.reshape(-1, m, m) + self.variance * np.eye(m)
+        return fmu, blocks.reshape(fvar.shape)
 
     def predictive_log_density(self, fmu, fvar, y):
         var = fvar + self.variance
@@ -354,5 +361,9 @@ def predict_observation_moments(lik: Likelihood, fmu, fvar):
 
 
 def predictive_log_density(lik: Likelihood, fmu, fvar, y) -> np.ndarray:
-    """log E[p(y_n | f_n)] under the posterior marginal, per data point."""
+    """log E[p(y_n | f_n)] under the posterior marginal, per data point: on
+    [N, P, P] covariances for a likelihood that needs them, as checked for
+    the expectations."""
+    if lik.requires_full_output_cov:
+        return lik.predictive_log_density(*_validate(lik, fmu, fvar, y))
     return lik.predictive_log_density(*_as_moments(fmu, fvar), _as_rows(y, "Y"))

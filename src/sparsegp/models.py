@@ -6,7 +6,9 @@ pure function of (parameters, batch, random state).  Training (see the
 ``training`` module) rebuilds models from a parameter store rather than
 mutating them.
 
-An SVGP or a deep GP states its data term once (``_data_term``); its ELBO
+An SVGP is a GP layer (``GPLayer``: kernel, inducing variable, q and mean
+function) observed through a likelihood, and a deep GP is a chain of GP
+layers.  Either states its data term once (``_data_term``); its ELBO
 (``_elbo``) and its exact gradients (``_backward``, seeded with the term's
 gradients) both read it.  The exact GP's posterior is a dense posterior too
 (``ExactPosterior``).
@@ -142,7 +144,7 @@ class Model:
         return mean, var, predictive_log_density(lik, mean, cov, y)
 
 
-# Fields an SVGP shares with a deep-GP layer.  q's entries sit in the model
+# Fields of a GP layer, which an SVGP is too.  q's entries sit in the model
 # document and at the model's slot prefix; the mean function is filed as
 # ``mean_function`` but its slots sit under ``mean.``.
 KERNEL = Child("kernel", "kernel", family=Kernel)
@@ -178,42 +180,65 @@ def _initial_q(iv, kernel, whiten) -> VariationalGaussian:
     return VariationalGaussian(np.zeros(shape.total), q_sqrt, whiten=whiten)
 
 
-def _posterior_moments(gp, post: Posterior, x, full_cov, full_output_cov) -> PosteriorMoments:
-    """Moments of an SVGP or a deep-GP layer at ``x``, mean function added."""
+class GPLayer:
+    """A sparse GP over an (inducing variable, kernel) pair, with its q and
+    mean function: one layer of a deep GP, and the latent GP of an SVGP."""
+
+    schema = Schema(None, KERNEL, INDUCING, Q, MEAN)
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        inducing: InducingVariable,
+        q: VariationalGaussian,
+        mean_function: MeanFunction | None = None,
+    ):
+        self.layout = check_q(q, inducing, kernel)
+        self.kernel = kernel
+        self.inducing = inducing
+        self.q = q
+        self.mean_function = mean_function if mean_function is not None else Zero()
+
+
+def _posterior_moments(
+    layer: GPLayer, post: Posterior, x, full_cov, full_output_cov
+) -> PosteriorMoments:
+    """Moments of a GP layer at ``x``, mean function added."""
     moments = post.predict(x, full_cov, full_output_cov)
-    return PosteriorMoments(moments.mean + gp.mean_function(x), moments.cov)
+    return PosteriorMoments(moments.mean + layer.mean_function(x), moments.cov)
 
 
-def output_groups(outputs):
-    """(output index, its rows) for each output present, in index order."""
+def output_groups(outputs, lik: Likelihood):
+    """(output index, its rows, ``lik`` marginalized to that output) for
+    each output present, in index order: a heterotopic row is scored under
+    its output's marginal likelihood."""
     for p in np.flatnonzero(np.bincount(outputs)):
-        yield p, np.flatnonzero(outputs == p)
+        yield p, np.flatnonzero(outputs == p), marginalize_outputs(lik, (p,))
 
 
-def _data_term(gp, lik, x, y, weight, outputs=None):
-    """``weight`` times the expected log-likelihood of (x, y) under an SVGP
-    or a deep-GP layer, as ``term(rows, mean, cov, grads=False)`` of the
-    posterior's marginal moments at ``x[rows]``.  With ``grads`` it returns
+def _data_term(layer: GPLayer, lik, x, y, weight, outputs=None):
+    """``weight`` times the expected log-likelihood of (x, y) under a GP
+    layer, as ``term(rows, mean, cov, grads=False)`` of the posterior's
+    marginal moments at ``x[rows]``.  With ``grads`` it returns
     the term's gradients with respect to (mean, cov) instead, the seed of
     ``Posterior.backward``, and with respect to the likelihood's parameters
     that have them (schema name -> gradient).
 
     Heterotopic rows (``outputs`` holds the output each row observes) are
-    grouped by output: each group reads its output's column under the
-    likelihood marginalized to that output, so it costs one vectorized
-    expectation, and its gradients sit in that column alone."""
+    grouped by output (``output_groups``): each group reads its output's
+    column under its output's marginal likelihood, so it costs one
+    vectorized expectation, and its gradients sit in that column alone."""
 
     def groups(rows):
         """(likelihood, index into mean and cov, targets) per row group."""
         if outputs is None:
             yield lik, slice(None), y[rows]
             return
-        for p, group in output_groups(outputs[rows]):
-            part = marginalize_outputs(lik, (p,))
+        for p, group, part in output_groups(outputs[rows], lik):
             yield part, (group, slice(p, p + 1)), y[rows][group]
 
     def term(rows, mean, cov, grads=False):
-        mean = mean + gp.mean_function(x[rows])
+        mean = mean + layer.mean_function(x[rows])
         if not grads:
             return weight * sum(
                 float(np.sum(variational_expectations(part, mean[i], cov[i], t)))
@@ -237,17 +262,17 @@ def _elbo(posteriors, x, term, foc) -> float:
     return term(slice(None), moments.mean, moments.cov) - kl
 
 
-def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
+def _backward(prefix, layer: GPLayer, post: Posterior, x, seed, foc, prior=True):
     """Slot name -> gradient of an objective of the marginal moments at
-    ``x`` of an SVGP or a deep-GP layer, minus its KL: the layer's slots
-    under ``prefix`` and the likelihood's; and the gradient with respect to
-    the rows ``x`` (None where the pair has no input VJP).  ``seed(rows,
-    mean, cov)`` returns the objective's gradients with respect to the
-    moments, as for ``Posterior.backward``, and with respect to the
-    likelihood's parameters (``_data_term`` with ``grads``; ``{}`` for a
-    hidden layer).  Its mean gradient is also the one of the mean
-    function's output, so a ``Constant`` mean's value takes its sum;
-    ``prior`` is as for ``Posterior.backward``."""
+    ``x`` of a GP layer, minus its KL: the layer's slots under ``prefix``
+    and the likelihood's; and the gradient with respect to the rows ``x``
+    (None where the pair has no input VJP).  ``seed(rows, mean, cov)``
+    returns the objective's gradients with respect to the moments, as for
+    ``Posterior.backward``, and with respect to the likelihood's parameters
+    (``_data_term`` with ``grads``; ``{}`` for a hidden layer).  Its mean
+    gradient is also the one of the mean function's output, so a
+    ``Constant`` mean's value takes its sum; ``prior`` is as for
+    ``Posterior.backward``."""
     dvalue, lik = [], {}
 
     def seeded(rows, mean, cov):
@@ -258,7 +283,7 @@ def _backward(prefix, gp, post: Posterior, x, seed, foc, prior=True):
 
     slots, inputs = post.backward(x, seeded, foc, prior)
     out = accumulate({}, slots, prefix)
-    if isinstance(gp.mean_function, Constant):
+    if isinstance(layer.mean_function, Constant):
         out[prefix + "mean.value"] = float(np.sum(dvalue))
     return {**out, **lik}, inputs
 
@@ -406,8 +431,8 @@ class GPRModel(Model):
 # Sparse variational GP
 
 
-class SVGPModel(Model):
-    """Sparse variational GP defined by (kernel, likelihood, inducing, q)."""
+class SVGPModel(GPLayer, Model):
+    """Sparse variational GP: a GP layer observed through a likelihood."""
 
     schema = Schema("svgp", KERNEL, INDUCING, Q, LIKELIHOOD, MEAN, NUM_DATA, JITTER)
     settings = (*LAYER_KEYS, LIKELIHOOD_KEY, *Q_KEYS)
@@ -423,12 +448,8 @@ class SVGPModel(Model):
         num_data: int | None = None,
         jitter: float | None = None,
     ):
-        self.layout = check_q(q, inducing, kernel)
-        self.kernel = kernel
+        super().__init__(kernel, inducing, q, mean_function)
         self.likelihood = likelihood
-        self.inducing = inducing
-        self.q = q
-        self.mean_function = mean_function if mean_function is not None else Zero()
         self.num_data = num_data
         self.jitter = jitter
 
@@ -554,25 +575,6 @@ def optimal_q(model: SVGPModel, x, y) -> VariationalGaussian:
 
 # ---------------------------------------------------------------------------
 # Deep GP
-
-
-class GPLayer:
-    """One SVGP-style layer of a deep GP."""
-
-    schema = Schema(None, KERNEL, INDUCING, Q, MEAN)
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        inducing: InducingVariable,
-        q: VariationalGaussian,
-        mean_function: MeanFunction | None = None,
-    ):
-        self.layout = check_q(q, inducing, kernel)
-        self.kernel = kernel
-        self.inducing = inducing
-        self.q = q
-        self.mean_function = mean_function if mean_function is not None else Zero()
 
 
 class DGPModel(Model):
@@ -750,22 +752,22 @@ class DGPModel(Model):
         """Mean and variance of the equal-weight mixture of the last layer's
         marginals at ``num_samples`` propagations and, given ``y``, the log
         density of each of its rows under the mixture: one pass over the
-        draws, each written into one [S, ...] array per quantity."""
+        draws, each written into one [S, ...] array per quantity.  Each draw
+        is scored on the covariances the likelihood reads, [N, P, P] for
+        correlated noise, before they are reduced to marginals."""
         posteriors = self._posteriors()
         foc = self.likelihood.requires_full_output_cov
         for i in range(num_samples):
             h = self.propagate(x, rng, posteriors)
-            moments = _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
-            mean, var = moments.mean, moments.cov
-            if var.ndim == 3:  # [N, P, P] -> per-output marginals
-                var = np.einsum("npp->np", var)
+            mean, cov = _posterior_moments(self.layers[-1], posteriors[-1], h, False, foc)
             if i == 0:
                 means = np.empty((num_samples, *mean.shape))
-                variances = np.empty((num_samples, *var.shape))
+                variances = np.empty_like(means)
                 parts = np.empty((num_samples, mean.shape[0]))
-            means[i], variances[i] = mean, var
+            means[i] = mean
+            variances[i] = np.einsum("npp->np", cov) if foc else cov
             if y is not None:
-                parts[i] = predictive_log_density(self.likelihood, mean, var, y)
+                parts[i] = predictive_log_density(self.likelihood, mean, cov, y)
         mixed = means.mean(axis=0), variances.mean(axis=0) + means.var(axis=0)
         if y is None:
             return mixed

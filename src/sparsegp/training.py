@@ -56,8 +56,6 @@ def softplus_inv(y):
 
 
 class Identity:
-    name = "identity"
-
     def free_size(self, value):
         return np.asarray(value).size
 
@@ -73,8 +71,6 @@ class Identity:
 
 
 class Positive:
-    name = "positive"
-
     def free_size(self, value):
         return np.asarray(value).size
 
@@ -90,8 +86,6 @@ class Positive:
 
 class TriangularPositiveDiag:
     """Packed lower triangle; the diagonal runs through softplus."""
-
-    name = "tril"
 
     def free_size(self, value):
         m = np.asarray(value).shape[0]

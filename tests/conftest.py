@@ -2,6 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# A failing example prints its @reproduce_failure blob, so that a log of the
+# run replays it on another machine.
+settings.register_profile("sparsegp", print_blob=True)
+settings.load_profile("sparsegp")
 
 from sparsegp import RngState, VariationalGaussian, cholesky, standard_normal, tri_solve
 from sparsegp.conditionals import PosteriorMoments, _cov_shape, _moments_vjp

@@ -890,6 +890,42 @@ class TestEval:
         assert metrics["mlpd"] == pytest.approx(mlpd, abs=1e-10)
         assert metrics["rmse"] == pytest.approx(rmse, abs=1e-12)
 
+    def test_homotopic_outputs_each_report_their_own_density(self, tmp_path):
+        x = np.linspace(0.0, 3.0, 12)[:, None]
+        y = np.column_stack([np.sin(x[:, 0]), np.cos(2.0 * x[:, 0])])
+        data = str(tmp_path / "d.csv")
+        write_dataset(data, x, y)
+        conf = _write(
+            tmp_path,
+            "c.conf",
+            """
+            steps = 3
+            model {
+              kind = svgp
+              kernel = shared_independent { base = sqexp {}, outputs = 2 }
+              likelihood = gaussian { variance = 0.1 }
+              inducing = points { from_data = 4 }
+            }
+            """,
+        )
+        model = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", model]) == 0
+        preds = str(tmp_path / "p.csv")
+        assert main(["predict", "--model", model, "--data", data, "--out", preds]) == 0
+        table = np.genfromtxt(preds, delimiter=",", skip_header=2)  # x0, mu_0, mu_1, var_0, var_1
+        sigma2 = json.load(open(model))["likelihood"]["variance"]
+        out = str(tmp_path / "metrics.json")
+        assert main(["eval", "--model", model, "--data", data, "--out", out]) == 0
+        metrics = json.load(open(out))
+        assert [e["output"] for e in metrics["per_output"]] == [0, 1]
+        for entry in metrics["per_output"]:
+            p = entry["output"]
+            total = table[:, 3 + p] + sigma2
+            dens = -0.5 * np.log(2 * np.pi * total) - (y[:, p] - table[:, 1 + p]) ** 2 / (2 * total)
+            assert entry["mlpd"] == pytest.approx(np.mean(dens), rel=1e-12)
+        total = sum(e["mlpd"] for e in metrics["per_output"])
+        assert total == pytest.approx(metrics["mlpd"], abs=1e-12)
+
 
 class TestPlotdata:
     def test_single_point_grid_equals_predict(self, tmp_path, trained_svgp):
@@ -1171,6 +1207,40 @@ class TestDgpCli:
         metrics = cli._eval_metrics(model, dataset)
         assert len(calls) == 100
         assert np.isfinite(metrics["mlpd"])
+
+    def test_correlated_noise_eval(self, tmp_path):
+        # The last layer's q correlates its two outputs; eval scores each
+        # draw on its [N, 2, 2] covariances.
+        x = np.linspace(0.0, 3.0, 12)[:, None]
+        y = np.column_stack([np.sin(x[:, 0]), np.cos(x[:, 0])])
+        data = str(tmp_path / "d.csv")
+        write_dataset(data, x, y)
+        conf = _write(
+            tmp_path,
+            "dgp.conf",
+            """
+            seed = 1
+            steps = 3
+            model {
+              kind = dgp
+              likelihood = correlated_gaussian { cov = [[0.1, 0.02], [0.02, 0.3]] }
+              layers = [
+                layer { kernel = sqexp {}, inducing = points { from_data = 4 } },
+                layer {
+                  kernel = separate_independent {
+                    latents = [sqexp { lengthscales = [0.8] }, matern32 { lengthscales = [1.2] }]
+                  }
+                  inducing = points { from_data = 4 }
+                }
+              ]
+            }
+            """,
+        )
+        model = str(tmp_path / "dgp.json")
+        assert main(["train", "--config", conf, "--data", data, "--out", model]) == 0
+        out = str(tmp_path / "metrics.json")
+        assert main(["eval", "--model", model, "--data", data, "--out", out]) == 0
+        assert np.isfinite(json.load(open(out))["mlpd"])
 
     def test_train_and_predict(self, tmp_path):
         conf = _write(

@@ -29,7 +29,7 @@ from sparsegp import (
     sample_conditional,
     standard_normal,
 )
-from sparsegp.conditionals import create_posterior
+from sparsegp.conditionals import create_posterior, layout
 from sparsegp.errors import ShapeMismatch
 from sparsegp.inducing import LatentInducingVariables
 
@@ -185,9 +185,7 @@ def _paths(rng, n=6, m=4, p=3, images=5):
 
 
 def _build_q(name, iv, kernel, q_builder, whiten):
-    from sparsegp import num_inducing
-
-    total = num_inducing(iv, kernel)
+    total = layout(iv, kernel).total
     if q_builder.__name__ == "block_q":
         l = len(kernel.latent_kernels)
         return q_builder([total // l] * l, whiten)

@@ -29,7 +29,6 @@ from sparsegp import (
     kuf,
     kuu,
     mo_k,
-    num_inducing,
     standard_normal,
 )
 from sparsegp.errors import (
@@ -518,10 +517,10 @@ class TestLayout:
         a = np.linspace(0.0, 4.0, 4)[:, None]
         iv, kernel = Midpoints(a, a + 0.5), SquaredExponential(1.0, 0.9)
         with pytest.raises(NoImplementation):  # refused by name until registered
-            num_inducing(iv, kernel)
+            layout(iv, kernel)
         PAIRS.register(Midpoints, SquaredExponential, MidpointPosterior)
         try:
-            assert num_inducing(iv, kernel) == 4
+            assert layout(iv, kernel).total == 4
             x, y = desk_regression(n=12)
             q = _initial_q(iv, kernel, whiten=False)
             model = SVGPModel(kernel, Gaussian(0.1), iv, q, num_data=12)

@@ -62,6 +62,16 @@ class TestSingleOutput:
         assert np.all(np.diag(k.K(x)) == 1.7)
         assert np.all(np.diag(k.K(x, x)) == 1.7)
 
+    def test_matern12_cross_gram_keeps_rows_near_an_inducing_input(self, rng):
+        # A row 5e-8 from z[3] has r² ~ 1e-15, the size of the expansion's
+        # rounding of |a|² + |b|², which alone loses most of σ² − K ~ 1e-7.
+        z = standard_normal(rng, (8, 3))
+        x = np.vstack([z[3] + 5e-8 * np.array([0.6, -0.8, 0.0]), z[0] + 1.0])
+        k = Matern12(1.7, [0.5, 1.0, 2.0])
+        r = np.linalg.norm((x[0] - z[3]) / k.lengthscales)
+        gap = 1.7 - k.K(z, x)[3, 0]
+        assert gap == pytest.approx(1.7 * -np.expm1(-r), rel=1e-6)
+
     def test_sqexp_diag_is_constant_variance(self, rng):
         x = standard_normal(rng, (4, 2))
         np.testing.assert_allclose(k_diag(SquaredExponential(2.5, 1.0), x), 2.5)
@@ -105,9 +115,10 @@ class TestSingleOutput:
         per_dim = k_full(SquaredExponential(1.0, [0.9, 0.9]), x)
         np.testing.assert_allclose(shared, per_dim)
 
-    def test_input_dim_mismatch(self, rng):
-        with pytest.raises(DimensionMismatch):
-            k_full(SquaredExponential(), np.ones((2, 2)), np.ones((2, 3)))
+    @pytest.mark.parametrize("family", STATIONARY + [Linear, White])
+    def test_input_dim_mismatch(self, family):
+        with pytest.raises(DimensionMismatch, match="input dims differ: 2 vs 3"):
+            k_full(family(), np.ones((2, 2)), np.ones((2, 3)))
 
     def test_positivity_validation(self):
         with pytest.raises(ValueError):
@@ -243,6 +254,13 @@ class TestMultioutput:
         k = IntrinsicCoregionalization(base, standard_normal(rng, (4, 2)))
         assert len(k.latent_kernels) == 2
         assert all(lat is base for lat in k.latent_kernels)
+
+    @pytest.mark.parametrize("w", [0.5, [0.5, 1.0], np.ones((2, 2, 2))])
+    @pytest.mark.parametrize("cls", [LinearCoregionalization, IntrinsicCoregionalization])
+    def test_mixing_matrix_must_be_two_dimensional(self, cls, w):
+        base = SquaredExponential()
+        with pytest.raises(DimensionMismatch, match=r"mixing matrix must be \[P, L\]"):
+            cls([base] if cls is LinearCoregionalization else base, w)
 
     @pytest.mark.parametrize(
         "build",

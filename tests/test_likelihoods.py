@@ -59,6 +59,19 @@ class TestGaussian:
         np.testing.assert_array_equal(ymu, mu)
         np.testing.assert_allclose(yvar, var + 0.3)
 
+    @pytest.mark.parametrize(
+        "blocks,m,shape",
+        [(3, 2, (3, 2, 2)), (2, 3, (2, 3, 3)), (1, 6, (3, 2, 3, 2))],
+        ids=["NPP", "PNN", "NPNP"],
+    )
+    def test_observation_noise_sits_on_the_covariance_diagonal(self, blocks, m, shape):
+        # N = 3 points, P = 2 outputs: [N, P, P] and [P, N, N] blocks, and
+        # an [N, P, N, P] covariance, which is one [N·P, N·P] block.
+        eye = np.broadcast_to(np.eye(m), (blocks, m, m))
+        cov = (0.5 * eye).reshape(shape)
+        _, noisy = predict_observation_moments(Gaussian(0.1), np.zeros((3, 2)), cov)
+        np.testing.assert_array_equal(noisy, (0.6 * eye).reshape(shape))
+
     def test_monte_carlo_agrees_with_quadrature(self):
         mu, var, y = random_tuples(3, 4)
         lik = Gaussian(0.5)
@@ -102,6 +115,12 @@ class TestCorrelatedGaussian:
         lik = self._instance(rng)
         with pytest.raises(ShapeMismatch):
             variational_expectations(lik, np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+
+    def test_density_requires_full_covariances(self, rng):
+        # [N, P] variances read as [P, P] rows would add each to a column.
+        lik = self._instance(rng)
+        with pytest.raises(ShapeMismatch, match=r"needs \[N, 3, 3\] covariances"):
+            predictive_log_density(lik, np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
 
     def test_observation_moments_take_marginals_or_covariances(self, rng):
         lik = self._instance(rng, p=2)

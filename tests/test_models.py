@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from sparsegp import (
     Bernoulli,
@@ -41,7 +42,7 @@ from sparsegp.divergences import prior_kl
 from sparsegp.errors import ShapeMismatch, UnsupportedCombination
 
 from sparsegp.modelio import load_model
-from sparsegp.models import Model
+from sparsegp.models import PREDICT_SAMPLES, Model
 from sparsegp.schema import from_document
 from sparsegp.numerics import default_jitter
 
@@ -615,6 +616,13 @@ class TestDGP:
         )
         return GPLayer(SquaredExponential(1.0, 0.8), InducingPoints(z), q)
 
+    def test_svgp_is_a_layer_observed_through_a_likelihood(self):
+        layer = self._svgp_layer(RngState(11))
+        svgp = SVGPModel(layer.kernel, Gaussian(0.1), layer.inducing, layer.q)
+        assert isinstance(svgp, GPLayer)
+        assert vars(svgp).keys() - vars(layer).keys() == {"likelihood", "num_data", "jitter"}
+        assert svgp.layout == layer.layout
+
     def test_single_layer_equals_svgp_for_any_seed(self):
         rng = RngState(12)
         x = np.sort(rng.generator.uniform(0, 5, 10))[:, None]
@@ -762,6 +770,36 @@ class TestDGP:
         assert np.all(np.isfinite(mean)) and np.all(var > 0)
         with pytest.raises(ShapeMismatch, match="producing 1 columns"):
             DGPModel([patches, final(4)], Gaussian(0.1))
+
+    def test_correlated_noise_density_reads_each_draws_output_covariances(self):
+        # A q over both outputs of the last layer correlates them, so each
+        # draw is scored on its [N, P, P] covariances plus the noise's.
+        rng = RngState(19)
+        n, m = 6, 4
+        z = np.linspace(-1.0, 1.0, m)[:, None]
+        last = GPLayer(
+            SeparateIndependent([SquaredExponential(1.0, 0.8), Matern32(1.0, 1.2)]),
+            InducingPoints(z),
+            VariationalGaussian(
+                standard_normal(rng, 2 * m), random_lower(rng.derive(1), 2 * m), whiten=True
+            ),
+        )
+        noise = np.array([[0.1, 0.02], [0.02, 0.3]])
+        dgp = DGPModel([self._svgp_layer(rng.derive(2)), last], CorrelatedGaussian(noise))
+        x = np.linspace(0.5, 4.5, n)[:, None]
+        y = standard_normal(rng.derive(3), (n, 2))
+        _, _, got = dgp.predict_log_density(x, y)
+
+        posteriors, draws = dgp._posteriors(), RngState(0)
+        parts = []
+        for _ in range(PREDICT_SAMPLES):
+            f = posteriors[-1].predict(dgp.propagate(x, draws, posteriors), False, True)
+            total = f.cov + noise
+            diff = y - f.mean
+            quad = np.einsum("np,np->n", diff, np.linalg.solve(total, diff[..., None])[..., 0])
+            parts.append(-0.5 * (2 * np.log(2 * np.pi) + np.linalg.slogdet(total)[1] + quad))
+        want = logsumexp(parts, axis=0) - np.log(PREDICT_SAMPLES)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestUncertainInputs:
