@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .covariances import PAIRS, kuf, kuu
 from .divergences import gauss_kl, prior_kl
@@ -91,6 +90,7 @@ from .kernels import (
 )
 from .numerics import (
     RngState,
+    block_diag,
     cholesky,
     cholesky_vjp,
     record_allocation,

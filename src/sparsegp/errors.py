@@ -21,6 +21,10 @@ class ZeroDiagonal(SparseGPError):
     """A triangular solve hit a zero diagonal entry."""
 
 
+class NonFiniteInput(SparseGPError):
+    """A linear-algebra routine was given NaN or infinity."""
+
+
 class DimensionMismatch(SparseGPError):
     """Array dimensions do not conform."""
 

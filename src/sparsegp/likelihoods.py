@@ -9,19 +9,25 @@ exists, else (Bernoulli) by its own Gauss-Hermite sum.
 ``gauss_hermite_expectations`` and ``variational_expectations_mc`` are the
 quadrature and sampling oracles the closed forms and that sum are checked
 against.  ``predict_observation_moments`` gives the moments of y; a
-Gaussian adds its noise in every covariance mode.
+Gaussian adds its noise in every covariance mode.  The probit's normal CDF
+and its log, the Poisson's log y! and the log-sum-exp of mixtures are the
+``numerics`` special functions, built on the standard library's erfc and
+lgamma.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from .errors import DataError, EmptySubset, ShapeMismatch, UnsupportedCombination
 from .numerics import (
     RngState,
     cholesky,
     gauss_hermite_nodes,
+    log_factorial,
+    log_ndtr,
+    logsumexp,
+    ndtr,
     standard_normal,
     tri_solve,
 )
@@ -239,11 +245,11 @@ class Poisson(Likelihood):
     def log_density(self, f, y):
         f = np.asarray(f, dtype=float)
         y = np.asarray(y, dtype=float)
-        return y * f - np.exp(f) - gammaln(y + 1.0)
+        return y * f - np.exp(f) - log_factorial(y)
 
     def expectations(self, fmu, fvar, y, grads=False):
         rate = np.exp(fmu + 0.5 * fvar)  # E[exp(f)]
-        values = (y * fmu - rate - gammaln(y + 1.0)).sum(axis=1)
+        values = (y * fmu - rate - log_factorial(y)).sum(axis=1)
         if not grads:
             return values
         return values, y - rate, -0.5 * rate

@@ -19,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conditionals import (
     Posterior,
@@ -47,6 +46,7 @@ from .numerics import (
     RngState,
     cholesky,
     cholesky_vjp,
+    logsumexp,
     standard_normal,
     tri_solve,
     tri_solve_vjp,

@@ -1,4 +1,5 @@
-"""Dense linear algebra, quadrature, and random numbers.
+"""Dense linear algebra, quadrature, special functions and random numbers,
+in NumPy and the standard library alone.
 
 Array conventions used throughout the package: matrices are float64 numpy
 arrays in row-major (C) element order, so a stacked (N, P) array flattens
@@ -15,16 +16,18 @@ only stateful object and is advanced explicitly by the draw functions.
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import os
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import solve_triangular
 
 from .errors import (
     AsymmetricInput,
     ConfigError,
     DimensionMismatch,
+    NonFiniteInput,
     NonSquare,
     NotPositiveDefinite,
     ZeroDiagonal,
@@ -35,6 +38,7 @@ JITTER_ENV_VAR = "SPARSEGP_JITTER"
 MAX_CHOLESKY_RETRIES = 5
 _RETRY_JITTER_FLOOR = 1e-12
 _SYMMETRY_RTOL = 1e-10
+_SOLVE_BLOCK = 16  # most rows of a diagonal block in tri_solve
 
 
 def default_jitter() -> float:
@@ -125,18 +129,72 @@ def cholesky(a: np.ndarray, *, applied=None) -> np.ndarray:
 
 
 def tri_solve(l: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Solve L X = B (or Lᵀ X = B when ``transpose``) for lower-triangular L."""
+    """Solve L X = B (or Lᵀ X = B when ``transpose``) for lower-triangular L,
+    reading only L's lower triangle.
+
+    Blocked substitution over L's diagonal blocks T_i, each of at most
+    :data:`_SOLVE_BLOCK` rows: x_i = T_i⁻¹ (b_i − L_{i,<i} x_{<i}), or with
+    ``transpose`` x_i = T_i⁻ᵀ (b_i − L_{>i,i}ᵀ x_{>i}) from the last block
+    up, the sums over solved rows being GEMMs.  Every T_i⁻¹ comes from one
+    batched solve against the identity, each block passed flipped, J T J,
+    which is upper triangular: LAPACK's partial pivoting then swaps no row,
+    so the LU is the block itself and the call is one triangular solve.
+    Each inverse is applied by GEMM, then once more to the block's
+    residual, x_i += T_i⁻¹ (r_i − T_i x_i): that step of refinement makes
+    the product with an inverse as accurate as substitution, where without
+    it the error grows with T_i's condition.  B's width never changes the
+    method, so a column solved in a chunk of B agrees with the same column
+    solved in one pass to rounding.
+    """
     l = np.asarray(l, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(np.diag(l) == 0.0):
+    if (l.diagonal() == 0.0).any():
         raise ZeroDiagonal("triangular factor has a zero diagonal entry")
     if l.shape[0] != b.shape[0]:
         raise DimensionMismatch(
             f"factor dim {l.shape[0]} does not match rhs rows {b.shape[0]}"
         )
-    x = solve_triangular(l, b, lower=True, trans=1 if transpose else 0)
+    if not (np.isfinite(l).all() and np.isfinite(b).all()):
+        raise NonFiniteInput("triangular solve given a NaN or infinite entry")
+    m = l.shape[0]
+    rhs = b[:, None] if b.ndim == 1 else b
+    count = max(-(-m // _SOLVE_BLOCK), 1)
+    size = max(-(-m // count), 1)  # blocks as even as they come
+    padded = l
+    if count * size != m:  # the last block, topped up with the identity
+        padded = np.eye(count * size)
+        padded[:m, :m] = l
+    k = np.arange(count)
+    blocks = padded.reshape(count, size, count, size)[k, :, k, :] * _lower_mask(size)
+    # np.linalg.inv is LAPACK's gesv against the identity
+    inverses = np.linalg.inv(blocks[:, ::-1, ::-1])[:, ::-1, ::-1]
+    x = np.empty_like(rhs)
+    r, c = np.empty((2, size, rhs.shape[1]))
+    for s in range(0, m, size)[::-1] if transpose else range(0, m, size):
+        e = min(s + size, m)
+        ri, ci, xi = r[: e - s], c[: e - s], x[s:e]
+        coef, solved = (l[e:, s:e].T, x[e:]) if transpose else (l[s:e, :s], x[:s])
+        if len(solved):
+            np.subtract(rhs[s:e], np.matmul(coef, solved, out=ci), out=ri)
+        else:
+            ri[...] = rhs[s:e]
+        t, t_inv = blocks[s // size, : e - s, : e - s], inverses[s // size, : e - s, : e - s]
+        if transpose:
+            t, t_inv = t.T, t_inv.T
+        np.matmul(t_inv, ri, out=xi)
+        np.matmul(t, xi, out=ci)
+        np.subtract(ri, ci, out=ri)
+        xi += np.matmul(t_inv, ri, out=ci)
+    x = x.reshape(b.shape)
     record_allocation(x)
     return x
+
+
+@functools.lru_cache(maxsize=_SOLVE_BLOCK)
+def _lower_mask(size: int) -> np.ndarray:
+    mask = np.tri(size)
+    mask.flags.writeable = False
+    return mask
 
 
 def cholesky_vjp(l: np.ndarray, dl: np.ndarray, jitter: float = 0.0) -> np.ndarray:
@@ -170,6 +228,15 @@ def tri_solve_vjp(l, x, dx, transpose: bool = False):
     return np.tril(dl), db
 
 
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The square blocks on the diagonal of one dense matrix, zeros elsewhere."""
+    ends = np.cumsum([0] + [np.shape(block)[0] for block in blocks])
+    out = np.zeros((ends[-1], ends[-1]))
+    for block, start, stop in zip(blocks, ends, ends[1:]):
+        out[start:stop, start:stop] = block
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Quadrature
 
@@ -184,6 +251,74 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"node count must be in [1, 200], got {n}")
     x, w = hermegauss(n)
     return x, w / np.sum(w)
+
+
+# ---------------------------------------------------------------------------
+# Special functions
+#
+# From the standard library's erfc and lgamma, applied elementwise.
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_LOG_NDTR_SERIES_BELOW = -20.0
+_LOG_NDTR_SERIES_TERMS = 12  # the next term is below 1e-17 from x = -20 down
+
+
+def _lower_tail(x: np.ndarray) -> np.ndarray:
+    """Φ(−|x|), accurate to the last bits however far out in the tail."""
+    return 0.5 * np.asarray(_erfc(np.abs(x) / math.sqrt(2.0)), dtype=float)
+
+
+def ndtr(x) -> np.ndarray:
+    """The standard normal CDF Φ(x), elementwise."""
+    x = np.asarray(x, dtype=float)
+    tail = _lower_tail(x)
+    return np.where(x > 0.0, 1.0 - tail, tail)
+
+
+def log_ndtr(x) -> np.ndarray:
+    """log Φ(x), elementwise: log1p(−Φ(−x)) above 0, where Φ(x) is near 1;
+    log Φ(x) down to −20; below, the asymptotic series of Abramowitz &
+    Stegun 26.2.12, log Φ(x) = −x²/2 − log(−x√(2π)) + log Σ (−1)ⁿ
+    (2n−1)!! x⁻²ⁿ, where Φ(x) itself underflows."""
+    x = np.asarray(x, dtype=float)
+    tail = _lower_tail(x)
+    out = np.empty_like(x)
+    upper = x > 0.0
+    series = x < _LOG_NDTR_SERIES_BELOW
+    middle = ~(upper | series)
+    out[upper] = np.log1p(-tail[upper])
+    out[middle] = np.log(tail[middle])
+    t = x[series]
+    inv_sq = 1.0 / (t * t)
+    term = np.ones_like(t)
+    total = np.ones_like(t)
+    for n in range(1, _LOG_NDTR_SERIES_TERMS + 1):
+        term *= -(2 * n - 1) * inv_sq
+        total += term
+    out[series] = -0.5 * t * t - np.log(-t) - 0.5 * math.log(2.0 * math.pi) + np.log(total)
+    return out
+
+
+def log_factorial(y) -> np.ndarray:
+    """log y! = lgamma(y + 1), elementwise; one lgamma per distinct value,
+    since y holds counts."""
+    y = np.asarray(y, dtype=float)
+    values, inverse = np.unique(y, return_inverse=True)
+    logs = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
+    return logs[inverse].reshape(y.shape)
+
+
+def logsumexp(a, axis: int) -> np.ndarray:
+    """log Σ exp(a) along ``axis``, shifted by the largest entry so that
+    nothing overflows; a slice of −inf sums to −inf, and one holding +inf
+    to +inf."""
+    a = np.asarray(a, dtype=float)
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    # log 0 for a slice of −inf; exp overflows only beside a +inf
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.log(np.sum(np.exp(a - peak), axis=axis))
+    return out + np.squeeze(peak, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateRegistration, UnsupportedCombination
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    DuplicateRegistration,
+    UnsupportedCombination,
+)
 from .numerics import cholesky
 
 REQUIRED = object()
@@ -329,7 +334,8 @@ def construct(cls, spec, family=None, data=None):
         kwargs[f.attr] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as err:  # a constructor's check on a value
+    # a constructor's check on a value, its shape included
+    except (TypeError, ValueError, DimensionMismatch) as err:
         raise ConfigError(f"{tag}: {err}") from err
 
 

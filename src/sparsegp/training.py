@@ -347,6 +347,12 @@ def _objective_factory(build, x, y, outputs, config):
     batch_rng = RngState(config.seed).derive(0)
 
     def batches():
+        # A full batch is every row in file order: each row then sits at
+        # the same place in every product, whatever the step.
+        if batch_size >= n:
+            whole = np.arange(n)
+            while True:
+                yield whole
         while True:
             order = batch_rng.generator.permutation(n)
             for start in range(0, n, batch_size):

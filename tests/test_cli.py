@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +276,19 @@ class TestExitCodes:
         assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 3
         err = capsys.readouterr().err
         assert err == "data error: dataset has 1 input columns, model expects 2\n"
+
+    @pytest.mark.parametrize(
+        "kernel",
+        ["imc { w = 0.5, base = sqexp {} }", "lmc { w = 0.5, latents = [sqexp {}] }"],
+    )
+    def test_mixing_matrix_of_the_wrong_shape_is_2(self, tmp_path, capsys, kernel):
+        conf = _write(tmp_path, "mix.conf", SVGP_CONF.format(steps=1).replace(
+            "sqexp { variance = 1.0, lengthscales = [0.8] }", kernel
+        ))
+        out = str(tmp_path / "m.json")
+        assert main(["train", "--config", conf, "--data", DESK, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {kernel[:3]}: mixing matrix must be [P, L]\n"
 
     def test_dgp_layer_widths_that_do_not_chain_are_2(self, tmp_path, capsys):
         # The second layer's points come from the two-column inputs, while
@@ -1278,3 +1294,14 @@ class TestDgpCli:
             )
             == 2
         )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Each command starts a fresh interpreter, so what ``sparsegp.cli``
+    imports is paid on every call; scipy is for the tests alone."""
+    probe = "import sys, sparsegp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout == "[]\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg, special
 
 from sparsegp import (
     RngState,
@@ -15,11 +16,22 @@ from sparsegp.errors import (
     AsymmetricInput,
     ConfigError,
     DimensionMismatch,
+    NonFiniteInput,
     NonSquare,
     NotPositiveDefinite,
+    SparseGPError,
     ZeroDiagonal,
 )
-from sparsegp.numerics import cholesky_vjp, default_jitter, tri_solve_vjp
+from sparsegp.numerics import (
+    block_diag,
+    cholesky_vjp,
+    default_jitter,
+    log_factorial,
+    log_ndtr,
+    logsumexp,
+    ndtr,
+    tri_solve_vjp,
+)
 
 from conftest import make_spd, random_lower
 
@@ -99,6 +111,82 @@ class TestTriSolve:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             tri_solve(np.eye(2), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["factor", "rhs"])
+    def test_non_finite_input_rejected(self, rng, bad, where):
+        l, b = random_lower(rng, 20), standard_normal(rng, (20, 3))
+        (l if where == "factor" else b)[7, 2] = bad
+        with pytest.raises(NonFiniteInput) as err:
+            tri_solve(l, b)
+        assert isinstance(err.value, SparseGPError)
+
+    @pytest.mark.parametrize("m", [10, 40])  # one block, and three
+    def test_reads_only_the_lower_triangle(self, rng, m):
+        l, b = random_lower(rng, m), standard_normal(rng, (m, 50))
+        junk = l + np.triu(standard_normal(rng, (m, m)), 1)
+        for transpose in (False, True):
+            np.testing.assert_array_equal(tri_solve(junk, b, transpose), tri_solve(l, b, transpose))
+
+    def test_empty_system(self):
+        assert tri_solve(np.eye(0), np.ones((0, 2))).shape == (0, 2)
+        assert tri_solve(np.eye(3), np.ones((3, 0))).shape == (3, 0)
+
+
+def _conditioned_factor(rng, m, decades):
+    """The Cholesky factor of an SPD matrix whose eigenvalues span
+    ``decades`` decades, so the factor's condition is 10**(decades / 2)."""
+    q, _ = np.linalg.qr(standard_normal(rng, (m, m)))
+    a = (q * 10.0 ** -np.linspace(0.0, decades, m)) @ q.T
+    return np.linalg.cholesky(0.5 * (a + a.T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.sampled_from([1, 15, 16, 17, 31, 32, 33, 100]),
+    columns=st.sampled_from([None, 1, 5, 16, 40]),
+    transpose=st.booleans(),
+    decades=st.floats(0.0, 8.0),
+    seed=st.integers(0, 2**16),
+)
+def test_tri_solve_matches_scipy_within_the_rounding_bound(m, columns, transpose, decades, seed):
+    """Against scipy's substitution: every entry of the difference within
+    1e-12 of the componentwise bound |A⁻¹| |A| |x| (A = L, or Lᵀ), the
+    forward error a backward-stable solve may make, so the tolerance is
+    relative and scales with how much the system amplifies rounding.
+    Blocks hold at most 16 rows, so M spans one to seven blocks, the
+    last of them topped up or not."""
+    rng = RngState(seed)
+    l = _conditioned_factor(rng, m, decades)
+    b = standard_normal(rng.derive(1), (m,) if columns is None else (m, columns))
+    got = tri_solve(l, b, transpose=transpose)
+    want = linalg.solve_triangular(l, b, lower=True, trans=1 if transpose else 0)
+    assert got.shape == want.shape
+    a = l.T if transpose else l
+    a_inv = linalg.solve_triangular(l, np.eye(m), lower=True, trans=1 if transpose else 0)
+    bound = np.abs(a_inv) @ (np.abs(a) @ np.abs(want))
+    assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+
+def test_tri_solve_is_as_accurate_as_substitution_on_a_kernel_factor():
+    """A factor of a smooth kernel's Gram matrix, where the product with a
+    block's inverse alone is off by 10-100x the substitution error: the
+    solve stays within twice scipy's error against a long-double
+    substitution."""
+    z = np.linspace(0.0, 1.0, 64)
+    factor = np.linalg.cholesky(
+        np.exp(-0.5 * (z[:, None] - z) ** 2 / 0.15**2) + 1e-6 * np.eye(64)
+    )
+    b = np.exp(-0.5 * (z[:, None] - np.linspace(-0.1, 1.1, 50)) ** 2 / 0.15**2)
+    exact = np.zeros((64, 50), dtype=np.longdouble)
+    lower = factor.astype(np.longdouble)
+    for i in range(64):
+        exact[i] = (b[i] - lower[i, :i] @ exact[:i]) / lower[i, i]
+
+    def error(x):
+        return float(np.max(np.abs(x - exact) / np.max(np.abs(exact), axis=0)))
+
+    assert error(tri_solve(factor, b)) <= 2.0 * error(linalg.solve_triangular(factor, b, lower=True))
 
 
 DIFF_STEP = 1e-6
@@ -249,3 +337,53 @@ class TestAllocationProbe:
 def test_cholesky_idempotent_on_random_factors(seed):
     l = random_lower(RngState(seed), 4)
     np.testing.assert_allclose(cholesky(l @ l.T), l, atol=1e-12)
+
+
+class TestBlockDiag:
+    def test_matches_scipy(self, rng):
+        blocks = [standard_normal(rng, (k, k)) for k in (1, 3, 2)]
+        np.testing.assert_array_equal(block_diag(*blocks), linalg.block_diag(*blocks))
+
+
+class TestSpecialFunctions:
+    """scipy.special is the oracle of each standard-library replacement."""
+
+    GRID = np.linspace(-60.0, 40.0, 40001)
+
+    @staticmethod
+    def _close_where_normal(got, want):
+        normal = np.isfinite(want) & (np.abs(want) >= np.finfo(float).tiny)
+        assert normal.sum() > 30000
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+
+    def test_ndtr_matches_scipy(self):
+        self._close_where_normal(ndtr(self.GRID), special.ndtr(self.GRID))
+
+    def test_log_ndtr_matches_scipy(self):
+        self._close_where_normal(log_ndtr(self.GRID), special.log_ndtr(self.GRID))
+
+    def test_log_ndtr_is_finite_where_the_cdf_underflows(self):
+        x = np.array([-1e3, -1e6, -1e150])
+        np.testing.assert_allclose(log_ndtr(x), special.log_ndtr(x), rtol=1e-12)
+
+    def test_edges_and_shapes(self):
+        x = np.array([[-np.inf, np.inf], [np.nan, 0.0]])
+        np.testing.assert_array_equal(ndtr(x), [[0.0, 1.0], [np.nan, 0.5]])
+        np.testing.assert_array_equal(log_ndtr(x), [[-np.inf, 0.0], [np.nan, np.log(0.5)]])
+        assert ndtr(1.0).shape == () and log_ndtr(-30.0).shape == ()
+
+    def test_log_factorial_matches_gammaln_on_counts(self, rng):
+        y = np.floor(np.abs(standard_normal(rng, (50, 3, 1))) * 40.0)
+        y[0, 0, 0], y[1, 0, 0] = 0.0, 1e6
+        np.testing.assert_allclose(log_factorial(y), special.gammaln(y + 1.0), rtol=1e-13)
+        assert log_factorial(y).shape == y.shape
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_logsumexp_matches_scipy_with_infinite_slices(self, rng, axis):
+        a = 300.0 * standard_normal(rng, (6, 5))
+        a[1] = -np.inf
+        a[2, 3] = np.inf
+        a[3, :2] = -np.inf
+        a[4, 0], a[4, 1] = np.inf, -np.inf
+        a = a if axis == -1 else a.T
+        np.testing.assert_allclose(logsumexp(a, axis), special.logsumexp(a, axis=axis), rtol=1e-14)
