@@ -12,11 +12,11 @@ class takes their moments (``_chunk``) and backward (``_chunk_vjp``).  Kuu,
 the pair's plain one plus the jitter ``covariances.kuu`` adds, is factored
 once, when the posterior is built; its ``kl`` reads that factor.
 ``backward`` runs the chunks' backward over the rows that ``predict``
-streams, giving the gradients, by slot name, of an objective of the
-marginal moments minus the KL with respect to q (and to W, for a latent
-set that mixes with one) from the objective's gradients with respect to
-the moments.  Where the classes that define a pair's ``kuu`` and ``kuf``
-define their VJPs beside them (``input_vjp``; inducing points with a
+streams (``stream``), giving the gradients, by slot name, of an objective
+of the marginal moments minus the KL with respect to q (and to W, for a
+latent set that mixes with one) from the objective's gradients with respect
+to the moments, and the KL's value.  Where the classes that define a pair's
+``kuu`` and ``kuf`` define their VJPs beside them (``input_vjp``; inducing points with a
 stationary kernel), each chunk's Kuf cotangent goes through ``kuf_vjp``, and the
 factor's cotangent, summed over the chunks with the unwhitened KL's, goes
 through one Cholesky backward (``numerics.cholesky_vjp``) into
@@ -68,7 +68,7 @@ import numpy as np
 
 from .covariances import PAIRS, kuf, kuu
 from .divergences import gauss_kl, prior_kl
-from .errors import ShapeMismatch, UnsupportedCombination
+from .errors import NonFiniteValue, ShapeMismatch, UnsupportedCombination
 from .inducing import (
     InducingPatches,
     InducingPoints,
@@ -420,13 +420,18 @@ class Posterior:
             # The chunk's own arrays: copying them into fresh results made a
             # deep GP's 100-sample predict take twice the page faults.
             return PosteriorMoments(*self._chunk(xnew, full_cov, full_output_cov))
-        for rows in chunks:
-            part_mean, part_cov = self._chunk(xnew[rows], False, full_output_cov)
+        for rows, part_mean, part_cov in self.stream(xnew, full_output_cov):
             if rows.start == 0:
                 mean = np.empty((n, *part_mean.shape[1:]))
                 cov = np.empty((n, *part_cov.shape[1:]))
             mean[rows], cov[rows] = part_mean, part_cov
         return PosteriorMoments(mean, cov)
+
+    def stream(self, x, full_output_cov: bool = False):
+        """(rows, mean, cov) of the marginal moments at ``x``, chunk by
+        chunk: the chunks that ``predict`` and ``backward`` stream over."""
+        for rows in chunk_slices(x.shape[0], self._row_floats()):
+            yield rows, *self._chunk(x[rows], False, full_output_cov)
 
     def draw(self, xnew, rng: RngState, num_samples: int = 1):
         """Reparameterized draws [S, N, P] of f(Xnew) from its per-point
@@ -448,10 +453,12 @@ class Posterior:
 
     def backward(self, x, seed, full_output_cov: bool = False, prior: bool = True):
         """(slot name under the pair -> gradient, gradient with respect to
-        the rows ``x``) of an objective of the marginal moments at ``x``
-        minus this posterior's KL.  The slots are q's, W's for a latent set
-        that mixes with one, and Z's and the kernel's where the pair has
-        ``input_vjp``; without it the rows' gradient is None.
+        the rows ``x``, the KL) of an objective of the marginal moments at
+        ``x`` minus this posterior's KL.  The slots are q's, W's for a latent
+        set that mixes with one, and Z's and the kernel's where the pair has
+        ``input_vjp``; without it the rows' gradient is None.  The KL is
+        ``kl()``'s value, from the pass that gives its gradients; a KL that
+        is not finite raises :class:`NonFiniteValue` before they are used.
 
         ``seed(rows, mean, cov)`` returns the objective's gradients with
         respect to the marginal mean and covariance of the rows ``x[rows]``;
@@ -483,7 +490,9 @@ class Posterior:
             dfactor = dfactor + dl
             blocks, inputs[rows] = self._blocks_vjp(x[rows], dkmn, dknn)
             accumulate(slots, blocks)
-        _, dmu, dsqrt, kl_factor = gauss_kl(self.q, self.factor, grads=True)
+        kl, dmu, dsqrt, kl_factor = gauss_kl(self.q, self.factor, grads=True)
+        if not np.isfinite(kl):
+            raise NonFiniteValue(f"the KL is {kl}")
         for name, grad in _q_slots(dmu, dsqrt).items():
             slots[name] = slots[name] - grad
         if exact:
@@ -491,7 +500,7 @@ class Posterior:
                 dfactor = dfactor - kl_factor
             dkuu = cholesky_vjp(self.factor, dfactor, self.factor_jitter)
             accumulate(slots, self.kuu_vjp(self.inducing, self.kernel, dkuu))
-        return slots, inputs
+        return slots, inputs, kl
 
     def kl(self) -> float:
         """KL(q(u) || p(u)), reading the factor instead of refactoring."""

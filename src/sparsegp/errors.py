@@ -65,6 +65,11 @@ class NonFiniteObjective(SparseGPError):
     """The training objective evaluated to NaN or infinity."""
 
 
+class NonFiniteValue(NonFiniteObjective):
+    """The objective's value was NaN or infinity where its gradients were
+    to be taken from it; raised before any of them is."""
+
+
 class ConfigError(SparseGPError):
     """A configuration file failed to parse or validate."""
 

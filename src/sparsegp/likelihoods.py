@@ -321,12 +321,12 @@ def variational_expectations(lik: Likelihood, fmu, fvar, y) -> np.ndarray:
 
 
 def expectation_gradients(lik: Likelihood, fmu, fvar, y):
-    """The gradients of the summed ``variational_expectations`` with respect
-    to Fmu [N, P] and Fvar ([N, P], or [N, P, P] for a likelihood that needs
-    full output covariances): one row per point, in the form of Opper and
-    Archambeau 2009, "The variational Gaussian approximation revisited"."""
-    _, dmu, dvar = lik.expectations(*_validate(lik, fmu, fvar, y), grads=True)
-    return dmu, dvar
+    """``variational_expectations`` and, from the same pass, the gradients
+    of their sum with respect to Fmu [N, P] and Fvar ([N, P], or [N, P, P]
+    for a likelihood that needs full output covariances): one row per
+    point, in the form of Opper and Archambeau 2009, "The variational
+    Gaussian approximation revisited"."""
+    return lik.expectations(*_validate(lik, fmu, fvar, y), grads=True)
 
 
 def variational_expectations_mc(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,45 @@ def _parse_header(header):
 
 
 def read_dataset(path) -> Dataset:
-    """Parse each row as it is read, then refuse non-finite cells.  Blank
-    rows are skipped, and error line numbers count the rows that are not
-    blank, the header being line 1."""
+    """The dataset in a file: one bulk pass over a regular file, else each
+    row parsed as it is read.  Blank rows are skipped, and error line
+    numbers count the rows that are not blank, the header being line 1."""
+    return _read_table(path) or _read_rows(path)
+
+
+def _read_table(path) -> Dataset | None:
+    """A regular file in one ``np.loadtxt`` pass over the rows below its
+    header, else None: a blank, ragged, quoted or non-numeric row, a cell
+    that is not finite or an output index that is not a count sends the
+    file to ``_read_rows``, which refuses it with its line number (or reads
+    what only Python's ``float`` parses, such as ``1_000``)."""
+    with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns of a file with no rows
+        try:
+            header = handle.readline()
+            if '"' in header or not header.strip():
+                return None
+            x_idx, y_idx, output_col = _parse_header(next(csv.reader([header])))
+            table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except (DataError, ValueError, UserWarning):
+            return None
+    if table.shape[1] != len(x_idx) + len(y_idx) + (output_col is not None):
+        return None
+    if not np.isfinite(table).all():
+        return None
+    outputs = None
+    if output_col is not None:
+        index = table[:, output_col]
+        if not ((index >= 0) & (index < 2.0**63) & (index == np.floor(index))).all():
+            return None
+        outputs = index.astype(int)
+    x = np.ascontiguousarray(table[:, x_idx])
+    y = np.ascontiguousarray(table[:, y_idx]) if y_idx else None
+    return Dataset(x, y, outputs)
+
+
+def _read_rows(path) -> Dataset:
+    """Parse each row as it is read, then refuse non-finite cells."""
     x, y, outputs = [], [], []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = (row for row in csv.reader(handle) if row and any(c.strip() for c in row))

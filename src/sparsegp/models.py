@@ -31,7 +31,13 @@ from .conditionals import (
     layout,
 )
 from .covariances import kuf
-from .errors import ConfigError, DataError, ShapeMismatch, UnsupportedCombination
+from .errors import (
+    ConfigError,
+    DataError,
+    NonFiniteValue,
+    ShapeMismatch,
+    UnsupportedCombination,
+)
 from .inducing import InducingPoints, InducingVariable
 from .kernels import Convolutional, Kernel, MultioutputKernel, k_diag, k_full
 from .likelihoods import (
@@ -103,13 +109,16 @@ class Model:
       on (x, outputs, y) for heterotopic rows.  ``rng()`` returns the step's
       random stream afresh, so every evaluation in a step sees the same
       draws; ``scale`` weights the data term of a minibatch;
-    - ``objective_gradients(batch, rng, scale, trainable=None)``: exact
-      gradients of that objective, at the same ``rng``, with respect to the
-      values of named parameter slots (slot name -> array of the value's
-      shape), from the same data term as the objective and without
-      evaluating it; training takes finite differences for every other
-      slot.  ``trainable``, when given, names the slots that train: work
-      that reaches only frozen ones may be skipped.  Empty by default;
+    - ``objective_gradients(batch, rng, scale, trainable=None)``: (the
+      objective's value, its exact gradients), at the same ``rng``, the
+      gradients with respect to the values of named parameter slots (slot
+      name -> array of the value's shape), both from the forward pass that
+      the gradients are taken from, which is the objective's own; training
+      takes finite differences for every other slot.  A value that is not
+      finite raises :class:`NonFiniteValue` before any gradient is taken
+      from it.  ``trainable``, when given, names the slots that train: work
+      that reaches only frozen ones may be skipped.  ``(None, {})`` by
+      default: no value, and differences for every slot;
     - ``predict_moments(x, full_cov=False, full_output_cov=False)``: the
       posterior (mean, cov) of the latent outputs, marginal [N, P] by default,
       and ``predict_log_density(x, y)``: its marginals with the log
@@ -128,8 +137,8 @@ class Model:
     heterotopic = False
     mixture = False
 
-    def objective_gradients(self, batch, rng, scale, trainable=None) -> dict:
-        return {}
+    def objective_gradients(self, batch, rng, scale, trainable=None):
+        return None, {}
 
     def check_modes(self, full_cov, full_output_cov):
         pass
@@ -219,10 +228,13 @@ def output_groups(outputs, lik: Likelihood):
 def _data_term(layer: GPLayer, lik, x, y, weight, outputs=None):
     """``weight`` times the expected log-likelihood of (x, y) under a GP
     layer, as ``term(rows, mean, cov, grads=False)`` of the posterior's
-    marginal moments at ``x[rows]``.  With ``grads`` it returns
-    the term's gradients with respect to (mean, cov) instead, the seed of
-    ``Posterior.backward``, and with respect to the likelihood's parameters
-    that have them (schema name -> gradient).
+    marginal moments at ``x[rows]``.  With ``grads`` it returns that value,
+    from the likelihood's pass that gives the term's gradients with respect
+    to (mean, cov), the seed of ``Posterior.backward``, with those and the
+    gradients with respect to the likelihood's parameters that have them
+    (schema name -> gradient); a value that is not finite raises
+    :class:`NonFiniteValue` before the latter are taken or the former
+    returned.
 
     Heterotopic rows (``outputs`` holds the output each row observes) are
     grouped by output (``output_groups``): each group reads its output's
@@ -244,48 +256,57 @@ def _data_term(layer: GPLayer, lik, x, y, weight, outputs=None):
                 float(np.sum(variational_expectations(part, mean[i], cov[i], t)))
                 for part, i, t in groups(rows)
             )
+        parts, sums = list(groups(rows)), []
         dmean, dcov, dlik = np.zeros_like(mean), np.zeros_like(cov), {}
-        for part, i, t in groups(rows):
-            dmean[i], dcov[i] = expectation_gradients(part, mean[i], cov[i], t)
+        for part, i, t in parts:
+            values, dmean[i], dcov[i] = expectation_gradients(part, mean[i], cov[i], t)
+            sums.append(float(np.sum(values)))
+        value = weight * sum(sums)  # the sum the objective takes
+        if not np.isfinite(value):
+            raise NonFiniteValue(f"the data term is {value}")
+        for part, i, t in parts:
             if part is lik:  # not a correlated likelihood's one-output marginal
                 accumulate(dlik, part.parameter_gradients(mean[i], cov[i], t))
-        return weight * dmean, weight * dcov, {k: weight * g for k, g in dlik.items()}
+        return value, weight * dmean, weight * dcov, {k: weight * g for k, g in dlik.items()}
 
     return term
 
 
 def _elbo(posteriors, x, term, foc) -> float:
     """The data term on the last posterior's marginals at ``x`` (with full
-    output covariances if ``foc``), minus every posterior's KL."""
-    moments = posteriors[-1].predict(x, False, foc)
-    kl = sum(post.kl() for post in posteriors)
-    return term(slice(None), moments.mean, moments.cov) - kl
+    output covariances if ``foc``), summed over the chunks that its
+    backward walks too, minus every posterior's KL."""
+    data = sum(term(*chunk) for chunk in posteriors[-1].stream(x, foc))
+    return data - sum(post.kl() for post in posteriors)
 
 
 def _backward(prefix, layer: GPLayer, post: Posterior, x, seed, foc, prior=True):
     """Slot name -> gradient of an objective of the marginal moments at
     ``x`` of a GP layer, minus its KL: the layer's slots under ``prefix``
-    and the likelihood's; and the gradient with respect to the rows ``x``
-    (None where the pair has no input VJP).  ``seed(rows, mean, cov)``
-    returns the objective's gradients with respect to the moments, as for
+    and the likelihood's; the gradient with respect to the rows ``x``
+    (None where the pair has no input VJP); and the objective's value, the
+    data term summed over the chunks as ``_elbo`` sums it, and the KL.
+    ``seed(rows, mean, cov)`` returns the data term's value (0 for a hidden
+    layer) and its gradients with respect to the moments, as for
     ``Posterior.backward``, and with respect to the likelihood's parameters
     (``_data_term`` with ``grads``; ``{}`` for a hidden layer).  Its mean
     gradient is also the one of the mean function's output, so a
     ``Constant`` mean's value takes its sum; ``prior`` is as for
     ``Posterior.backward``."""
-    dvalue, lik = [], {}
+    values, dvalue, lik = [], [], {}
 
     def seeded(rows, mean, cov):
-        dmean, dcov, dlik = seed(rows, mean, cov)
+        value, dmean, dcov, dlik = seed(rows, mean, cov)
+        values.append(value)
         dvalue.append(np.sum(dmean))
         accumulate(lik, dlik, "likelihood.")
         return dmean, dcov
 
-    slots, inputs = post.backward(x, seeded, foc, prior)
+    slots, inputs, kl = post.backward(x, seeded, foc, prior)
     out = accumulate({}, slots, prefix)
     if isinstance(layer.mean_function, Constant):
         out[prefix + "mean.value"] = float(np.sum(dvalue))
-    return {**out, **lik}, inputs
+    return {**out, **lik}, inputs, sum(values), kl
 
 
 def _scale(num_data, batch_size, scale) -> float:
@@ -379,22 +400,24 @@ class GPRModel(Model):
         return self.posterior.predict(_as_columns(xnew), full_cov)
 
     def objective_gradients(self, batch, rng, scale, trainable=None):
-        """The log marginal likelihood's gradients (Rasmussen & Williams
-        2006, eq. 5.9) where the kernel is stationary with dk/dr²: the
-        kernel's slots and the noise's.  log p = −Σ log Lᵢᵢ − ½αᵀα + c with
-        α = L⁻¹y gives ∂L = −diag(1/Lᵢᵢ) plus the triangular solve's
+        """The log marginal likelihood and its gradients (Rasmussen &
+        Williams 2006, eq. 5.9) where the kernel is stationary with dk/dr²:
+        the kernel's slots and the noise's.  log p = −Σ log Lᵢᵢ − ½αᵀα + c
+        with α = L⁻¹y gives ∂L = −diag(1/Lᵢᵢ) plus the triangular solve's
         pullback of −α; the Cholesky backward carries it to Kff + noise I,
         whose gradient goes to the kernel through ``kuu_vjp`` and whose
         trace is the noise's."""
-        post = self.posterior
+        value, post = self.log_marginal(), self.posterior
+        if not np.isfinite(value):
+            raise NonFiniteValue(f"the log marginal likelihood is {value}")
         if not post.input_vjp:
-            return {}
+            return value, {}
         factor, alpha = post.factor, post.q.q_mu
         dl, _ = tri_solve_vjp(factor, alpha, -alpha)
         dkyy = cholesky_vjp(factor, dl - np.diag(1.0 / np.diag(factor)), post.factor_jitter)
         grads = post.kuu_vjp(post.inducing, self.kernel, dkyy)
         del grads["inducing.z"]  # the training inputs, which are data
-        return {**grads, "likelihood.variance": float(np.trace(dkyy))}
+        return value, {**grads, "likelihood.variance": float(np.trace(dkyy))}
 
     @classmethod
     def from_config(cls, node, dataset):
@@ -477,9 +500,9 @@ class SVGPModel(GPLayer, Model):
         return pm.mean, pm.cov
 
     def objective_gradients(self, batch, rng, scale, trainable=None):
-        """The ELBO's gradients: the chain rule of Hensman et al. 2013
-        (arXiv:1309.6835) from the data term's gradients with respect to
-        the marginal moments, through the posterior's backward, minus the
+        """The ELBO and its gradients: the chain rule of Hensman et al.
+        2013 (arXiv:1309.6835) from the data term's gradients with respect
+        to the marginal moments, through the posterior's backward, minus the
         KL's.  q's, and W's for a latent set that mixes with one; Z's and
         the kernel's where the pair has the VJPs of its kuu and kuf (points
         with a stationary kernel) and one of them trains; a Gaussian
@@ -489,7 +512,8 @@ class SVGPModel(GPLayer, Model):
             name.startswith(("inducing.", "kernel.")) for name in trainable
         )
         seed = partial(term, grads=True)
-        return _backward("", self, posteriors[-1], x, seed, foc, prior)[0]
+        grads, _, data, kl = _backward("", self, posteriors[-1], x, seed, foc, prior)
+        return data - kl, grads
 
     def _data(self, batch, scale):
         """(posteriors, x, the data term, whether it reads full output
@@ -653,9 +677,12 @@ class DGPModel(Model):
         return self.elbo(batch, rng(), scale)
 
     def objective_gradients(self, batch, rng, scale, trainable=None):
-        """The ELBO's gradients by reverse mode through the reparameterized
-        samples (Salimbeni & Deisenroth 2017, arXiv:1705.08933), at the
-        draws that ``rng()`` makes, the ones the objective sees.
+        """The ELBO and its gradients by reverse mode through the
+        reparameterized samples (Salimbeni & Deisenroth 2017,
+        arXiv:1705.08933), at the draws that ``rng()`` makes, the ones the
+        objective sees.  The ELBO is the last layer's data term minus every
+        layer's KL, each from the layer's backward where the chain reaches
+        it.
 
         The last layer's slots are an SVGP's, at the propagated inputs.  A
         hidden state h = mean + sqrt(var)·eps (+ the mean function) pulls
@@ -668,8 +695,11 @@ class DGPModel(Model):
         record = []
         posteriors, h, term, foc = self._data(batch, rng(), scale, record)
         last = len(self.layers) - 1
+        kls = [None] * len(self.layers)
         seed = partial(term, grads=True)
-        grads, dh = _backward(f"layers.{last}.", self.layers[-1], posteriors[-1], h, seed, foc)
+        grads, dh, data, kls[last] = _backward(
+            f"layers.{last}.", self.layers[-1], posteriors[-1], h, seed, foc
+        )
         for i in reversed(range(last)):
             draws = record[i::last]  # this layer's, one per sample
             if dh is None or any(var is None for _, _, var in draws):
@@ -679,13 +709,14 @@ class DGPModel(Model):
             def seed(rows, mean, cov, dh=dh, eps=eps, var=var):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     dvar = dh[rows] * eps[rows] / (2.0 * np.sqrt(var[rows]))
-                return dh[rows], np.where(var[rows] > 0.0, dvar, 0.0), {}
+                return 0.0, dh[rows], np.where(var[rows] > 0.0, dvar, 0.0), {}
 
-            layer, dh = _backward(
+            layer, dh, _, kls[i] = _backward(
                 f"layers.{i}.", self.layers[i], posteriors[i], inputs, seed, False
             )
             grads.update(layer)
-        return grads
+        kl = sum(post.kl() if k is None else k for k, post in zip(kls, posteriors))
+        return data - kl, grads
 
     def _data(self, batch, rng, scale, record=None):
         """(the layers' posteriors, inputs, data term, full output

@@ -24,16 +24,27 @@ differences (``_fd_coordinate``), which are also the test oracle of every
 exact slot.  ``gradient`` evaluates the exact gradients inside its own
 call; the model is told which slots train, so that it skips the work that
 reaches only frozen ones.
+
+A training step runs one forward pass where that is exact: the model's
+exact gradients come with the objective's value, and where the batch is
+every row and the gradient call drew nothing from the step's random
+stream, that value is the objective at those parameters for any step, so
+the next step's gradient call gives the trace value of this one (``fit``).
+Elsewhere, and after the last step, the objective is evaluated after the
+update.  The Adam state carries the iterate (``AdamState.free``): a step
+packs the store only where it takes differences and unpacks it once, and a
+rejected step returns to the state's own vector.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteObjective, ShapeMismatch
+from .errors import ConfigError, NonFiniteObjective, NonFiniteValue, ShapeMismatch
 from .numerics import RngState
 from .schema import compile_slots
 
@@ -84,6 +95,17 @@ class Positive:
         return (grad * -np.expm1(-value)).reshape(-1)  # softplus' = 1 - e^-value
 
 
+@functools.lru_cache(maxsize=64)
+def _tril(m: int):
+    """Row and column indices of an m x m lower triangle, row by row, and
+    where its diagonal sits among them; read-only, shared by every call."""
+    rows, cols = np.tril_indices(m)
+    diagonal = rows == cols
+    for index in (rows, cols, diagonal):
+        index.flags.writeable = False
+    return rows, cols, diagonal
+
+
 class TriangularPositiveDiag:
     """Packed lower triangle; the diagonal runs through softplus."""
 
@@ -96,26 +118,24 @@ class TriangularPositiveDiag:
         m = value.shape[0]
         if value.shape != (m, m):
             raise ShapeMismatch(f"triangular slot must be square, got {value.shape}")
-        rows, cols = np.tril_indices(m)
+        rows, cols, diagonal = _tril(m)
         packed = value[rows, cols].copy()
-        diag_positions = rows == cols
-        packed[diag_positions] = softplus_inv(packed[diag_positions])
+        packed[diagonal] = softplus_inv(packed[diagonal])
         return packed
 
     def to_value(self, free, like):
         m = np.asarray(like).shape[0]
-        rows, cols = np.tril_indices(m)
+        rows, cols, diagonal = _tril(m)
         out = np.zeros((m, m))
         entries = free.copy()
-        diag_positions = rows == cols
-        entries[diag_positions] = softplus(entries[diag_positions])
+        entries[diagonal] = softplus(entries[diagonal])
         out[rows, cols] = entries
         return out
 
     def free_gradient(self, grad, value):
-        rows, cols = np.tril_indices(value.shape[0])
+        rows, cols, diagonal = _tril(value.shape[0])
         packed = grad[rows, cols]
-        packed[rows == cols] *= -np.expm1(-np.diag(value))  # softplus chain rule
+        packed[diagonal] *= -np.expm1(-np.diag(value))  # softplus chain rule
         return packed
 
 
@@ -230,23 +250,24 @@ def gradient(objective, store: ParameterStore, exact=None) -> np.ndarray:
     central difference.  The objective must be deterministic for the
     duration of the call; stochastic objectives fix their seed per
     evaluation (common random numbers), so the differences are well defined.
+    Only differences pack the store, and only they move it: it is set back
+    to that pack when they are done.
     """
-    free = store.free_vector()
-    grad = np.zeros_like(free)
     spans = store.spans()
     given = exact(store) if exact is not None else {}
-    exact = {
-        name: store.free_gradient(name, given[name])
-        for name, _, _ in spans
-        if name in given
-    }
+    grad = np.zeros(spans[-1][2] if spans else 0)
+    differenced = []
+    for name, start, stop in spans:
+        if name in given:
+            grad[start:stop] = store.free_gradient(name, given[name])
+        else:
+            differenced.extend(range(start, stop))
+    if not differenced:
+        return grad
+    free = store.free_vector()
     try:
-        for name, start, stop in spans:
-            if name in exact:
-                grad[start:stop] = exact[name]
-                continue
-            for i in range(start, stop):
-                grad[i] = _fd_coordinate(objective, store, free, i)
+        for i in differenced:
+            grad[i] = _fd_coordinate(objective, store, free, i)
     finally:
         store.set_free_vector(free)
     return grad
@@ -261,10 +282,13 @@ class AdamState:
     t: int
     m: np.ndarray
     v: np.ndarray
+    free: np.ndarray  # the iterate: the free vector the trainable slots hold
 
     @classmethod
-    def zeros(cls, size: int):
-        return cls(0, np.zeros(size), np.zeros(size))
+    def start(cls, store: ParameterStore):
+        """Zero moments at the store's trainable slots, packed once."""
+        free = store.free_vector()
+        return cls(0, np.zeros_like(free), np.zeros_like(free), free)
 
 
 def adam_step(
@@ -276,15 +300,16 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
-    """One descent step on the free vector; returns the updated state."""
+    """One descent step from the state's iterate, unpacked into the store
+    once; returns the updated state."""
     t = state.t + 1
     m = beta1 * state.m + (1.0 - beta1) * grad
     v = beta2 * state.v + (1.0 - beta2) * grad * grad
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
-    free = store.free_vector() - lr * m_hat / (np.sqrt(v_hat) + eps)
+    free = state.free - lr * m_hat / (np.sqrt(v_hat) + eps)
     store.set_free_vector(free)
-    return AdamState(t, m, v)
+    return AdamState(t, m, v, free)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +365,15 @@ def divergence_warning(recent, value) -> str | None:
 
 
 def _objective_factory(build, x, y, outputs, config):
-    """Per-step (objective, exact gradients) pairs of functions of the store;
-    objectives fix their own seeds."""
+    """Per step, (objective, exact gradients, value): the first two are
+    functions of the store, and objectives fix their own seeds.  ``value()``
+    is the objective's value that the step's last ``exact`` call took from
+    the model (``Model.objective_gradients``), where that is the value any
+    step's objective gives at the same parameters: every row is in the
+    batch and the call drew nothing from ``rng``.  Else it is None."""
     n = x.shape[0]
     batch_size = config.batch_size if config.batch_size > 0 else n
+    whole = batch_size >= n
     batch_rng = RngState(config.seed).derive(0)
 
     def batches():
@@ -367,15 +397,22 @@ def _objective_factory(build, x, y, outputs, config):
         else:
             batch = (x[idx], outputs[idx], y[idx, 0])
         scale = n / idx.shape[0]
-        rng = lambda: RngState(config.seed).derive(1, step)  # noqa: E731
+        draws, found = [0], [None]
+
+        def rng():
+            draws[0] += 1
+            return RngState(config.seed).derive(1, step)
+
         objective = lambda s: -build(s).objective(batch, rng, scale)  # noqa: E731
 
         def exact(s):
             trainable = s.names(trainable_only=True)
-            grads = build(s).objective_gradients(batch, rng, scale, trainable)
+            before = draws[0]
+            value, grads = build(s).objective_gradients(batch, rng, scale, trainable)
+            found[0] = value if whole and draws[0] == before else None
             return {name: -g for name, g in grads.items()}
 
-        return objective, exact
+        return objective, exact, lambda: found[0]
 
     return make
 
@@ -385,11 +422,20 @@ def fit(model, data, config: FitConfig) -> FitResult:
 
     ``data`` is (X, Y), or (X, output_indices, y) for heterotopic rows.
     The trace carries the per-step objective as an ELBO estimate (the
-    optimizer minimizes its negation).  A warning is recorded when the
-    estimate drops by more than ten trailing standard deviations.  A step
-    that makes the objective non-finite is rejected: the parameters and the
-    Adam state are restored, the learning rate is halved for the rest of
-    the run, and the trace records the restored value with a warning.
+    optimizer minimizes its negation), at the parameters the step leaves.
+    A warning is recorded when the estimate drops by more than ten trailing
+    standard deviations.  A step that makes the objective non-finite is
+    rejected: the parameters and the Adam state are restored, the learning
+    rate is halved for the rest of the run, and the trace records the
+    restored value with a warning.
+
+    Where the step's gradient call gives the objective's value and that
+    value is exact for every step (``_objective_factory``), a step's trace
+    value is the one the next step's gradient call finds, from its own
+    forward pass; the last step, and every step where it is not exact,
+    evaluates the objective after its update.  A value that the gradient
+    call finds not finite (:class:`NonFiniteValue`) rejects the update
+    that led to it, or, with none pending, the step itself.
     """
     if len(data) == 3:
         x, outputs, y = data
@@ -414,31 +460,64 @@ def fit(model, data, config: FitConfig) -> FitResult:
         store.set_trainable(name, False)
 
     make_step = _objective_factory(build, x, y, outputs, config)
-    state = AdamState.zeros(store.free_vector().shape[0])
+    state = AdamState.start(store)
     trace: list[TraceRecord] = []
     recent: list[float] = []
     lr = config.learning_rate
 
-    for step in range(config.steps):
+    def settle(step, objective, previous, spent_ms, elbo=None):
+        """Record a step at ``elbo``, else at its objective evaluated now;
+        a value that is not finite rejects it.  Whether it was kept."""
+        nonlocal state, lr
         started = time.perf_counter()
-        objective, exact = make_step(step)
-        grad = gradient(objective, store, exact)
-        free, previous = store.free_vector(), state
-        state = adam_step(store, grad, state, lr)
-        elbo_estimate = -objective(store)
-        if np.isfinite(elbo_estimate):
-            warning = divergence_warning(recent, elbo_estimate)
+        if elbo is None:
+            elbo = -objective(store)
+        kept = bool(np.isfinite(elbo))
+        if kept:
+            warning = divergence_warning(recent, elbo)
         else:
-            store.set_free_vector(free)
+            store.set_free_vector(previous.free)
             state = previous
             lr *= 0.5
-            elbo_estimate = -objective(store)
+            elbo = -objective(store)
             warning = f"non-finite step rejected; learning rate halved to {lr:g}"
-        wall_ms = (time.perf_counter() - started) * 1000.0
-
-        recent.append(elbo_estimate)
+        wall_ms = spent_ms + (time.perf_counter() - started) * 1000.0
+        recent.append(elbo)
         if len(recent) > 20:
             recent.pop(0)
-        trace.append(TraceRecord(step, float(elbo_estimate), wall_ms, warning))
+        trace.append(TraceRecord(step, float(elbo), wall_ms, warning))
+        return kept
+
+    def step_gradient(objective, exact):
+        try:
+            return gradient(objective, store, exact)
+        except NonFiniteValue:
+            return None
+
+    pending = None  # (step, objective, state before it, ms) of a deferred step
+    for step in range(config.steps):
+        started = time.perf_counter()
+        objective, exact, value = make_step(step)
+        grad = step_gradient(objective, exact)
+        if pending is not None:
+            elbo = np.nan if grad is None else value()
+            if elbo is None:  # differences may have moved the store's last bits
+                store.set_free_vector(state.free)
+            kept = settle(*pending, elbo)
+            pending = None
+            if not kept:  # back where the rejected update started
+                grad = step_gradient(objective, exact)
+        if grad is None:  # not finite where no pending update led
+            settle(step, objective, state, (time.perf_counter() - started) * 1000.0, np.nan)
+            continue
+        previous = state
+        state = adam_step(store, grad, state, lr)
+        spent_ms = (time.perf_counter() - started) * 1000.0
+        if value() is not None:  # the next gradient call evaluates it here
+            pending = (step, objective, previous, spent_ms)
+        else:
+            settle(step, objective, previous, spent_ms)
+    if pending is not None:
+        settle(*pending)
 
     return FitResult(trace, build(store), store)

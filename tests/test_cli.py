@@ -242,6 +242,107 @@ class TestDatasetFiles:
             read_dataset(path)
 
 
+def _same_dataset(a, b):
+    for got, want in ((a.x, b.x), (a.y, b.y), (a.outputs, b.outputs)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()  # bit for bit
+
+
+class TestBulkReader:
+    """The one-pass reader against the row parser, its slow twin."""
+
+    @pytest.mark.parametrize(
+        "header, newline, blank",
+        [
+            ("x0,x1,y0,y1", "\n", False),
+            ("y0,x1,x0", "\r\n", True),
+            ("x0,output_index,y0", "\n", True),
+            ("output_index,y0,x0", "\r\n", False),
+        ],
+    )
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_regular_files_read_in_bulk_as_row_by_row(
+        self, tmp_path, header, newline, blank, rows
+    ):
+        from sparsegp.modelio import _read_rows, _read_table
+
+        gen = np.random.default_rng(rows)
+        lines = []
+        for i in range(rows):
+            cells = []
+            for name in header.split(","):
+                if name == "output_index":
+                    cells.append(str(int(gen.integers(0, 3))))
+                else:
+                    value = float(gen.standard_normal() * 10.0 ** gen.integers(-30, 30))
+                    cells.append(repr(value) if i % 2 else f"{value:.6g}")
+            lines.append(",".join(cells))
+            if blank and i == 0:
+                lines.append("")
+        path = _write(tmp_path, "d.csv", newline.join([header, *lines]) + newline)
+        bulk = _read_table(path)
+        assert bulk is not None
+        _same_dataset(bulk, _read_rows(path))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1.0,2.0\n   \n3.0,4.0\n",  # a row of blanks
+            "1.0,2.0\n,\n3.0,4.0\n",  # a row of empty cells
+            "1.0,2.0\n3.0\n",  # ragged
+            "1.0,2.0,\n",
+            '"1.0",2.0\n',  # quoted
+            "1_000,2.0\n",  # only Python's float reads it
+            "1.0,huh\n",
+            "#1.0,2.0\n",
+            "nan,2.0\n",
+            "1.0,-inf\n",
+            "",  # a header and no rows
+        ],
+    )
+    def test_irregular_files_go_to_the_row_parser(self, tmp_path, body):
+        from sparsegp.modelio import _read_rows, _read_table
+
+        path = _write(tmp_path, "d.csv", "x0,y0\n" + body)
+        assert _read_table(path) is None
+        try:
+            want = _read_rows(path)
+        except DataError as err:
+            with pytest.raises(DataError) as got:
+                read_dataset(path)
+            assert str(got.value) == str(err)
+        else:
+            _same_dataset(read_dataset(path), want)
+
+    @pytest.mark.parametrize("index", ["0.5", "-1", "9.3e18", "1e300", "nan"])
+    def test_an_index_that_is_not_a_count_goes_to_the_row_parser(self, tmp_path, index):
+        from sparsegp.modelio import _read_rows, _read_table
+
+        path = _write(tmp_path, "d.csv", f"x0,output_index,y0\n0.1,0,0.5\n0.2,{index},0.7\n")
+        assert _read_table(path) is None
+        with pytest.raises(DataError) as err:
+            _read_rows(path)
+        with pytest.raises(DataError) as got:
+            read_dataset(path)
+        assert str(got.value) == str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "\n\nx0,y0\n1.0,2.0\n", '"x0",y0\n1.0,2.0\n'])
+    def test_a_header_that_is_not_the_first_plain_line_goes_to_the_row_parser(
+        self, tmp_path, text
+    ):
+        from sparsegp.modelio import _read_rows, _read_table
+
+        path = _write(tmp_path, "d.csv", text)
+        assert _read_table(path) is None
+        if text:
+            _same_dataset(read_dataset(path), _read_rows(path))
+        else:
+            with pytest.raises(DataError, match="empty"):
+                read_dataset(path)
+
+
 class TestExitCodes:
     def test_config_parse_error_is_2(self, tmp_path):
         conf = _write(tmp_path, "bad.conf", "model { kind = svgp")

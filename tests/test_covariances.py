@@ -538,7 +538,7 @@ class TestLayout:
             np.testing.assert_allclose(got.cov[:, 0], np.diag(cov), atol=1e-8)
 
             # q trains on its exact gradients, which match the differences.
-            grads = trained.objective_gradients((x, y), None, None)
+            _, grads = trained.objective_gradients((x, y), None, None)
             assert {"q_mu", "q_sqrt"} <= set(grads)
             store, build = parameterize(trained)
             free = store.free_vector()

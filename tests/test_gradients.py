@@ -104,7 +104,8 @@ def _moments(seed, n, p, lik):
 def test_factorized_gradients_match_differenced_quadrature(lik, seed):
     # 60 nodes: the oracle's own quadrature error is far below the bound.
     mu, var, y = _moments(seed, 7, 3, lik)
-    dmu, dvar = expectation_gradients(lik, mu, var, y)
+    values, dmu, dvar = expectation_gradients(lik, mu, var, y)
+    assert values.tobytes() == variational_expectations(lik, mu, var, y).tobytes()
 
     def quad(m, v):  # per (point, output): each output differenced alone
         return np.stack(
@@ -123,7 +124,7 @@ def test_bernoulli_gradients_hold_in_the_tails():
     mu = np.array([[-12.0], [-3.0], [0.0], [4.0], [15.0]])
     var = np.array([[0.5], [1e-8], [3.0], [0.1], [2.0]])
     y = np.array([[1.0], [1.0], [0.0], [0.0], [1.0]])
-    dmu, dvar = expectation_gradients(lik, mu, var, y)
+    _, dmu, dvar = expectation_gradients(lik, mu, var, y)
     assert np.all(np.isfinite(dmu)) and np.all(np.isfinite(dvar))
 
     def quad(m, v):
@@ -148,7 +149,8 @@ def test_correlated_gaussian_gradients_match_differences(seed):
     y = standard_normal(rng.derive(2), (n, p))
     half = standard_normal(rng.derive(3), (n, p, p))
     cov = np.einsum("npq,nrq->npr", half, half)
-    dmu, dcov = expectation_gradients(lik, mu, cov, y)
+    values, dmu, dcov = expectation_gradients(lik, mu, cov, y)
+    assert values.tobytes() == variational_expectations(lik, mu, cov, y).tobytes()
 
     def total(m, c):
         return float(np.sum(variational_expectations(lik, m, c, y)))
@@ -242,7 +244,8 @@ def _check_against_differences(
         return -build(s).objective(batch, rng, 1.0)
 
     def exact(s):
-        return {k: -g for k, g in build(s).objective_gradients(batch, rng, 1.0).items()}
+        _, grads = build(s).objective_gradients(batch, rng, 1.0)
+        return {k: -g for k, g in grads.items()}
 
     # Differences round off about 1e-16 / step of the objective per
     # coordinate, so a random q whose exp-link objective is astronomically
@@ -529,10 +532,10 @@ def test_streamed_backward_sums_its_chunks():
     q = _build_q("lmc", iv, kernel, q_builder, False)
     model = SVGPModel(kernel, Gaussian(0.5), iv, q, num_data=37)
     y = standard_normal(rng.derive(1), (37, 3))
-    whole = model.objective_gradients((x, y), None, None)
+    _, whole = model.objective_gradients((x, y), None, None)
     with chunks_of(8, model.posterior._row_floats()):
         streamed = SVGPModel(kernel, Gaussian(0.5), iv, q, num_data=37)
-        parts = streamed.objective_gradients((x, y), None, None)
+        _, parts = streamed.objective_gradients((x, y), None, None)
     assert sorted(parts) == sorted(whole)
     for name in whole:
         np.testing.assert_allclose(parts[name], whole[name], rtol=1e-12, atol=1e-12)
@@ -581,7 +584,7 @@ def test_coincident_inputs_give_finite_exact_gradients(kind, whiten):
     # tableau's even-order extrapolation does not remove, so it starts at
     # 1e-5 and shrinks the step instead.
     model, x, y = _coincident(kind, whiten)
-    grads = model.objective_gradients((x, y), None, 1.0)
+    _, grads = model.objective_gradients((x, y), None, 1.0)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
     assert {"inducing.z", "kernel.variance", "kernel.lengthscales"} <= set(grads)
     slots = _exact_slots(model)
@@ -597,7 +600,7 @@ def test_coincident_inputs_give_finite_input_gradients(kind, whiten):
     post = model.posterior
     rng = RngState(69)
     g_mean, g_var = standard_normal(rng, (5, 1)), standard_normal(rng.derive(1), (5, 1))
-    _, inputs = post.backward(x, lambda rows, mean, cov: (g_mean[rows], g_var[rows]))
+    _, inputs, _ = post.backward(x, lambda rows, mean, cov: (g_mean[rows], g_var[rows]))
     assert np.all(np.isfinite(inputs))
 
     def objective(rows):
@@ -679,7 +682,7 @@ def _doubled_svgp(posterior):
 def test_a_pair_without_the_vjps_of_its_covariances_leaves_z_and_the_kernel_to_differences():
     with _doubled_svgp(DoubledPosterior) as (model, x, y):
         assert not model.posterior.input_vjp
-        grads = model.objective_gradients((x, y), None, 1.0)
+        _, grads = model.objective_gradients((x, y), None, 1.0)
         assert {"q_mu", "q_sqrt", "likelihood.variance"} <= set(grads)
         assert not [k for k in grads if k.startswith(("inducing.", "kernel."))]
 
@@ -762,7 +765,9 @@ def test_latents_sharing_a_pair_evaluate_kuf_once_per_chunk(monkeypatch, kind, w
     np.testing.assert_array_equal(got.mean, want_mean)
     np.testing.assert_array_equal(got.cov, want_var)
     ve = variational_expectations(model.likelihood, want_mean, want_var, y)
-    assert elbo == float(np.sum(ve)) - model.posterior.kl()
+    # The ELBO sums its data term chunk by chunk, as the backward does.
+    chunks = (slice(0, 16), slice(16, 32), slice(32, 40))
+    assert elbo == sum(float(np.sum(ve[rows])) for rows in chunks) - model.posterior.kl()
 
 
 # ---------------------------------------------------------------------------
@@ -921,9 +926,9 @@ def test_frozen_pair_slots_skip_the_kernel_vjps(monkeypatch):
     monkeypatch.setattr(Stationary, "K_vjp", counted)
     fit(model, (x, y), FitConfig(steps=1, learning_rate=0.01, freeze=frozen))
     assert calls == []
-    q_only = model.objective_gradients((x, y), None, 1.0, ["q_mu", "q_sqrt"])
+    _, q_only = model.objective_gradients((x, y), None, 1.0, ["q_mu", "q_sqrt"])
     assert calls == []
-    every = model.objective_gradients((x, y), None, 1.0)
+    _, every = model.objective_gradients((x, y), None, 1.0)
     assert calls and {"inducing.z", "kernel.variance"} <= set(every)
     for name in ("q_mu", "q_sqrt"):
         np.testing.assert_array_equal(q_only[name], every[name])
@@ -937,7 +942,7 @@ def test_golden_models_give_gradients_only_for_their_slots(name):
     x, y = CASES[name][0].x, CASES[name][0].y
     outputs = model.predict_moments(x)[0].shape[1]  # the case's y, once per output
     rng = lambda: RngState(0).derive(1, 0)  # noqa: E731
-    grads = model.objective_gradients((x, np.tile(y, (1, outputs))), rng, 1.0)
+    _, grads = model.objective_gradients((x, np.tile(y, (1, outputs))), rng, 1.0)
     store, _ = parameterize(model)
     assert set(grads) <= set(store.names())
     for slot, g in grads.items():

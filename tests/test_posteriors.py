@@ -334,7 +334,7 @@ def test_svgp_elbo_factors_kuu_once(whiten):
     with counted_cholesky() as calls:
         model.elbo((x, np.sin(x)))
         assert len(calls) == 1
-        grads = model.objective_gradients((x, np.sin(x)), None, None)
+        _, grads = model.objective_gradients((x, np.sin(x)), None, None)
         model.predict_f(x, full_cov=True)
     assert sorted(grads) == [
         "inducing.z", "kernel.lengthscales", "kernel.variance",

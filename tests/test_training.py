@@ -179,7 +179,7 @@ class TestAnalyticGradients:
             def objective(s):
                 return -build(s).elbo((x, y), scale=1.0)
 
-            grads = model.objective_gradients((x, y), None, 1.0)
+            _, grads = model.objective_gradients((x, y), None, 1.0)
             exact = {name: -g for name, g in grads.items()}
             fd = gradient(objective, store)
             an = gradient(objective, store, lambda s: exact)
@@ -195,14 +195,14 @@ class TestAdam:
     def test_zero_gradient_is_a_no_op(self):
         store = ParameterStore()
         store.add("a", np.array([1.0, 2.0]))
-        state = AdamState.zeros(2)
+        state = AdamState.start(store)
         adam_step(store, np.zeros(2), state, lr=0.1)
         np.testing.assert_array_equal(store.get("a"), [1.0, 2.0])
 
     def test_constant_gradient_moves_against_it(self):
         store = ParameterStore()
         store.add("a", np.array([0.0]))
-        state = AdamState.zeros(1)
+        state = AdamState.start(store)
         for _ in range(10):
             state = adam_step(store, np.array([3.0]), state, lr=0.05)
         assert store.get("a")[0] < 0
@@ -217,7 +217,7 @@ class TestAdam:
             d = s.get("theta") - target
             return 0.5 * d @ h @ d
 
-        state = AdamState.zeros(2)
+        state = AdamState.start(store)
         for _ in range(5000):
             grad = gradient(objective, store)
             state = adam_step(store, grad, state, lr=1e-2)
@@ -277,41 +277,48 @@ class TestFit:
         result = fit(model, (x, y), FitConfig(steps=150, learning_rate=0.05, seed=0))
         assert result.model.log_marginal() > before
 
-    def test_non_finite_step_is_rejected(self, monkeypatch):
+    @pytest.mark.parametrize("path", ["fused", "fallback"])
+    def test_non_finite_step_is_rejected(self, monkeypatch, path):
         import sparsegp.training as training
 
         model, x, y = _svgp_for_gradients(2, whiten=True)
         real_factory, real_adam = training._objective_factory, training.adam_step
+        real_expectations = Gaussian.expectations
         rates = []
         pending_nan = [False]
 
         def adam_spy(store, grad, state, lr):
             rates.append(lr)
-            # Poison the first evaluation after the third update only.
+            # Poison the first evaluation after the third update only: the
+            # next gradient call's forward when fused, else the objective.
             pending_nan[0] = len(rates) == 3
             return real_adam(store, grad, state, lr)
+
+        def poisoned(self, *args, **kwargs):
+            out = real_expectations(self, *args, **kwargs)
+            if pending_nan[0]:  # the values, with or without their gradients
+                pending_nan[0] = False
+                if isinstance(out, tuple):
+                    return (np.full_like(out[0], np.nan), *out[1:])
+                return np.full_like(out, np.nan)
+            return out
 
         def factory(*args):
             make = real_factory(*args)
 
             def make_step(step):
-                objective, exact = make(step)
-
-                def poisoned(store):
-                    if pending_nan[0]:
-                        pending_nan[0] = False
-                        return np.nan
-                    return objective(store)
-
-                return poisoned, exact
+                objective, exact, value = make(step)
+                return objective, exact, (value if path == "fused" else lambda: None)
 
             return make_step
 
+        monkeypatch.setattr(Gaussian, "expectations", poisoned)
         monkeypatch.setattr(training, "_objective_factory", factory)
         monkeypatch.setattr(training, "adam_step", adam_spy)
         config = FitConfig(steps=5, learning_rate=1e-2, seed=0)
         result = fit(model, (x, y), config)
 
+        assert not pending_nan[0]  # the poison was taken
         assert len(result.trace) == 5
         assert all(np.isfinite(r.elbo) for r in result.trace)
         assert rates == [1e-2, 1e-2, 1e-2, 5e-3, 5e-3]
@@ -333,3 +340,212 @@ class TestFit:
         assert divergence_warning(steady, 9.9) is None
         assert divergence_warning(steady, 10.0 - 11 * np.std(steady)) is not None
         assert divergence_warning(steady[:3], -100.0) is None  # warm-up window
+
+
+# ---------------------------------------------------------------------------
+# One forward per step
+
+
+def _two_forward_fit(model, data, config):
+    """The training loop as it ran before steps were fused, the oracle of
+    ``fit``'s trace: each step takes the gradient, updates, then evaluates
+    the objective again for the trace value and the non-finite check."""
+    import sparsegp.training as training
+
+    store, build = parameterize(model)
+    for name in config.freeze:
+        store.set_trainable(name, False)
+    x, *rest = data
+    outputs, y = (None, rest[0]) if len(rest) == 1 else (rest[0], rest[1][:, None])
+    make = training._objective_factory(build, x, y, outputs, config)
+    state = AdamState.start(store)
+    lr, values = config.learning_rate, []
+    for step in range(config.steps):
+        objective, exact, _ = make(step)
+        grad = gradient(objective, store, exact)
+        previous = state
+        state = adam_step(store, grad, state, lr)
+        value = -objective(store)
+        if not np.isfinite(value):
+            store.set_free_vector(previous.free)
+            state, lr = previous, lr * 0.5
+            value = -objective(store)
+        values.append(value)
+    return values, store.free_vector()
+
+
+def _dgp_for_fit():
+    from sparsegp import DGPModel, GPLayer
+
+    rng = RngState(5)
+    n, m = 12, 4
+    x = np.sort(rng.generator.uniform(0, 4, n))[:, None]
+    y = np.sin(x) + 0.1 * standard_normal(rng.derive(1), (n, 1))
+    layers = [
+        GPLayer(
+            SquaredExponential(1.0, 0.8),
+            InducingPoints(np.linspace(0.3, 3.7, m)[:, None]),
+            VariationalGaussian(
+                0.1 * standard_normal(rng.derive(2 + i), m),
+                0.5 * np.eye(m),
+                whiten=True,
+            ),
+        )
+        for i in range(2)
+    ]
+    return DGPModel(layers, Gaussian(0.2), num_data=n, num_samples=2, jitter=1e-8), x, y
+
+
+def _hetero_for_fit():
+    from sparsegp import LinearCoregionalization, Matern32, SharedIndependentInducingVariables
+
+    rng = RngState(6)
+    n = 20
+    kernel = LinearCoregionalization(
+        [SquaredExponential(1.0, 1.0), Matern32(1.0, 1.0)],
+        np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8]]),
+    )
+    iv = SharedIndependentInducingVariables(InducingPoints(np.linspace(0.3, 5.7, 4)[:, None]))
+    q = VariationalGaussian(np.zeros(8), (np.eye(4), np.eye(4)), whiten=False)
+    model = SVGPModel(kernel, Gaussian(0.1), iv, q, num_data=n, jitter=1e-8)
+    x = rng.generator.uniform(0.0, 6.0, (n, 1))
+    outputs = rng.generator.integers(0, 3, n)
+    y = np.sin(x[:, 0] + outputs) + 0.1 * standard_normal(rng.derive(1), n)
+    return model, (x, outputs, y)
+
+
+def _fit_case(case):
+    """(model, data, config) of a short fit; only ``svgp``, ``gpr`` and
+    ``hetero`` take every row without drawing from the step's stream."""
+    from sparsegp import UncertainSVGP
+
+    config = FitConfig(steps=4, learning_rate=2e-2, seed=1)
+    if case == "gpr":
+        x, y = desk_regression()
+        return GPRModel(SquaredExponential(0.5, 0.3), 0.5, x, y), (x, y), config
+    if case == "dgp":
+        model, x, y = _dgp_for_fit()
+        return model, (x, y), config
+    if case == "hetero":
+        return (*_hetero_for_fit(), config)
+    model, x, y = _svgp_for_gradients(3, whiten=True)
+    if case == "svgp_uncertain":
+        return UncertainSVGP(model, x, np.full_like(x, 0.01), y), (x, y), config
+    if case == "minibatch":
+        config.batch_size = 4
+    return model, (x, y), config
+
+
+def _count_forwards(monkeypatch, cls):
+    counts = {"objective": 0, "objective_gradients": 0}
+    for name in counts:
+        method = getattr(cls, name)
+
+        def counting(*args, name=name, method=method, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+class TestFusedStep:
+    @pytest.mark.parametrize(
+        "case", ["svgp", "gpr", "hetero", "dgp", "svgp_uncertain", "minibatch"]
+    )
+    def test_forwards_per_fit_and_the_two_forward_oracle(self, monkeypatch, case):
+        model, data, config = _fit_case(case)
+        counts = _count_forwards(monkeypatch, type(model))
+        result = fit(model, data, config)
+        fused = dict(counts)
+        counts.update(objective=0, objective_gradients=0)
+        values, free = _two_forward_fit(model, data, config)
+        steps = config.steps
+        if case in ("svgp", "gpr"):
+            # One gradient call per step and one objective after the last.
+            assert fused == {"objective": 1, "objective_gradients": steps}
+            assert counts == {"objective": steps, "objective_gradients": steps}
+        elif case == "hetero":  # its kernels and Z take differences
+            assert fused["objective_gradients"] == steps
+            assert fused["objective"] == counts["objective"] - steps + 1
+        else:
+            assert fused == counts
+        # The same trace and iterate as the loop that evaluates twice.
+        assert [r.elbo for r in result.trace] == values
+        assert all(r.warning is None for r in result.trace)
+        np.testing.assert_array_equal(result.store.free_vector(), free)
+
+    @pytest.mark.parametrize("case", ["svgp", "gpr", "hetero"])
+    def test_reused_values_are_the_objective_at_the_same_parameters(self, monkeypatch, case):
+        import sparsegp.training as training
+
+        model, data, config = _fit_case(case)
+        real_factory = training._objective_factory
+        reused = []
+
+        def factory(*args):
+            make = real_factory(*args)
+
+            def make_step(step):
+                objective, exact, value = make(step)
+
+                def spied(store):
+                    grads = exact(store)  # before any coordinate moves
+                    if value() is not None:
+                        reused.append(value())
+                        assert value() == -objective(store)  # bit for bit
+                    return grads
+
+                return objective, spied, value
+
+            return make_step
+
+        monkeypatch.setattr(training, "_objective_factory", factory)
+        result = fit(model, data, config)
+        assert len(reused) == config.steps
+        # Step t's trace value is what step t + 1's gradient call found.
+        assert [r.elbo for r in result.trace[:-1]] == reused[1:]
+
+    @pytest.mark.parametrize("case", ["svgp", "hetero", "gpr", "dgp"])
+    def test_objective_gradients_value_is_the_objective(self, case):
+        from test_posteriors import chunks_of
+
+        model, data, _ = _fit_case(case)
+        x, *rest = data
+        batch = (x, rest[0]) if len(rest) == 1 else (x, *rest)
+        rng = lambda: RngState(2).derive(1, 0)  # noqa: E731
+        value, _ = model.objective_gradients(batch, rng, 1.0)
+        assert value == model.objective(batch, rng, 1.0)
+        if case in ("svgp", "hetero"):  # and over chunks of rows
+            with chunks_of(4, model.posterior._row_floats()):
+                streamed = type(model)(
+                    model.kernel, model.likelihood, model.inducing, model.q,
+                    num_data=model.num_data, jitter=model.jitter,
+                )
+                value, _ = streamed.objective_gradients(batch, rng, 1.0)
+                assert value == streamed.objective(batch, rng, 1.0)
+                assert value == pytest.approx(model.objective(batch, rng, 1.0), rel=1e-12)
+
+    def test_a_non_finite_value_is_raised_before_the_backward(self, monkeypatch):
+        from sparsegp.errors import NonFiniteValue
+
+        model, x, y = _svgp_for_gradients(4, whiten=False)
+        post, real_chunk_vjp = model.posterior, model.posterior._chunk_vjp
+
+        def chunk_vjp(*args):
+            mean, cov, _ = real_chunk_vjp(*args)
+            return mean, cov, lambda *a, **k: pytest.fail("a pullback took the value")
+
+        real = Gaussian.expectations
+
+        def infinite(self, *args, **kwargs):
+            out = real(self, *args, **kwargs)
+            if isinstance(out, tuple):
+                return (np.full_like(out[0], np.inf), *out[1:])
+            return np.full_like(out, np.inf)
+
+        monkeypatch.setattr(post, "_chunk_vjp", chunk_vjp)
+        monkeypatch.setattr(Gaussian, "expectations", infinite)
+        with pytest.raises(NonFiniteValue):
+            model.objective_gradients((x, y), None, 1.0)
+        assert model.objective((x, y), None, 1.0) == np.inf
