@@ -36,7 +36,15 @@ builds one.
 A latent inducing set is a :class:`LatentPosterior`: one posterior per
 latent process, each of its own (member, latent kernel) pair's class, whose
 scalar moments the kernel maps to outputs with ``mix``, the map its own
-``K`` and ``K_diag`` apply; the backward runs through ``mix_adjoint``.
+``K`` and ``K_diag`` apply; the backward runs through ``mix_adjoint`` to
+each latent's pullback.  Latents that hold one pair (``_pairs``) share its
+Kuf and solves; where the pair has ``input_vjp`` they sum their gradients
+with respect to its projection and prior covariance, so the base class's
+``backward`` runs the pair's VJPs once per chunk and its Cholesky backward
+once per factor.  The pair's slots sit under the prefixes of the
+``schema.Child`` declarations that hold its member and latent kernel
+(``inducing.base.``, ``inducing.members.<i>.``, ``kernel.base.``,
+``kernel.latents.<i>.``), and two pairs that reach one slot add there.
 
 Four covariance output modes are selected by ``full_cov`` (covariances
 across inputs) and ``full_output_cov`` (covariances across outputs):
@@ -62,6 +70,7 @@ pullbacks cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,7 +107,7 @@ from .numerics import (
     tri_solve,
     tri_solve_vjp,
 )
-from .schema import Param, Schema, Setting
+from .schema import Child, Param, Schema, Setting
 
 # Marginal variances at or below this are treated as exactly zero when
 # sampling, so deterministic posteriors reproduce their mean.
@@ -230,9 +239,8 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
     factor of S = sqrt sqrtᵀ, by slot name (:func:`_q_slots`): proj ∂mean,
     and proj (D (∂cov + ∂covᵀ))ᵀ with D = sqrtᵀ proj, which for marginal
     variances is 2 proj diag(∂var) projᵀ sqrt (Hensman et al. 2013,
-    arXiv:1309.6835).  With ``prior`` it also returns the gradients with
-    respect to Kmn [M, N, P], Knn (∂cov itself) and lm's lower triangle,
-    through the VJPs of the triangular solves.
+    arXiv:1309.6835).  With ``prior`` it also returns the gradient with
+    respect to proj, which :func:`_prior_vjp` carries to Kmn, Knn and lm.
     """
     mean = (proj.T @ mu).reshape(n, p)
     shape = _cov_shape(n, p, full_cov, full_output_cov)
@@ -254,19 +262,28 @@ def _moments_vjp(lm, a, proj, n, p, knn, mu, sqrt, full_cov, full_output_cov):
             q = _q_slots(dmu, proj @ adjoint.T)
         if not prior:
             return q
-        # proj's gradient, then A's (in place, one [M, NP] array at a time)
-        da = np.outer(mu, dmean)
+        dproj = np.outer(mu, dmean)
         if d is not None:
-            da += sqrt @ adjoint
-            del adjoint
-        dl = 0.0
-        if proj is not a:
-            dl, da = tri_solve_vjp(lm, proj, da, transpose=True)
-        da -= _gram_adjoint(a, dcov, n, p, full_output_cov)
-        dl_a, dkmn = tri_solve_vjp(lm, a, da)
-        return q, dkmn.reshape(-1, n, p), dcov, dl + dl_a
+            dproj += sqrt @ adjoint
+        return q, dproj
 
     return mean, cov, pullback
+
+
+def _prior_vjp(lm, a, proj, n, p, full_output_cov, dproj, dcov):
+    """The gradients with respect to Kmn [M, N, P], Knn (``dcov`` itself)
+    and lm's lower triangle of an objective of :func:`_moments_vjp`'s
+    moments, from its gradients with respect to ``proj`` and to the
+    covariance, through the VJPs of the triangular solves that give A and
+    proj.  It is linear in both, so latents that share a pair's A and proj
+    sum theirs and run it once."""
+    record_allocation(dproj)
+    dl = 0.0
+    if proj is not a:
+        dl, dproj = tri_solve_vjp(lm, proj, dproj, transpose=True)
+    dproj -= _gram_adjoint(a, dcov, n, p, full_output_cov)
+    dl_a, dkmn = tri_solve_vjp(lm, a, dproj)
+    return dkmn.reshape(-1, n, p), dcov, dl + dl_a
 
 
 def chunk_rows(row_floats: int) -> int:
@@ -382,30 +399,54 @@ class Posterior:
         raise NotImplementedError
 
     def _group_vjp(self, posts, x, full_cov, full_output_cov):
-        """``_chunk_vjp`` of each posterior in ``posts``, this one among
-        them, that holds this posterior's pair and factor with its own q (the
-        latents of a latent set that share one pair), yielded in turn; they
-        share Kuf, the prior covariance and the solves."""
+        """The moments and pullback (:func:`_moments_vjp`) of each posterior
+        in ``posts``, this one among them, that holds this posterior's pair
+        and factor with its own q (the latents of a latent set that share
+        one pair), each computed as the generator reaches it, and the pair's
+        ``finish(dproj, dcov)``: :func:`_prior_vjp` at the Kuf and solves
+        that they all share."""
         kmn, knn = self._blocks(x, full_cov, full_output_cov)
         mt, n, p = kmn.shape
         a = tri_solve(self.factor, kmn.reshape(mt, n * p))  # [M, NP]
         proj = a if self.q.whiten else tri_solve(self.factor, a, transpose=True)
-        for post in posts:
-            q = post.q
-            yield _moments_vjp(
-                self.factor, a, proj, n, p, knn, q.q_mu, q.dense_sqrt(),
+        moments = (
+            _moments_vjp(
+                self.factor, a, proj, n, p, knn, post.q.q_mu, post.q.dense_sqrt(),
                 full_cov, full_output_cov,
             )
+            for post in posts
+        )
+        return moments, partial(_prior_vjp, self.factor, a, proj, n, p, full_output_cov)
 
     def _chunk(self, x, full_cov, full_output_cov):
         """(mean, cov) of the rows ``x`` in the requested mode."""
-        return next(self._group_vjp([self], x, full_cov, full_output_cov))[:2]
+        moments, _ = self._group_vjp([self], x, full_cov, full_output_cov)
+        return next(moments)[:2]
 
     def _chunk_vjp(self, x, full_output_cov):
         """The marginal (mean, cov) of the rows ``x`` and their pullback:
         given an objective's gradients with respect to them, its gradients
-        with respect to q (and W) by slot name."""
-        return next(self._group_vjp([self], x, False, full_output_cov))
+        with respect to q (and W) by slot name.  With ``prior`` it also
+        returns, per pair of ``_pairs``, the gradients with respect to its
+        Kuf, its prior covariance and its Kuu factor (:func:`_prior_vjp`);
+        ``backward`` asks for them where some pair has ``input_vjp``, and a
+        latent set gives None for each of its pairs without it."""
+        moments, finish = self._group_vjp([self], x, False, full_output_cov)
+        mean, cov, back = next(moments)
+
+        def pullback(dmean, dcov, prior=False):
+            if not prior:
+                return back(dmean, dcov)
+            q, dproj = back(dmean, dcov, prior=True)
+            return q, [finish(dproj, dcov)]
+
+        return mean, cov, pullback
+
+    def _pairs(self):
+        """(pair posterior, its latents, the slot prefixes of its inducing
+        variable and kernel, whether its VJPs run) of each pair whose Kuu
+        factor this posterior holds: its own, under the pair's own names."""
+        return [(self, (0,), ("inducing.", "kernel."), self.input_vjp)]
 
     def predict(
         self, xnew, full_cov: bool = False, full_output_cov: bool = False
@@ -466,40 +507,63 @@ class Posterior:
         seed is its data term called with ``grads`` (``models._data_term``),
         the same term its objective takes on ``predict``'s moments.
 
-        Where the pair has ``input_vjp``, each chunk's pullback also gives
-        the gradients with respect to its Kuf, its prior covariance and the
-        Kuu factor.  The first two go through the pair's ``_blocks_vjp`` to
+        For each pair of ``_pairs`` (of a latent set, each member's pair
+        with its latent kernel) that has ``input_vjp``, each chunk's
+        pullback also gives the gradients with respect to its Kuf, its prior
+        covariance and its Kuu factor, summed over the latents that share
+        the pair.  The first two go through the pair's ``_blocks_vjp`` to
         its parameters and to the rows; the factor's, summed over the chunks
-        with the KL's, go through one Cholesky backward into ``kuu_vjp``.
-        ``prior`` False skips these VJPs, for a caller that trains none of
-        what they reach.
+        with the KL's, go through one Cholesky backward at the pair's own
+        jitter into ``kuu_vjp``.  Each pair's slots go under its prefixes,
+        and where two pairs reach one slot their gradients add.  The slots
+        under the prefixes of a pair without ``input_vjp`` stay on
+        differences, whichever pair reaches them too, and the rows' gradient
+        needs every pair.  ``prior`` False skips these VJPs, for a caller
+        that trains none of what they reach.
         """
         x = np.asarray(x, dtype=float)
-        exact = prior and self.input_vjp
-        slots, dfactor = {}, 0.0
-        inputs = np.zeros_like(x) if exact else None
+        pairs = self._pairs() if prior else []
+        exact = any(ok for *_, ok in pairs)
+        slots, dfactors = {}, [0.0] * len(pairs)
+        inputs = np.zeros_like(x) if pairs and all(ok for *_, ok in pairs) else None
         for rows in chunk_slices(x.shape[0], self._row_floats()):
             mean, cov, pullback = self._chunk_vjp(x[rows], full_output_cov)
             dmoments = seed(rows, mean, cov)
             if not exact:
                 accumulate(slots, pullback(*dmoments))
                 continue
-            part, dkmn, dknn, dl = pullback(*dmoments, prior=True)
+            part, cotangents = pullback(*dmoments, prior=True)
             del pullback  # and the chunk's solves, before the blocks' VJPs
             accumulate(slots, part)
-            dfactor = dfactor + dl
-            blocks, inputs[rows] = self._blocks_vjp(x[rows], dkmn, dknn)
-            accumulate(slots, blocks)
+            dx = None
+            for i, ((pair, _, names, _), cotangent) in enumerate(zip(pairs, cotangents)):
+                if cotangent is None:
+                    continue
+                dkmn, dknn, dl = cotangent
+                dfactors[i] = dfactors[i] + dl
+                blocks, drows = pair._blocks_vjp(x[rows], dkmn, dknn)
+                accumulate(slots, _renamed(blocks, *names))
+                dx = drows if dx is None else dx + drows
+            if inputs is not None:
+                inputs[rows] = dx
         kl, dmu, dsqrt, kl_factor = gauss_kl(self.q, self.factor, grads=True)
         if not np.isfinite(kl):
             raise NonFiniteValue(f"the KL is {kl}")
         for name, grad in _q_slots(dmu, dsqrt).items():
             slots[name] = slots[name] - grad
-        if exact:
+        kl_factors = kl_factor if isinstance(kl_factor, list) else [kl_factor]
+        for (pair, latents, names, ok), dfactor in zip(pairs, dfactors):
+            if not ok:
+                continue
             if kl_factor is not None:
-                dfactor = dfactor - kl_factor
-            dkuu = cholesky_vjp(self.factor, dfactor, self.factor_jitter)
-            accumulate(slots, self.kuu_vjp(self.inducing, self.kernel, dkuu))
+                for i in latents:
+                    dfactor = dfactor - kl_factors[i]
+            dkuu = cholesky_vjp(pair.factor, dfactor, pair.factor_jitter)
+            accumulate(slots, _renamed(pair.kuu_vjp(pair.inducing, pair.kernel, dkuu), *names))
+        # What a pair without the VJPs reaches too stays on differences whole.
+        gaps = tuple(p for _, _, names, ok in pairs if not ok for p in names)
+        if gaps:
+            slots = {name: g for name, g in slots.items() if not name.startswith(gaps)}
         return slots, inputs, kl
 
     def kl(self) -> float:
@@ -588,6 +652,18 @@ def _marginal_sqrt(cov_n):
     if float(np.max(np.abs(np.diag(cov_n)))) <= SAMPLE_VARIANCE_FLOOR:
         return np.zeros_like(cov_n)
     return cholesky(cov_n)
+
+
+def _renamed(slots: dict, inducing: str, kernel: str) -> dict:
+    """A pair's slots, named under the pair (``inducing.*`` and
+    ``kernel.*``), with those prefixes replaced by ``inducing`` and
+    ``kernel``: where a latent set holds the pair's components."""
+    prefixes = {"inducing": inducing, "kernel": kernel}
+    out = {}
+    for name, grad in slots.items():
+        head, rest = name.split(".", 1)
+        out[prefixes[head] + rest] = grad
+    return out
 
 
 def _pair_slots(dz, kernel_grads) -> dict:
@@ -768,6 +844,26 @@ class MultioutputPointsPosterior(Posterior):
 # mean-field; the kernel maps the latents' moments to its outputs.
 
 
+def _slot_prefix(root: str, parent, i: int, child) -> str:
+    """The slot prefix of ``child``, the component that ``parent`` (whose
+    slots sit under ``root``) gives its ``i``-th latent, read off the
+    ``schema.Child`` that holds it.  A component that no declaration holds
+    has no slots to name, and is refused."""
+    schema = getattr(type(parent), "schema", None)
+    for field in schema.fields if schema is not None else ():
+        if not isinstance(field, Child):
+            continue
+        held = getattr(parent, field.attr)
+        if field.many and i < len(held) and held[i] is child:
+            return f"{field.prefix(root)}{i}."
+        if not field.many and held is child:
+            return field.prefix(root)
+    raise UnsupportedCombination(
+        f"{type(parent).__name__} declares no schema child that holds its "
+        f"latent {i}'s {type(child).__name__}"
+    )
+
+
 def _latent_pairs(iv, kernel):
     """(member, latent kernel, the pair's posterior class, its layout) per
     latent.  A kernel without latent processes, a member count other than
@@ -798,7 +894,7 @@ class LatentPosterior(Posterior):
     """Latent inducing variables: one posterior per latent, of the class of
     its own (member, latent kernel) pair and holding its slice of q, whose
     moments the kernel mixes into outputs.  Latents that share a pair share
-    its Kuu factor."""
+    its Kuu factor, and in the backward its VJPs."""
 
     def __init__(self, iv, kernel, q, jitter=None):
         _check_sizes(q, self.layout(iv, kernel))
@@ -807,19 +903,34 @@ class LatentPosterior(Posterior):
         self.q = q
         pairs = _latent_pairs(iv, kernel)
         sqrts = q.q_sqrt or (None,) * len(pairs)
-        # latent indices per (member, latent kernel) pair, in first-seen order
-        self.groups: dict[tuple[int, int], list[int]] = {}
+        # Latent indices per pair, in first-seen order, keyed by the slot
+        # prefixes of its member and latent kernel.
+        self.groups: dict[tuple[str, str], list[int]] = {}
         self.latents: list[Posterior] = []
         start = 0
-        for (member, k, cls, shape), sqrt in zip(pairs, sqrts):
+        for i, ((member, k, cls, shape), sqrt) in enumerate(zip(pairs, sqrts)):
             stop = start + shape.total
             q_l = VariationalGaussian(q.q_mu[start:stop], sqrt, q.whiten)
             start = stop
-            group = self.groups.setdefault((id(member), id(k)), [])
+            names = (
+                _slot_prefix("inducing.", iv, i, member), _slot_prefix("kernel.", kernel, i, k)
+            )
+            group = self.groups.setdefault(names, [])
             shared = self.latents[group[0]].factor if group else None
             group.append(len(self.latents))
             self.latents.append(cls(member, k, q_l, jitter, shared))
         self.factor = [post.factor for post in self.latents]
+
+    @property
+    def input_vjp(self):
+        return all(ok for *_, ok in self._pairs())
+
+    def _pairs(self):
+        pairs = []
+        for names, group in self.groups.items():
+            pair = self.latents[group[0]]  # it built the factor and holds its jitter
+            pairs.append((pair, group, names, pair.input_vjp))
+        return pairs
 
     @property
     def correlated_outputs(self):
@@ -846,20 +957,24 @@ class LatentPosterior(Posterior):
 
     def _latent_moments(self, x, full_cov, pullbacks=None):
         """The latents' means [N, L] and covariances ([L, N, N] or [N, L]) at
-        the rows ``x``; each latent's pullback goes into ``pullbacks`` when
-        it is given, else is dropped as soon as its moments are taken.
-        Latents that share a pair share its Kuf, prior covariance and
-        solves."""
+        the rows ``x``.  Latents that share a pair share its Kuf, prior
+        covariance and solves.  When ``pullbacks`` is given, each pair's
+        (latents, their pullbacks, its ``finish``) go into it (see
+        ``_group_vjp``); else each latent's pullback is dropped as soon as
+        its moments are taken."""
         means, covs = [None] * len(self.latents), [None] * len(self.latents)
         for group in self.groups.values():
             posts = [self.latents[i] for i in group]
-            shared = posts[0]._group_vjp(posts, x, full_cov, False)
+            shared, finish = posts[0]._group_vjp(posts, x, full_cov, False)
+            backs = []
             for i, (mean, cov, back) in zip(group, shared):
                 means[i], covs[i] = mean, cov
                 if pullbacks is not None:
-                    pullbacks[i] = back
+                    backs.append(back)
                 del back  # else a forward holds this latent's solves through the next
-            del shared  # and the group's Kuf and solves through the next group
+            if pullbacks is not None:
+                pullbacks.append((group, backs, finish))
+            del shared, finish  # and the group's Kuf and solves through the next group
         mean = np.concatenate(means, axis=1)  # [N, L]
         return mean, np.concatenate(covs, axis=0 if full_cov else 1)  # [L, N, N] or [N, L]
 
@@ -870,19 +985,33 @@ class LatentPosterior(Posterior):
         return self.kernel.mix_mean(mean), self.kernel.mix(cov, full_cov, full_output_cov)
 
     def _chunk_vjp(self, x, full_output_cov):
-        pullbacks = [None] * len(self.latents)
-        mean, cov = self._latent_moments(x, False, pullbacks)
+        groups = []
+        mean, cov = self._latent_moments(x, False, groups)
         kernel = self.kernel
 
-        def pullback(dmean, dcov):
+        def pullback(dmean, dcov, prior=False):
             # The adjoint of the kernel's map gives the latents' gradients
-            # (and W's), which each latent's own pair pulls back to its q.
+            # (and W's), which each latent's own pair pulls back to its q;
+            # with ``prior`` the latents of a pair with the VJPs sum their
+            # gradients with respect to its projection and prior covariance
+            # for its one finish.
             dmean, dcov, dw = kernel.mix_adjoint(dmean, dcov, mean, cov, full_output_cov)
-            grads = [back(dmean[:, [i]], dcov[:, [i]]) for i, back in enumerate(pullbacks)]
+            grads, cotangents = [None] * len(self.latents), []
+            for (group, backs, finish), (*_, ok) in zip(groups, self._pairs()):
+                exact = prior and ok
+                dproj = None
+                for i, back in zip(group, backs):
+                    if not exact:
+                        grads[i] = back(dmean[:, [i]], dcov[:, [i]])
+                        continue
+                    grads[i], part = back(dmean[:, [i]], dcov[:, [i]], prior=True)
+                    dproj = part if dproj is None else dproj + part
+                dknn = dcov[:, group].sum(axis=1, keepdims=True) if exact else None
+                cotangents.append(finish(dproj, dknn) if exact else None)
             sqrts = tuple(g["q_sqrt"] for g in grads) if self.q.q_sqrt else None
             slots = _q_slots(np.concatenate([g["q_mu"] for g in grads]), sqrts)
             if dw is not None:
                 slots["kernel.w"] = dw
-            return slots
+            return (slots, cotangents) if prior else slots
 
         return kernel.mix_mean(mean), kernel.mix(cov, False, full_output_cov), pullback

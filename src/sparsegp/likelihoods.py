@@ -163,6 +163,16 @@ class CorrelatedGaussian(Likelihood):
         dmu = tri_solve(self._chol, alpha, transpose=True).T  # S⁻¹(y - mu) per row
         return values, dmu, np.broadcast_to(-0.5 * precision, fvar.shape).copy()
 
+    def parameter_gradients(self, fmu, fvar, y):
+        # d/dS of the summed expectations is G = S⁻¹ R S⁻¹ / 2 − N S⁻¹ / 2,
+        # with R = Σ (y − mu)(y − mu)ᵀ + V_n; the slot is S's factor L, so
+        # (G + Gᵀ) L.
+        diff = y - fmu
+        precision = self._precision()
+        spread = diff.T @ diff + np.sum(fvar, axis=0)
+        g = 0.5 * (precision @ spread @ precision - fmu.shape[0] * precision)
+        return {"cov_sqrt": (g + g.T) @ self._chol}
+
     def predict_moments(self, fmu, fvar):
         """Adds the noise to [N, P, P] covariances, or its diagonal to [N, P]
         marginal variances."""

@@ -505,11 +505,14 @@ class SVGPModel(GPLayer, Model):
         to the marginal moments, through the posterior's backward, minus the
         KL's.  q's, and W's for a latent set that mixes with one; Z's and
         the kernel's where the pair has the VJPs of its kuu and kuf (points
-        with a stationary kernel) and one of them trains; a Gaussian
-        likelihood's variance and a ``Constant`` mean's value."""
+        with a stationary kernel, also as a latent set's member with its
+        latent kernel) and one of them trains; a Gaussian likelihood's
+        variance, a correlated Gaussian's covariance on homotopic rows and a
+        ``Constant`` mean's value."""
         posteriors, x, term, foc = self._data(batch, scale)
         prior = trainable is None or any(
-            name.startswith(("inducing.", "kernel.")) for name in trainable
+            name.startswith(("inducing.", "kernel.")) and name != "kernel.w"
+            for name in trainable
         )
         seed = partial(term, grads=True)
         grads, _, data, kl = _backward("", self, posteriors[-1], x, seed, foc, prior)
@@ -689,9 +692,9 @@ class DGPModel(Model):
         its gradient back to that layer's marginal moments, with
         ∂var = ∂h·eps / 2 sqrt(var) (0 where var was floored), and its
         layer's backward gives that layer's slots and the gradient with
-        respect to the layer below.  A layer whose pair has no input VJP,
-        or whose outputs correlate, stops the chain: the layers below it
-        keep finite differences."""
+        respect to the layer below.  A layer with a pair that has no input
+        VJP (of a latent set, any member's), or whose outputs correlate,
+        stops the chain: the layers below it keep finite differences."""
         record = []
         posteriors, h, term, foc = self._data(batch, rng(), scale, record)
         last = len(self.layers) - 1

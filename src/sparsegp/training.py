@@ -12,14 +12,16 @@ by reverse mode: q (through the backward that every pair's posterior
 takes from its blocks), and the mixing matrix W of a latent set, of every
 SVGP and deep-GP layer the chain reaches; Z and the kernel's slots where the
 pair's class gives the VJPs of its kuu and kuf beside them (inducing points
-with a stationary kernel); a Gaussian likelihood's
-variance and a ``Constant`` mean's value; and ``gpr``'s kernel and noise
-where its kernel is stationary.  A deep GP's chain runs from its last
-layer down through its sampled hidden states, and stops at a layer whose
-pair has no input VJP or whose outputs correlate.  Latent inducing sets'
-kernels and Z, multiscale and patch pairs, the fully-correlated points
-pair's kernel, ``linear``/``white`` kernels (in ``gpr`` too),
-``svgp_uncertain`` and a correlated Gaussian's covariance stay on
+with a stationary kernel), also for each member of a latent inducing set
+with its latent kernel; a Gaussian likelihood's variance, a correlated
+Gaussian's covariance on homotopic rows and a ``Constant`` mean's value;
+and ``gpr``'s kernel and noise where its kernel is stationary.  A deep
+GP's chain runs from its last layer down through its sampled hidden
+states, and stops at a layer with a pair that has no input VJP or whose
+outputs correlate.  Multiscale and patch pairs (also as latent set
+members, with what their slots share), the fully-correlated points pair's
+kernel, ``linear``/``white`` kernels (in ``gpr`` too), ``svgp_uncertain``
+and a correlated Gaussian's covariance on heterotopic rows stay on
 differences (``_fd_coordinate``), which are also the test oracle of every
 exact slot.  ``gradient`` evaluates the exact gradients inside its own
 call; the model is told which slots train, so that it skips the work that

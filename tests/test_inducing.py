@@ -12,9 +12,11 @@ from sparsegp import (
     SharedIndependent,
     SharedIndependentInducingVariables,
     SquaredExponential,
+    VariationalGaussian,
 )
-from sparsegp.conditionals import layout
+from sparsegp.conditionals import create_posterior, layout
 from sparsegp.errors import DimensionMismatch, UnsupportedCombination
+from sparsegp.inducing import LatentInducingVariables
 
 
 def test_single_output_count():
@@ -62,6 +64,26 @@ def test_member_count_must_match_latents():
     kernel = SeparateIndependent([SquaredExponential(), SquaredExponential()])
     with pytest.raises(UnsupportedCombination, match="1 inducing sets for 2 latents"):
         layout(iv, kernel)
+
+
+class Undeclared(LatentInducingVariables):
+    """A latent set whose member no schema declaration holds."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def per_latent(self, num_latent):
+        return [self.base] * num_latent
+
+
+def test_latent_member_without_a_declaration_is_refused():
+    # The backward names a member's slots by the schema child that holds
+    # it; one that nothing declares has no slots and is refused at build.
+    iv = Undeclared(InducingPoints(np.zeros((3, 1))))
+    kernel = SharedIndependent(SquaredExponential(), 2)
+    q = VariationalGaussian(np.zeros(6), (np.eye(3), np.eye(3)), True)
+    with pytest.raises(UnsupportedCombination, match="Undeclared declares no schema child"):
+        create_posterior(iv, kernel, q)
 
 
 def test_multiscale_validation():
